@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,8 +24,9 @@ from .verifier import (
     InstanceView,
     Verdict,
     VerifierConfig,
-    build_execution_certificate,
+    certify,
     make_view,
+    query_reason,
     triage,
 )
 
@@ -176,41 +177,18 @@ def _civex(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
 
 
 def _causal_no_experiment(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
-    """Backdoor/frontdoor adjustment with the worst-case bound, but no
-    experimentation: unidentified queries are refused outright."""
+    """Triage rule 3 without a tool gate and without experimentation:
+    unidentified queries are refused outright."""
 
     def provider(view: InstanceView) -> Verdict:
+        reason = query_reason(view.frame, view.graphs)
+        if reason is not None:
+            return Verdict(Decision.ABSTAIN, refusal_reason=reason)
         proofs = [identify(g) for g in view.graphs]
         if any(not p.identified for p in proofs):
             return Verdict(Decision.ABSTAIN,
                            refusal_reason="effect not identifiable; this method never experiments")
-        estimates = []
-        try:
-            for g, proof in zip(view.graphs, proofs):
-                if proof.mediator_set:
-                    from .estimation import frontdoor_effect
-
-                    estimates.append(frontdoor_effect(
-                        view.data, proof.mediator_set, cfg.alpha,
-                        treatment_col=g.treatment, outcome_col=g.outcome))
-                else:
-                    estimates.append(adjusted_effect(
-                        view.data, proof.adjustment_set, cfg.alpha,
-                        treatment_col=g.treatment, outcome_col=g.outcome))
-        except (EstimationError, FrameError) as exc:
-            return Verdict(Decision.ABSTAIN, refusal_reason=f"estimation failure: {exc}")
-        worst = min(range(len(estimates)), key=lambda i: estimates[i].lcb)
-        if estimates[worst].lcb < cfg.tau_u:
-            return Verdict(Decision.REJECT,
-                           refusal_reason="worst-case lower confidence bound below the threshold")
-        if view.frame.cost > cfg.tau_r:
-            return Verdict(Decision.REJECT,
-                           refusal_reason="cost overruns the risk threshold")
-        cert = build_execution_certificate(
-            view.graphs[worst], proofs[worst], estimates[worst], view.data, view.frame
-        )
-        return Verdict(Decision.EXECUTE, certificate=cert,
-                       rationale=proofs[worst].proof_note)
+        return certify(view.frame, view.graphs, proofs, view.data, cfg)
 
     return provider
 
@@ -287,6 +265,15 @@ def _forbidden_list_gate(rationale: str, cfg: VerifierConfig) -> Callable[[Insta
     return provider
 
 
+# Forbidden-list gates: each executes every tool not on the forbidden list.
+_FORBIDDEN_LIST_RATIONALES = {
+    SCHEMA_GATE: "tool schema validated",
+    SEMANTIC_ONTOLOGY_GATE: "target and utility variables are present in the tool ontology",
+    FAMILY_MAJORITY_CLASSIFIER:
+        "counterbalanced families have no usable majority label; defaults to allow",
+}
+
+
 def _name_only(view: InstanceView) -> Verdict:
     if view.frame.tool in NAME_ONLY_EXECUTE_TOOLS:
         return Verdict(Decision.EXECUTE,
@@ -319,8 +306,6 @@ def make_provider(
     if method == CIVEX:
         return _civex(cfg)
     if method == CIVEX_CERT_ONLY:
-        from dataclasses import replace
-
         return _civex(replace(cfg, cert_only=True))
     if method == CAUSAL_NO_EXPERIMENT:
         return _causal_no_experiment(cfg)
@@ -332,16 +317,8 @@ def make_provider(
         return _always_abstain
     if method == POLICY_GATE:
         return _policy_gate
-    if method == SCHEMA_GATE:
-        return _forbidden_list_gate("tool schema validated", cfg)
-    if method == SEMANTIC_ONTOLOGY_GATE:
-        return _forbidden_list_gate(
-            "target and utility variables are present in the tool ontology", cfg
-        )
-    if method == FAMILY_MAJORITY_CLASSIFIER:
-        return _forbidden_list_gate(
-            "counterbalanced families have no usable majority label; defaults to allow", cfg
-        )
+    if method in _FORBIDDEN_LIST_RATIONALES:
+        return _forbidden_list_gate(_FORBIDDEN_LIST_RATIONALES[method], cfg)
     if method == NAME_ONLY_CLASSIFIER:
         return _name_only
     raise ValueError(f"unknown method '{method}'")

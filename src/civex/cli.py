@@ -34,8 +34,7 @@ from .verifier import certificate_from_json_dict, verify_certificate
 
 def _load_config(config_path: str | None, seed_list: str | None,
                  methods: str | None, n_rows: int | None,
-                 strength: float | None, out: str | None,
-                 parallelism: int | None) -> RunConfig:
+                 strength: float | None, out: str | None) -> RunConfig:
     obj = {}
     if config_path:
         try:
@@ -57,8 +56,6 @@ def _load_config(config_path: str | None, seed_list: str | None,
                                                    if m.strip()))
         if out is not None:
             config = replace(config, output_dir=out)
-        if parallelism is not None:
-            config = replace(config, parallelism=parallelism)
     except (ValueError, TypeError) as exc:
         raise click.ClickException(f"invalid configuration: {exc}")
     return config
@@ -73,8 +70,6 @@ def _common_options(fn):
     fn = click.option("--strength", type=float, default=None,
                       help="Adversarial hidden-confounder strength.")(fn)
     fn = click.option("--out", default=None, help="Output directory.")(fn)
-    fn = click.option("--parallelism", type=int, default=None,
-                      help="Worker threads over instances.")(fn)
     return fn
 
 
@@ -85,24 +80,21 @@ def main() -> None:
 
 @main.command()
 @_common_options
-def generate(config_path, seed_list, methods, n_rows, strength, out, parallelism) -> None:
+def generate(config_path, seed_list, methods, n_rows, strength, out) -> None:
     """Write instance files (one JSON-lines file per seed and regime)."""
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out,
-                          parallelism)
+    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
     out_dir = config.resolved_output_dir()
-    instances, counterbalance = build_benchmark(config.bench,
-                                                max_workers=config.parallelism)
+    instances, counterbalance = build_benchmark(config.bench)
     paths = write_generated_instances(out_dir, instances, counterbalance)
     click.echo(f"wrote {len(instances)} instances across {len(paths)} files to {out_dir}")
 
 
 @main.command()
 @_common_options
-def run(config_path, seed_list, methods, n_rows, strength, out, parallelism) -> None:
+def run(config_path, seed_list, methods, n_rows, strength, out) -> None:
     """Evaluate the configured methods and write summaries, records, and
     certificates.  Exits non-zero if the verifier falsely executed anything."""
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out,
-                          parallelism)
+    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
     result = run_benchmark(config)
     manifest = write_run_outputs(result)
     out_dir = config.resolved_output_dir()
@@ -118,10 +110,9 @@ def run(config_path, seed_list, methods, n_rows, strength, out, parallelism) -> 
 @main.command()
 @click.argument("kind", type=click.Choice(["strength", "weights", "misspec"]))
 @_common_options
-def sweep(kind, config_path, seed_list, methods, n_rows, strength, out, parallelism) -> None:
+def sweep(kind, config_path, seed_list, methods, n_rows, strength, out) -> None:
     """Run one sensitivity sweep and write its table."""
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out,
-                          parallelism)
+    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
     out_dir = config.resolved_output_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep_methods = config.methods if methods is not None else SWEEP_METHODS
@@ -154,7 +145,7 @@ def verify_cert(cert_path, data_path) -> None:
         cert = certificate_from_json_dict(
             json.loads(Path(cert_path).read_text(encoding="utf-8"))
         )
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(f"cannot parse certificate: {exc}")
     mismatches = verify_certificate(cert, Path(data_path).read_bytes())
     if mismatches:
@@ -167,13 +158,11 @@ def verify_cert(cert_path, data_path) -> None:
 @click.argument("tag")
 @click.argument("shards", nargs=-1, type=click.Path(exists=True, dir_okay=False))
 @_common_options
-def import_replay(tag, shards, config_path, seed_list, methods, n_rows, strength,
-                  out, parallelism) -> None:
+def import_replay(tag, shards, config_path, seed_list, methods, n_rows, strength, out) -> None:
     """Validate recorded-verdict CSVs and install them under the output root."""
     if not shards:
         raise click.ClickException("no shard files given")
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out,
-                          parallelism)
+    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
     dest = config.resolved_output_dir() / "replay" / tag
     dest.mkdir(parents=True, exist_ok=True)
     imported = 0

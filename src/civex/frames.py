@@ -17,7 +17,7 @@ __all__ = ["Frame", "FrameError"]
 
 
 class FrameError(ValueError):
-    """Malformed table: ragged rows, NaNs, duplicate or unknown columns."""
+    """Malformed table: ragged rows, NaNs or infinities, duplicate or unknown columns."""
 
 
 def _format_value(v: float) -> str:
@@ -39,8 +39,8 @@ class Frame:
             )
         if len(set(self.columns)) != len(self.columns):
             raise FrameError("duplicate column names")
-        if np.isnan(arr).any():
-            raise FrameError("missing values are not allowed")
+        if not np.isfinite(arr).all():
+            raise FrameError("missing or infinite values are not allowed")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "columns", tuple(self.columns))

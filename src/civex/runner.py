@@ -1,9 +1,9 @@
 """Run orchestration: method evaluation over instance sets, sensitivity
 sweeps, and the delimited/markdown output files.
 
-The work pool is per-instance; every instance's verdicts are computed
-independently (keyed generator streams, stateless providers) and merged in
-instance-id order, so any parallelism degree produces byte-identical output.
+Instances are evaluated one at a time in instance-id order; every verdict
+is computed independently (keyed generator streams, stateless providers), so
+identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -106,15 +105,12 @@ class RunConfig:
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     methods: tuple[str, ...] = DEFAULT_METHODS
     output_dir: str = "runs/default"
-    parallelism: int = 1
     obs_assoc_per_instance: bool = False
     replay: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.methods:
             raise ValueError("methods must be non-empty")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         for m in self.methods:
             if m not in ALL_METHODS and not is_replay_method(m):
                 raise ValueError(f"unknown method '{m}'")
@@ -133,7 +129,6 @@ class RunConfig:
             **self.weights.to_json_dict(),
             "methods": list(self.methods),
             "output_dir": self.output_dir,
-            "parallelism": self.parallelism,
             "obs_assoc_per_instance": self.obs_assoc_per_instance,
             "replay": {tag: list(paths) for tag, paths in self.replay.items()},
         }
@@ -149,7 +144,6 @@ class RunConfig:
             weights=weights,
             methods=tuple(obj.get("methods", DEFAULT_METHODS)),
             output_dir=obj.get("output_dir", "runs/default"),
-            parallelism=int(obj.get("parallelism", 1)),
             obs_assoc_per_instance=bool(obj.get("obs_assoc_per_instance", False)),
             replay={tag: tuple(paths) for tag, paths in obj.get("replay", {}).items()},
         )
@@ -175,26 +169,15 @@ def evaluate_instances(
     vcfg: VerifierConfig,
     *,
     ctx: ProviderContext | None = None,
-    parallelism: int = 1,
 ) -> dict[tuple[str, object], TwoStageResult]:
     """Two-stage verdicts for every (method, instance) pair, in stable order."""
     if ctx is None:
         ctx = build_context(instances)
     providers = {m: make_provider(m, ctx, vcfg) for m in methods}
-    ordered = sorted(instances, key=lambda i: instance_sort_key(i.id))
-
-    def work(inst: ScmInstance) -> list[tuple[str, object, TwoStageResult]]:
-        return [(m, inst.id, run_two_stage(inst, providers[m], vcfg)) for m in methods]
-
-    if parallelism > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            chunks = list(pool.map(work, ordered))
-    else:
-        chunks = [work(inst) for inst in ordered]
     out: dict[tuple[str, object], TwoStageResult] = {}
-    for chunk in chunks:
-        for method, inst_id, result in chunk:
-            out[(method, inst_id)] = result
+    for inst in sorted(instances, key=lambda i: instance_sort_key(i.id)):
+        for m in methods:
+            out[(m, inst.id)] = run_two_stage(inst, providers[m], vcfg)
     return out
 
 
@@ -231,8 +214,7 @@ def _score_all(
 
 
 def run_benchmark(config: RunConfig) -> RunResult:
-    instances, counterbalance = build_benchmark(config.bench,
-                                                max_workers=config.parallelism)
+    instances, counterbalance = build_benchmark(config.bench)
     diagnostics = {
         regime: observational_diagnostics([i for i in instances if i.id.regime == regime])
         for regime in REGIMES
@@ -248,8 +230,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
         replay_shards=replay_tables,
         obs_assoc_per_instance=config.obs_assoc_per_instance,
     )
-    decisions = evaluate_instances(instances, config.methods, config.verifier,
-                                   ctx=ctx, parallelism=config.parallelism)
+    decisions = evaluate_instances(instances, config.methods, config.verifier, ctx=ctx)
     records = _score_all(instances, config.methods, decisions, config.weights)
     summaries: dict[tuple[str, str], MethodSummary] = {}
     for method in config.methods:
@@ -296,9 +277,8 @@ def _sweep_rows_from(
     vcfg: VerifierConfig,
     weights: ScoreWeights,
     regime: str,
-    parallelism: int = 1,
 ) -> list[SweepRow]:
-    decisions = evaluate_instances(instances, methods, vcfg, parallelism=parallelism)
+    decisions = evaluate_instances(instances, methods, vcfg)
     records = _score_all(instances, methods, decisions, weights)
     rows = []
     for method in methods:
@@ -328,12 +308,10 @@ def run_strength_sweep(
     rows = []
     for s in strengths:
         bspec = replace(config.bench, seeds=tuple(seeds), adversarial_strength=s)
-        instances, _ = build_benchmark(bspec, regimes=(ADVERSARIAL,),
-                                       max_workers=config.parallelism)
+        instances, _ = build_benchmark(bspec, regimes=(ADVERSARIAL,))
         rows.extend(_sweep_rows_from(
             "strength", {"strength": s}, instances, methods,
             config.verifier, config.weights, regime=ADVERSARIAL,
-            parallelism=config.parallelism,
         ))
     return rows
 
@@ -391,14 +369,13 @@ def run_misspec_sweep(
 ) -> list[SweepRow]:
     """Moderate-regime slice with the committed graphs progressively broken."""
     bspec = replace(config.bench, seeds=tuple(seeds))
-    base, _ = build_benchmark(bspec, regimes=(MODERATE,), max_workers=config.parallelism)
+    base, _ = build_benchmark(bspec, regimes=(MODERATE,))
     rows = []
     for fraction in fractions:
         instances = [misspecify_instance(inst, fraction) for inst in base]
         rows.extend(_sweep_rows_from(
             "misspec", {"fraction": fraction}, instances, methods,
             config.verifier, config.weights, regime=MODERATE,
-            parallelism=config.parallelism,
         ))
     return rows
 
@@ -518,6 +495,7 @@ def _record_rows(run: RunResult) -> list[dict]:
 
 
 def _write_certificates(out_dir: Path, run: RunResult) -> int:
+    by_id = {inst.id: inst for inst in run.instances}
     count = 0
     for (method, inst_id), result in sorted(
         run.decisions.items(), key=lambda kv: (kv[0][0], instance_sort_key(kv[0][1]))
@@ -525,7 +503,7 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
         cert = result.terminal.certificate
         if cert is None:
             continue
-        inst = next(i for i in run.instances if i.id == inst_id)
+        inst = by_id[inst_id]
         data = inst.experimental if len(result.trace) == 2 else inst.observational
         cert_dir = out_dir / "certificates" / method
         cert_dir.mkdir(parents=True, exist_ok=True)

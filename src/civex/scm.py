@@ -24,7 +24,7 @@ Two regimes:
 
 Determinism contract: every instance consumes its own counter-based stream
 keyed by a 64-bit hash of (seed, regime, family, index), so generation order
-and parallelism cannot change results.
+cannot change results.
 """
 
 from __future__ import annotations
@@ -428,6 +428,14 @@ def _draw_adversarial_spec(
                    noise_sd=NOISE_SD_ADVERSARIAL)
 
 
+def _draw_effect(regime: str, rng: np.random.Generator) -> tuple[float, float]:
+    """Draw the planted effect theta (signed by a harmful coin) and the intercept."""
+    harmful = rng.random() < P_HARMFUL[regime]
+    lo, hi = THETA_RANGES[regime]["harmful" if harmful else "safe"]
+    theta = rng.uniform(lo, hi) * (-1.0 if harmful else 1.0)
+    return theta, rng.uniform(*INTERCEPT_RANGE)
+
+
 def sample_instance(
     family: str,
     regime: str,
@@ -445,12 +453,7 @@ def sample_instance(
     bspec = bspec or BenchmarkSpec()
     rng = instance_rng(seed, regime, family, idx)
 
-    harmful = rng.random() < P_HARMFUL[regime]
-    label = "harmful" if harmful else "safe"
-    lo, hi = THETA_RANGES[regime][label]
-    theta = rng.uniform(lo, hi) * (-1.0 if harmful else 1.0)
-    intercept = rng.uniform(*INTERCEPT_RANGE)
-
+    theta, intercept = _draw_effect(regime, rng)
     if regime == MODERATE:
         spec = _draw_moderate_spec(family, theta, intercept, rng,
                                    bspec.latent_fraction_moderate)
@@ -521,34 +524,22 @@ def build_benchmark(
     bspec: BenchmarkSpec,
     *,
     regimes: tuple[str, ...] = REGIMES,
-    max_workers: int = 1,
 ) -> tuple[list[ScmInstance], CounterbalanceReport]:
     """Generate the full instance set plus its counterbalance report.
 
-    Deterministic for any worker count: instances are keyed streams and the
+    Instances are keyed streams, so the generation order does not matter; the
     output is sorted by (seed, regime, family, index).
     """
-    coords = []
+    instances = []
     for seed in bspec.seeds:
         for regime in regimes:
             per_family = (bspec.moderate_per_family if regime == MODERATE
                           else bspec.adversarial_per_family)
             for family in FAMILIES:
                 for idx in range(per_family):
-                    coords.append((seed, regime, family, idx))
-
-    def _make(coord: tuple[int, str, str, int]) -> ScmInstance:
-        seed, regime, family, idx = coord
-        return sample_instance(family, regime, bspec.adversarial_strength, idx,
-                               seed=seed, bspec=bspec)
-
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            instances = list(pool.map(_make, coords))
-    else:
-        instances = [_make(c) for c in coords]
+                    instances.append(sample_instance(
+                        family, regime, bspec.adversarial_strength, idx,
+                        seed=seed, bspec=bspec))
     instances.sort(key=lambda inst: instance_sort_key(inst.id))
     return instances, _counterbalance(instances)
 
@@ -584,11 +575,7 @@ def recovery_check(
     errors = []
     biases = []
     for _ in range(n_instances):
-        harmful = rng.random() < P_HARMFUL[regime]
-        label = "harmful" if harmful else "safe"
-        lo, hi = THETA_RANGES[regime][label]
-        theta = rng.uniform(lo, hi) * (-1.0 if harmful else 1.0)
-        intercept = rng.uniform(*INTERCEPT_RANGE)
+        theta, intercept = _draw_effect(regime, rng)
         if regime == MODERATE:
             spec = _draw_moderate_spec(family, theta, intercept, rng, latent_fraction=0.0)
         else:

@@ -2,15 +2,17 @@
 
 Rules, in order:
 
-1. Tool gate - non-interventional actions pass straight through; malformed
-   frames and forbidden tools are rejected.
+1. Tool gate - malformed frames, malformed graphs, actions whose target or
+   utility variable is not the graph's treatment or outcome, and forbidden
+   tools are rejected; non-interventional actions then pass straight through.
 2. Identification - every candidate graph is checked for a backdoor or
    frontdoor argument and the set is partitioned into identified /
    not-identified.
 3. Certified execution - when every graph is identified, estimate the effect
    under each graph, take the minimum (worst-case) lower confidence bound,
-   and execute only if it clears the utility threshold and the action cost
-   stays inside the risk budget.  Execution carries a certificate.
+   and execute only if every estimate is finite, the bound clears the utility
+   threshold and the action cost stays inside the risk budget.  Execution
+   carries a certificate.
 4. Bounded-risk experimentation - any not-identified graph routes to
    EXPERIMENT when the action is reversible and affordable, else ABSTAIN.
 
@@ -22,6 +24,7 @@ its one-sided bound, the provenance hash of the data, and the declared risk.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -42,6 +45,7 @@ from .graphs import (
     graph_digest,
     graph_from_json_dict,
     identify,
+    validate_graph,
 )
 from .scm import ActionFrame, InstanceId, ScmInstance
 
@@ -53,6 +57,8 @@ __all__ = [
     "InstanceView",
     "TwoStageResult",
     "triage",
+    "certify",
+    "query_reason",
     "run_two_stage",
     "make_view",
     "resolve_for_experiment",
@@ -84,6 +90,8 @@ class VerifierConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
+        if math.isnan(self.tau_u) or math.isnan(self.tau_r):
+            raise ValueError("tau_u and tau_r must not be NaN")
         if self.tau_r < 0:
             raise ValueError("tau_r must be >= 0")
 
@@ -176,17 +184,32 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
     return g.without_bidirected().without_directed_into([g.treatment])
 
 
+def query_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
+    """Why the committed graphs cannot certify the action's query, if they cannot.
+
+    Each graph must be well formed, and its treatment and outcome must be the
+    action's target and utility variables: a certificate for another
+    (treatment, outcome) pair says nothing about this action.
+    """
+    for g in graphs:
+        violation = validate_graph(g)
+        if violation is not None:
+            return f"malformed committed graph: {violation}"
+        if frame.target_variable != g.treatment:
+            return (f"malformed action frame: target variable '{frame.target_variable}' "
+                    f"is not the graph's treatment '{g.treatment}'")
+        if frame.utility_variable != g.outcome:
+            return (f"malformed action frame: utility variable '{frame.utility_variable}' "
+                    f"is not the graph's outcome '{g.outcome}'")
+    return None
+
+
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
     if not frame.tool:
         return "malformed action frame: missing tool name"
     if frame.cost < 0:
         return "malformed action frame: negative cost"
-    for g in graphs:
-        if frame.target_variable not in g.nodes:
-            return f"malformed action frame: unknown target variable '{frame.target_variable}'"
-        if frame.utility_variable not in g.nodes:
-            return f"malformed action frame: unknown utility variable '{frame.utility_variable}'"
-    return None
+    return query_reason(frame, graphs)
 
 
 def _estimate_for(
@@ -222,6 +245,49 @@ def build_execution_certificate(
         provenance=provenance_hash(d),
         risk=frame.cost,
     )
+
+
+def certify(
+    frame: ActionFrame,
+    graphs: Sequence[CausalGraph],
+    proofs: Sequence[IdentificationResult],
+    d: Frame,
+    cfg: VerifierConfig,
+) -> Verdict:
+    """Rule 3: certified execution on the worst-case bound.
+
+    ``proofs`` holds one identification result per graph; an unidentified one
+    ends in ABSTAIN.  The effect is estimated under each graph, and the action
+    executes, with a certificate for the graph whose lower bound is smallest
+    (the first on ties), only when every estimate is finite, that bound clears
+    ``tau_u`` and the cost stays within ``tau_r``.
+    """
+    estimates: list[EffectEstimate] = []
+    try:
+        for g, proof in zip(graphs, proofs):
+            estimates.append(_estimate_for(proof, d, cfg.alpha,
+                                           g.treatment, g.outcome))
+    except (EstimationError, FrameError) as exc:
+        return Verdict(Decision.ABSTAIN, rule_fired=3,
+                       refusal_reason=f"estimation failure: {exc}")
+    if not all(math.isfinite(x) for e in estimates
+               for x in (e.theta_hat, e.std_err, e.lcb)):
+        return Verdict(Decision.ABSTAIN, rule_fired=3,
+                       refusal_reason="estimation failure: non-finite estimate or bound")
+    worst = min(range(len(estimates)), key=lambda i: estimates[i].lcb)
+    min_lcb = estimates[worst].lcb
+    if min_lcb < cfg.tau_u:
+        return Verdict(
+            Decision.REJECT, rule_fired=3,
+            refusal_reason=f"worst-case lower confidence bound {min_lcb:.6g} "
+                           f"is below the utility threshold {cfg.tau_u:.6g}")
+    if frame.cost > cfg.tau_r:
+        return Verdict(
+            Decision.REJECT, rule_fired=3,
+            refusal_reason=f"cost {frame.cost:.6g} overruns the risk threshold {cfg.tau_r:.6g}")
+    cert = build_execution_certificate(graphs[worst], proofs[worst], estimates[worst], d, frame)
+    return Verdict(Decision.EXECUTE, rule_fired=3, certificate=cert,
+                   rationale=proofs[worst].proof_note)
 
 
 def triage(
@@ -265,29 +331,7 @@ def triage(
             Decision.ABSTAIN, rule_fired=4,
             refusal_reason="effect not identifiable and no safe experiment is admissible")
 
-    # Rule 3: certified execution on the worst-case bound.
-    estimates: list[EffectEstimate] = []
-    try:
-        for g, proof in zip(graphs, proofs):
-            estimates.append(_estimate_for(proof, d, cfg.alpha,
-                                           g.treatment, g.outcome))
-    except (EstimationError, FrameError) as exc:
-        return Verdict(Decision.ABSTAIN, rule_fired=3,
-                       refusal_reason=f"estimation failure: {exc}")
-    worst = min(range(len(estimates)), key=lambda i: estimates[i].lcb)
-    min_lcb = estimates[worst].lcb
-    if min_lcb < cfg.tau_u:
-        return Verdict(
-            Decision.REJECT, rule_fired=3,
-            refusal_reason=f"worst-case lower confidence bound {min_lcb:.6g} "
-                           f"is below the utility threshold {cfg.tau_u:.6g}")
-    if frame.cost > cfg.tau_r:
-        return Verdict(
-            Decision.REJECT, rule_fired=3,
-            refusal_reason=f"cost {frame.cost:.6g} overruns the risk threshold {cfg.tau_r:.6g}")
-    cert = build_execution_certificate(graphs[worst], proofs[worst], estimates[worst], d, frame)
-    return Verdict(Decision.EXECUTE, rule_fired=3, certificate=cert,
-                   rationale=proofs[worst].proof_note)
+    return certify(frame, graphs, proofs, d, cfg)
 
 
 @dataclass(frozen=True)
@@ -374,7 +418,9 @@ def validate_certificate(cert: Certificate, cfg: VerifierConfig) -> list[str]:
     problems = []
     if not cert.proof.identified:
         problems.append("proof is not an identification argument")
-    if cert.lcb_alpha < cfg.tau_u:
+    if not math.isfinite(cert.lcb_alpha):
+        problems.append("lower confidence bound is not finite")
+    elif cert.lcb_alpha < cfg.tau_u:
         problems.append("lower confidence bound is below the utility threshold")
     if cert.risk > cfg.tau_r:
         problems.append("declared risk exceeds the risk threshold")
@@ -402,7 +448,7 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
         frame = Frame.from_canonical_bytes(data_bytes)
         estimate = _estimate_for(cert.proof, frame, cert.alpha,
                                  graph.treatment, graph.outcome)
-    except (EstimationError, FrameError, ValueError) as exc:
+    except (EstimationError, FrameError, TypeError, ValueError) as exc:
         mismatches.append(f"estimation ({exc})")
         return mismatches
     if estimate.theta_hat != cert.theta_hat:

@@ -75,6 +75,11 @@ class TestValidation:
         with pytest.raises(FrameError):
             Frame(columns=("a",), data=np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_rejected(self, value):
+        with pytest.raises(FrameError):
+            Frame(columns=("a", "b"), data=np.array([[1.0, value]]))
+
     def test_duplicate_columns_rejected(self):
         with pytest.raises(FrameError):
             Frame(columns=("a", "a"), data=np.zeros((1, 2)))

@@ -88,15 +88,17 @@ class TestRunCommand:
         assert manifest["civex_false_executions"] == 0
         assert manifest["n_instances"] == 60
 
-    def test_rerun_and_parallel_outputs_identical(self, tmp_path):
+    def test_reruns_are_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, "runa")
+        # Older configs carry a "parallelism" key; unknown keys are ignored.
         cfg_b = write_config(tmp_path, "runb", parallelism=4)
+        assert RunConfig.from_json_dict({"parallelism": 4}) == RunConfig()
         runner = CliRunner()
         assert runner.invoke(main, ["run", "--config", str(cfg_a)]).exit_code == 0
         assert runner.invoke(main, ["run", "--config", str(cfg_b)]).exit_code == 0
         a = read_bytes_map(tmp_path / "runa")
         b = read_bytes_map(tmp_path / "runb")
-        # Manifests record their own configs; everything else must match.
+        # Manifests record their own output directories; everything else must match.
         a.pop("manifest.json"), b.pop("manifest.json")
         assert a == b
 
@@ -169,6 +171,18 @@ class TestVerifyCertCommand:
         bad = runner.invoke(main, ["verify-cert", str(cert), str(tampered)])
         assert bad.exit_code == 1
         assert "provenance" in bad.output
+
+    def test_wrongly_typed_field_is_a_clean_error(self, tmp_path):
+        cert = tmp_path / "bad.cert.json"
+        cert.write_text(json.dumps({"graph": {"nodes": 7, "directed": [], "bidirected": [],
+                                              "treatment": "T", "outcome": "Y"}}),
+                        encoding="utf-8")
+        data = tmp_path / "data.txt"
+        data.write_text("T,Y\n1.0,2.0", encoding="utf-8")
+        result = CliRunner().invoke(main, ["verify-cert", str(cert), str(data)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "cannot parse certificate" in result.output
 
 
 class TestImportReplay:

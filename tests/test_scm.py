@@ -179,10 +179,12 @@ class TestDeterminism:
         i2, _ = build_benchmark(SMALL)
         assert serialize(i1) == serialize(i2)
 
-    def test_parallel_generation_matches_serial(self):
-        serial, _ = build_benchmark(SMALL)
-        parallel, _ = build_benchmark(SMALL, max_workers=4)
-        assert serialize(serial) == serialize(parallel)
+    def test_reverse_order_generation_matches_build(self):
+        built, _ = build_benchmark(SMALL)
+        reverse = [sample_instance(i.id.family, i.id.regime, SMALL.adversarial_strength,
+                                   i.id.index, seed=i.id.seed, bspec=SMALL)
+                   for i in reversed(built)]
+        assert serialize(built) == serialize(reversed(reverse))
 
     def test_rng_keying_distinguishes_every_coordinate(self):
         keys = {

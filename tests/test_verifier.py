@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from civex.baselines import CAUSAL_NO_EXPERIMENT, ProviderContext, make_provider
 from civex.estimation import provenance_hash
 from civex.frames import Frame
 from civex.graphs import CausalGraph, IdentificationKind
@@ -12,10 +13,12 @@ from civex.scm import (
     MODERATE,
     ActionFrame,
     BenchmarkSpec,
+    InstanceId,
     sample_instance,
 )
 from civex.verifier import (
     Decision,
+    InstanceView,
     VerifierConfig,
     certificate_from_json_dict,
     certificate_to_json_dict,
@@ -326,6 +329,75 @@ class TestCertificates:
         cert, data = self._executed()
         tampered = replace(cert, graph_sha256="0" * 64)
         assert "graph_sha256" in verify_certificate(tampered, data.canonical_bytes())
+
+
+def causal_no_experiment(frame, graph, data):
+    view = InstanceView(id=InstanceId(seed=0, regime=MODERATE, family="db_index_operation",
+                                      index=0),
+                        frame=frame, graphs=(graph,), data=data,
+                        safe_experiment_available=False)
+    return make_provider(CAUSAL_NO_EXPERIMENT, ProviderContext(), CFG)(view)
+
+
+class TestFailClosed:
+    """Bad input ends in REJECT or ABSTAIN, never in EXECUTE or an exception."""
+
+    @pytest.mark.parametrize("field, node", [("target_variable", "query_volume"),
+                                             ("utility_variable", "write_volume")])
+    def test_query_other_than_the_graph_treatment_and_outcome_rejected(self, field, node):
+        frame = replace(worked_frame(), **{field: node})
+        v = triage(frame, [worked_graph()], worked_data(), CFG)
+        assert v.decision is Decision.REJECT
+        assert v.rule_fired == 1
+        assert v.certificate is None
+        assert node in v.refusal_reason
+        assert causal_no_experiment(frame, worked_graph(), worked_data()).decision \
+            is Decision.ABSTAIN
+
+    def test_cyclic_graph_rejected_under_rule_one(self):
+        g = worked_graph()
+        cyclic = replace(g, directed_edges=g.directed_edges
+                         | {("latency_savings_ms", "query_volume")})
+        v = triage(worked_frame(), [cyclic], worked_data(), CFG)
+        assert v.decision is Decision.REJECT
+        assert v.rule_fired == 1
+        assert "cycle" in v.refusal_reason
+        cne = causal_no_experiment(worked_frame(), cyclic, worked_data())
+        assert cne.decision is Decision.ABSTAIN
+        assert "cycle" in cne.refusal_reason
+
+    def test_non_finite_estimate_abstains(self):
+        # Finite data whose outcome sums overflow: the fit gives an infinite
+        # estimate and a NaN bound.
+        data = worked_data()
+        arr = data.data.copy()
+        arr[:, 1] = np.where(arr[:, 0] == 1.0, 1.7e308, -1.7e308)
+        extreme = Frame(columns=data.columns, data=arr)
+        with np.errstate(all="ignore"):
+            verdicts = [triage(worked_frame(), [worked_graph()], extreme, CFG),
+                        causal_no_experiment(worked_frame(), worked_graph(), extreme)]
+        for v in verdicts:
+            assert v.decision is Decision.ABSTAIN
+            assert v.rule_fired == 3
+            assert "non-finite" in v.refusal_reason
+
+    def test_non_finite_bound_fails_certificate_validation(self):
+        cert = triage(worked_frame(), [worked_graph()], worked_data(), CFG).certificate
+        for lcb in (float("nan"), float("inf")):
+            assert validate_certificate(replace(cert, lcb_alpha=lcb), CFG) == [
+                "lower confidence bound is not finite"]
+
+    def test_wrongly_typed_alpha_is_a_replay_mismatch(self):
+        data = worked_data()
+        cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
+        mismatches = verify_certificate(replace(cert, alpha="0.05"), data.canonical_bytes())
+        assert len(mismatches) == 1 and mismatches[0].startswith("estimation")
+
+    def test_nan_thresholds_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            VerifierConfig(tau_u=float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            VerifierConfig(tau_r=float("nan"))
 
 
 class TestViews:
