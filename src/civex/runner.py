@@ -57,6 +57,7 @@ from .scm import (
     write_instances_jsonl,
 )
 from .verifier import (
+    Certificate,
     TwoStageResult,
     VerifierConfig,
     certificate_to_json_dict,
@@ -495,26 +496,30 @@ def _record_rows(run: RunResult) -> list[dict]:
 
 
 def _write_certificates(out_dir: Path, run: RunResult) -> int:
+    """Write each certificate with a copy of the data it certifies.
+
+    Methods that certify the same (instance, stage) share one data frame, so
+    each frame is serialized once and its bytes go to every method's copy.
+    """
     by_id = {inst.id: inst for inst in run.instances}
-    count = 0
-    for (method, inst_id), result in sorted(
-        run.decisions.items(), key=lambda kv: (kv[0][0], instance_sort_key(kv[0][1]))
-    ):
+    by_frame: dict[tuple[object, int], list[tuple[str, Certificate]]] = {}
+    for (method, inst_id), result in run.decisions.items():
         cert = result.terminal.certificate
-        if cert is None:
-            continue
+        if cert is not None:
+            by_frame.setdefault((inst_id, len(result.trace)), []).append((method, cert))
+    for (inst_id, stage), certs in by_frame.items():
         inst = by_id[inst_id]
-        data = inst.experimental if len(result.trace) == 2 else inst.observational
-        cert_dir = out_dir / "certificates" / method
-        cert_dir.mkdir(parents=True, exist_ok=True)
+        data = (inst.experimental if stage == 2 else inst.observational).canonical_bytes()
         stem = str(inst_id)
-        (cert_dir / f"{stem}.cert.json").write_text(
-            json.dumps(certificate_to_json_dict(cert), sort_keys=True, indent=1),
-            encoding="utf-8",
-        )
-        (cert_dir / f"{stem}.data.txt").write_bytes(data.canonical_bytes())
-        count += 1
-    return count
+        for method, cert in certs:
+            cert_dir = out_dir / "certificates" / method
+            cert_dir.mkdir(parents=True, exist_ok=True)
+            (cert_dir / f"{stem}.cert.json").write_text(
+                json.dumps(certificate_to_json_dict(cert), sort_keys=True, indent=1),
+                encoding="utf-8",
+            )
+            (cert_dir / f"{stem}.data.txt").write_bytes(data)
+    return sum(len(certs) for certs in by_frame.values())
 
 
 def _pairwise_rows(run: RunResult) -> list[dict]:

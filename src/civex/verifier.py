@@ -39,6 +39,7 @@ from .estimation import (
 from .frames import Frame, FrameError
 from .graphs import (
     CausalGraph,
+    GraphError,
     IdentificationKind,
     IdentificationResult,
     canonical_graph_json,
@@ -430,10 +431,13 @@ def validate_certificate(cert: Certificate, cfg: VerifierConfig) -> list[str]:
 def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     """Replay a stored certificate against stored data.
 
-    Recomputes the provenance digest, the graph commitment digest, and the
-    estimate (point value and bound) from scratch.  Returns the names of
-    mismatched fields; an empty list means the replay reproduced the
-    certificate exactly.
+    Recomputes from scratch the provenance digest, the graph commitment
+    digest, the identification proof and the estimate (point value, standard
+    error, bound and row count), and checks the assumption labels.  The
+    declared risk comes from the action, not the data, so replay cannot
+    reproduce it; ``validate_certificate`` checks it against ``tau_r``.
+    Returns the names of mismatched fields; an empty list means the replay
+    reproduced the certificate exactly.
     """
     import hashlib
 
@@ -444,6 +448,13 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     graph = graph_from_json_dict(json.loads(cert.graph_json))
     if graph_digest(graph) != cert.graph_sha256:
         mismatches.append("graph_sha256")
+    if cert.assumptions != ASSUMPTION_LABELS:
+        mismatches.append("assumptions")
+    try:
+        if identify(graph) != cert.proof:
+            mismatches.append("proof")
+    except GraphError as exc:
+        mismatches.append(f"proof ({exc})")
     try:
         frame = Frame.from_canonical_bytes(data_bytes)
         estimate = _estimate_for(cert.proof, frame, cert.alpha,
@@ -451,8 +462,8 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     except (EstimationError, FrameError, TypeError, ValueError) as exc:
         mismatches.append(f"estimation ({exc})")
         return mismatches
-    if estimate.theta_hat != cert.theta_hat:
-        mismatches.append("theta_hat")
-    if estimate.lcb != cert.lcb_alpha:
-        mismatches.append("lcb_alpha")
+    for name, value in (("theta_hat", estimate.theta_hat), ("std_err", estimate.std_err),
+                        ("lcb_alpha", estimate.lcb), ("n", estimate.n)):
+        if value != getattr(cert, name):
+            mismatches.append(name)
     return mismatches

@@ -232,3 +232,37 @@ class TestProvenanceHash:
                                rng.normal(size=n))
             expected = hashlib.sha256(frame.canonical_text().encode()).hexdigest()
             assert provenance_hash(frame) == expected
+
+    def test_digest_is_cached_on_the_frame(self, monkeypatch):
+        import hashlib
+
+        frame = fixture_frame()
+        expected = hashlib.sha256(frame.canonical_bytes()).hexdigest()
+        calls = []
+        original = Frame.canonical_bytes
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Frame, "canonical_bytes", counting)
+        assert provenance_hash(frame) == expected
+        assert provenance_hash(frame) == expected
+        assert len(calls) == 1
+        # An equal frame is another object and computes its own digest.
+        assert provenance_hash(fixture_frame()) == expected
+        assert len(calls) == 2
+
+
+class TestNormalQuantile:
+    def test_memoized_value_matches_scipy(self):
+        from scipy import stats
+
+        for alpha in (0.05, 0.05, 0.01, 0.5):
+            assert one_sided_z(alpha) == float(stats.norm.ppf(1.0 - alpha))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
+    def test_invalid_alpha_raises_on_every_call(self, alpha):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="alpha"):
+                one_sided_z(alpha)

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from civex.estimation import provenance_hash
 from civex.frames import Frame, FrameError
@@ -25,6 +27,16 @@ class TestCanonicalForm:
         assert "0.1" in text
         assert "0.3333333333333333" in text
         assert Frame.from_canonical_text(text) == f
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=24))
+    @example([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1, -1.7e308])
+    def test_encoder_matches_per_value_repr(self, values):
+        # Reference: the per-value encoding the format is defined by.
+        data = np.array(values + [0.0] * (len(values) % 2)).reshape(-1, 2)
+        f = Frame(columns=("a", "b"), data=data)
+        rows = [",".join(repr(float(v)) for v in row) for row in f.data]
+        assert f.canonical_bytes() == "\n".join(["a,b", *rows]).encode("utf-8")
 
     def test_canonical_roundtrip_bytes(self):
         f = small_frame()

@@ -171,8 +171,11 @@ class TestIdentify:
 
     def test_invalid_graph_propagates_violation(self):
         g = CausalGraph.create(["T", "Y"], [("T", "Y"), ("Y", "T")])
-        with pytest.raises(GraphError, match="cycle"):
-            identify(g)
+        # The analysis is memoized; the error must still come on every call.
+        for _ in range(2):
+            with pytest.raises(GraphError, match="cycle"):
+                identify(g)
+        assert validate_graph(g) == "directed cycle"
 
     def test_unblocked_latent_path_and_no_mediator_never_identifies(self):
         rng = np.random.default_rng(7)

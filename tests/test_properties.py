@@ -1,0 +1,189 @@
+"""Property tests of the fail-closed triage contract.
+
+Random committed graphs (``oracles.random_graph``), data frames drawn from a
+linear model over the graph, and action frames, some of them malformed.
+Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
+carries a certificate for the action's exact query whose bound is finite,
+clears ``tau_u`` and replays to nothing.
+"""
+
+import json
+import math
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from civex import graphs
+from civex.frames import Frame
+from civex.graphs import (
+    CausalGraph,
+    GraphError,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    identify,
+    validate_graph,
+)
+from civex.scm import ActionFrame
+from civex.verifier import Decision, Verdict, VerifierConfig, triage, verify_certificate
+
+from oracles import random_graph
+
+# Derandomized, so that the tier-1 run is reproducible.
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
+
+MALFORMATIONS = ("none", "cycle", "self_loop", "unknown_outcome", "second_graph",
+                 "wrong_target", "missing_column", "constant_treatment", "huge_values")
+
+
+def _topological(g: CausalGraph) -> list[str]:
+    order: list[str] = []
+    placed: set[str] = set()
+    while len(order) < len(g.nodes):
+        for n in sorted(g.nodes - placed):
+            if g.parents(n) <= placed:
+                order.append(n)
+                placed.add(n)
+    return order
+
+
+def _linear_data(g: CausalGraph, rng: np.random.Generator, n: int, theta: float) -> Frame:
+    """Linear-Gaussian draw over the graph: a binary treatment, a planted
+    treatment effect on the outcome and a shared noise term per latent edge."""
+    latent = {edge: rng.normal(size=n) for edge in sorted(g.bidirected_edges)}
+    values: dict[str, np.ndarray] = {}
+    for node in _topological(g):
+        v = rng.normal(size=n)
+        for p in sorted(g.parents(node)):
+            v = v + rng.uniform(-1.5, 1.5) * values[p]
+        for (a, b), noise in latent.items():
+            if node in (a, b):
+                v = v + noise
+        if node == g.treatment:
+            v = (v > np.median(v)).astype(float)
+        values[node] = v
+    values[g.outcome] = values[g.outcome] + theta * values[g.treatment]
+    return Frame.from_columns(sorted(values.items()))
+
+
+def _case(seed: int, n: int, theta: float, malformation: str):
+    """Committed graphs, data, target and utility for one draw, malformed as named."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng)
+    data = _linear_data(g, rng, n, theta)
+    target, utility = g.treatment, g.outcome
+    committed = [g]
+    if malformation == "cycle":
+        committed = [CausalGraph.create(g.nodes, g.directed_edges | {(g.outcome, g.treatment)},
+                                        g.bidirected_edges, g.treatment, g.outcome)]
+    elif malformation == "self_loop":
+        committed = [CausalGraph.create(g.nodes, g.directed_edges | {(g.outcome, g.outcome)},
+                                        g.bidirected_edges, g.treatment, g.outcome)]
+    elif malformation == "unknown_outcome":
+        committed = [CausalGraph.create(g.nodes, g.directed_edges, g.bidirected_edges,
+                                        g.treatment, "not_a_node")]
+    elif malformation == "second_graph":
+        committed = [g, random_graph(rng)]
+    elif malformation == "wrong_target":
+        target = sorted(g.nodes - {g.treatment})[0]
+    elif malformation == "missing_column":
+        dropped = sorted(g.nodes)[int(rng.integers(len(g.nodes)))]
+        data = Frame.from_columns([(c, data.column(c)) for c in data.columns if c != dropped])
+    elif malformation == "constant_treatment":
+        arr = data.data.copy()
+        arr[:, data.columns.index(g.treatment)] = 1.0
+        data = Frame(columns=data.columns, data=arr)
+    elif malformation == "huge_values":
+        data = Frame(columns=data.columns, data=data.data * 1e200)
+    return committed, data, target, utility
+
+
+def _triage_and_check(committed, data, action: ActionFrame, cfg: VerifierConfig) -> Verdict:
+    """Triage must return a verdict; an EXECUTE carries a certificate exactly
+    when rule 3 issued it, and that certificate must hold up."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        v = triage(action, committed, data, cfg)
+    assert isinstance(v.decision, Decision)
+    if v.decision is not Decision.EXECUTE:
+        assert v.certificate is None
+        return v
+    if v.rule_fired == 1:
+        assert not action.interventional and v.certificate is None
+        return v
+    assert v.rule_fired == 3
+    cert = v.certificate
+    assert cert is not None
+    assert math.isfinite(cert.lcb_alpha) and cert.lcb_alpha >= cfg.tau_u
+    assert action.cost <= cfg.tau_r and cert.risk == action.cost
+    g = graph_from_json_dict(json.loads(cert.graph_json))
+    assert (g.treatment, g.outcome) == (action.target_variable, action.utility_variable)
+    assert verify_certificate(cert, data.canonical_bytes()) == []
+    return v
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 300),
+    theta=st.floats(-2.0, 4.0),
+    malformation=st.sampled_from(MALFORMATIONS),
+    tool=st.sampled_from(["change", "change", "change", "", "banned"]),
+    cost=st.floats(0.0, 1.0),
+    reversible=st.booleans(),
+    interventional=st.booleans(),
+    alpha=st.sampled_from([0.01, 0.05, 0.2]),
+    tau_u=st.floats(-1.0, 1.0),
+    tau_r=st.floats(0.0, 1.0),
+)
+def test_triage_never_raises(seed, n, theta, malformation, tool, cost, reversible,
+                             interventional, alpha, tau_u, tau_r):
+    committed, data, target, utility = _case(seed, n, theta, malformation)
+    action = ActionFrame(tool=tool, target_variable=target, target_value=1.0,
+                         utility_variable=utility, cost=cost, reversible=reversible,
+                         interventional=interventional)
+    cfg = VerifierConfig(alpha=alpha, tau_u=tau_u, tau_r=tau_r,
+                         forbidden_tools=frozenset({"banned"}))
+    _triage_and_check(committed, data, action, cfg)
+
+
+@PROPERTY_SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(50, 400),
+    theta=st.floats(0.0, 3.0),
+    cost=st.floats(0.0, 0.6),
+    alpha=st.sampled_from([0.01, 0.05, 0.2]),
+    tau_u=st.floats(-0.5, 0.5),
+)
+def test_rule_three_executes_are_certified(seed, n, theta, cost, alpha, tau_u):
+    # Well-formed input, drawn so that rule 3 often executes.
+    committed, data, target, utility = _case(seed, n, theta, "none")
+    action = ActionFrame(tool="change", target_variable=target, target_value=1.0,
+                         utility_variable=utility, cost=cost, reversible=False)
+    _triage_and_check(committed, data, action,
+                      VerifierConfig(alpha=alpha, tau_u=tau_u, tau_r=0.5))
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), cyclic=st.booleans())
+def test_memoized_identification_of_equal_graphs(seed, cyclic):
+    g = random_graph(np.random.default_rng(seed))
+    if cyclic:
+        g = CausalGraph.create(g.nodes, g.directed_edges | {(g.outcome, g.treatment)},
+                               g.bidirected_edges, g.treatment, g.outcome)
+    twin = graph_from_json_dict(graph_to_json_dict(g))
+    assert twin == g and twin is not g
+    fresh = graphs._analyse.__wrapped__(g)
+    assert validate_graph(twin) == validate_graph(g) == fresh[0]
+    if fresh[0] is not None:
+        for graph in (g, twin):
+            try:
+                identify(graph)
+            except GraphError as exc:
+                assert str(exc) == fresh[0]
+            else:
+                raise AssertionError("a malformed graph was identified")
+        return
+    assert identify(twin) == identify(g) == fresh[1]

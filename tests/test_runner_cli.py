@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,11 +7,13 @@ from click.testing import CliRunner
 
 from civex.baselines import ALL_METHODS, replay_method
 from civex.cli import main
+from civex.frames import Frame
 from civex.runner import (
     RunConfig,
     load_instances_dir,
     run_benchmark,
     run_weight_sweep,
+    write_run_outputs,
 )
 from civex.scm import BenchmarkSpec
 
@@ -109,6 +112,38 @@ class TestRunCommand:
         assert result.exit_code == 0
         text = (tmp_path / "runm" / "summary_moderate.csv").read_text(encoding="utf-8")
         assert "AlwaysAbstain" in text and "OracleSCM" in text and "CIVeX" not in text
+
+
+class TestCertificateWriter:
+    def test_each_certified_frame_is_serialized_once(self, tmp_path, monkeypatch):
+        config = RunConfig.from_json_dict(TINY)
+        run = run_benchmark(config)
+        frames = {(inst_id, len(result.trace))
+                  for (_, inst_id), result in run.decisions.items()
+                  if result.terminal.certificate is not None}
+        n_certs = sum(result.terminal.certificate is not None
+                      for result in run.decisions.values())
+        # Several methods certify the same frames, so sharing must matter.
+        assert n_certs > len(frames) > 0
+        calls = []
+        original = Frame.canonical_bytes
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Frame, "canonical_bytes", counting)
+        manifest = write_run_outputs(run, tmp_path / "a")
+        assert len(calls) == len(frames)
+        assert manifest["n_certificates"] == n_certs
+        write_run_outputs(run, tmp_path / "b")
+        first = read_bytes_map(tmp_path / "a")
+        assert read_bytes_map(tmp_path / "b") == first
+        data_files = [name for name in first if name.endswith(".data.txt")]
+        assert len(data_files) == n_certs
+        for name in data_files:
+            cert = json.loads(first[name.replace(".data.txt", ".cert.json")])
+            assert hashlib.sha256(first[name]).hexdigest() == cert["provenance"]
 
 
 class TestSweepCommands:

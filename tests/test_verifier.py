@@ -3,11 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from civex.baselines import CAUSAL_NO_EXPERIMENT, ProviderContext, make_provider
 from civex.estimation import provenance_hash
 from civex.frames import Frame
-from civex.graphs import CausalGraph, IdentificationKind
+from civex.cli import main as cli_main
+from civex.graphs import CausalGraph, IdentificationKind, canonical_graph_json, graph_digest
 from civex.scm import (
     ADVERSARIAL,
     MODERATE,
@@ -329,6 +331,48 @@ class TestCertificates:
         cert, data = self._executed()
         tampered = replace(cert, graph_sha256="0" * 64)
         assert "graph_sha256" in verify_certificate(tampered, data.canonical_bytes())
+
+
+TAMPERS = {
+    "std_err": lambda obj: obj.update(std_err=obj["std_err"] * (1.0 + 1e-12)),
+    "n": lambda obj: obj.update(n="x"),
+    "assumptions": lambda obj: obj.update(assumptions=obj["assumptions"][:-1]),
+    "proof": lambda obj: obj["proof"].update(proof_note="edited"),
+    "theta_hat": lambda obj: obj.update(theta_hat=obj["theta_hat"] + 1.0),
+    "lcb_alpha": lambda obj: obj.update(lcb_alpha=obj["lcb_alpha"] - 1.0),
+}
+
+
+class TestWholeCertificateReplay:
+    """Every field that the data and the graph determine is replayed."""
+
+    def _stored(self):
+        data = worked_data()
+        cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
+        return certificate_to_json_dict(cert), data.canonical_bytes()
+
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_tampered_field_is_named(self, tmp_path, name):
+        obj, blob = self._stored()
+        TAMPERS[name](obj)
+        assert verify_certificate(certificate_from_json_dict(obj), blob) == [name]
+        cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+        cert_path.write_text(json.dumps(obj), encoding="utf-8")
+        data_path.write_bytes(blob)
+        result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
+        assert result.exit_code == 1
+        assert f"certificate mismatch: {name}" in result.output
+
+    def test_proof_for_a_malformed_graph_is_a_mismatch(self):
+        obj, blob = self._stored()
+        cert = certificate_from_json_dict(obj)
+        g = worked_graph()
+        cyclic = replace(g, directed_edges=g.directed_edges
+                         | {("latency_savings_ms", "query_volume")})
+        tampered = replace(cert, graph_json=canonical_graph_json(cyclic),
+                           graph_sha256=graph_digest(cyclic))
+        mismatches = verify_certificate(tampered, blob)
+        assert mismatches == ["proof (directed cycle)"]
 
 
 def causal_no_experiment(frame, graph, data):
