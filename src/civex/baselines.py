@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ from .verifier import (
     Verdict,
     VerifierConfig,
     certify,
-    make_view,
     query_reason,
     triage,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "ProviderContext",
     "build_context",
     "make_provider",
-    "decide",
     "replay_method",
     "is_replay_method",
     "replay_tag",
@@ -117,7 +115,6 @@ class ProviderContext:
     replay_shards: Mapping[str, Mapping[tuple[int, str, str, int], str]] = field(
         default_factory=dict
     )
-    obs_assoc_per_instance: bool = False
 
 
 def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str, str], tuple[float, float]]:
@@ -149,13 +146,11 @@ def build_context(
     instances: Sequence[ScmInstance],
     *,
     replay_shards: Mapping[str, Mapping[tuple[int, str, str, int], str]] | None = None,
-    obs_assoc_per_instance: bool = False,
 ) -> ProviderContext:
     return ProviderContext(
         theta_by_id={inst.id: inst.spec.theta for inst in instances},
         pooled_association=_pooled_association(instances),
         replay_shards=dict(replay_shards or {}),
-        obs_assoc_per_instance=obs_assoc_per_instance,
     )
 
 
@@ -172,6 +167,21 @@ def _oracle(ctx: ProviderContext) -> Callable[[InstanceView], Verdict]:
 def _civex(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     def provider(view: InstanceView) -> Verdict:
         return triage(view.frame, view.graphs, view.data, cfg)
+
+    return provider
+
+
+def _certificate_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
+    """CIVeX with experimentation disabled: rule 4's EXPERIMENT becomes ABSTAIN."""
+    civex = _civex(cfg)
+
+    def provider(view: InstanceView) -> Verdict:
+        v = civex(view)
+        if v.decision is Decision.EXPERIMENT:
+            return Verdict(Decision.ABSTAIN, rule_fired=4,
+                           refusal_reason="effect not identifiable; experimentation disabled "
+                                          "(certificate-only mode)")
+        return v
 
     return provider
 
@@ -215,20 +225,13 @@ def _context_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     return provider
 
 
-def _observational_association(ctx: ProviderContext, cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
+def _observational_association(ctx: ProviderContext) -> Callable[[InstanceView], Verdict]:
     def provider(view: InstanceView) -> Verdict:
-        if ctx.obs_assoc_per_instance:
-            try:
-                est = unadjusted_difference(view.data, cfg.alpha)
-            except (EstimationError, FrameError) as exc:
-                return Verdict(Decision.ABSTAIN, refusal_reason=f"estimation failure: {exc}")
-            delta, lcb = est.theta_hat, est.lcb
-        else:
-            key = (view.id.seed, view.id.regime, view.id.family)
-            if key not in ctx.pooled_association:
-                return Verdict(Decision.ABSTAIN,
-                               refusal_reason="no pooled association available")
-            delta, lcb = ctx.pooled_association[key]
+        key = (view.id.seed, view.id.regime, view.id.family)
+        if key not in ctx.pooled_association:
+            return Verdict(Decision.ABSTAIN,
+                           refusal_reason="no pooled association available")
+        delta, lcb = ctx.pooled_association[key]
         if delta > 0 and lcb >= 0:
             return Verdict(Decision.EXECUTE,
                            rationale="positive association with a non-negative bound")
@@ -306,13 +309,13 @@ def make_provider(
     if method == CIVEX:
         return _civex(cfg)
     if method == CIVEX_CERT_ONLY:
-        return _civex(replace(cfg, cert_only=True))
+        return _certificate_only(cfg)
     if method == CAUSAL_NO_EXPERIMENT:
         return _causal_no_experiment(cfg)
     if method == CONTEXT_ONLY_NO_CAUSAL:
         return _context_only(cfg)
     if method == OBSERVATIONAL_ASSOCIATION:
-        return _observational_association(ctx, cfg)
+        return _observational_association(ctx)
     if method == ALWAYS_ABSTAIN:
         return _always_abstain
     if method == POLICY_GATE:
@@ -322,14 +325,6 @@ def make_provider(
     if method == NAME_ONLY_CLASSIFIER:
         return _name_only
     raise ValueError(f"unknown method '{method}'")
-
-
-def decide(method: str, inst: ScmInstance, cfg: VerifierConfig,
-           ctx: ProviderContext | None = None) -> Verdict:
-    """Single-invocation decision for one instance (no experiment resolution)."""
-    if ctx is None:
-        ctx = build_context([inst])
-    return make_provider(method, ctx, cfg)(make_view(inst))
 
 
 _VALID_VERDICTS = {d.value for d in Decision}

@@ -58,16 +58,6 @@ class EffectEstimate:
     n: int
     adjustment_set: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "std_err": self.std_err,
-            "lcb": self.lcb,
-            "alpha": self.alpha,
-            "n": self.n,
-            "adjustment_set": list(self.adjustment_set),
-        }
-
 
 def _check_treatment(t: np.ndarray) -> None:
     values = np.unique(t)

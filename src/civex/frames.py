@@ -62,9 +62,6 @@ class Frame:
             raise FrameError(f"no column named '{name}'") from None
         return self.data[:, idx]
 
-    def has_column(self, name: str) -> bool:
-        return name in self.columns
-
     def canonical_text(self) -> str:
         # ``tolist`` yields Python floats, whose ``repr`` is the shortest
         # round-trip decimal.

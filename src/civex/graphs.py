@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
@@ -99,32 +99,8 @@ class CausalGraph:
 
     def without_directed_out_of(self, nodes: Iterable[str]) -> "CausalGraph":
         drop = set(nodes)
-        return CausalGraph(
-            nodes=self.nodes,
-            directed_edges=frozenset(e for e in self.directed_edges if e[0] not in drop),
-            bidirected_edges=self.bidirected_edges,
-            treatment=self.treatment,
-            outcome=self.outcome,
-        )
-
-    def without_directed_into(self, nodes: Iterable[str]) -> "CausalGraph":
-        drop = set(nodes)
-        return CausalGraph(
-            nodes=self.nodes,
-            directed_edges=frozenset(e for e in self.directed_edges if e[1] not in drop),
-            bidirected_edges=self.bidirected_edges,
-            treatment=self.treatment,
-            outcome=self.outcome,
-        )
-
-    def without_bidirected(self) -> "CausalGraph":
-        return CausalGraph(
-            nodes=self.nodes,
-            directed_edges=self.directed_edges,
-            bidirected_edges=frozenset(),
-            treatment=self.treatment,
-            outcome=self.outcome,
-        )
+        return replace(self, directed_edges=frozenset(
+            e for e in self.directed_edges if e[0] not in drop))
 
 
 class IdentificationKind(str, Enum):
@@ -457,11 +433,28 @@ def graph_to_json_dict(g: CausalGraph) -> dict:
     }
 
 
+def _strings(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise GraphError(f"{what} must be a list of strings")
+    return value
+
+
+def _edges(value: object, kind: str) -> list[tuple[str, ...]]:
+    if not isinstance(value, list) or not all(isinstance(e, list) and len(e) == 2
+                                              for e in value):
+        raise GraphError(f"{kind} edges must be a list of node pairs")
+    return [tuple(_strings(e, f"each {kind} edge")) for e in value]
+
+
 def graph_from_json_dict(obj: Mapping) -> CausalGraph:
+    """Parse the canonical JSON form; a wrongly typed field raises GraphError."""
+    for role in ("treatment", "outcome"):
+        if not isinstance(obj[role], str):
+            raise GraphError(f"graph {role} must be a string")
     return CausalGraph.create(
-        nodes=obj["nodes"],
-        directed=[tuple(e) for e in obj["directed"]],
-        bidirected=[tuple(e) for e in obj["bidirected"]],
+        nodes=_strings(obj["nodes"], "graph nodes"),
+        directed=_edges(obj["directed"], "directed"),
+        bidirected=_edges(obj["bidirected"], "bidirected"),
         treatment=obj["treatment"],
         outcome=obj["outcome"],
     )

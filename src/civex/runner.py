@@ -106,7 +106,6 @@ class RunConfig:
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     methods: tuple[str, ...] = DEFAULT_METHODS
     output_dir: str = "runs/default"
-    obs_assoc_per_instance: bool = False
     replay: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -130,12 +129,25 @@ class RunConfig:
             **self.weights.to_json_dict(),
             "methods": list(self.methods),
             "output_dir": self.output_dir,
-            "obs_assoc_per_instance": self.obs_assoc_per_instance,
             "replay": {tag: list(paths) for tag, paths in self.replay.items()},
         }
 
     @classmethod
     def from_json_dict(cls, obj: Mapping) -> "RunConfig":
+        if not isinstance(obj, Mapping):
+            raise ValueError("a config must be a JSON object")
+        # Removed switches: ignoring a true one would run another verifier
+        # than the config names.
+        for key in ("cert_only", "obs_assoc_per_instance"):
+            if obj.get(key):
+                raise ValueError(f"'{key}' was removed; only false is accepted")
+        # A bare string would be read character by character.
+        for key in ("seeds", "forbidden_tools", "methods"):
+            if isinstance(obj.get(key), str):
+                raise ValueError(f"'{key}' must be a list, not a string")
+        replay = obj.get("replay", {})
+        if not isinstance(replay, Mapping) or any(isinstance(p, str) for p in replay.values()):
+            raise ValueError("'replay' must map each tag to a list of shard paths")
         bench = BenchmarkSpec.from_json_dict(obj)
         verifier = VerifierConfig.from_json_dict(obj)
         weights = ScoreWeights(w_miss=obj.get("w_miss", 0.3), c_exp=obj.get("c_exp", 0.05))
@@ -145,8 +157,7 @@ class RunConfig:
             weights=weights,
             methods=tuple(obj.get("methods", DEFAULT_METHODS)),
             output_dir=obj.get("output_dir", "runs/default"),
-            obs_assoc_per_instance=bool(obj.get("obs_assoc_per_instance", False)),
-            replay={tag: tuple(paths) for tag, paths in obj.get("replay", {}).items()},
+            replay={tag: tuple(paths) for tag, paths in replay.items()},
         )
 
 
@@ -226,11 +237,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
         tag: len({key[0] for key in table} & seeds)
         for tag, table in replay_tables.items()
     }
-    ctx = build_context(
-        instances,
-        replay_shards=replay_tables,
-        obs_assoc_per_instance=config.obs_assoc_per_instance,
-    )
+    ctx = build_context(instances, replay_shards=replay_tables)
     decisions = evaluate_instances(instances, config.methods, config.verifier, ctx=ctx)
     records = _score_all(instances, config.methods, decisions, config.weights)
     summaries: dict[tuple[str, str], MethodSummary] = {}

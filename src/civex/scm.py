@@ -491,9 +491,6 @@ class CounterbalanceReport:
     per_family_per_seed: dict[tuple[str, str, int], float]
     per_regime: dict[str, float]
 
-    def aggregated(self, regime: str, family: str) -> float:
-        return self.per_family[(regime, family)]
-
 
 def _counterbalance(instances: Sequence[ScmInstance]) -> CounterbalanceReport:
     counts: dict[tuple[str, str], list[int]] = {}

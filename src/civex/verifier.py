@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -85,7 +85,6 @@ class VerifierConfig:
     alpha: float = 0.05
     tau_u: float = 0.0
     tau_r: float = 0.5
-    cert_only: bool = False
     forbidden_tools: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
@@ -101,7 +100,6 @@ class VerifierConfig:
             "alpha": self.alpha,
             "tau_u": self.tau_u,
             "tau_r": self.tau_r,
-            "cert_only": self.cert_only,
             "forbidden_tools": sorted(self.forbidden_tools),
         }
 
@@ -111,7 +109,6 @@ class VerifierConfig:
             alpha=obj.get("alpha", 0.05),
             tau_u=obj.get("tau_u", 0.0),
             tau_r=obj.get("tau_r", 0.5),
-            cert_only=obj.get("cert_only", False),
             forbidden_tools=frozenset(obj.get("forbidden_tools", ())),
         )
 
@@ -157,8 +154,6 @@ class InstanceView:
     frame: ActionFrame
     graphs: tuple[CausalGraph, ...]
     data: Frame
-    safe_experiment_available: bool
-    stage: int = 1
 
 
 VerdictProvider = Callable[[InstanceView], Verdict]
@@ -170,8 +165,6 @@ def make_view(inst: ScmInstance) -> InstanceView:
         frame=inst.frame,
         graphs=(inst.graph,),
         data=inst.observational,
-        safe_experiment_available=inst.safe_experiment_available,
-        stage=1,
     )
 
 
@@ -182,7 +175,11 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
     edge and all directed edges into the treatment are dropped; the empty
     backdoor set then identifies the effect.
     """
-    return g.without_bidirected().without_directed_into([g.treatment])
+    return replace(
+        g,
+        directed_edges=frozenset(e for e in g.directed_edges if e[1] != g.treatment),
+        bidirected_edges=frozenset(),
+    )
 
 
 def query_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
@@ -319,11 +316,6 @@ def triage(
     # Rule 4: any unidentified graph dominates.
     if not_identified:
         if frame.cost <= cfg.tau_r and frame.reversible:
-            if cfg.cert_only:
-                return Verdict(
-                    Decision.ABSTAIN, rule_fired=4,
-                    refusal_reason="effect not identifiable; experimentation disabled "
-                                   "(certificate-only mode)")
             return Verdict(
                 Decision.EXPERIMENT, rule_fired=4,
                 refusal_reason="effect not identifiable under the committed graph; "
@@ -371,8 +363,6 @@ def run_two_stage(
         frame=inst.frame,
         graphs=tuple(resolve_for_experiment(g) for g in view1.graphs),
         data=inst.experimental,
-        safe_experiment_available=False,
-        stage=2,
     )
     v2 = decide(view2)
     if v2.decision is Decision.EXPERIMENT:

@@ -18,7 +18,6 @@ from civex.baselines import (
     SEMANTIC_ONTOLOGY_GATE,
     ProviderContext,
     build_context,
-    decide,
     is_replay_method,
     load_replay_shard,
     load_replay_shards,
@@ -130,15 +129,6 @@ class TestObservationalAssociation:
             if inst.id.regime == ADVERSARIAL:
                 assert terminal(OBSERVATIONAL_ASSOCIATION, inst, ctx).decision \
                     is Decision.ABSTAIN
-
-    def test_per_instance_variant(self, bench):
-        ctx2 = build_context(bench, obs_assoc_per_instance=True)
-        inst = bench[0]
-        v = terminal(OBSERVATIONAL_ASSOCIATION, inst, ctx2)
-        est = unadjusted_difference(inst.observational)
-        expected = (Decision.EXECUTE if est.theta_hat > 0 and est.lcb >= 0
-                    else Decision.ABSTAIN)
-        assert v.decision is expected
 
 
 class TestCausalBaselines:
@@ -258,8 +248,8 @@ class TestReplay:
 
 
 class TestDecideHelper:
-    def test_single_instance_decide(self, bench):
-        v = decide(ALWAYS_ABSTAIN, bench[0], CFG)
+    def test_single_instance_decide(self, bench, ctx):
+        v = make_provider(ALWAYS_ABSTAIN, ctx, CFG)(make_view(bench[0]))
         assert v.decision is Decision.ABSTAIN
 
     def test_unknown_method(self, bench, ctx):

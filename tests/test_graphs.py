@@ -272,6 +272,23 @@ class TestSerialization:
     def test_canonical_json_has_no_whitespace(self):
         assert " " not in canonical_graph_json(worked_graph())
 
+    @pytest.mark.parametrize("key, value", [
+        ("treatment", ["add_index"]),
+        ("outcome", ["latency_savings_ms"]),
+        ("treatment", 3),
+        ("nodes", "add_index"),
+        ("nodes", [1, 2]),
+        ("directed", "ab"),
+        ("directed", [["query_volume", "add_index", "write_volume"]]),
+        ("directed", [["query_volume", 4]]),
+        ("bidirected", [None]),
+    ])
+    def test_wrongly_typed_field_raises_graph_error(self, key, value):
+        obj = graph_to_json_dict(worked_graph())
+        obj[key] = value
+        with pytest.raises(GraphError):
+            graph_from_json_dict(obj)
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))

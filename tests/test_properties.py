@@ -4,18 +4,26 @@ Random committed graphs (``oracles.random_graph``), data frames drawn from a
 linear model over the graph, and action frames, some of them malformed.
 Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
-clears ``tau_u`` and replays to nothing.
+clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
+mutated certificate and data file in exit 0, exit 1 or a clean error.
 """
 
+import copy
+import functools
+import hashlib
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from click.testing import CliRunner
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from civex import graphs
+from civex.cli import main
 from civex.frames import Frame
 from civex.graphs import (
     CausalGraph,
@@ -25,8 +33,16 @@ from civex.graphs import (
     identify,
     validate_graph,
 )
-from civex.scm import ActionFrame
-from civex.verifier import Decision, Verdict, VerifierConfig, triage, verify_certificate
+from civex.scm import ActionFrame, BenchmarkSpec, build_benchmark
+from civex.verifier import (
+    Decision,
+    Verdict,
+    VerifierConfig,
+    certificate_to_json_dict,
+    make_view,
+    triage,
+    verify_certificate,
+)
 
 from oracles import random_graph
 
@@ -187,3 +203,116 @@ def test_memoized_identification_of_equal_graphs(seed, cyclic):
                 raise AssertionError("a malformed graph was identified")
         return
     assert identify(twin) == identify(g) == fresh[1]
+
+
+# ------------------------------------------------------------ civex verify-cert
+
+# Where a mutation lands in the certificate document: () is the whole
+# document, a string a key, an integer a list element.
+CERT_PATHS = (
+    (),
+    *((key,) for key in ("graph", "graph_sha256", "assumptions", "proof", "theta_hat",
+                         "std_err", "lcb_alpha", "alpha", "n", "provenance", "risk")),
+    *(("graph", key) for key in ("nodes", "directed", "bidirected", "treatment", "outcome")),
+    *(("proof", key) for key in ("kind", "adjustment_set", "mediator_set", "proof_note")),
+    ("graph", "nodes", 0), ("graph", "directed", 0), ("graph", "directed", 0, 1),
+    ("graph", "bidirected", 0), ("assumptions", 0), ("proof", "adjustment_set", 0),
+)
+SWAPPED_VALUES = {
+    "list": [1, "a"], "str_list": ["T", "Y"], "empty_list": [], "int": 7, "str": "x",
+    "null": None, "dict": {"k": 1}, "nan": math.nan, "inf": math.inf, "bool": True,
+    "huge": 1e308,
+}
+MUTATIONS = st.tuples(st.sampled_from(CERT_PATHS),
+                      st.sampled_from(("drop", *sorted(SWAPPED_VALUES))))
+DATA_MUTATIONS = ("none", "truncate", "flip", "non_utf8", "empty")
+TEXT_MUTATIONS = ("none", "truncate", "non_utf8")
+
+
+@functools.lru_cache(maxsize=1)
+def _stored_certificate() -> tuple[dict, bytes]:
+    """A certificate that CIVeX issued on a generated instance, and its data."""
+    spec = BenchmarkSpec(seeds=(42,), moderate_per_family=2, adversarial_per_family=1)
+    instances, _ = build_benchmark(spec)
+    for inst in instances:
+        view = make_view(inst)
+        v = triage(view.frame, view.graphs, view.data, VerifierConfig())
+        if v.certificate is not None:
+            return certificate_to_json_dict(v.certificate), view.data.canonical_bytes()
+    raise AssertionError("no instance was certified")
+
+
+def _mutate(doc, path: tuple, kind: str):
+    """``doc`` with the value at ``path`` dropped or swapped; paths that do not
+    exist in ``doc`` (after earlier mutations) leave it unchanged."""
+    if not path:
+        return None if kind == "drop" else copy.deepcopy(SWAPPED_VALUES[kind])
+    parent = doc
+    for step in path[:-1]:
+        try:
+            parent = parent[step]
+        except (KeyError, IndexError, TypeError):
+            return doc
+    last = path[-1]
+    if isinstance(last, str):
+        present = isinstance(parent, dict) and last in parent
+    else:
+        present = isinstance(parent, list) and last < len(parent)
+    if not present:
+        return doc
+    if kind == "drop":
+        del parent[last]
+    else:
+        parent[last] = copy.deepcopy(SWAPPED_VALUES[kind])
+    return doc
+
+
+def _corrupt(blob: bytes, how: str, at: float) -> bytes:
+    i = int(at * max(len(blob) - 1, 0))
+    if how == "truncate":
+        return blob[:i]
+    if how == "flip" and blob:
+        return blob[:i] + bytes([blob[i] ^ 0x5A]) + blob[i + 1:]
+    if how == "non_utf8":
+        return blob[:i] + b"\xff\xfe\x80" + blob[i:]
+    if how == "empty":
+        return b""
+    return blob
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    mutations=st.lists(MUTATIONS, max_size=3),
+    data_mutation=st.sampled_from(DATA_MUTATIONS),
+    text_mutation=st.sampled_from(TEXT_MUTATIONS),
+    at=st.floats(0.0, 1.0),
+    resign=st.booleans(),
+)
+# A list-valued treatment crashed the proof replay in the identify cache.
+@example(mutations=[(("graph", "treatment"), "str_list")], data_mutation="none",
+         text_mutation="none", at=0.0, resign=False)
+def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, resign):
+    doc, blob = _stored_certificate()
+    doc = copy.deepcopy(doc)
+    data = _corrupt(blob, data_mutation, at)
+    if resign:
+        # The provenance then matches, so the replay goes on to parse the data.
+        doc["provenance"] = hashlib.sha256(data).hexdigest()
+    for path, kind in mutations:
+        doc = _mutate(doc, path, kind)
+    text = _corrupt(json.dumps(doc).encode("utf-8"), text_mutation, at)
+    with tempfile.TemporaryDirectory() as tmp:
+        cert_path, data_path = Path(tmp) / "c.cert.json", Path(tmp) / "c.data.txt"
+        cert_path.write_bytes(text)
+        data_path.write_bytes(data)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            result = CliRunner().invoke(main, ["verify-cert", str(cert_path), str(data_path)])
+    assert result.exception is None or isinstance(result.exception, SystemExit), \
+        repr(result.exception)
+    assert result.exit_code in (0, 1)
+    if result.exit_code == 0:
+        assert "certificate verified" in result.output
+    else:
+        assert ("certificate mismatch:" in result.output
+                or result.output.startswith("Error: cannot parse certificate"))

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from civex.baselines import ALL_METHODS, replay_method
+from civex.evaluation import ScoreWeights
 from civex.cli import main
 from civex.frames import Frame
 from civex.runner import (
@@ -16,6 +17,7 @@ from civex.runner import (
     write_run_outputs,
 )
 from civex.scm import BenchmarkSpec
+from civex.verifier import VerifierConfig
 
 TINY = {
     "seeds": [42, 43],
@@ -253,6 +255,68 @@ class TestImportReplay:
         result = CliRunner().invoke(main, ["import-replay", "x", str(bad),
                                            "--config", str(cfg)])
         assert result.exit_code != 0
+
+
+class TestConfigSurface:
+    """The config document: what the manifest records, and what is refused."""
+
+    def test_manifest_config_loads_back_to_the_run_config(self, tmp_path):
+        shard = tmp_path / "shard.csv"
+        shard.write_text("seed,regime,family,index,stage1,terminal\n"
+                         "42,moderate,db_index_operation,0,EXECUTE,EXECUTE\n",
+                         encoding="utf-8")
+        config = RunConfig(
+            bench=BenchmarkSpec(seeds=(42,), moderate_per_family=2, adversarial_per_family=1,
+                                n_rows=200, action_cost=0.1),
+            verifier=VerifierConfig(alpha=0.1, tau_u=0.25, tau_r=0.4,
+                                    forbidden_tools=frozenset({"add_index", "drop_table"})),
+            weights=ScoreWeights(w_miss=0.5, c_exp=0.25),
+            methods=("CIVeX", "SchemaGate", replay_method("demo")),
+            output_dir=str(tmp_path / "run"),
+            replay={"demo": (str(shard),)},
+        )
+        write_run_outputs(run_benchmark(config))
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
+        assert RunConfig.from_json_dict(manifest["config"]) == config
+
+    @pytest.mark.parametrize("key", ["cert_only", "obs_assoc_per_instance"])
+    def test_removed_switch_set_true_is_refused(self, tmp_path, key):
+        cfg = write_config(tmp_path, "removed", **{key: True})
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration" in result.output and key in result.output
+        assert not (tmp_path / "removed").exists()
+
+    def test_removed_switches_set_false_still_run(self, tmp_path):
+        cfg = write_config(tmp_path, "old", cert_only=False, obs_assoc_per_instance=False,
+                           methods=["CIVeXCertOnly", "ObservationalAssociation"])
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("key, value", [
+        ("forbidden_tools", "add_index"),
+        ("seeds", "42"),
+        ("methods", "CIVeX"),
+        ("replay", {"demo": "shards/demo.csv"}),
+    ])
+    def test_bare_string_for_a_list_is_refused(self, tmp_path, key, value):
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_json_dict({key: value})
+        cfg = write_config(tmp_path, "bare", **{key: value})
+        result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration" in result.output
+
+    @pytest.mark.parametrize("document", [[], "run", 3])
+    def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        result = CliRunner().invoke(main, ["generate", "--config", str(path)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration" in result.output
 
 
 class TestRunnerApi:

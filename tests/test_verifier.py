@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from civex.baselines import CAUSAL_NO_EXPERIMENT, ProviderContext, make_provider
+from civex.baselines import (
+    CAUSAL_NO_EXPERIMENT,
+    CIVEX_CERT_ONLY,
+    ProviderContext,
+    make_provider,
+)
 from civex.estimation import provenance_hash
 from civex.frames import Frame
 from civex.cli import main as cli_main
@@ -187,9 +192,22 @@ class TestRuleFour:
         assert v.decision is Decision.ABSTAIN
 
     def test_cert_only_maps_experiment_to_abstain(self):
-        cfg = VerifierConfig(cert_only=True)
-        v = triage(worked_frame(), [self._latent_graph()], worked_data(), cfg)
+        v = provider_verdict(CIVEX_CERT_ONLY, worked_frame(), self._latent_graph(),
+                             worked_data())
         assert v.decision is Decision.ABSTAIN
+        assert v.rule_fired == 4
+        assert "certificate-only" in v.refusal_reason
+
+    @pytest.mark.parametrize("frame, latent", [
+        (worked_frame(), False),                  # rule 3 EXECUTE with a certificate
+        (worked_frame(reversible=False), True),   # rule 4 ABSTAIN
+        (worked_frame(tool=""), False),           # rule 1 REJECT
+    ])
+    def test_cert_only_passes_every_other_verdict_through(self, frame, latent):
+        graph = self._latent_graph() if latent else worked_graph()
+        data = worked_data()
+        assert provider_verdict(CIVEX_CERT_ONLY, frame, graph, data) \
+            == triage(frame, [graph], data, CFG)
 
     def test_mixed_graph_set_routes_to_rule_four(self):
         v = triage(worked_frame(), [worked_graph(), self._latent_graph()],
@@ -363,6 +381,18 @@ class TestWholeCertificateReplay:
         assert result.exit_code == 1
         assert f"certificate mismatch: {name}" in result.output
 
+    @pytest.mark.parametrize("role", ["treatment", "outcome"])
+    def test_list_valued_graph_role_is_a_clean_error(self, tmp_path, role):
+        obj, blob = self._stored()
+        obj["graph"][role] = [obj["graph"][role]]
+        cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+        cert_path.write_text(json.dumps(obj), encoding="utf-8")
+        data_path.write_bytes(blob)
+        result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot parse certificate: graph {role} must be a string" in result.output
+
     def test_proof_for_a_malformed_graph_is_a_mismatch(self):
         obj, blob = self._stored()
         cert = certificate_from_json_dict(obj)
@@ -375,12 +405,15 @@ class TestWholeCertificateReplay:
         assert mismatches == ["proof (directed cycle)"]
 
 
-def causal_no_experiment(frame, graph, data):
+def provider_verdict(method, frame, graph, data):
     view = InstanceView(id=InstanceId(seed=0, regime=MODERATE, family="db_index_operation",
                                       index=0),
-                        frame=frame, graphs=(graph,), data=data,
-                        safe_experiment_available=False)
-    return make_provider(CAUSAL_NO_EXPERIMENT, ProviderContext(), CFG)(view)
+                        frame=frame, graphs=(graph,), data=data)
+    return make_provider(method, ProviderContext(), CFG)(view)
+
+
+def causal_no_experiment(frame, graph, data):
+    return provider_verdict(CAUSAL_NO_EXPERIMENT, frame, graph, data)
 
 
 class TestFailClosed:
