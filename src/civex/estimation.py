@@ -60,25 +60,34 @@ class EffectEstimate:
 
 
 def _check_treatment(t: np.ndarray) -> None:
-    values = np.unique(t)
-    if not np.all(np.isin(values, (0.0, 1.0))):
+    treated = t == 1.0
+    control = t == 0.0
+    if not np.all(treated | control):
         raise EstimationError("treatment column must be binary 0/1")
-    if values.size < 2:
+    if treated.all() or control.all():
         raise EstimationError("positivity violation: only one treatment arm present")
 
 
 def _pivot_rank_ok(xtx: np.ndarray) -> bool:
-    # Gaussian elimination without pivoting on the (tiny) normal matrix;
-    # matches the stated pivot-tolerance contract.
-    a = xtx.astype(np.float64).copy()
+    # The pivots of Gaussian elimination without pivoting on the (tiny)
+    # normal matrix are the squared diagonal of its Cholesky factor; a
+    # failed factorization means a pivot at or below zero.
     tol = _PIVOT_RTOL * float(np.max(np.diag(xtx)))
-    k = a.shape[0]
-    for i in range(k):
-        pivot = a[i, i]
-        if pivot <= tol:
-            return False
-        a[i + 1 :, i:] -= np.outer(a[i + 1 :, i] / pivot, a[i, i:])
-    return True
+    try:
+        chol = np.linalg.cholesky(xtx)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.all(np.diag(chol) ** 2 > tol))
+
+
+def _fits(d: Frame) -> dict:
+    """Successful fits on ``d``, keyed by (kind, set, alpha, treatment, outcome).
+
+    Kept on the frame, like its digest, because the frame is immutable.  Only
+    a fit that raised nothing and dropped no column is kept, so an error is
+    raised, and a dropped column warned about, on every call.
+    """
+    return d.__dict__.setdefault("_fits", {})
 
 
 def _ols_theta(y: np.ndarray, design: np.ndarray, coef_index: int, alpha: float,
@@ -105,9 +114,14 @@ def adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
     treatment coefficient is the effect.
 
     Zero-variance adjustment columns are dropped with a warning rather than
-    failing; constant covariates can arise at small row counts.
+    failing; constant covariates can arise at small row counts.  A fit that
+    dropped nothing is kept on the frame and returned again (``_fits``).
     """
     requested = tuple(adjustment_set)
+    key = ("backdoor", requested, alpha, treatment_col, outcome_col)
+    known = _fits(d).get(key)
+    if known is not None:
+        return known
     t = d.column(treatment_col)
     y = d.column(outcome_col)
     _check_treatment(t)
@@ -130,8 +144,11 @@ def adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
             f"need more than {len(used) + 2} rows to adjust for {len(used)} covariates"
         )
     design = np.column_stack([np.ones(n), t, *cols])
-    return _ols_theta(y, design, coef_index=1, alpha=alpha, n=n,
-                      adjustment_set=tuple(used))
+    est = _ols_theta(y, design, coef_index=1, alpha=alpha, n=n,
+                     adjustment_set=tuple(used))
+    if len(used) == len(requested):
+        _fits(d)[key] = est
+    return est
 
 
 def unadjusted_difference(d: Frame, alpha: float = 0.05, *,
@@ -166,11 +183,15 @@ def frontdoor_effect(d: Frame, mediator_set, alpha: float = 0.05, *,
     Two OLS stages: mediator on treatment, then outcome on mediator holding
     treatment fixed.  The standard error comes from the delta method.  Only
     single-mediator sets are supported; larger sets raise so callers can
-    refuse conservatively.
+    refuse conservatively.  A successful fit is kept on the frame (``_fits``).
     """
     mediators = tuple(mediator_set)
     if len(mediators) != 1:
         raise EstimationError("frontdoor estimation supports exactly one mediator")
+    key = ("frontdoor", mediators, alpha, treatment_col, outcome_col)
+    known = _fits(d).get(key)
+    if known is not None:
+        return known
     t = d.column(treatment_col)
     y = d.column(outcome_col)
     m = d.column(mediators[0])
@@ -184,9 +205,11 @@ def frontdoor_effect(d: Frame, mediator_set, alpha: float = 0.05, *,
     var = b * b * stage1.std_err**2 + a * a * stage2.std_err**2
     se = float(np.sqrt(max(var, 0.0)))
     theta = float(a * b)
-    return EffectEstimate(theta_hat=theta, std_err=se,
-                          lcb=theta - one_sided_z(alpha) * se,
-                          alpha=alpha, n=n, adjustment_set=mediators)
+    est = EffectEstimate(theta_hat=theta, std_err=se,
+                         lcb=theta - one_sided_z(alpha) * se,
+                         alpha=alpha, n=n, adjustment_set=mediators)
+    _fits(d)[key] = est
+    return est
 
 
 def provenance_hash(d: Frame) -> str:

@@ -9,6 +9,7 @@ decimal (Python ``repr``), LF line endings, no trailing newline.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -18,7 +19,8 @@ __all__ = ["Frame", "FrameError"]
 
 
 class FrameError(ValueError):
-    """Malformed table: ragged rows, NaNs or infinities, duplicate or unknown columns."""
+    """Malformed table: ragged rows, unparseable values, NaNs or infinities,
+    duplicate or unknown columns."""
 
 
 @dataclass(frozen=True)
@@ -87,17 +89,38 @@ class Frame:
 
     @classmethod
     def from_canonical_text(cls, text: str) -> "Frame":
-        lines = text.split("\n")
-        if not lines or not lines[0]:
+        """Parse the canonical text form; anything malformed raises ``FrameError``.
+
+        All values are converted in one numpy call, whose str-to-float64 cast
+        accepts and rounds exactly as Python ``float()`` does.  Every row
+        must hold one value per column: a blank line, an empty field or a
+        trailing newline is refused.
+        """
+        header, newline, body = text.partition("\n")
+        if not header:
             raise FrameError("empty canonical text")
-        columns = tuple(lines[0].split(","))
-        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        data = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
-        return cls(columns=columns, data=data)
+        columns = tuple(header.split(","))
+        lines = body.split("\n") if newline else []
+        commas = len(columns) - 1
+        # Counted per line: a flat count would take "1,2,3\n4" for two rows of two.
+        if set(map(str.count, lines, itertools.repeat(","))) - {commas}:
+            i = next(i for i, line in enumerate(lines) if line.count(",") != commas)
+            raise FrameError(f"line {i + 2} has {lines[i].count(',') + 1} values "
+                             f"for {len(columns)} columns")
+        try:
+            values = np.array(body.replace("\n", ",").split(",") if lines else [],
+                              dtype=np.float64)
+        except ValueError as exc:
+            raise FrameError(f"unparseable value: {exc}") from None
+        return cls(columns=columns, data=values.reshape(len(lines), len(columns)))
 
     @classmethod
     def from_canonical_bytes(cls, blob: bytes) -> "Frame":
-        return cls.from_canonical_text(blob.decode("utf-8"))
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FrameError(f"data is not UTF-8: {exc}") from None
+        return cls.from_canonical_text(text)
 
     def to_json_obj(self) -> dict:
         return {"columns": list(self.columns), "rows": self.data.tolist()}

@@ -460,9 +460,13 @@ def graph_from_json_dict(obj: Mapping) -> CausalGraph:
     )
 
 
+@functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def canonical_graph_json(g: CausalGraph) -> str:
+    """Compact, key-sorted JSON of ``graph_to_json_dict`` (memoized per graph)."""
     return json.dumps(graph_to_json_dict(g), separators=(",", ":"), sort_keys=True)
 
 
+@functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def graph_digest(g: CausalGraph) -> str:
+    """SHA-256 of ``canonical_graph_json``, lowercase hex (memoized per graph)."""
     return hashlib.sha256(canonical_graph_json(g).encode("utf-8")).hexdigest()

@@ -136,6 +136,11 @@ class RunConfig:
     def from_json_dict(cls, obj: Mapping) -> "RunConfig":
         if not isinstance(obj, Mapping):
             raise ValueError("a config must be a JSON object")
+        # A misspelled key would silently run with the default, so only keys
+        # that ``to_json_dict`` writes, or that older manifests carry, load.
+        unknown = sorted(str(key) for key in obj if key not in _LOADABLE_KEYS)
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         # Removed switches: ignoring a true one would run another verifier
         # than the config names.
         for key in ("cert_only", "obs_assoc_per_instance"):
@@ -159,6 +164,13 @@ class RunConfig:
             output_dir=obj.get("output_dir", "runs/default"),
             replay={tag: tuple(paths) for tag, paths in replay.items()},
         )
+
+
+# The keys a config may hold: those ``to_json_dict`` writes, and the retired
+# ones that older manifests record ("parallelism" is ignored, and the removed
+# switches load only when false).
+_LOADABLE_KEYS = frozenset(RunConfig().to_json_dict()) | {
+    "parallelism", "cert_only", "obs_assoc_per_instance"}
 
 
 def _load_replay_tables(config: RunConfig) -> dict[str, Mapping]:

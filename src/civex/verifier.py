@@ -23,6 +23,8 @@ its one-sided bound, the provenance hash of the data, and the declared risk.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -418,6 +420,15 @@ def validate_certificate(cert: Certificate, cfg: VerifierConfig) -> list[str]:
     return problems
 
 
+@functools.lru_cache(maxsize=4096)
+def _graph_from_json(graph_json: str) -> CausalGraph:
+    """The graph a certificate commits to, parsed once per distinct JSON text.
+
+    A malformed text raises on every call: ``lru_cache`` keeps no exception.
+    """
+    return graph_from_json_dict(json.loads(graph_json))
+
+
 def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     """Replay a stored certificate against stored data.
 
@@ -429,13 +440,11 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     Returns the names of mismatched fields; an empty list means the replay
     reproduced the certificate exactly.
     """
-    import hashlib
-
     mismatches: list[str] = []
     if hashlib.sha256(data_bytes).hexdigest() != cert.provenance:
         mismatches.append("provenance")
         return mismatches
-    graph = graph_from_json_dict(json.loads(cert.graph_json))
+    graph = _graph_from_json(cert.graph_json)
     if graph_digest(graph) != cert.graph_sha256:
         mismatches.append("graph_sha256")
     if cert.assumptions != ASSUMPTION_LABELS:

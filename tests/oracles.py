@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: d-separation by exhaustive
 simple-path enumeration, identification by subset scan over that enumeration,
 least squares by solving the normal equations, bootstrap intervals by a
-hand-rolled resampler.  They exist so the fast implementations have something
+hand-rolled resampler, canonical-text parsing value by value with ``float``,
+the rank test by Gaussian elimination.  They exist so the fast implementations have something
 slower and dumber to agree with.
 """
 
@@ -13,6 +14,7 @@ import itertools
 
 import numpy as np
 
+from civex.frames import Frame
 from civex.graphs import CausalGraph, IdentificationKind
 
 
@@ -172,6 +174,35 @@ def normal_equations_ols(design: np.ndarray, y: np.ndarray):
     sigma2 = float(resid @ resid) / dof
     cov = sigma2 * np.linalg.inv(xtx)
     return beta, np.sqrt(np.diag(cov))
+
+
+def elimination_rank_ok(xtx: np.ndarray, rtol: float) -> bool:
+    """Gaussian elimination without pivoting on the normal matrix: every
+    pivot must exceed ``rtol`` times the largest diagonal entry."""
+    a = xtx.astype(np.float64).copy()
+    tol = rtol * float(np.max(np.diag(xtx)))
+    k = a.shape[0]
+    for i in range(k):
+        pivot = a[i, i]
+        if pivot <= tol:
+            return False
+        a[i + 1 :, i:] -= np.outer(a[i + 1 :, i] / pivot, a[i, i:])
+    return True
+
+
+def per_value_parse(text: str) -> Frame:
+    """Canonical text to a frame, one ``float()`` per value, row by row.
+
+    Refuses with ``ValueError`` (``FrameError`` among them) whatever the
+    format does not allow.
+    """
+    lines = text.split("\n")
+    if not lines or not lines[0]:
+        raise ValueError("empty canonical text")
+    columns = tuple(lines[0].split(","))
+    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    data = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
+    return Frame(columns=columns, data=data)
 
 
 def bootstrap_oracle(values, n_resamples, seed):

@@ -221,6 +221,43 @@ class TestFrontdoorEffect:
             frontdoor_effect(frame, ["M", "T"])
 
 
+class TestEstimateMemo:
+    """Each (frame, proof) pair is fitted once; failures and warnings repeat."""
+
+    def test_repeat_call_returns_the_identical_estimate(self):
+        frame = fixture_frame()
+        first = adjusted_effect(frame, ["x1", "x2"])
+        assert adjusted_effect(frame, ("x1", "x2")) is first
+        # Another set, alpha or outcome column is another fit.
+        assert adjusted_effect(frame, ["x2", "x1"]) is not first
+        assert adjusted_effect(frame, ["x1", "x2"], alpha=0.1).alpha == 0.1
+        assert adjusted_effect(frame, ["x1"], outcome_col="x2") is not first
+        # An equal frame is another object and fits again, to the same bits.
+        twin = adjusted_effect(fixture_frame(), ["x1", "x2"])
+        assert twin is not first and twin == first
+
+    def test_frontdoor_repeat_call_returns_the_identical_estimate(self):
+        frame = TestFrontdoorEffect()._frontdoor_frame(n=100)
+        assert frontdoor_effect(frame, ["M"]) is frontdoor_effect(frame, ["M"])
+
+    def test_positivity_failure_raises_on_every_call(self):
+        frame = make_frame(np.ones(20), np.random.default_rng(0).normal(size=20))
+        for _ in range(2):
+            with pytest.raises(EstimationError, match="one treatment arm"):
+                adjusted_effect(frame, [])
+
+    def test_zero_variance_column_warns_on_every_call(self):
+        rng = np.random.default_rng(2)
+        t = np.array([1.0, 0.0] * 25)
+        frame = make_frame(t, 1.5 * t + rng.normal(size=50),
+                           [("flat", np.full(50, 3.0)), ("x", rng.normal(size=50))])
+        estimates = []
+        for _ in range(2):
+            with pytest.warns(DegenerateRegressorWarning, match="flat"):
+                estimates.append(adjusted_effect(frame, ["flat", "x"]))
+        assert estimates[0] == estimates[1]
+
+
 class TestProvenanceHash:
     def test_hash_over_random_fixtures_matches_hashlib(self):
         import hashlib

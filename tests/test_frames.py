@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from civex.estimation import provenance_hash
 from civex.frames import Frame, FrameError
 
+from oracles import per_value_parse
+
 
 def small_frame() -> Frame:
     return Frame(columns=("T", "Y", "x"),
@@ -104,3 +106,53 @@ class TestValidation:
         f = small_frame()
         with pytest.raises(ValueError):
             f.data[0, 0] = 9.0
+
+
+class TestCanonicalParser:
+    """The bulk parser against the per-value ``float()`` parser it replaced."""
+
+    @pytest.mark.parametrize("text", [
+        "a,b\n1,2,3\n4",        # ragged rows that add up to a full grid
+        "a,b\n1,2,3,4",          # one row holding two rows' values
+        "a,b\n1,2\n",           # trailing newline
+        "a,b\n1,2\n\n3,4",       # blank line
+        "a,b\n1,\n3,4",          # empty field
+        "a,b\n1,2\n3",
+        "a\n1,0",                # a decimal comma is a second value
+        "a,b\n1,x",
+        "a,b\n1,0x1p3",          # hex floats are not decimal text
+        "a,b\n1,nan",
+        "a,b\n1,-inf",
+        "a,b\n1,1e400",          # overflows to infinity
+        "a,a\n1,2",
+        "",
+        "\n1,2",
+    ])
+    def test_refuses_what_the_per_value_parser_refuses(self, text):
+        with pytest.raises(ValueError):
+            per_value_parse(text)
+        with pytest.raises(FrameError):
+            Frame.from_canonical_text(text)
+
+    @pytest.mark.parametrize("text", [
+        "a,b",                    # header only: no rows
+        "a\n1\n2.5",              # single column
+        "a,b\n 1.0 ,\t2\r",       # surrounding whitespace
+        "a,b\n1_0,-0.0",          # underscores and negative zero
+        "a,b\n١٢,5e-324",        # non-ASCII digits and the smallest subnormal
+        "a,b\n+.5,1E3",
+    ])
+    def test_accepts_what_the_per_value_parser_accepts(self, text):
+        expected = per_value_parse(text)
+        got = Frame.from_canonical_text(text)
+        assert got.columns == expected.columns
+        assert got.data.shape == expected.data.shape
+        assert got.data.tobytes() == expected.data.tobytes()
+
+    def test_ragged_row_is_named(self):
+        with pytest.raises(FrameError, match="line 3 has 1 values for 2 columns"):
+            Frame.from_canonical_text("a,b\n1,2\n3")
+
+    def test_non_utf8_bytes_are_a_frame_error(self):
+        with pytest.raises(FrameError, match="UTF-8"):
+            Frame.from_canonical_bytes(b"a,b\n1,\xff")

@@ -5,7 +5,9 @@ linear model over the graph, and action frames, some of them malformed.
 Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
 clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
-mutated certificate and data file in exit 0, exit 1 or a clean error.
+mutated certificate and data file in exit 0, exit 1 or a clean error.  The
+bulk canonical-text parser and the Cholesky rank test agree with the
+per-value parser and the elimination loop they replaced (``oracles``).
 """
 
 import copy
@@ -18,13 +20,15 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from civex import graphs
 from civex.cli import main
-from civex.frames import Frame
+from civex.estimation import _PIVOT_RTOL, _pivot_rank_ok
+from civex.frames import Frame, FrameError
 from civex.graphs import (
     CausalGraph,
     GraphError,
@@ -44,7 +48,7 @@ from civex.verifier import (
     verify_certificate,
 )
 
-from oracles import random_graph
+from oracles import elimination_rank_ok, per_value_parse, random_graph
 
 # Derandomized, so that the tier-1 run is reproducible.
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -316,3 +320,78 @@ def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, r
     else:
         assert ("certificate mismatch:" in result.output
                 or result.output.startswith("Error: cannot parse certificate"))
+
+
+# ------------------------------------------------------- canonical-text parser
+
+PARSE_ALPHABET = (",", "\n", "\r", "\t", " ", "_", "e", "+", "-", ".", "n", "a", "i", "f",
+                  "0", "9", "\u0661", "\x00")
+TEXT_EDITS = st.tuples(st.sampled_from(("insert", "delete", "replace")),
+                       st.floats(0.0, 1.0), st.sampled_from(PARSE_ALPHABET))
+
+
+@functools.lru_cache(maxsize=1)
+def _canonical_texts() -> tuple[str, ...]:
+    """The stored certificate's data text, whole and cut to a few rows or one column."""
+    _, blob = _stored_certificate()
+    whole = per_value_parse(blob.decode("utf-8"))
+    cuts = [whole, Frame(whole.columns, whole.data[:3]), Frame(whole.columns, whole.data[:1]),
+            Frame(whole.columns, whole.data[:0]), Frame(whole.columns[:1], whole.data[:3, :1])]
+    return tuple(f.canonical_text() for f in cuts)
+
+
+def _edit(text: str, edits) -> str:
+    for kind, at, char in edits:
+        i = int(at * len(text))
+        if kind == "insert":
+            text = text[:i] + char + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + char + text[i + 1:]
+    return text
+
+
+@PROPERTY_SETTINGS
+@given(base=st.integers(0, 4), edits=st.lists(TEXT_EDITS, min_size=1, max_size=4))
+# Moves a row break: rows of 3 and 5 values that add up to two full rows.
+@example(base=1, edits=[("replace", 0.337, "\n"), ("replace", 0.422, ",")])
+def test_bulk_parser_agrees_with_per_value_parser(base, edits):
+    text = _edit(_canonical_texts()[base], edits)
+    try:
+        expected = per_value_parse(text)
+    except ValueError:
+        with pytest.raises(FrameError):
+            Frame.from_canonical_text(text)
+        return
+    got = Frame.from_canonical_text(text)
+    assert got.columns == expected.columns
+    assert got.data.tobytes() == expected.data.tobytes()
+
+
+# --------------------------------------------------------------- rank test
+
+DESIGN_SHAPES = ("random", "collinear", "near_collinear", "constant", "intercept_binary")
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), extra_rows=st.integers(1, 30),
+       shape=st.sampled_from(DESIGN_SHAPES),
+       log_scales=st.lists(st.floats(-6.0, 6.0), min_size=5, max_size=5))
+def test_cholesky_rank_test_agrees_with_elimination(seed, k, extra_rows, shape, log_scales):
+    rng = np.random.default_rng(seed)
+    n = k + extra_rows
+    x = rng.normal(size=(n, k))
+    j = int(rng.integers(0, k))
+    if shape in ("collinear", "near_collinear") and j > 0:
+        x[:, j] = x[:, :j] @ rng.normal(size=j)
+        if shape == "near_collinear":
+            x[:, j] += rng.normal(size=n) * 10.0 ** rng.uniform(-9, -3)
+    elif shape == "constant":
+        x[:, j] = rng.normal()
+    elif shape == "intercept_binary":
+        x[:, 0] = 1.0
+        x[:, j] = rng.integers(0, 2, size=n)
+    x = x * 10.0 ** np.array(log_scales[:k])
+    xtx = x.T @ x
+    assert _pivot_rank_ok(xtx) == elimination_rank_ok(xtx, _PIVOT_RTOL)

@@ -95,7 +95,7 @@ class TestRunCommand:
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, "runa")
-        # Older configs carry a "parallelism" key; unknown keys are ignored.
+        # Older configs carry a "parallelism" key; that retired key is ignored.
         cfg_b = write_config(tmp_path, "runb", parallelism=4)
         assert RunConfig.from_json_dict({"parallelism": 4}) == RunConfig()
         runner = CliRunner()
@@ -293,6 +293,33 @@ class TestConfigSurface:
                            methods=["CIVeXCertOnly", "ObservationalAssociation"])
         result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
+
+    def test_misspelled_key_is_refused(self, tmp_path):
+        cfg = write_config(tmp_path, "typo", forbiden_tools=["add_index"])
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration: unknown config key(s): forbiden_tools" in result.output
+        assert not (tmp_path / "typo").exists()
+        with pytest.raises(ValueError, match="n_row, tau_U"):
+            RunConfig.from_json_dict({"n_row": 50, "tau_U": 5, "tau_u": 1.0})
+
+    def test_every_emitted_key_loads(self):
+        config = RunConfig(bench=BenchmarkSpec(seeds=(7,), n_rows=50),
+                           verifier=VerifierConfig(tau_u=0.5,
+                                                   forbidden_tools=frozenset({"add_index"})),
+                           methods=("CIVeX",), output_dir="runs/x")
+        document = config.to_json_dict()
+        assert RunConfig.from_json_dict(document) == config
+        for key, value in document.items():
+            RunConfig.from_json_dict({key: value})
+
+    def test_old_manifest_config_loads(self):
+        # The config block that manifests recorded before the retired settings
+        # were removed.
+        document = {**RunConfig().to_json_dict(), "parallelism": 4, "cert_only": False,
+                    "obs_assoc_per_instance": False}
+        assert RunConfig.from_json_dict(document) == RunConfig()
 
     @pytest.mark.parametrize("key, value", [
         ("forbidden_tools", "add_index"),

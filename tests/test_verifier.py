@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from civex import verifier
 from civex.baselines import (
     CAUSAL_NO_EXPERIMENT,
     CIVEX_CERT_ONLY,
@@ -14,7 +15,13 @@ from civex.baselines import (
 from civex.estimation import provenance_hash
 from civex.frames import Frame
 from civex.cli import main as cli_main
-from civex.graphs import CausalGraph, IdentificationKind, canonical_graph_json, graph_digest
+from civex.graphs import (
+    CausalGraph,
+    GraphError,
+    IdentificationKind,
+    canonical_graph_json,
+    graph_digest,
+)
 from civex.scm import (
     ADVERSARIAL,
     MODERATE,
@@ -403,6 +410,33 @@ class TestWholeCertificateReplay:
                            graph_sha256=graph_digest(cyclic))
         mismatches = verify_certificate(tampered, blob)
         assert mismatches == ["proof (directed cycle)"]
+
+    def test_graph_is_parsed_once_per_distinct_text(self, monkeypatch):
+        obj, blob = self._stored()
+        cert = certificate_from_json_dict(obj)
+        calls = []
+        original = verifier.graph_from_json_dict
+
+        def counting(graph_obj):
+            calls.append(graph_obj)
+            return original(graph_obj)
+
+        monkeypatch.setattr(verifier, "graph_from_json_dict", counting)
+        verifier._graph_from_json.cache_clear()
+        for _ in range(3):
+            assert verify_certificate(cert, blob) == []
+            assert verify_certificate(certificate_from_json_dict(obj), blob) == []
+        # One parse for the replays; each certificate_from_json_dict parses its own.
+        assert len(calls) == 1 + 3
+
+    def test_malformed_graph_text_raises_on_every_call(self):
+        obj, blob = self._stored()
+        cert = certificate_from_json_dict(obj)
+        obj["graph"]["treatment"] = ["T"]
+        cert = replace(cert, graph_json=json.dumps(obj["graph"]))
+        for _ in range(2):
+            with pytest.raises(GraphError, match="treatment must be a string"):
+                verify_certificate(cert, blob)
 
 
 def provider_verdict(method, frame, graph, data):
