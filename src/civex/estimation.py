@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri
 
 from .frames import Frame
 
@@ -46,7 +46,7 @@ def one_sided_z(alpha: float) -> float:
     """Standard normal quantile for a one-sided 1-alpha bound (memoized)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return float(stats.norm.ppf(1.0 - alpha))
+    return float(ndtri(1.0 - alpha))
 
 
 @dataclass(frozen=True)

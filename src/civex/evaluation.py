@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .estimation import EstimationError, unadjusted_difference
 from .scm import InstanceId, ScmInstance
@@ -256,7 +255,12 @@ def wilcoxon_exact(diffs: Sequence[float]) -> float:
         return 1.0
     if n > 20:
         raise ValueError("exact enumeration supports at most 20 nonzero differences")
-    ranks = rankdata(np.abs(nonzero), method="average")
+    # Average ranks of |d|: a value's rank is the mean of the first and last
+    # 1-based positions its tie group takes in sorted order.
+    mags = np.abs(nonzero)
+    ordered = np.sort(mags)
+    ranks = (np.searchsorted(ordered, mags, "left")
+             + np.searchsorted(ordered, mags, "right") + 1) / 2
     w_obs = float(ranks[nonzero > 0].sum())
     assignments = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
     w_all = assignments @ ranks

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -555,10 +556,8 @@ def _pairwise_rows(run: RunResult) -> list[dict]:
                 continue
             other = run.summaries[(method, regime)]
             diffs = [base.per_seed_means[s] - other.per_seed_means[s] for s in seeds]
-            import warnings as _warnings
-
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 p = wilcoxon_exact(diffs)
             rows.append({
                 "regime": regime,

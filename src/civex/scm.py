@@ -220,6 +220,12 @@ class BenchmarkSpec:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        for name, value in (("n_rows", self.n_rows),
+                            ("moderate_per_family", self.moderate_per_family),
+                            ("adversarial_per_family", self.adversarial_per_family),
+                            *(("seed", seed) for seed in self.seeds)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.moderate_per_family <= 0 or self.adversarial_per_family <= 0:
             raise ValueError("per-family instance counts must be > 0")
         if self.adversarial_strength <= 0:

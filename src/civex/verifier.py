@@ -424,7 +424,8 @@ def validate_certificate(cert: Certificate, cfg: VerifierConfig) -> list[str]:
 def _graph_from_json(graph_json: str) -> CausalGraph:
     """The graph a certificate commits to, parsed once per distinct JSON text.
 
-    A malformed text raises on every call: ``lru_cache`` keeps no exception.
+    A malformed text raises on every call: ``lru_cache`` keeps no exception,
+    and ``verify_certificate`` reports it as a ``graph`` mismatch.
     """
     return graph_from_json_dict(json.loads(graph_json))
 
@@ -444,7 +445,13 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     if hashlib.sha256(data_bytes).hexdigest() != cert.provenance:
         mismatches.append("provenance")
         return mismatches
-    graph = _graph_from_json(cert.graph_json)
+    try:
+        graph = _graph_from_json(cert.graph_json)
+    except (KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError and GraphError are ValueErrors; a non-object text
+        # or a missing field gives a TypeError or KeyError.
+        mismatches.append(f"graph ({exc})")
+        return mismatches
     if graph_digest(graph) != cert.graph_sha256:
         mismatches.append("graph_sha256")
     if cert.assumptions != ASSUMPTION_LABELS:

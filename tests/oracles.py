@@ -5,7 +5,9 @@ simple-path enumeration, identification by subset scan over that enumeration,
 least squares by solving the normal equations, bootstrap intervals by a
 hand-rolled resampler, canonical-text parsing value by value with ``float``,
 the rank test by Gaussian elimination.  They exist so the fast implementations have something
-slower and dumber to agree with.
+slower and dumber to agree with.  ``wilcoxon_rankdata_oracle`` is the
+signed-rank test as it was when it ranked with ``scipy.stats.rankdata``,
+which the library no longer imports.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.stats import rankdata
 
 from civex.frames import Frame
 from civex.graphs import CausalGraph, IdentificationKind
@@ -250,3 +253,19 @@ def wilcoxon_enumeration_oracle(diffs):
         ge += w >= w_obs
         le += w <= w_obs
     return min(1.0, 2.0 * min(ge / total, le / total))
+
+
+def wilcoxon_rankdata_oracle(diffs):
+    """Two-sided exact signed-rank p with ``rankdata`` average ranks."""
+    d = np.asarray(diffs, dtype=np.float64)
+    nonzero = d[d != 0.0]
+    n = nonzero.size
+    if n == 0:
+        return 1.0
+    ranks = rankdata(np.abs(nonzero), method="average")
+    w_obs = float(ranks[nonzero > 0].sum())
+    assignments = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    w_all = assignments @ ranks
+    p_ge = float(np.mean(w_all >= w_obs))
+    p_le = float(np.mean(w_all <= w_obs))
+    return min(1.0, 2.0 * min(p_ge, p_le))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from civex.estimation import (
     DegenerateRegressorWarning,
@@ -292,10 +294,18 @@ class TestProvenanceHash:
 
 
 class TestNormalQuantile:
-    def test_memoized_value_matches_scipy(self):
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(alpha=0.05)
+    @example(alpha=0.01)
+    @example(alpha=0.5)
+    @example(alpha=1e-300)
+    @example(alpha=5e-324)
+    def test_memoized_value_matches_scipy(self, alpha):
+        # Bit for bit: the quantile is `ndtri`, which `stats.norm.ppf` calls.
         from scipy import stats
 
-        for alpha in (0.05, 0.05, 0.01, 0.5):
+        for _ in range(2):
             assert one_sided_z(alpha) == float(stats.norm.ppf(1.0 - alpha))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])

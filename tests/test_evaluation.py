@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from civex.evaluation import (
@@ -21,7 +23,7 @@ from civex.evaluation import (
 from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, build_benchmark, sample_instance
 from civex.verifier import Decision
 
-from oracles import bootstrap_oracle, wilcoxon_enumeration_oracle
+from oracles import bootstrap_oracle, wilcoxon_enumeration_oracle, wilcoxon_rankdata_oracle
 
 W = ScoreWeights()
 
@@ -120,6 +122,17 @@ class TestWilcoxon:
             diffs = rng.normal(size=int(rng.integers(3, 9))).tolist()
             assert wilcoxon_exact(diffs) == pytest.approx(
                 wilcoxon_enumeration_oracle(diffs), abs=1e-12)
+
+    # Few distinct magnitudes, so most draws hold ties and zeros; the size
+    # stays below 20 to keep the 2**n enumeration small.
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(diffs=st.lists(st.one_of(st.integers(-4, 4).map(lambda k: k * 0.25),
+                                    st.floats(-10.0, 10.0)),
+                          min_size=1, max_size=14))
+    def test_average_ranks_match_rankdata(self, diffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert wilcoxon_exact(diffs) == wilcoxon_rankdata_oracle(diffs)
 
     def test_matches_scipy_exact_without_ties(self):
         rng = np.random.default_rng(4)

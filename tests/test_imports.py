@@ -1,0 +1,56 @@
+"""What a civex process loads: scipy.special and nothing heavier.
+
+The normal quantile comes from ``scipy.special.ndtri`` and the signed-rank
+test ranks with numpy, so no code path imports ``scipy.stats`` and the
+subpackages it drags in.  Each check runs in a fresh interpreter, because
+this test process imports ``scipy.stats`` itself (as an oracle).
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.spatial",
+               "scipy.linalg", "scipy.integrate", "scipy.interpolate", "scipy.ndimage",
+               "scipy.fft")
+
+# Import, a smoke-size run with every default method written to disk, then
+# `civex verify-cert` on one written certificate, all in one process.
+SCRIPT = """
+import json, sys
+from pathlib import Path
+
+import civex, civex.cli
+from civex.runner import RunConfig, run_benchmark, write_run_outputs
+from civex.scm import BenchmarkSpec
+
+out = Path(sys.argv[1])
+config = RunConfig(bench=BenchmarkSpec(seeds=(42,), moderate_per_family=2,
+                                       adversarial_per_family=1))
+write_run_outputs(run_benchmark(config), out)
+cert = sorted(out.glob("certificates/*/*.cert.json"))[0]
+data = cert.with_name(cert.name.replace(".cert.json", ".data.txt"))
+try:
+    civex.cli.main(["verify-cert", str(cert), str(data)], standalone_mode=False)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"verify_exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_no_heavy_scipy_subpackage_is_loaded(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "run")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["verify_exit"] == 0
+    assert "civex.cli" in result["modules"] and "scipy.special" in result["modules"]
+    loaded = [name for name in HEAVY_SCIPY if name in result["modules"]]
+    assert loaded == []

@@ -336,6 +336,21 @@ class TestConfigSurface:
         assert isinstance(result.exception, SystemExit)
         assert "invalid configuration" in result.output
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("n_rows", 2.5, "n_rows"),
+        ("seeds", [42.5], "seed"),
+        ("moderate_per_family", True, "moderate_per_family"),
+        ("adversarial_per_family", 2.0, "adversarial_per_family"),
+    ])
+    def test_count_or_seed_that_is_not_an_integer_is_refused(self, tmp_path, key, value,
+                                                              name):
+        cfg = write_config(tmp_path, "typed", **{key: value})
+        result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert f"invalid configuration: {name} must be an integer" in result.output
+        assert not (tmp_path / "typed").exists()
+
     @pytest.mark.parametrize("document", [[], "run", 3])
     def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):
         path = tmp_path / "config.json"

@@ -17,7 +17,6 @@ from civex.frames import Frame
 from civex.cli import main as cli_main
 from civex.graphs import (
     CausalGraph,
-    GraphError,
     IdentificationKind,
     canonical_graph_json,
     graph_digest,
@@ -429,14 +428,21 @@ class TestWholeCertificateReplay:
         # One parse for the replays; each certificate_from_json_dict parses its own.
         assert len(calls) == 1 + 3
 
-    def test_malformed_graph_text_raises_on_every_call(self):
+    def test_malformed_graph_text_is_a_mismatch_on_every_call(self):
         obj, blob = self._stored()
         cert = certificate_from_json_dict(obj)
         obj["graph"]["treatment"] = ["T"]
         cert = replace(cert, graph_json=json.dumps(obj["graph"]))
         for _ in range(2):
-            with pytest.raises(GraphError, match="treatment must be a string"):
-                verify_certificate(cert, blob)
+            assert verify_certificate(cert, blob) == [
+                "graph (graph treatment must be a string)"]
+
+    @pytest.mark.parametrize("graph_json", ["{not json", "[1, 2]", "{}"])
+    def test_graph_text_that_is_not_a_graph_object_is_a_mismatch(self, graph_json):
+        obj, blob = self._stored()
+        cert = replace(certificate_from_json_dict(obj), graph_json=graph_json)
+        (mismatch,) = verify_certificate(cert, blob)
+        assert mismatch.startswith("graph (")
 
 
 def provider_verdict(method, frame, graph, data):
