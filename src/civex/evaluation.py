@@ -14,6 +14,7 @@ independently of the benchmark seeds, so intervals reproduce exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -59,8 +60,9 @@ class ScoreWeights:
     c_exp: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.w_miss < 0 or self.c_exp < 0:
-            raise ValueError("score weights must be >= 0")
+        # Written so that NaN fails too.
+        if not (0 <= self.w_miss < math.inf and 0 <= self.c_exp < math.inf):
+            raise ValueError("score weights must be finite and >= 0")
 
     def to_json_dict(self) -> dict:
         return {"w_miss": self.w_miss, "c_exp": self.c_exp}

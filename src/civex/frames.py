@@ -4,6 +4,18 @@ The canonical text form feeds provenance hashing, so it is defined down to
 the byte: UTF-8, line 1 is the comma-joined header, one comma-joined row per
 line in generation order, floats rendered as their shortest round-trip
 decimal (Python ``repr``), LF line endings, no trailing newline.
+
+The encoder writes all rows with one ``orjson.dumps`` call, whose Ryu
+shortest digits equal ``repr``'s.  The two differ only in how they write an
+exponent (``0.00001``/``1e-05``, ``1.5e-7``/``1.5e-07``, ``1e16``/``1e+16``),
+which ``repr`` does for a nonzero magnitude below 1e-4 or at or above 1e16;
+a row holding such a value is written with ``repr`` instead.
+
+The parser converts the values with ``orjson.loads`` when the body holds only
+the characters of JSON numbers and commas, and otherwise, or when orjson
+refuses the text, with numpy's str-to-float64 cast.  Both round as
+``float()`` does, so the texts accepted and the bits parsed do not depend on
+which path ran.
 """
 
 from __future__ import annotations
@@ -14,8 +26,15 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 __all__ = ["Frame", "FrameError"]
+
+# ``repr`` writes a float in exponent form below and from these magnitudes.
+_REPR_EXPONENT_BELOW = 1e-4
+_REPR_EXPONENT_FROM = 1e16
+# The characters of JSON numbers, and the comma between values.
+_JSON_NUMBER_BYTES = b"0123456789.eE+-,"
 
 
 class FrameError(ValueError):
@@ -65,14 +84,22 @@ class Frame:
         return self.data[:, idx]
 
     def canonical_text(self) -> str:
-        # ``tolist`` yields Python floats, whose ``repr`` is the shortest
-        # round-trip decimal.
-        lines = [",".join(self.columns)]
-        lines.extend(",".join(map(repr, row)) for row in self.data.tolist())
-        return "\n".join(lines)
+        return self.canonical_bytes().decode("utf-8")
 
     def canonical_bytes(self) -> bytes:
-        return self.canonical_text().encode("utf-8")
+        header = ",".join(self.columns).encode("utf-8")
+        if not self.n_rows:
+            return header
+        body = orjson.dumps(self.data, option=orjson.OPT_SERIALIZE_NUMPY)
+        lines = [header, *body[2:-2].split(b"],[")]
+        # Rows where ``repr`` writes an exponent, which orjson spells
+        # differently.  ``tolist`` yields Python floats.
+        magnitude = np.abs(self.data)
+        exponent_form = ((magnitude < _REPR_EXPONENT_BELOW) & (magnitude != 0.0)
+                         | (magnitude >= _REPR_EXPONENT_FROM)).any(axis=1)
+        for i in np.flatnonzero(exponent_form):
+            lines[i + 1] = ",".join(map(repr, self.data[i].tolist())).encode("utf-8")
+        return b"\n".join(lines)
 
     def sha256(self) -> str:
         """SHA-256 of ``canonical_bytes()``, lowercase hex.
@@ -91,9 +118,9 @@ class Frame:
     def from_canonical_text(cls, text: str) -> "Frame":
         """Parse the canonical text form; anything malformed raises ``FrameError``.
 
-        All values are converted in one numpy call, whose str-to-float64 cast
-        accepts and rounds exactly as Python ``float()`` does.  Every row
-        must hold one value per column: a blank line, an empty field or a
+        All values are converted in one call, which accepts and rounds
+        exactly as Python ``float()`` does (see the module docstring).  Every
+        row must hold one value per column: a blank line, an empty field or a
         trailing newline is refused.
         """
         header, newline, body = text.partition("\n")
@@ -107,11 +134,13 @@ class Frame:
             i = next(i for i, line in enumerate(lines) if line.count(",") != commas)
             raise FrameError(f"line {i + 2} has {lines[i].count(',') + 1} values "
                              f"for {len(columns)} columns")
-        try:
-            values = np.array(body.replace("\n", ",").split(",") if lines else [],
-                              dtype=np.float64)
-        except ValueError as exc:
-            raise FrameError(f"unparseable value: {exc}") from None
+        flat = body.replace("\n", ",")
+        values = _json_numbers(flat)
+        if values is None:
+            try:
+                values = np.array(flat.split(",") if lines else [], dtype=np.float64)
+            except ValueError as exc:
+                raise FrameError(f"unparseable value: {exc}") from None
         return cls(columns=columns, data=values.reshape(len(lines), len(columns)))
 
     @classmethod
@@ -137,3 +166,22 @@ class Frame:
         columns = tuple(name for name, _ in named)
         data = np.column_stack([np.asarray(vals, dtype=np.float64) for _, vals in named])
         return cls(columns=columns, data=data)
+
+
+def _json_numbers(flat: str) -> np.ndarray | None:
+    """The comma-separated values of ``flat`` read as JSON numbers, or None.
+
+    None when the text is empty or holds anything but JSON number
+    characters, when orjson refuses it, or when it holds the integer token
+    ``-0``, which JSON reads as +0 and ``float()`` as -0.0.  Every JSON number
+    is a ``float()`` literal and orjson rounds it the same way, so a result
+    is what the per-value parse gives.
+    """
+    if (not flat or not flat.isascii()
+            or flat.encode("ascii").translate(None, _JSON_NUMBER_BYTES)
+            or "-0," in flat or flat.endswith("-0")):
+        return None
+    try:
+        return np.array(orjson.loads("[" + flat + "]"), dtype=np.float64)
+    except orjson.JSONDecodeError:
+        return None

@@ -14,7 +14,7 @@ import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .baselines import (
@@ -446,14 +446,18 @@ def summary_csv_rows(
     return rows
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: Iterable[dict]) -> None:
+    """Write ``rows`` as they come; the first row's keys are the header."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    if not rows:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         path.write_text("", encoding="utf-8")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()), lineterminator="\n")
+        writer = csv.DictWriter(fh, fieldnames=list(first), lineterminator="\n")
         writer.writeheader()
+        writer.writerow(first)
         writer.writerows(rows)
 
 
@@ -495,11 +499,10 @@ def load_instances_dir(out_dir: Path) -> list[ScmInstance]:
     return instances
 
 
-def _record_rows(run: RunResult) -> list[dict]:
-    rows = []
+def _record_rows(run: RunResult) -> Iterator[dict]:
     for r in run.records:
         result = run.decisions[(r.method, r.instance_id)]
-        rows.append({
+        yield {
             "method": r.method,
             "seed": r.instance_id.seed,
             "regime": r.instance_id.regime,
@@ -511,8 +514,7 @@ def _record_rows(run: RunResult) -> list[dict]:
             "utility": _fmt(r.utility),
             "theta": _fmt(r.theta),
             "safe": str(r.safe),
-        })
-    return rows
+        }
 
 
 def _write_certificates(out_dir: Path, run: RunResult) -> int:

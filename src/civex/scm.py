@@ -228,8 +228,14 @@ class BenchmarkSpec:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.moderate_per_family <= 0 or self.adversarial_per_family <= 0:
             raise ValueError("per-family instance counts must be > 0")
-        if self.adversarial_strength <= 0:
-            raise ValueError("adversarial strength must be > 0")
+        if not 0 < self.adversarial_strength < math.inf:
+            raise ValueError("adversarial strength must be finite and > 0")
+        for name, value in (("latent_fraction_moderate", self.latent_fraction_moderate),
+                            ("reversible_fraction", self.reversible_fraction)):
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        if not 0 <= self.action_cost < math.inf:
+            raise ValueError("action_cost must be finite and >= 0")
         if self.n_rows < 2:
             raise ValueError("n_rows must be >= 2")
 

@@ -96,6 +96,8 @@ class VerifierConfig:
             raise ValueError("tau_u and tau_r must not be NaN")
         if self.tau_r < 0:
             raise ValueError("tau_r must be >= 0")
+        if not all(isinstance(tool, str) for tool in self.forbidden_tools):
+            raise ValueError("forbidden_tools must be tool names (strings)")
 
     def to_json_dict(self) -> dict:
         return {

@@ -3,7 +3,8 @@
 These deliberately avoid the library's algorithms: d-separation by exhaustive
 simple-path enumeration, identification by subset scan over that enumeration,
 least squares by solving the normal equations, bootstrap intervals by a
-hand-rolled resampler, canonical-text parsing value by value with ``float``,
+hand-rolled resampler, canonical text written value by value with ``repr`` and parsed
+value by value with ``float``,
 the rank test by Gaussian elimination.  They exist so the fast implementations have something
 slower and dumber to agree with.  ``wilcoxon_rankdata_oracle`` is the
 signed-rank test as it was when it ranked with ``scipy.stats.rankdata``,
@@ -191,6 +192,12 @@ def elimination_rank_ok(xtx: np.ndarray, rtol: float) -> bool:
             return False
         a[i + 1 :, i:] -= np.outer(a[i + 1 :, i] / pivot, a[i, i:])
     return True
+
+
+def per_value_encode(frame: Frame) -> bytes:
+    """Canonical bytes as the format defines them: ``repr`` of each value."""
+    rows = [",".join(repr(float(v)) for v in row) for row in frame.data]
+    return "\n".join([",".join(frame.columns), *rows]).encode("utf-8")
 
 
 def per_value_parse(text: str) -> Frame:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from civex.estimation import provenance_hash
 from civex.frames import Frame, FrameError
 
-from oracles import per_value_parse
+from oracles import per_value_encode, per_value_parse
 
 
 def small_frame() -> Frame:
@@ -30,15 +30,25 @@ class TestCanonicalForm:
         assert "0.3333333333333333" in text
         assert Frame.from_canonical_text(text) == f
 
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
-                    max_size=24))
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=24))
     @example([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1, -1.7e308])
+    # Where ``repr`` starts and stops writing an exponent.
+    @example([float(np.nextafter(1e-4, 0)), 1e-4, 9.99e-05, 1.5e-07,
+              float(np.nextafter(1e16, 0)), 1e16])
+    # Only the second and fourth rows are written with ``repr``.
+    @example([0.5, -2.0, -3e-05, 1.0, 0.0, 123.25, 7.0, 2e16, 1e15, -0.0])
+    @example([])  # no rows
     def test_encoder_matches_per_value_repr(self, values):
         # Reference: the per-value encoding the format is defined by.
         data = np.array(values + [0.0] * (len(values) % 2)).reshape(-1, 2)
         f = Frame(columns=("a", "b"), data=data)
-        rows = [",".join(repr(float(v)) for v in row) for row in f.data]
-        assert f.canonical_bytes() == "\n".join(["a,b", *rows]).encode("utf-8")
+        assert f.canonical_bytes() == per_value_encode(f)
+        assert f.canonical_text() == per_value_encode(f).decode("utf-8")
+
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_encoder_matches_per_value_repr_without_columns(self, n_rows):
+        f = Frame(columns=(), data=np.zeros((n_rows, 0)))
+        assert f.canonical_bytes() == per_value_encode(f) == b"\n" * n_rows
 
     def test_canonical_roundtrip_bytes(self):
         f = small_frame()
@@ -117,6 +127,7 @@ class TestCanonicalParser:
         "a,b\n1,2\n",           # trailing newline
         "a,b\n1,2\n\n3,4",       # blank line
         "a,b\n1,\n3,4",          # empty field
+        "a\n",                  # one column, one empty row
         "a,b\n1,2\n3",
         "a\n1,0",                # a decimal comma is a second value
         "a,b\n1,x",
@@ -124,6 +135,11 @@ class TestCanonicalParser:
         "a,b\n1,nan",
         "a,b\n1,-inf",
         "a,b\n1,1e400",          # overflows to infinity
+        "a,b\ntrue,1",           # JSON literals and arrays are not numbers
+        "a,b\nnull,1",
+        "a,b\n[1],2",
+        "a,b\n1,2e",             # exponent without digits
+        "a,b\n1,\ud800",         # a lone surrogate, which UTF-8 cannot encode
         "a,a\n1,2",
         "",
         "\n1,2",
@@ -141,6 +157,8 @@ class TestCanonicalParser:
         "a,b\n1_0,-0.0",          # underscores and negative zero
         "a,b\n١٢,5e-324",        # non-ASCII digits and the smallest subnormal
         "a,b\n+.5,1E3",
+        "a,b\n12345678901234567890,9007199254740993",  # integers past 2**53
+        "a,b\n-0,1\n2,-0",       # the integer -0 is -0.0, not JSON's +0
     ])
     def test_accepts_what_the_per_value_parser_accepts(self, text):
         expected = per_value_parse(text)

@@ -6,8 +6,9 @@ Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
 clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
 mutated certificate and data file in exit 0, exit 1 or a clean error.  The
-bulk canonical-text parser and the Cholesky rank test agree with the
-per-value parser and the elimination loop they replaced (``oracles``).
+canonical-text encoder and parser and the Cholesky rank test agree with the
+per-value ``repr`` and ``float()`` and the elimination loop they replaced
+(``oracles``).
 """
 
 import copy
@@ -48,7 +49,7 @@ from civex.verifier import (
     verify_certificate,
 )
 
-from oracles import elimination_rank_ok, per_value_parse, random_graph
+from oracles import elimination_rank_ok, per_value_encode, per_value_parse, random_graph
 
 # Derandomized, so that the tier-1 run is reproducible.
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -367,6 +368,27 @@ def test_bulk_parser_agrees_with_per_value_parser(base, edits):
     got = Frame.from_canonical_text(text)
     assert got.columns == expected.columns
     assert got.data.tobytes() == expected.data.tobytes()
+
+
+# Any double's bit pattern, or one whose exponent lies between 2**-14 and
+# 2**54, where ``repr`` switches to and from exponent form (1e-4 and 1e16).
+DOUBLE_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.builds(lambda sign, exponent, mantissa: sign << 63 | exponent << 52 | mantissa,
+              st.integers(0, 1), st.integers(1023 - 14, 1023 + 54), st.integers(0, 2**52 - 1)),
+)
+
+
+@PROPERTY_SETTINGS
+@given(width=st.integers(1, 4), bits=st.lists(DOUBLE_BITS, max_size=48))
+def test_canonical_text_round_trips_random_doubles(width, bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)]
+    data = values[:len(values) // width * width].reshape(-1, width)
+    frame = Frame(columns=("a", "b", "c", "d")[:width], data=data)
+    blob = frame.canonical_bytes()
+    assert blob == per_value_encode(frame)
+    assert Frame.from_canonical_bytes(blob).data.tobytes() == frame.data.tobytes()
 
 
 # --------------------------------------------------------------- rank test

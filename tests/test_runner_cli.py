@@ -351,6 +351,25 @@ class TestConfigSurface:
         assert f"invalid configuration: {name} must be an integer" in result.output
         assert not (tmp_path / "typed").exists()
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("adversarial_strength", float("nan"), "adversarial strength"),
+        ("adversarial_strength", float("inf"), "adversarial strength"),
+        ("action_cost", float("nan"), "action_cost"),
+        ("latent_fraction_moderate", 2.0, "latent_fraction_moderate"),
+        ("reversible_fraction", -1, "reversible_fraction"),
+        ("w_miss", float("nan"), "score weights"),
+        ("c_exp", float("inf"), "score weights"),
+        ("forbidden_tools", [1, 2], "forbidden_tools"),
+    ])
+    def test_value_out_of_range_is_refused(self, tmp_path, key, value, name):
+        # json writes NaN and Infinity, and reads them back.
+        cfg = write_config(tmp_path, "ranged", **{key: value})
+        result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert f"invalid configuration: {name}" in result.output
+        assert not (tmp_path / "ranged").exists()
+
     @pytest.mark.parametrize("document", [[], "run", 3])
     def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):
         path = tmp_path / "config.json"
