@@ -52,6 +52,7 @@ from .scm import (
     CounterbalanceReport,
     ScmInstance,
     build_benchmark,
+    collection_deferred,
     instance_rng,
     instance_sort_key,
     read_instances_jsonl,
@@ -238,6 +239,7 @@ def _score_all(
     return records
 
 
+@collection_deferred()
 def run_benchmark(config: RunConfig) -> RunResult:
     instances, counterbalance = build_benchmark(config.bench)
     diagnostics = {

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from civex.scm import (
     ConfounderSpec,
     ScmSpec,
     build_benchmark,
+    collection_deferred,
     generate_frame,
     instance_from_json_dict,
     instance_rng,
@@ -207,6 +209,35 @@ class TestBuildBenchmark:
     def test_zero_seeds_rejected(self):
         with pytest.raises(ValueError):
             BenchmarkSpec(seeds=())
+
+    def test_generation_ends_with_a_full_collection(self):
+        # The generated objects reach the oldest generation before the
+        # caller's first verdict, so no later call pays a full pass over them.
+        full_before = gc.get_stats()[2]["collections"]
+        build_benchmark(BenchmarkSpec(seeds=(42,), moderate_per_family=1,
+                                      adversarial_per_family=1))
+        assert gc.get_stats()[2]["collections"] > full_before
+        assert gc.get_count()[1:] == (0, 0)
+        assert gc.isenabled()
+
+    def test_deferral_leaves_a_disabled_collector_alone(self):
+        gc.disable()
+        try:
+            full_before = gc.get_stats()[2]["collections"]
+            with collection_deferred():
+                with collection_deferred():
+                    pass
+            assert not gc.isenabled()
+            assert gc.get_stats()[2]["collections"] == full_before
+        finally:
+            gc.enable()
+
+    def test_deferral_restores_the_collector_after_an_error(self):
+        with pytest.raises(RuntimeError):
+            with collection_deferred():
+                assert not gc.isenabled()
+                raise RuntimeError("inside the deferral")
+        assert gc.isenabled()
 
     def test_horizon(self):
         assert BenchmarkSpec().horizon == 1890
