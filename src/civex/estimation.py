@@ -3,17 +3,20 @@
 All estimators are ordinary least squares with the classical homoskedastic
 covariance (the generating process has homoskedastic Gaussian noise, so the
 robust variant is a documented swap point, not a need).  The lower bound is
-Wald-type with a standard normal quantile.
+Wald-type with a standard normal quantile, computed by a port of the
+Cephes Math Library's ``ndtri`` (Stephen L. Moshier), the routine that
+``scipy.special.ndtri`` compiles: same coefficients, same Horner and
+operation order, so the same bits, without importing scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .frames import Frame
 
@@ -41,12 +44,77 @@ class DegenerateRegressorWarning(UserWarning):
     """A zero-variance adjustment column was dropped."""
 
 
+# Cephes ndtri coefficients, highest power first.  P0/Q0 cover the central
+# region |y - 0.5| <= 0.5 - exp(-2); P1/Q1 the tail with x = sqrt(-2 log y)
+# in [2, 8); P2/Q2 the tail with x >= 8.  Cephes evaluates Q0-Q2 with
+# p1evl, which takes their leading 1 as given; 1.0 * x + c is x + c exactly.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+       3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6,
+       6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+       1.37702099489081330271e0, 2.16236993594496635890e-1,
+       1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner's rule, in Cephes' order."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """Inverse of the standard normal CDF for ``0 <= y0 <= 1`` (Cephes)."""
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    upper = y0 > 1.0 - _EXP_M2
+    y = 1.0 - y0 if upper else y0
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _polevl(z, _Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
 @functools.lru_cache(maxsize=64)
 def one_sided_z(alpha: float) -> float:
     """Standard normal quantile for a one-sided 1-alpha bound (memoized)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return float(ndtri(1.0 - alpha))
+    return _ndtri(1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -81,7 +149,7 @@ def _pivot_rank_ok(xtx: np.ndarray) -> bool:
 
 
 def _fits(d: Frame) -> dict:
-    """Successful fits on ``d``, keyed by (kind, set, alpha, treatment, outcome).
+    """Successful fits on ``d``, keyed by the kind and the arguments of the fit.
 
     Kept on the frame, like its digest, because the frame is immutable.  Only
     a fit that raised nothing and dropped no column is kept, so an error is
@@ -157,8 +225,13 @@ def unadjusted_difference(d: Frame, alpha: float = 0.05, *,
     """Difference in arm means with a pooled-variance Wald standard error.
 
     Closed form; algebraically identical to ``adjusted_effect`` with an
-    empty adjustment set.
+    empty adjustment set.  A successful estimate is kept on the frame
+    (``_fits``).
     """
+    key = ("difference", alpha, treatment_col, outcome_col)
+    known = _fits(d).get(key)
+    if known is not None:
+        return known
     t = d.column(treatment_col)
     y = d.column(outcome_col)
     _check_treatment(t)
@@ -172,8 +245,10 @@ def unadjusted_difference(d: Frame, alpha: float = 0.05, *,
     sigma2 = max(rss, 0.0) / (n1 + n0 - 2)
     se = float(np.sqrt(sigma2 * (1.0 / n1 + 1.0 / n0)))
     lcb = delta - one_sided_z(alpha) * se
-    return EffectEstimate(theta_hat=delta, std_err=se, lcb=lcb, alpha=alpha,
-                          n=n1 + n0, adjustment_set=())
+    est = EffectEstimate(theta_hat=delta, std_err=se, lcb=lcb, alpha=alpha,
+                         n=n1 + n0, adjustment_set=())
+    _fits(d)[key] = est
+    return est
 
 
 def frontdoor_effect(d: Frame, mediator_set, alpha: float = 0.05, *,

@@ -114,8 +114,15 @@ class RunConfig:
         if not self.methods:
             raise ValueError("methods must be non-empty")
         for m in self.methods:
+            if not isinstance(m, str):
+                raise ValueError(f"methods must be method ids (strings), got {m!r}")
             if m not in ALL_METHODS and not is_replay_method(m):
                 raise ValueError(f"unknown method '{m}'")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a path (a string), got {self.output_dir!r}")
+        for tag, paths in self.replay.items():
+            if not isinstance(tag, str) or not all(isinstance(p, str) for p in paths):
+                raise ValueError("replay tags and shard paths must be strings")
 
     def resolved_output_dir(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -153,7 +160,8 @@ class RunConfig:
             if isinstance(obj.get(key), str):
                 raise ValueError(f"'{key}' must be a list, not a string")
         replay = obj.get("replay", {})
-        if not isinstance(replay, Mapping) or any(isinstance(p, str) for p in replay.values()):
+        if not isinstance(replay, Mapping) or not all(isinstance(p, (list, tuple))
+                                                      for p in replay.values()):
             raise ValueError("'replay' must map each tag to a list of shard paths")
         bench = BenchmarkSpec.from_json_dict(obj)
         verifier = VerifierConfig.from_json_dict(obj)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from civex.estimation import (
     DegenerateRegressorWarning,
     EstimationError,
+    _ndtri,
     adjusted_effect,
     frontdoor_effect,
     one_sided_z,
@@ -42,6 +43,16 @@ def make_frame(t, y, extra=None) -> Frame:
     if extra:
         named.extend(extra)
     return Frame.from_columns(named)
+
+
+def _ulps_around(x: float, k: int) -> list[float]:
+    """``x`` and the ``k`` doubles on either side of it."""
+    out = [float(x)]
+    lo = hi = float(x)
+    for _ in range(k):
+        lo, hi = float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))
+        out += [lo, hi]
+    return out
 
 
 class TestAdjustedEffect:
@@ -242,11 +253,24 @@ class TestEstimateMemo:
         frame = TestFrontdoorEffect()._frontdoor_frame(n=100)
         assert frontdoor_effect(frame, ["M"]) is frontdoor_effect(frame, ["M"])
 
+    def test_difference_repeat_call_returns_the_identical_estimate(self):
+        frame = fixture_frame()
+        first = unadjusted_difference(frame)
+        assert unadjusted_difference(frame) is first
+        assert unadjusted_difference(frame, alpha=0.1).alpha == 0.1
+        assert unadjusted_difference(frame, outcome_col="x1") is not first
+        # The arm difference and the empty-set OLS fit are kept apart.
+        assert adjusted_effect(frame, []) is not first
+        assert unadjusted_difference(frame) is first
+
     def test_positivity_failure_raises_on_every_call(self):
         frame = make_frame(np.ones(20), np.random.default_rng(0).normal(size=20))
         for _ in range(2):
             with pytest.raises(EstimationError, match="one treatment arm"):
                 adjusted_effect(frame, [])
+        for _ in range(2):
+            with pytest.raises(EstimationError, match="one treatment arm"):
+                unadjusted_difference(frame)
 
     def test_zero_variance_column_warns_on_every_call(self):
         rng = np.random.default_rng(2)
@@ -302,11 +326,40 @@ class TestNormalQuantile:
     @example(alpha=1e-300)
     @example(alpha=5e-324)
     def test_memoized_value_matches_scipy(self, alpha):
-        # Bit for bit: the quantile is `ndtri`, which `stats.norm.ppf` calls.
+        # Bit for bit: `stats.norm.ppf` calls the compiled `ndtri` that `_ndtri` ports.
         from scipy import stats
 
         for _ in range(2):
             assert one_sided_z(alpha) == float(stats.norm.ppf(1.0 - alpha))
+
+    def test_matches_ndtri_on_a_dense_grid(self):
+        # Bit for bit against the compiled Cephes routine, over all three
+        # branches and a few ulps either side of each boundary: the central
+        # region's edges exp(-2) and 1 - exp(-2), the tail split at
+        # x = sqrt(-2 log y) = 8 (y = exp(-32)), and 0.5.
+        from scipy.special import ndtri
+
+        edges = [np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0), 1.0 - np.exp(-32.0), 0.5]
+        near = [x for e in edges for x in _ulps_around(e, 4)]
+        alphas = np.concatenate([
+            np.linspace(0.0, 1.0, 100_001)[1:-1],
+            near,
+            10.0 ** -np.arange(1.0, 320.0),  # 1 - alpha rounds to 1.0 from 1e-17 on
+            1.0 - 10.0 ** -np.arange(1.0, 17.0),
+            [5e-324, 1.0 - 2.0**-53],
+        ])
+        expected = ndtri(1.0 - alphas)
+        got = np.array([one_sided_z(float(a)) for a in alphas])
+        assert np.array_equal(got, expected)
+
+        # The port itself, at arguments `1 - alpha` cannot reach.
+        ys = np.concatenate([
+            near,
+            10.0 ** np.linspace(-323.0, 0.0, 20_001),
+            1.0 - 10.0 ** -np.arange(1.0, 17.0),
+            [0.0, 5e-324, 1.0],
+        ])
+        assert np.array_equal([_ndtri(float(y)) for y in ys], ndtri(ys))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1])
     def test_invalid_alpha_raises_on_every_call(self, alpha):

@@ -379,6 +379,25 @@ class TestConfigSurface:
         assert isinstance(result.exception, SystemExit)
         assert "invalid configuration" in result.output
 
+    @pytest.mark.parametrize("extra, name", [
+        ({"methods": [1]}, "methods"),
+        ({"methods": ["CIVeX", None]}, "methods"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"methods": ["CIVeX", "Replay(x)"], "replay": {"x": [3]}}, "replay"),
+    ])
+    def test_value_of_the_wrong_type_is_refused(self, tmp_path, monkeypatch, extra, name):
+        # A non-string output directory, method id or shard path used to end
+        # in a traceback, after the whole run for output_dir; a shard path of
+        # 3 was opened as file descriptor 3.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, "typed", **extra)
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert f"invalid configuration: {name}" in result.output
+        assert "Traceback" not in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["typed.json"]
+
 
 class TestRunnerApi:
     def test_run_config_validation(self):
