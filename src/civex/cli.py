@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import shutil
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -32,33 +31,38 @@ from .scm import build_benchmark
 from .verifier import certificate_from_json_dict, verify_certificate
 
 
-def _load_config(config_path: str | None, seed_list: str | None,
-                 methods: str | None, n_rows: int | None,
-                 strength: float | None, out: str | None) -> RunConfig:
+def _items(text: str) -> list[str]:
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _seed(text: str) -> int | str:
+    try:
+        return int(text)
+    except ValueError:
+        return text  # the seeds check refuses it by name
+
+
+def _load_config(config_path: str | None, seed_list: str | None, methods: str | None,
+                 n_rows: int | None, strength: float | None, out: str | None) -> RunConfig:
     obj = {}
     if config_path:
         try:
             obj = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise click.ClickException(f"cannot read config {config_path}: {exc}")
+    flags = {
+        "seeds": None if seed_list is None else [_seed(s) for s in _items(seed_list)],
+        "methods": None if methods is None else _items(methods),
+        "n_rows": n_rows,
+        "adversarial_strength": strength,
+        "output_dir": out,
+    }
+    if isinstance(obj, dict):
+        obj.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        config = RunConfig.from_json_dict(obj)
-        if seed_list is not None:
-            seeds = tuple(int(s) for s in seed_list.split(",") if s.strip())
-            config = replace(config, bench=replace(config.bench, seeds=seeds))
-        if n_rows is not None:
-            config = replace(config, bench=replace(config.bench, n_rows=n_rows))
-        if strength is not None:
-            config = replace(config, bench=replace(config.bench,
-                                                   adversarial_strength=strength))
-        if methods is not None:
-            config = replace(config, methods=tuple(m.strip() for m in methods.split(",")
-                                                   if m.strip()))
-        if out is not None:
-            config = replace(config, output_dir=out)
-    except (ValueError, TypeError) as exc:
+        return RunConfig.from_json_dict(obj)
+    except ValueError as exc:
         raise click.ClickException(f"invalid configuration: {exc}")
-    return config
 
 
 def _common_options(fn):

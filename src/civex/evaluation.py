@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .config import NUMBER, check_fields, setting
 from .estimation import EstimationError, unadjusted_difference
 from .scm import InstanceId, ScmInstance
 from .verifier import Decision
@@ -56,16 +57,10 @@ _TERMINAL = (Decision.EXECUTE, Decision.REJECT, Decision.ABSTAIN)
 
 @dataclass(frozen=True)
 class ScoreWeights:
-    w_miss: float = 0.3
-    c_exp: float = 0.05
+    w_miss: float = setting(0.3, NUMBER, "a finite number >= 0", lambda x: 0 <= x < math.inf)
+    c_exp: float = setting(0.05, NUMBER, "a finite number >= 0", lambda x: 0 <= x < math.inf)
 
-    def __post_init__(self) -> None:
-        # Written so that NaN fails too.
-        if not (0 <= self.w_miss < math.inf and 0 <= self.c_exp < math.inf):
-            raise ValueError("score weights must be finite and >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {"w_miss": self.w_miss, "c_exp": self.c_exp}
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from .baselines import (
     make_provider,
     replay_tag,
 )
+from .config import STR, STR_LISTS, STRS, check_fields, distinct, dump, load, setting
 from .evaluation import (
     MethodSummary,
     RegimeDiagnostics,
@@ -101,28 +102,24 @@ MISSPEC_FRACTIONS = (0.0, 0.25, 0.5, 1.0)
 OUTPUT_ROOT_ENV = "CIVEX_OUTPUT_ROOT"
 
 
+def _method_ids(methods: tuple[str, ...]) -> bool:
+    return distinct(methods) and all(m in ALL_METHODS or is_replay_method(m) for m in methods)
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """A run's settings; ``config.table(RunConfig)`` lists its document's rows."""
+
     bench: BenchmarkSpec = field(default_factory=BenchmarkSpec)
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
     weights: ScoreWeights = field(default_factory=ScoreWeights)
-    methods: tuple[str, ...] = DEFAULT_METHODS
-    output_dir: str = "runs/default"
-    replay: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    methods: tuple[str, ...] = setting(DEFAULT_METHODS, STRS,
+                                       "a non-empty list of distinct method ids", _method_ids)
+    output_dir: str = setting("runs/default", STR, "a path (a string)")
+    replay: dict[str, tuple[str, ...]] = setting(
+        {}, STR_LISTS, "an object mapping each tag to a list of shard paths (strings)")
 
-    def __post_init__(self) -> None:
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
-        for m in self.methods:
-            if not isinstance(m, str):
-                raise ValueError(f"methods must be method ids (strings), got {m!r}")
-            if m not in ALL_METHODS and not is_replay_method(m):
-                raise ValueError(f"unknown method '{m}'")
-        if not isinstance(self.output_dir, str):
-            raise ValueError(f"output_dir must be a path (a string), got {self.output_dir!r}")
-        for tag, paths in self.replay.items():
-            if not isinstance(tag, str) or not all(isinstance(p, str) for p in paths):
-                raise ValueError("replay tags and shard paths must be strings")
+    __post_init__ = check_fields
 
     def resolved_output_dir(self) -> Path:
         root = os.environ.get(OUTPUT_ROOT_ENV)
@@ -131,56 +128,8 @@ class RunConfig:
             return Path(root) / path
         return path
 
-    def to_json_dict(self) -> dict:
-        return {
-            **self.bench.to_json_dict(),
-            **self.verifier.to_json_dict(),
-            **self.weights.to_json_dict(),
-            "methods": list(self.methods),
-            "output_dir": self.output_dir,
-            "replay": {tag: list(paths) for tag, paths in self.replay.items()},
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "RunConfig":
-        if not isinstance(obj, Mapping):
-            raise ValueError("a config must be a JSON object")
-        # A misspelled key would silently run with the default, so only keys
-        # that ``to_json_dict`` writes, or that older manifests carry, load.
-        unknown = sorted(str(key) for key in obj if key not in _LOADABLE_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        # Removed switches: ignoring a true one would run another verifier
-        # than the config names.
-        for key in ("cert_only", "obs_assoc_per_instance"):
-            if obj.get(key):
-                raise ValueError(f"'{key}' was removed; only false is accepted")
-        # A bare string would be read character by character.
-        for key in ("seeds", "forbidden_tools", "methods"):
-            if isinstance(obj.get(key), str):
-                raise ValueError(f"'{key}' must be a list, not a string")
-        replay = obj.get("replay", {})
-        if not isinstance(replay, Mapping) or not all(isinstance(p, (list, tuple))
-                                                      for p in replay.values()):
-            raise ValueError("'replay' must map each tag to a list of shard paths")
-        bench = BenchmarkSpec.from_json_dict(obj)
-        verifier = VerifierConfig.from_json_dict(obj)
-        weights = ScoreWeights(w_miss=obj.get("w_miss", 0.3), c_exp=obj.get("c_exp", 0.05))
-        return cls(
-            bench=bench,
-            verifier=verifier,
-            weights=weights,
-            methods=tuple(obj.get("methods", DEFAULT_METHODS)),
-            output_dir=obj.get("output_dir", "runs/default"),
-            replay={tag: tuple(paths) for tag, paths in replay.items()},
-        )
-
-
-# The keys a config may hold: those ``to_json_dict`` writes, and the retired
-# ones that older manifests record ("parallelism" is ignored, and the removed
-# switches load only when false).
-_LOADABLE_KEYS = frozenset(RunConfig().to_json_dict()) | {
-    "parallelism", "cert_only", "obs_assoc_per_instance"}
+    to_json_dict = dump
+    from_json_dict = classmethod(load)
 
 
 def _load_replay_tables(config: RunConfig) -> dict[str, Mapping]:

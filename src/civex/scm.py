@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .config import INT, INTS, NUMBER, check_fields, distinct, setting
 from .frames import Frame
 from .graphs import CausalGraph, graph_from_json_dict, graph_to_json_dict
 
@@ -210,61 +211,26 @@ class ScmInstance:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    seeds: tuple[int, ...] = (42, 43, 44, 45, 46, 47, 48)
-    moderate_per_family: int = 25
-    adversarial_per_family: int = 20
-    n_rows: int = 400
-    adversarial_strength: float = 2.5
-    latent_fraction_moderate: float = 0.40
-    reversible_fraction: float = 0.75
-    action_cost: float = 0.05
+    seeds: tuple[int, ...] = setting((42, 43, 44, 45, 46, 47, 48), INTS,
+                                     "a non-empty list of distinct integers", distinct)
+    moderate_per_family: int = setting(25, INT, "an integer > 0", lambda n: n > 0)
+    adversarial_per_family: int = setting(20, INT, "an integer > 0", lambda n: n > 0)
+    n_rows: int = setting(400, INT, "an integer >= 2", lambda n: n >= 2)
+    adversarial_strength: float = setting(2.5, NUMBER, "a finite number > 0",
+                                          lambda x: 0 < x < math.inf)
+    latent_fraction_moderate: float = setting(0.40, NUMBER, "a number in [0, 1]",
+                                              lambda x: 0 <= x <= 1)
+    reversible_fraction: float = setting(0.75, NUMBER, "a number in [0, 1]",
+                                         lambda x: 0 <= x <= 1)
+    action_cost: float = setting(0.05, NUMBER, "a finite number >= 0",
+                                 lambda x: 0 <= x < math.inf)
 
-    def __post_init__(self) -> None:
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        for name, value in (("n_rows", self.n_rows),
-                            ("moderate_per_family", self.moderate_per_family),
-                            ("adversarial_per_family", self.adversarial_per_family),
-                            *(("seed", seed) for seed in self.seeds)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.moderate_per_family <= 0 or self.adversarial_per_family <= 0:
-            raise ValueError("per-family instance counts must be > 0")
-        if not 0 < self.adversarial_strength < math.inf:
-            raise ValueError("adversarial strength must be finite and > 0")
-        for name, value in (("latent_fraction_moderate", self.latent_fraction_moderate),
-                            ("reversible_fraction", self.reversible_fraction)):
-            if not 0 <= value <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if not 0 <= self.action_cost < math.inf:
-            raise ValueError("action_cost must be finite and >= 0")
-        if self.n_rows < 2:
-            raise ValueError("n_rows must be >= 2")
+    __post_init__ = check_fields
 
     @property
     def horizon(self) -> int:
         per_seed = len(FAMILIES) * (self.moderate_per_family + self.adversarial_per_family)
         return len(self.seeds) * per_seed
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "moderate_per_family": self.moderate_per_family,
-            "adversarial_per_family": self.adversarial_per_family,
-            "n_rows": self.n_rows,
-            "adversarial_strength": self.adversarial_strength,
-            "latent_fraction_moderate": self.latent_fraction_moderate,
-            "reversible_fraction": self.reversible_fraction,
-            "action_cost": self.action_cost,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "BenchmarkSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        kwargs = {k: v for k, v in obj.items() if k in known}
-        if "seeds" in kwargs:
-            kwargs["seeds"] = tuple(kwargs["seeds"])
-        return cls(**kwargs)
 
 
 def instance_rng(seed: int, regime: str, family: str, index: int) -> np.random.Generator:

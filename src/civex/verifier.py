@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
+from .config import NUMBER, STR_SET, check_fields, setting
 from .estimation import (
     EffectEstimate,
     EstimationError,
@@ -84,37 +85,13 @@ class Decision(str, Enum):
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    alpha: float = 0.05
-    tau_u: float = 0.0
-    tau_r: float = 0.5
-    forbidden_tools: frozenset[str] = frozenset()
+    alpha: float = setting(0.05, NUMBER, "a number in (0, 1)", lambda x: 0 < x < 1)
+    tau_u: float = setting(0.0, NUMBER, "a non-NaN number", lambda x: -math.inf <= x <= math.inf)
+    tau_r: float = setting(0.5, NUMBER, "a non-NaN number >= 0", lambda x: x >= 0)
+    forbidden_tools: frozenset[str] = setting(frozenset(), STR_SET,
+                                              "a list of tool names (strings)")
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if math.isnan(self.tau_u) or math.isnan(self.tau_r):
-            raise ValueError("tau_u and tau_r must not be NaN")
-        if self.tau_r < 0:
-            raise ValueError("tau_r must be >= 0")
-        if not all(isinstance(tool, str) for tool in self.forbidden_tools):
-            raise ValueError("forbidden_tools must be tool names (strings)")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "tau_u": self.tau_u,
-            "tau_r": self.tau_r,
-            "forbidden_tools": sorted(self.forbidden_tools),
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "VerifierConfig":
-        return cls(
-            alpha=obj.get("alpha", 0.05),
-            tau_u=obj.get("tau_u", 0.0),
-            tau_r=obj.get("tau_r", 0.5),
-            forbidden_tools=frozenset(obj.get("forbidden_tools", ())),
-        )
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True)

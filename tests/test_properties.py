@@ -5,7 +5,9 @@ linear model over the graph, and action frames, some of them malformed.
 Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
 clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
-mutated certificate and data file in exit 0, exit 1 or a clean error.  The
+mutated certificate and data file in exit 0, exit 1 or a clean error, and
+every mutated config document loads into a config that round-trips or is a
+clean ``invalid configuration`` from ``civex generate``.  The
 canonical-text encoder and parser and the Cholesky rank test agree with the
 per-value ``repr`` and ``float()`` and the elimination loop they replaced
 (``oracles``).
@@ -38,6 +40,7 @@ from civex.graphs import (
     identify,
     validate_graph,
 )
+from civex.runner import RunConfig
 from civex.scm import ActionFrame, BenchmarkSpec, build_benchmark
 from civex.verifier import (
     Decision,
@@ -247,11 +250,12 @@ def _stored_certificate() -> tuple[dict, bytes]:
     raise AssertionError("no instance was certified")
 
 
-def _mutate(doc, path: tuple, kind: str):
-    """``doc`` with the value at ``path`` dropped or swapped; paths that do not
-    exist in ``doc`` (after earlier mutations) leave it unchanged."""
+def _mutate(doc, path: tuple, kind: str, values=SWAPPED_VALUES):
+    """``doc`` with the value at ``path`` dropped or swapped for ``values[kind]``;
+    paths that do not exist in ``doc`` (after earlier mutations) leave it
+    unchanged."""
     if not path:
-        return None if kind == "drop" else copy.deepcopy(SWAPPED_VALUES[kind])
+        return None if kind == "drop" else copy.deepcopy(values[kind])
     parent = doc
     for step in path[:-1]:
         try:
@@ -268,7 +272,7 @@ def _mutate(doc, path: tuple, kind: str):
     if kind == "drop":
         del parent[last]
     else:
-        parent[last] = copy.deepcopy(SWAPPED_VALUES[kind])
+        parent[last] = copy.deepcopy(values[kind])
     return doc
 
 
@@ -321,6 +325,73 @@ def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, r
     else:
         assert ("certificate mismatch:" in result.output
                 or result.output.startswith("Error: cannot parse certificate"))
+
+
+# ------------------------------------------------------------ config documents
+
+# The default document as an older manifest records it, with the retired keys,
+# and with an example in each list so that element paths exist.
+CONFIG_BASE = {**RunConfig().to_json_dict(), "forbidden_tools": ["add_index"],
+               "methods": ["CIVeX", "Replay(demo)"], "replay": {"demo": ["shards/demo.csv"]},
+               "parallelism": 4, "cert_only": False, "obs_assoc_per_instance": False}
+CONFIG_PATHS = (
+    *((key,) for key in CONFIG_BASE),
+    ("seeds", 0), ("forbidden_tools", 0), ("methods", 0), ("replay", "demo"),
+    ("replay", "demo", 0),
+)
+CONFIG_VALUES = {
+    "str": "0.05", "int": 7, "zero": 0, "negative": -1, "fraction": 0.5, "huge": 1e308,
+    "big_int": 10**30, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "true": True,
+    "false": False, "null": None, "object": {"CIVeX": 1}, "empty_list": [],
+    "int_list": [42], "str_list": ["CIVeX"],
+}
+CONFIG_MUTATIONS = st.tuples(st.sampled_from(CONFIG_PATHS),
+                             st.sampled_from(("drop", "misspell", "repeat",
+                                              *sorted(CONFIG_VALUES))))
+
+
+def _mutate_config(doc: dict, path: tuple, kind: str) -> tuple[dict, set[str]]:
+    """``doc`` mutated at ``path``, and the keys a refusal of it may name."""
+    key = path[0]
+    if kind == "misspell":
+        if len(path) == 1 and key in doc:
+            doc[key[:-1]] = doc.pop(key)
+        return doc, {key, key[:-1]}
+    if kind == "repeat":
+        target = doc
+        for step in path:
+            target = target.get(step) if isinstance(target, dict) else None
+        if isinstance(target, list) and target:
+            target.append(copy.deepcopy(target[0]))
+        return doc, {key}
+    return _mutate(doc, path, kind, CONFIG_VALUES), {key}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutations=st.lists(CONFIG_MUTATIONS, max_size=3))
+# A string for a number raised a TypeError that named no key.
+@example(mutations=[(("alpha",), "str")])
+def test_config_document_loads_or_is_refused_cleanly(mutations):
+    doc, named = copy.deepcopy(CONFIG_BASE), set()
+    for path, kind in mutations:
+        doc, keys = _mutate_config(doc, path, kind)
+        named |= keys
+    try:
+        config = RunConfig.from_json_dict(doc)
+    except ValueError as exc:
+        assert any(key in str(exc) for key in named), str(exc)
+        runner = CliRunner()
+        with runner.isolated_filesystem():
+            Path("config.json").write_text(json.dumps(doc), encoding="utf-8")
+            result = runner.invoke(main, ["generate", "--config", "config.json"])
+            assert not Path("runs").exists()
+        assert isinstance(result.exception, SystemExit), repr(result.exception)
+        assert result.output == f"Error: invalid configuration: {exc}\n"
+    else:
+        # As a manifest records the config and a rerun reads it back.
+        again = RunConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+        assert again == config
+        assert again.to_json_dict() == config.to_json_dict()
 
 
 # ------------------------------------------------------- canonical-text parser

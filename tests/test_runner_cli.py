@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from civex.baselines import ALL_METHODS, replay_method
 from civex.evaluation import ScoreWeights
 from civex.cli import main
+from civex.config import RETIRED_KEYS, table
 from civex.frames import Frame
 from civex.runner import (
     RunConfig,
@@ -326,6 +328,15 @@ class TestConfigSurface:
         ("seeds", "42"),
         ("methods", "CIVeX"),
         ("replay", {"demo": "shards/demo.csv"}),
+        # An object used to load as the list of its keys.
+        ("forbidden_tools", {"add_index": 1}),
+        ("seeds", {"42": 1}),
+        ("methods", {"CIVeX": 1}),
+        ("replay", {"demo": {"shards/demo.csv": 1}}),
+        ("forbidden_tools", None),
+        ("seeds", None),
+        ("methods", None),
+        ("replay", {"demo": None}),
     ])
     def test_bare_string_for_a_list_is_refused(self, tmp_path, key, value):
         with pytest.raises(ValueError, match=key):
@@ -336,29 +347,75 @@ class TestConfigSurface:
         assert isinstance(result.exception, SystemExit)
         assert "invalid configuration" in result.output
 
-    @pytest.mark.parametrize("key, value, name", [
-        ("n_rows", 2.5, "n_rows"),
-        ("seeds", [42.5], "seed"),
-        ("moderate_per_family", True, "moderate_per_family"),
-        ("adversarial_per_family", 2.0, "adversarial_per_family"),
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_rows", 2.5, "n_rows must be an integer"),
+        ("seeds", [42.5], "seeds must be a non-empty list of distinct integers"),
+        ("moderate_per_family", True, "moderate_per_family must be an integer"),
+        ("adversarial_per_family", 2.0, "adversarial_per_family must be an integer"),
     ])
     def test_count_or_seed_that_is_not_an_integer_is_refused(self, tmp_path, key, value,
-                                                              name):
+                                                              message):
         cfg = write_config(tmp_path, "typed", **{key: value})
         result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
-        assert f"invalid configuration: {name} must be an integer" in result.output
+        assert f"invalid configuration: {message}" in result.output
         assert not (tmp_path / "typed").exists()
 
+    @pytest.mark.parametrize("key", [
+        "moderate_per_family", "adversarial_per_family", "n_rows", "adversarial_strength",
+        "latent_fraction_moderate", "reversible_fraction", "action_cost", "alpha", "tau_u",
+        "tau_r", "w_miss", "c_exp",
+    ])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_for_a_number_is_refused(self, tmp_path, key, value):
+        # JSON true loads as Python's True, which is the integer 1: "tau_u": true
+        # used to gate on a utility threshold of 1 and write true to the manifest.
+        cfg = write_config(tmp_path, "typed", **{key: value})
+        result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert f"invalid configuration: {key} must be" in result.output
+        assert not (tmp_path / "typed").exists()
+
+    @pytest.mark.parametrize("extra, flags, key", [
+        ({"seeds": [42, 42]}, [], "seeds"),
+        ({"methods": ["CIVeX", "CIVeX"]}, [], "methods"),
+        ({}, ["--seed-list", "42,42"], "seeds"),
+        ({}, ["--methods", "CIVeX,CIVeX"], "methods"),
+    ])
+    def test_repeated_seed_or_method_is_refused(self, tmp_path, extra, flags, key):
+        # A repeated seed ran and counted its instances twice; a repeated
+        # method wrote each of its summary rows twice.
+        cfg = write_config(tmp_path, "twice", **extra)
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg), *flags])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert f"invalid configuration: {key} must be" in result.output
+        assert not (tmp_path / "twice").exists()
+
+    def test_readme_lists_the_config_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("A config document is one flat JSON object"):]
+        start = section.index("```json") + len("```json")
+        block = json.loads(section[start:section.index("```", start)])
+        rows = table(RunConfig)
+        assert list(block) == [row.key for row in rows]
+        for row in rows:
+            if row.key not in ("methods", "replay"):  # the two examples
+                assert block[row.key] == row.kind.write(row.default), row.key
+        RunConfig.from_json_dict(block)
+        retired = re.search(r"retired keys[^.]*\.", section).group(0)
+        assert sorted(re.findall(r"`(\w+)`", retired)) == sorted(RETIRED_KEYS)
+
     @pytest.mark.parametrize("key, value, name", [
-        ("adversarial_strength", float("nan"), "adversarial strength"),
-        ("adversarial_strength", float("inf"), "adversarial strength"),
+        ("adversarial_strength", float("nan"), "adversarial_strength"),
+        ("adversarial_strength", float("inf"), "adversarial_strength"),
         ("action_cost", float("nan"), "action_cost"),
         ("latent_fraction_moderate", 2.0, "latent_fraction_moderate"),
         ("reversible_fraction", -1, "reversible_fraction"),
-        ("w_miss", float("nan"), "score weights"),
-        ("c_exp", float("inf"), "score weights"),
+        ("w_miss", float("nan"), "w_miss"),
+        ("c_exp", float("inf"), "c_exp"),
         ("forbidden_tools", [1, 2], "forbidden_tools"),
     ])
     def test_value_out_of_range_is_refused(self, tmp_path, key, value, name):
@@ -403,7 +460,7 @@ class TestRunnerApi:
     def test_run_config_validation(self):
         with pytest.raises(ValueError, match="methods"):
             RunConfig(methods=())
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match="methods must be .* distinct method ids"):
             RunConfig(methods=("NotAMethod",))
 
     def test_env_var_output_root(self, tmp_path, monkeypatch):
