@@ -10,11 +10,13 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from .baselines import load_replay_shard
+from .frames import FrameError
 from .runner import (
     SWEEP_METHODS,
     RunConfig,
@@ -65,6 +67,20 @@ def _load_config(config_path: str | None, seed_list: str | None, methods: str | 
         raise click.ClickException(f"invalid configuration: {exc}")
 
 
+@contextmanager
+def _generating(config: RunConfig):
+    """Report a strength whose generated data overflows to infinity as a
+    config error; the config check bounds every other setting."""
+    try:
+        yield
+    except FrameError as exc:
+        raise click.ClickException(
+            f"invalid configuration: adversarial_strength "
+            f"{config.bench.adversarial_strength!r} generates data that is not "
+            f"finite ({exc})"
+        ) from None
+
+
 def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="JSON config document.")(fn)
@@ -88,7 +104,8 @@ def generate(config_path, seed_list, methods, n_rows, strength, out) -> None:
     """Write instance files (one JSON-lines file per seed and regime)."""
     config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
     out_dir = config.resolved_output_dir()
-    instances, counterbalance = build_benchmark(config.bench)
+    with _generating(config):
+        instances, counterbalance = build_benchmark(config.bench)
     paths = write_generated_instances(out_dir, instances, counterbalance)
     click.echo(f"wrote {len(instances)} instances across {len(paths)} files to {out_dir}")
 
@@ -99,7 +116,8 @@ def run(config_path, seed_list, methods, n_rows, strength, out) -> None:
     """Evaluate the configured methods and write summaries, records, and
     certificates.  Exits non-zero if the verifier falsely executed anything."""
     config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
-    result = run_benchmark(config)
+    with _generating(config):
+        result = run_benchmark(config)
     manifest = write_run_outputs(result)
     out_dir = config.resolved_output_dir()
     click.echo(f"evaluated {len(config.methods)} methods on {len(result.instances)} "
@@ -118,14 +136,14 @@ def sweep(kind, config_path, seed_list, methods, n_rows, strength, out) -> None:
     """Run one sensitivity sweep and write its table."""
     config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
     out_dir = config.resolved_output_dir()
-    out_dir.mkdir(parents=True, exist_ok=True)
     sweep_methods = config.methods if methods is not None else SWEEP_METHODS
     if kind == "strength":
         rows = run_strength_sweep(config, methods=sweep_methods)
     elif kind == "misspec":
         rows = run_misspec_sweep(config, methods=sweep_methods)
     else:
-        result = run_benchmark(config)
+        with _generating(config):
+            result = run_benchmark(config)
         write_run_outputs(result)
         rows = run_weight_sweep(result)
     path = write_sweep_csv(out_dir, kind, rows)

@@ -128,11 +128,11 @@ class EffectEstimate:
 
 
 def _check_treatment(t: np.ndarray) -> None:
-    treated = t == 1.0
-    control = t == 0.0
-    if not np.all(treated | control):
+    n_treated = np.count_nonzero(t == 1.0)
+    n_control = np.count_nonzero(t == 0.0)
+    if n_treated + n_control != t.size:
         raise EstimationError("treatment column must be binary 0/1")
-    if treated.all() or control.all():
+    if not n_treated or not n_control:
         raise EstimationError("positivity violation: only one treatment arm present")
 
 
@@ -140,12 +140,12 @@ def _pivot_rank_ok(xtx: np.ndarray) -> bool:
     # The pivots of Gaussian elimination without pivoting on the (tiny)
     # normal matrix are the squared diagonal of its Cholesky factor; a
     # failed factorization means a pivot at or below zero.
-    tol = _PIVOT_RTOL * float(np.max(np.diag(xtx)))
+    tol = _PIVOT_RTOL * float(xtx.diagonal().max())
     try:
         chol = np.linalg.cholesky(xtx)
     except np.linalg.LinAlgError:
         return False
-    return bool(np.all(np.diag(chol) ** 2 > tol))
+    return bool((chol.diagonal() ** 2 > tol).all())
 
 
 def _fits(d: Frame) -> dict:
@@ -158,6 +158,15 @@ def _fits(d: Frame) -> dict:
     return d.__dict__.setdefault("_fits", {})
 
 
+def _design(n: int, *cols: np.ndarray) -> np.ndarray:
+    """The C-ordered design [1, *cols] that ``np.column_stack`` would build."""
+    design = np.empty((n, 1 + len(cols)))
+    design[:, 0] = 1.0
+    for j, col in enumerate(cols, 1):
+        design[:, j] = col
+    return design
+
+
 def _ols_theta(y: np.ndarray, design: np.ndarray, coef_index: int, alpha: float,
                n: int, adjustment_set: tuple[str, ...]) -> EffectEstimate:
     xtx = design.T @ design
@@ -167,9 +176,9 @@ def _ols_theta(y: np.ndarray, design: np.ndarray, coef_index: int, alpha: float,
     resid = y - design @ beta
     dof = n - design.shape[1]
     sigma2 = max(float(resid @ resid), 0.0) / dof
-    cov = sigma2 * np.linalg.inv(xtx)
-    var = max(float(cov[coef_index, coef_index]), 0.0)
-    se = float(np.sqrt(var))
+    # Only one entry of the covariance sigma2 * inv(X'X) is needed.
+    var = max(sigma2 * float(np.linalg.inv(xtx)[coef_index, coef_index]), 0.0)
+    se = math.sqrt(var)
     theta = float(beta[coef_index])
     lcb = theta - one_sided_z(alpha) * se
     return EffectEstimate(theta_hat=theta, std_err=se, lcb=lcb, alpha=alpha,
@@ -197,7 +206,7 @@ def adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
     cols: list[np.ndarray] = []
     for name in requested:
         col = d.column(name)
-        if float(np.var(col)) <= _ZERO_VARIANCE_ATOL:
+        if float(col.var()) <= _ZERO_VARIANCE_ATOL:
             warnings.warn(
                 f"dropping zero-variance adjustment column '{name}'",
                 DegenerateRegressorWarning,
@@ -211,7 +220,7 @@ def adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
         raise EstimationError(
             f"need more than {len(used) + 2} rows to adjust for {len(used)} covariates"
         )
-    design = np.column_stack([np.ones(n), t, *cols])
+    design = _design(n, t, *cols)
     est = _ols_theta(y, design, coef_index=1, alpha=alpha, n=n,
                      adjustment_set=tuple(used))
     if len(used) == len(requested):
@@ -274,8 +283,8 @@ def frontdoor_effect(d: Frame, mediator_set, alpha: float = 0.05, *,
     n = d.n_rows
     if n <= 4:
         raise EstimationError("too few rows for the two-stage frontdoor fit")
-    stage1 = _ols_theta(m, np.column_stack([np.ones(n), t]), 1, alpha, n, ())
-    stage2 = _ols_theta(y, np.column_stack([np.ones(n), m, t]), 1, alpha, n, ())
+    stage1 = _ols_theta(m, _design(n, t), 1, alpha, n, ())
+    stage2 = _ols_theta(y, _design(n, m, t), 1, alpha, n, ())
     a, b = stage1.theta_hat, stage2.theta_hat
     var = b * b * stage1.std_err**2 + a * a * stage2.std_err**2
     se = float(np.sqrt(max(var, 0.0)))

@@ -11,17 +11,23 @@ exponent (``0.00001``/``1e-05``, ``1.5e-7``/``1.5e-07``, ``1e16``/``1e+16``),
 which ``repr`` does for a nonzero magnitude below 1e-4 or at or above 1e16;
 a row holding such a value is written with ``repr`` instead.
 
-The parser converts the values with ``orjson.loads`` when the body holds only
-the characters of JSON numbers and commas, and otherwise, or when orjson
-refuses the text, with numpy's str-to-float64 cast.  Both round as
-``float()`` does, so the texts accepted and the bits parsed do not depend on
-which path ran.
+The parser works on the bytes.  It checks that they are UTF-8 only when
+they are not all ASCII, and it decodes only the header, plus the body on the
+numpy path below.  One ``translate`` deletes the characters of numbers from
+the body.  A body of number rows then leaves exactly its separators, ``k - 1``
+commas per row and a newline between rows, so one comparison checks every
+row's value count and the character set.  Such a body is converted with one
+``orjson.loads`` call.  Any other body (whitespace, ``nan``, non-ASCII
+digits, a ragged row), or one that orjson refuses or that holds the integer
+``-0``, takes numpy's str-to-float64 cast.  Only on that path does a
+per-line scan run, to name the first row with the wrong number of values.
+orjson and numpy both round as ``float()`` does, so the texts accepted and
+the bits parsed do not depend on which path ran.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -40,8 +46,8 @@ orjson.loads("[0]")
 # ``repr`` writes a float in exponent form below and from these magnitudes.
 _REPR_EXPONENT_BELOW = 1e-4
 _REPR_EXPONENT_FROM = 1e16
-# The characters of JSON numbers, and the comma between values.
-_JSON_NUMBER_BYTES = b"0123456789.eE+-,"
+# The characters of JSON numbers.
+_NUMBER_BYTES = b"0123456789.eE+-"
 
 
 class FrameError(ValueError):
@@ -97,16 +103,21 @@ class Frame:
         header = ",".join(self.columns).encode("utf-8")
         if not self.n_rows:
             return header
-        body = orjson.dumps(self.data, option=orjson.OPT_SERIALIZE_NUMPY)
-        lines = [header, *body[2:-2].split(b"],[")]
+        rows = orjson.dumps(self.data, option=orjson.OPT_SERIALIZE_NUMPY).split(b"],[")
+        rows[0] = rows[0][2:]
+        rows[-1] = rows[-1][:-2]
         # Rows where ``repr`` writes an exponent, which orjson spells
-        # differently.  ``tolist`` yields Python floats.
+        # differently.  Most frames have none, which the magnitudes show
+        # without a row mask.  ``tolist`` yields Python floats.
         magnitude = np.abs(self.data)
-        exponent_form = ((magnitude < _REPR_EXPONENT_BELOW) & (magnitude != 0.0)
-                         | (magnitude >= _REPR_EXPONENT_FROM)).any(axis=1)
-        for i in np.flatnonzero(exponent_form):
-            lines[i + 1] = ",".join(map(repr, self.data[i].tolist())).encode("utf-8")
-        return b"\n".join(lines)
+        if (magnitude.max(initial=0.0) >= _REPR_EXPONENT_FROM
+                or magnitude[magnitude < _REPR_EXPONENT_BELOW].any()):
+            exponent_form = ((magnitude < _REPR_EXPONENT_BELOW) & (magnitude != 0.0)
+                             | (magnitude >= _REPR_EXPONENT_FROM)).any(axis=1)
+            for i in np.flatnonzero(exponent_form):
+                rows[i] = ",".join(map(repr, self.data[i].tolist())).encode("utf-8")
+        rows.insert(0, header)
+        return b"\n".join(rows)
 
     def sha256(self) -> str:
         """SHA-256 of ``canonical_bytes()``, lowercase hex.
@@ -123,40 +134,61 @@ class Frame:
 
     @classmethod
     def from_canonical_text(cls, text: str) -> "Frame":
-        """Parse the canonical text form; anything malformed raises ``FrameError``.
+        """Parse the canonical text form (see ``from_canonical_bytes``)."""
+        try:
+            blob = text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FrameError(f"text cannot be encoded as UTF-8: {exc}") from None
+        return cls.from_canonical_bytes(blob)
+
+    @classmethod
+    def from_canonical_bytes(cls, blob: bytes) -> "Frame":
+        """Parse the canonical bytes; anything malformed raises ``FrameError``.
 
         All values are converted in one call, which accepts and rounds
         exactly as Python ``float()`` does (see the module docstring).  Every
         row must hold one value per column: a blank line, an empty field or a
         trailing newline is refused.
         """
-        header, newline, body = text.partition("\n")
+        if not blob.isascii():
+            try:
+                blob.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FrameError(f"data is not UTF-8: {exc}") from None
+        header, newline, body = blob.partition(b"\n")
         if not header:
             raise FrameError("empty canonical text")
-        columns = tuple(header.split(","))
-        lines = body.split("\n") if newline else []
-        commas = len(columns) - 1
-        # Counted per line: a flat count would take "1,2,3\n4" for two rows of two.
-        if set(map(str.count, lines, itertools.repeat(","))) - {commas}:
-            i = next(i for i, line in enumerate(lines) if line.count(",") != commas)
-            raise FrameError(f"line {i + 2} has {lines[i].count(',') + 1} values "
-                             f"for {len(columns)} columns")
-        flat = body.replace("\n", ",")
-        values = _json_numbers(flat)
+        columns = tuple(header.decode("utf-8").split(","))
+        commas = b"," * (len(columns) - 1)
+        # A flat comma count would take "1,2,3\n4" for two rows of two; the
+        # separator pattern holds each row's commas in place.
+        separators = body.translate(None, _NUMBER_BYTES)
+        n_rows, uneven = divmod(len(separators) + 1, len(columns))
+        values = None
+        if (newline and not uneven
+                and separators == (commas + b"\n") * (n_rows - 1) + commas):
+            flat = body.replace(b"\n", b",")
+            # Every JSON number is a ``float()`` literal, and orjson rounds it
+            # the same way; but JSON reads the integer ``-0`` as +0, not -0.0.
+            if flat and b"-0," not in flat and not flat.endswith(b"-0"):
+                try:
+                    values = np.array(orjson.loads(b"[" + flat + b"]"), dtype=np.float64)
+                except orjson.JSONDecodeError:
+                    pass
+        else:
+            lines = body.split(b"\n") if newline else []
+            for i, line in enumerate(lines):
+                if line.count(b",") != len(commas):
+                    raise FrameError(f"line {i + 2} has {line.count(b',') + 1} values "
+                                     f"for {len(columns)} columns")
+            n_rows = len(lines)
         if values is None:
+            flat = body.decode("utf-8").replace("\n", ",")
             try:
-                values = np.array(flat.split(",") if lines else [], dtype=np.float64)
+                values = np.array(flat.split(",") if newline else [], dtype=np.float64)
             except ValueError as exc:
                 raise FrameError(f"unparseable value: {exc}") from None
-        return cls(columns=columns, data=values.reshape(len(lines), len(columns)))
-
-    @classmethod
-    def from_canonical_bytes(cls, blob: bytes) -> "Frame":
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FrameError(f"data is not UTF-8: {exc}") from None
-        return cls.from_canonical_text(text)
+        return cls(columns=columns, data=values.reshape(n_rows, len(columns)))
 
     def to_json_obj(self) -> dict:
         return {"columns": list(self.columns), "rows": self.data.tolist()}
@@ -174,21 +206,3 @@ class Frame:
         data = np.column_stack([np.asarray(vals, dtype=np.float64) for _, vals in named])
         return cls(columns=columns, data=data)
 
-
-def _json_numbers(flat: str) -> np.ndarray | None:
-    """The comma-separated values of ``flat`` read as JSON numbers, or None.
-
-    None when the text is empty or holds anything but JSON number
-    characters, when orjson refuses it, or when it holds the integer token
-    ``-0``, which JSON reads as +0 and ``float()`` as -0.0.  Every JSON number
-    is a ``float()`` literal and orjson rounds it the same way, so a result
-    is what the per-value parse gives.
-    """
-    if (not flat or not flat.isascii()
-            or flat.encode("ascii").translate(None, _JSON_NUMBER_BYTES)
-            or "-0," in flat or flat.endswith("-0")):
-        return None
-    try:
-        return np.array(orjson.loads("[" + flat + "]"), dtype=np.float64)
-    except orjson.JSONDecodeError:
-        return None

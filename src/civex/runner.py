@@ -405,8 +405,8 @@ def summary_csv_rows(
     return rows
 
 
-def _write_csv(path: Path, rows: Iterable[dict]) -> None:
-    """Write ``rows`` as they come; the first row's keys are the header."""
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` as they come; no rows, no header."""
     path.parent.mkdir(parents=True, exist_ok=True)
     rows = iter(rows)
     first = next(rows, None)
@@ -414,10 +414,15 @@ def _write_csv(path: Path, rows: Iterable[dict]) -> None:
         path.write_text("", encoding="utf-8")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(first), lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         writer.writerow(first)
         writer.writerows(rows)
+
+
+def _write_dict_csv(path: Path, rows: Sequence[dict]) -> None:
+    """Write ``rows``, which share their keys; the first row's keys are the header."""
+    _write_csv(path, list(rows[0]) if rows else [], map(dict.values, rows))
 
 
 def write_generated_instances(out_dir: Path, instances: Sequence[ScmInstance],
@@ -432,7 +437,7 @@ def write_generated_instances(out_dir: Path, instances: Sequence[ScmInstance],
         path = out_dir / f"instances_s{seed}_{regime}.jsonl"
         write_instances_jsonl(path, group)
         paths.append(path)
-    _write_csv(out_dir / "counterbalance.csv", _counterbalance_rows(counterbalance))
+    _write_dict_csv(out_dir / "counterbalance.csv", _counterbalance_rows(counterbalance))
     return paths
 
 
@@ -458,29 +463,26 @@ def load_instances_dir(out_dir: Path) -> list[ScmInstance]:
     return instances
 
 
-def _record_rows(run: RunResult) -> Iterator[dict]:
+_RECORD_HEADER = ("method", "seed", "regime", "family", "index", "stage1", "decision",
+                  "outcome", "utility", "theta", "safe")
+
+
+def _record_rows(run: RunResult) -> Iterator[tuple]:
+    """One row per (method, instance), in ``_RECORD_HEADER``'s order."""
     for r in run.records:
-        result = run.decisions[(r.method, r.instance_id)]
-        yield {
-            "method": r.method,
-            "seed": r.instance_id.seed,
-            "regime": r.instance_id.regime,
-            "family": r.instance_id.family,
-            "index": r.instance_id.index,
-            "stage1": result.stage1.decision.value,
-            "decision": r.decision.value,
-            "outcome": r.outcome,
-            "utility": _fmt(r.utility),
-            "theta": _fmt(r.theta),
-            "safe": str(r.safe),
-        }
+        inst_id = r.instance_id
+        yield (r.method, inst_id.seed, inst_id.regime, inst_id.family, inst_id.index,
+               run.decisions[(r.method, inst_id)].stage1.decision.value, r.decision.value,
+               r.outcome, _fmt(r.utility), _fmt(r.theta), str(r.safe))
 
 
 def _write_certificates(out_dir: Path, run: RunResult) -> int:
     """Write each certificate with a copy of the data it certifies.
 
     Methods that certify the same (instance, stage) share one data frame, so
-    each frame is serialized once and its bytes go to every method's copy.
+    each frame is serialized once and its bytes go to every method's copy;
+    their certificates are often equal too, and each distinct one is encoded
+    once.
     """
     by_id = {inst.id: inst for inst in run.instances}
     by_frame: dict[tuple[object, int], list[tuple[str, Certificate]]] = {}
@@ -488,18 +490,23 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
         cert = result.terminal.certificate
         if cert is not None:
             by_frame.setdefault((inst_id, len(result.trace)), []).append((method, cert))
+    cert_root = out_dir / "certificates"
+    for method in {method for certs in by_frame.values() for method, _ in certs}:
+        (cert_root / method).mkdir(parents=True, exist_ok=True)
     for (inst_id, stage), certs in by_frame.items():
         inst = by_id[inst_id]
         data = (inst.experimental if stage == 2 else inst.observational).canonical_bytes()
         stem = str(inst_id)
+        # Keyed by ``repr``, which tells -0.0 from 0.0 where ``==`` does not.
+        encoded: dict[str, str] = {}
         for method, cert in certs:
-            cert_dir = out_dir / "certificates" / method
-            cert_dir.mkdir(parents=True, exist_ok=True)
-            (cert_dir / f"{stem}.cert.json").write_text(
-                json.dumps(certificate_to_json_dict(cert), sort_keys=True, indent=1),
-                encoding="utf-8",
-            )
-            (cert_dir / f"{stem}.data.txt").write_bytes(data)
+            key = repr(cert)
+            text = encoded.get(key)
+            if text is None:
+                text = json.dumps(certificate_to_json_dict(cert), sort_keys=True, indent=1)
+                encoded[key] = text
+            (cert_root / method / f"{stem}.cert.json").write_text(text, encoding="utf-8")
+            (cert_root / method / f"{stem}.data.txt").write_bytes(data)
     return sum(len(certs) for certs in by_frame.values())
 
 
@@ -538,11 +545,11 @@ def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
         regime_summaries = [run.summaries[(m, regime)] for m in run.config.methods
                             if (m, regime) in run.summaries]
         regime_summaries.sort(key=lambda s: -s.mean_utility)
-        _write_csv(out / f"summary_{regime}.csv",
-                   summary_csv_rows(regime_summaries, run.replay_coverage))
-    _write_csv(out / "records.csv", _record_rows(run))
-    _write_csv(out / "counterbalance.csv", _counterbalance_rows(run.counterbalance))
-    _write_csv(out / "pairwise_wilcoxon.csv", _pairwise_rows(run))
+        _write_dict_csv(out / f"summary_{regime}.csv",
+                        summary_csv_rows(regime_summaries, run.replay_coverage))
+    _write_csv(out / "records.csv", _RECORD_HEADER, _record_rows(run))
+    _write_dict_csv(out / "counterbalance.csv", _counterbalance_rows(run.counterbalance))
+    _write_dict_csv(out / "pairwise_wilcoxon.csv", _pairwise_rows(run))
     n_certs = _write_certificates(out, run)
     civex_false = run.false_executions(CIVEX) if CIVEX in run.config.methods else None
     manifest = {
@@ -582,7 +589,7 @@ def write_sweep_csv(out_dir: Path, kind: str, rows: Sequence[SweepRow]) -> Path:
         })
         csv_rows.append(d)
     path = out_dir / f"sweep_{kind}.csv"
-    _write_csv(path, csv_rows)
+    _write_dict_csv(path, csv_rows)
     return path
 
 

@@ -5,7 +5,10 @@ simple-path enumeration, identification by subset scan over that enumeration,
 least squares by solving the normal equations, bootstrap intervals by a
 hand-rolled resampler, canonical text written value by value with ``repr`` and parsed
 value by value with ``float``,
-the rank test by Gaussian elimination.  They exist so the fast implementations have something
+the rank test by Gaussian elimination.  ``line_parse`` and
+``reference_adjusted_effect`` are the canonical parser and the backdoor OLS
+fit as they were before their passes and copies were cut; the library must
+refuse with their messages and fit to their bits.  They exist so the fast implementations have something
 slower and dumber to agree with.  ``wilcoxon_rankdata_oracle`` is the
 signed-rank test as it was when it ranked with ``scipy.stats.rankdata``,
 which the library no longer imports.
@@ -14,11 +17,19 @@ which the library no longer imports.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
+import orjson
 from scipy.stats import rankdata
 
-from civex.frames import Frame
+from civex.estimation import (
+    DegenerateRegressorWarning,
+    EffectEstimate,
+    EstimationError,
+    one_sided_z,
+)
+from civex.frames import Frame, FrameError
 from civex.graphs import CausalGraph, IdentificationKind
 
 
@@ -213,6 +224,90 @@ def per_value_parse(text: str) -> Frame:
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     data = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
     return Frame(columns=columns, data=data)
+
+
+def line_parse(blob: bytes) -> Frame:
+    """The canonical parser that split the text into lines and counted each.
+
+    Decodes the whole text, checks each line's comma count, then converts
+    the values with orjson when they are all JSON number characters (and no
+    ``-0`` token) and with numpy's str-to-float64 cast otherwise.
+    """
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FrameError(f"data is not UTF-8: {exc}") from None
+    header, newline, body = text.partition("\n")
+    if not header:
+        raise FrameError("empty canonical text")
+    columns = tuple(header.split(","))
+    lines = body.split("\n") if newline else []
+    commas = len(columns) - 1
+    if set(map(str.count, lines, itertools.repeat(","))) - {commas}:
+        i = next(i for i, line in enumerate(lines) if line.count(",") != commas)
+        raise FrameError(f"line {i + 2} has {lines[i].count(',') + 1} values "
+                         f"for {len(columns)} columns")
+    flat = body.replace("\n", ",")
+    values = None
+    if (flat and flat.isascii()
+            and not flat.encode("ascii").translate(None, b"0123456789.eE+-,")
+            and "-0," not in flat and not flat.endswith("-0")):
+        try:
+            values = np.array(orjson.loads("[" + flat + "]"), dtype=np.float64)
+        except orjson.JSONDecodeError:
+            pass
+    if values is None:
+        try:
+            values = np.array(flat.split(",") if lines else [], dtype=np.float64)
+        except ValueError as exc:
+            raise FrameError(f"unparseable value: {exc}") from None
+    return Frame(columns=columns, data=values.reshape(len(lines), len(columns)))
+
+
+def reference_adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
+                              treatment_col: str = "T",
+                              outcome_col: str = "Y") -> EffectEstimate:
+    """The backdoor OLS fit built with ``column_stack``, ``np.var``,
+    ``np.all`` and the whole scaled covariance matrix, never memoized."""
+    t = d.column(treatment_col)
+    y = d.column(outcome_col)
+    treated = t == 1.0
+    control = t == 0.0
+    if not np.all(treated | control):
+        raise EstimationError("treatment column must be binary 0/1")
+    if treated.all() or control.all():
+        raise EstimationError("positivity violation: only one treatment arm present")
+    used, cols = [], []
+    for name in adjustment_set:
+        col = d.column(name)
+        if float(np.var(col)) <= 1e-24:
+            warnings.warn(f"dropping zero-variance adjustment column '{name}'",
+                          DegenerateRegressorWarning, stacklevel=2)
+            continue
+        used.append(name)
+        cols.append(col)
+    n = d.n_rows
+    if n <= len(used) + 2:
+        raise EstimationError(
+            f"need more than {len(used) + 2} rows to adjust for {len(used)} covariates"
+        )
+    design = np.column_stack([np.ones(n), t, *cols])
+    xtx = design.T @ design
+    tol = 1e-10 * float(np.max(np.diag(xtx)))
+    try:
+        chol = np.linalg.cholesky(xtx)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or not np.all(np.diag(chol) ** 2 > tol):
+        raise EstimationError("singular design matrix")
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    sigma2 = max(float(resid @ resid), 0.0) / (n - design.shape[1])
+    cov = sigma2 * np.linalg.inv(xtx)
+    se = float(np.sqrt(max(float(cov[1, 1]), 0.0)))
+    theta = float(beta[1])
+    return EffectEstimate(theta_hat=theta, std_err=se, lcb=theta - one_sided_z(alpha) * se,
+                          alpha=alpha, n=n, adjustment_set=tuple(used))
 
 
 def bootstrap_oracle(values, n_resamples, seed):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +16,10 @@ from civex.estimation import (
     unadjusted_difference,
 )
 from civex.frames import Frame
+from civex.graphs import identify
+from civex.scm import BenchmarkSpec, build_benchmark
 
-from oracles import normal_equations_ols
+from oracles import normal_equations_ols, reference_adjusted_effect
 
 # Eight fixed rows (T, Y, x1, x2); expected values frozen from the
 # normal-equations oracle below.
@@ -154,6 +158,61 @@ class TestAdjustedEffect:
             beta, se = normal_equations_ols(design, y)
             assert est.theta_hat == pytest.approx(beta[1], abs=1e-8)
             assert est.std_err == pytest.approx(se[1], abs=1e-8)
+
+
+def _fit_outcome(fit, frame, adjustment_set):
+    """What a fit returns or raises, and the warnings it gives, as text."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = repr(fit(frame, adjustment_set))
+        except EstimationError as exc:
+            outcome = f"EstimationError: {exc}"
+    return outcome, [(w.category, str(w.message)) for w in caught]
+
+
+class TestAgainstReferenceFit:
+    """The same bits as the fit built with ``column_stack``, ``np.var``,
+    ``np.all`` and the whole scaled covariance matrix."""
+
+    def test_every_frame_of_a_default_seed(self):
+        instances, _ = build_benchmark(BenchmarkSpec(seeds=(42,)))
+        fits = 0
+        for inst in instances:
+            covariates = tuple(inst.observational.columns[2:])
+            proof_set = identify(inst.graph).adjustment_set
+            for frame in (inst.observational, inst.experimental):
+                for adjustment_set in {(), covariates, proof_set}:
+                    got = _fit_outcome(adjusted_effect, frame, adjustment_set)
+                    assert got == _fit_outcome(reference_adjusted_effect, frame,
+                                               adjustment_set)
+                    fits += 1
+        assert fits > 2 * len(instances)
+
+    @pytest.mark.parametrize("case", ["zero_variance", "singular", "one_arm",
+                                      "non_binary", "too_few_rows"])
+    def test_edge_cases(self, case):
+        rng = np.random.default_rng(7)
+        t = np.array([1.0, 0.0] * 20)
+        x = rng.normal(size=40)
+        extra = [("x", x), ("flat", np.full(40, 3.0)), ("twin", x.copy())]
+        adjustment_set = {"zero_variance": ["flat", "x"], "singular": ["x", "twin"],
+                          "one_arm": ["x"], "non_binary": ["x"],
+                          "too_few_rows": ["x"]}[case]
+        if case == "one_arm":
+            t = np.ones(40)
+        elif case == "non_binary":
+            t = t * 0.5
+        frame = make_frame(t, t + rng.normal(size=40), extra)
+        if case == "too_few_rows":
+            frame = Frame(frame.columns, frame.data[:3])
+        got = _fit_outcome(adjusted_effect, frame, adjustment_set)
+        assert got == _fit_outcome(reference_adjusted_effect, frame, adjustment_set)
+        if case == "zero_variance":
+            assert got[1] == [(DegenerateRegressorWarning,
+                               "dropping zero-variance adjustment column 'flat'")]
+        else:
+            assert got[0].startswith("EstimationError")
 
 
 class TestUnadjustedDifference:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from civex.estimation import provenance_hash
 from civex.frames import Frame, FrameError
 
-from oracles import per_value_encode, per_value_parse
+from oracles import line_parse, per_value_encode, per_value_parse
 
 
 def small_frame() -> Frame:
@@ -118,8 +118,19 @@ class TestValidation:
             f.data[0, 0] = 9.0
 
 
+def _parse(text: str | bytes) -> Frame:
+    if isinstance(text, str):
+        return Frame.from_canonical_text(text)
+    return Frame.from_canonical_bytes(text)
+
+
+def _text(text: str | bytes) -> str:
+    return text if isinstance(text, str) else text.decode("utf-8")
+
+
 class TestCanonicalParser:
-    """The bulk parser against the per-value ``float()`` parser it replaced."""
+    """The bulk parser against the per-value ``float()`` parser it replaced,
+    and its refusals against the line-by-line parser's (``line_parse``)."""
 
     @pytest.mark.parametrize("text", [
         "a,b\n1,2,3\n4",        # ragged rows that add up to a full grid
@@ -143,12 +154,32 @@ class TestCanonicalParser:
         "a,a\n1,2",
         "",
         "\n1,2",
+        "a,b\n1\n2,3\n4,5",     # bad first line
+        "a,b\n1,2\n3\n4,5",     # bad middle line
+        "a,b\n1,2\n3,4\n5,6,7",  # bad last line
+        "a,b\n1,2\n3,4\n",      # trailing newline after several rows
+        "a,b\n\n1,2",           # blank first line
+        "a,b\n",                # a header with an empty body
+        "a,b\nnan,1\n2,3",       # nan on a well-formed line
+        "a,b\n1,2\n3,-nan",
+        "a\n1\n\n2",
+        b"a,b\n1,\xff",         # invalid UTF-8
+        b"\xff,b\n1,2",
+        b"a,b\n1,\xc3",         # a truncated two-byte sequence
     ])
     def test_refuses_what_the_per_value_parser_refuses(self, text):
         with pytest.raises(ValueError):
-            per_value_parse(text)
-        with pytest.raises(FrameError):
-            Frame.from_canonical_text(text)
+            per_value_parse(_text(text))
+        with pytest.raises(FrameError) as refused:
+            _parse(text)
+        try:
+            blob = text.encode("utf-8") if isinstance(text, str) else text
+        except UnicodeEncodeError:
+            return  # a lone surrogate: no bytes to hand the line parser
+        with pytest.raises(FrameError) as expected:
+            line_parse(blob)
+        assert type(refused.value) is type(expected.value)
+        assert str(refused.value) == str(expected.value)
 
     @pytest.mark.parametrize("text", [
         "a,b",                    # header only: no rows
@@ -159,10 +190,18 @@ class TestCanonicalParser:
         "a,b\n+.5,1E3",
         "a,b\n12345678901234567890,9007199254740993",  # integers past 2**53
         "a,b\n-0,1\n2,-0",       # the integer -0 is -0.0, not JSON's +0
+        "a\n1\n-0",
+        "a,b\n-0.0,-0e0\n0,-0",
+        "a",                      # a header alone
+        "a,b\n 1.5,2\n3,4",      # whitespace on a well-formed line
+        "a,b\n1,2\n1_0,4",       # an underscore on a well-formed line
+        "\u00e9,b\n1,2\n3,4",     # valid non-ASCII UTF-8 in the header
+        "a,b\n1,2\n3,\u0664",     # and in a value
+        b"\xc3\xa9,b\n1,2",
     ])
     def test_accepts_what_the_per_value_parser_accepts(self, text):
-        expected = per_value_parse(text)
-        got = Frame.from_canonical_text(text)
+        expected = per_value_parse(_text(text))
+        got = _parse(text)
         assert got.columns == expected.columns
         assert got.data.shape == expected.data.shape
         assert got.data.tobytes() == expected.data.tobytes()

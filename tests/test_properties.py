@@ -52,7 +52,13 @@ from civex.verifier import (
     verify_certificate,
 )
 
-from oracles import elimination_rank_ok, per_value_encode, per_value_parse, random_graph
+from oracles import (
+    elimination_rank_ok,
+    line_parse,
+    per_value_encode,
+    per_value_parse,
+    random_graph,
+)
 
 # Derandomized, so that the tier-1 run is reproducible.
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
@@ -433,8 +439,12 @@ def test_bulk_parser_agrees_with_per_value_parser(base, edits):
     try:
         expected = per_value_parse(text)
     except ValueError:
-        with pytest.raises(FrameError):
+        with pytest.raises(FrameError) as refused:
             Frame.from_canonical_text(text)
+        # With the message the line-by-line parser gave.
+        with pytest.raises(FrameError) as expected:
+            line_parse(text.encode("utf-8"))
+        assert str(refused.value) == str(expected.value)
         return
     got = Frame.from_canonical_text(text)
     assert got.columns == expected.columns

@@ -427,6 +427,25 @@ class TestConfigSurface:
         assert f"invalid configuration: {name}" in result.output
         assert not (tmp_path / "ranged").exists()
 
+    @pytest.mark.parametrize("command", [["generate"], ["run"], ["sweep", "weights"]])
+    def test_strength_that_generation_cannot_honour_is_refused(self, tmp_path, command):
+        # Finite and > 0, so the config check passes, but the generated
+        # outcome overflows to infinity; this used to end in a FrameError
+        # traceback.  A large strength that stays finite still generates.
+        small = {"seeds": [42], "moderate_per_family": 1, "adversarial_per_family": 1,
+                 "n_rows": 50}
+        cfg = write_config(tmp_path, "huge", **small, adversarial_strength=1e308)
+        result = CliRunner().invoke(main, [*command, "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert "invalid configuration: adversarial_strength 1e+308" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "huge").exists()
+        cfg = write_config(tmp_path, "large", **small, adversarial_strength=1e6)
+        result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert len(load_instances_dir(tmp_path / "large")) == 12
+
     @pytest.mark.parametrize("document", [[], "run", 3])
     def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):
         path = tmp_path / "config.json"
