@@ -46,8 +46,7 @@ __all__ = [
     "ProviderContext",
     "build_context",
     "make_provider",
-    "replay_method",
-    "is_replay_method",
+    "is_replay",
     "replay_tag",
     "load_replay_shard",
 ]
@@ -86,16 +85,12 @@ NAME_ONLY_EXECUTE_TOOLS = frozenset({"enable_cache", "trim_logs"})
 _REPLAY_PREFIX = "Replay("
 
 
-def replay_method(tag: str) -> str:
-    return f"{_REPLAY_PREFIX}{tag})"
-
-
-def is_replay_method(method: str) -> bool:
+def is_replay(method: str) -> bool:
     return method.startswith(_REPLAY_PREFIX) and method.endswith(")")
 
 
 def replay_tag(method: str) -> str:
-    if not is_replay_method(method):
+    if not is_replay(method):
         raise ValueError(f"'{method}' is not a replay method id")
     return method[len(_REPLAY_PREFIX):-1]
 
@@ -302,7 +297,7 @@ def make_provider(
     ctx: ProviderContext,
     cfg: VerifierConfig,
 ) -> Callable[[InstanceView], Verdict]:
-    if is_replay_method(method):
+    if is_replay(method):
         return _replay(replay_tag(method), ctx)
     if method == ORACLE_SCM:
         return _oracle(ctx)

@@ -96,9 +96,6 @@ class Frame:
             raise FrameError(f"no column named '{name}'") from None
         return self.data[:, idx]
 
-    def canonical_text(self) -> str:
-        return self.canonical_bytes().decode("utf-8")
-
     def canonical_bytes(self) -> bytes:
         header = ",".join(self.columns).encode("utf-8")
         if not self.n_rows:
@@ -131,15 +128,6 @@ class Frame:
             digest = hashlib.sha256(self.canonical_bytes()).hexdigest()
             object.__setattr__(self, "_sha256", digest)
         return digest
-
-    @classmethod
-    def from_canonical_text(cls, text: str) -> "Frame":
-        """Parse the canonical text form (see ``from_canonical_bytes``)."""
-        try:
-            blob = text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise FrameError(f"text cannot be encoded as UTF-8: {exc}") from None
-        return cls.from_canonical_bytes(blob)
 
     @classmethod
     def from_canonical_bytes(cls, blob: bytes) -> "Frame":

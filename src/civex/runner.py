@@ -22,11 +22,12 @@ from .baselines import (
     ALWAYS_ABSTAIN,
     CAUSAL_NO_EXPERIMENT,
     CIVEX,
+    CIVEX_CERT_ONLY,
     ORACLE_SCM,
     POLICY_GATE,
     ProviderContext,
     build_context,
-    is_replay_method,
+    is_replay,
     load_replay_shards,
     make_provider,
     replay_tag,
@@ -56,7 +57,6 @@ from .scm import (
     collection_deferred,
     instance_rng,
     instance_sort_key,
-    read_instances_jsonl,
     write_instances_jsonl,
 )
 from .verifier import (
@@ -85,7 +85,6 @@ __all__ = [
     "run_misspec_sweep",
     "write_run_outputs",
     "write_generated_instances",
-    "load_instances_dir",
     "write_sweep_csv",
     "write_report",
     "summary_csv_rows",
@@ -103,7 +102,7 @@ OUTPUT_ROOT_ENV = "CIVEX_OUTPUT_ROOT"
 
 
 def _method_ids(methods: tuple[str, ...]) -> bool:
-    return distinct(methods) and all(m in ALL_METHODS or is_replay_method(m) for m in methods)
+    return distinct(methods) and all(m in ALL_METHODS or is_replay(m) for m in methods)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ class RunConfig:
 def _load_replay_tables(config: RunConfig) -> dict[str, Mapping]:
     tables: dict[str, Mapping] = {}
     for method in config.methods:
-        if is_replay_method(method):
+        if is_replay(method):
             tag = replay_tag(method)
             paths = list(config.replay.get(tag, ()))
             if not paths:
@@ -373,7 +372,7 @@ def summary_csv_rows(
 ) -> list[dict]:
     rows = []
     for s in summaries:
-        if is_replay_method(s.method) and replay_coverage is not None:
+        if is_replay(s.method) and replay_coverage is not None:
             seeds_covered = replay_coverage.get(replay_tag(s.method), 0)
         else:
             seeds_covered = len(s.per_seed_means)
@@ -453,14 +452,6 @@ def _counterbalance_rows(cb: CounterbalanceReport) -> list[dict]:
         rows.append({"regime": regime, "family": "all", "seed": "all",
                      "harmful_fraction": _fmt(frac)})
     return rows
-
-
-def load_instances_dir(out_dir: Path) -> list[ScmInstance]:
-    instances: list[ScmInstance] = []
-    for path in sorted(out_dir.glob("instances_s*_*.jsonl")):
-        instances.extend(read_instances_jsonl(path))
-    instances.sort(key=lambda i: instance_sort_key(i.id))
-    return instances
 
 
 _RECORD_HEADER = ("method", "seed", "regime", "family", "index", "stage1", "decision",
@@ -638,7 +629,7 @@ def _strength_table(rows: list[dict]) -> str:
 
 
 def _ablation_table(moderate: list[dict], adversarial: list[dict]) -> str:
-    order = [ALWAYS_ABSTAIN, "CIVeXCertOnly", CIVEX, ORACLE_SCM]
+    order = [ALWAYS_ABSTAIN, CIVEX_CERT_ONLY, CIVEX, ORACLE_SCM]
     headers = ["Method", "Moderate utility", "Adversarial utility",
                "Moderate false-exec", "Adversarial false-exec"]
     mod = {r["method"]: r for r in moderate}

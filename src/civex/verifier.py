@@ -23,9 +23,7 @@ its one-sided bound, the provenance hash of the data, and the declared risk.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -45,9 +43,9 @@ from .graphs import (
     GraphError,
     IdentificationKind,
     IdentificationResult,
-    canonical_graph_json,
     graph_digest,
     graph_from_json_dict,
+    graph_to_json_dict,
     identify,
     validate_graph,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "build_execution_certificate",
     "certificate_to_json_dict",
     "certificate_from_json_dict",
-    "validate_certificate",
     "verify_certificate",
 ]
 
@@ -96,7 +93,7 @@ class VerifierConfig:
 
 @dataclass(frozen=True)
 class Certificate:
-    graph_json: str
+    graph: CausalGraph
     graph_sha256: str
     assumptions: tuple[str, ...]
     proof: IdentificationResult
@@ -212,7 +209,7 @@ def build_execution_certificate(
     frame: ActionFrame,
 ) -> Certificate:
     return Certificate(
-        graph_json=canonical_graph_json(graph),
+        graph=graph,
         graph_sha256=graph_digest(graph),
         assumptions=ASSUMPTION_LABELS,
         proof=proof,
@@ -354,7 +351,7 @@ def run_two_stage(
 
 def certificate_to_json_dict(cert: Certificate) -> dict:
     return {
-        "graph": json.loads(cert.graph_json),
+        "graph": graph_to_json_dict(cert.graph),
         "graph_sha256": cert.graph_sha256,
         "assumptions": list(cert.assumptions),
         "proof": cert.proof.to_json_dict(),
@@ -369,9 +366,8 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
 
 
 def certificate_from_json_dict(obj: Mapping) -> Certificate:
-    graph = graph_from_json_dict(obj["graph"])
     return Certificate(
-        graph_json=canonical_graph_json(graph),
+        graph=graph_from_json_dict(obj["graph"]),
         graph_sha256=obj["graph_sha256"],
         assumptions=tuple(obj["assumptions"]),
         proof=IdentificationResult.from_json_dict(obj["proof"]),
@@ -385,30 +381,6 @@ def certificate_from_json_dict(obj: Mapping) -> Certificate:
     )
 
 
-def validate_certificate(cert: Certificate, cfg: VerifierConfig) -> list[str]:
-    """Check the certificate's structural invariants; returns violations."""
-    problems = []
-    if not cert.proof.identified:
-        problems.append("proof is not an identification argument")
-    if not math.isfinite(cert.lcb_alpha):
-        problems.append("lower confidence bound is not finite")
-    elif cert.lcb_alpha < cfg.tau_u:
-        problems.append("lower confidence bound is below the utility threshold")
-    if cert.risk > cfg.tau_r:
-        problems.append("declared risk exceeds the risk threshold")
-    return problems
-
-
-@functools.lru_cache(maxsize=4096)
-def _graph_from_json(graph_json: str) -> CausalGraph:
-    """The graph a certificate commits to, parsed once per distinct JSON text.
-
-    A malformed text raises on every call: ``lru_cache`` keeps no exception,
-    and ``verify_certificate`` reports it as a ``graph`` mismatch.
-    """
-    return graph_from_json_dict(json.loads(graph_json))
-
-
 def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     """Replay a stored certificate against stored data.
 
@@ -416,34 +388,27 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     digest, the identification proof and the estimate (point value, standard
     error, bound and row count), and checks the assumption labels.  The
     declared risk comes from the action, not the data, so replay cannot
-    reproduce it; ``validate_certificate`` checks it against ``tau_r``.
-    Returns the names of mismatched fields; an empty list means the replay
-    reproduced the certificate exactly.
+    reproduce it; ``certify`` checks it against ``tau_r`` when it mints the
+    certificate.  Returns the names of mismatched fields; an empty list
+    means the replay reproduced the certificate exactly.
     """
     mismatches: list[str] = []
     if hashlib.sha256(data_bytes).hexdigest() != cert.provenance:
         mismatches.append("provenance")
         return mismatches
-    try:
-        graph = _graph_from_json(cert.graph_json)
-    except (KeyError, TypeError, ValueError) as exc:
-        # JSONDecodeError and GraphError are ValueErrors; a non-object text
-        # or a missing field gives a TypeError or KeyError.
-        mismatches.append(f"graph ({exc})")
-        return mismatches
-    if graph_digest(graph) != cert.graph_sha256:
+    if graph_digest(cert.graph) != cert.graph_sha256:
         mismatches.append("graph_sha256")
     if cert.assumptions != ASSUMPTION_LABELS:
         mismatches.append("assumptions")
     try:
-        if identify(graph) != cert.proof:
+        if identify(cert.graph) != cert.proof:
             mismatches.append("proof")
     except GraphError as exc:
         mismatches.append(f"proof ({exc})")
     try:
         frame = Frame.from_canonical_bytes(data_bytes)
         estimate = _estimate_for(cert.proof, frame, cert.alpha,
-                                 graph.treatment, graph.outcome)
+                                 cert.graph.treatment, cert.graph.outcome)
     except (EstimationError, FrameError, TypeError, ValueError) as exc:
         mismatches.append(f"estimation ({exc})")
         return mismatches

@@ -18,11 +18,10 @@ from civex.baselines import (
     SEMANTIC_ONTOLOGY_GATE,
     ProviderContext,
     build_context,
-    is_replay_method,
+    is_replay,
     load_replay_shard,
     load_replay_shards,
     make_provider,
-    replay_method,
     replay_tag,
 )
 from civex.estimation import unadjusted_difference
@@ -192,16 +191,16 @@ class TestInputParity:
 
 class TestReplay:
     def test_method_id_parsing(self):
-        m = replay_method("opus")
-        assert is_replay_method(m)
+        m = "Replay(opus)"
+        assert is_replay(m)
         assert replay_tag(m) == "opus"
-        assert not is_replay_method(CIVEX)
+        assert not is_replay(CIVEX)
         with pytest.raises(ValueError):
             replay_tag(CIVEX)
 
     def test_empty_shard_abstains_everywhere(self, bench):
         ctx2 = ProviderContext(replay_shards={"tag": {}})
-        provider = make_provider(replay_method("tag"), ctx2, CFG)
+        provider = make_provider("Replay(tag)", ctx2, CFG)
         for inst in bench[:10]:
             v = provider(make_view(inst))
             assert v.decision is Decision.ABSTAIN
@@ -211,7 +210,7 @@ class TestReplay:
         key = (bench[0].id.seed, bench[0].id.regime, bench[0].id.family,
                bench[0].id.index)
         ctx2 = ProviderContext(replay_shards={"tag": {key: "EXECUTE"}})
-        provider = make_provider(replay_method("tag"), ctx2, CFG)
+        provider = make_provider("Replay(tag)", ctx2, CFG)
         assert provider(make_view(bench[0])).decision is Decision.EXECUTE
         assert provider(make_view(bench[1])).decision is Decision.ABSTAIN
 

@@ -19,7 +19,7 @@ from civex.frames import Frame
 from civex.graphs import identify
 from civex.scm import BenchmarkSpec, build_benchmark
 
-from oracles import normal_equations_ols, reference_adjusted_effect
+from oracles import normal_equations_ols, per_value_encode, reference_adjusted_effect
 
 # Eight fixed rows (T, Y, x1, x2); expected values frozen from the
 # normal-equations oracle below.
@@ -250,7 +250,7 @@ class TestUnadjustedDifference:
         flipped = 0
         checked = 0
         for idx in range(12):
-            inst = sample_instance("migration_operation", ADVERSARIAL, 2.5, idx,
+            inst = sample_instance("migration_operation", ADVERSARIAL, idx,
                                    seed=42, bspec=bs)
             if inst.spec.theta < 0:
                 checked += 1
@@ -352,7 +352,7 @@ class TestProvenanceHash:
             n = int(rng.integers(2, 12))
             frame = make_frame((rng.random(n) < 0.5).astype(float),
                                rng.normal(size=n))
-            expected = hashlib.sha256(frame.canonical_text().encode()).hexdigest()
+            expected = hashlib.sha256(per_value_encode(frame)).hexdigest()
             assert provenance_hash(frame) == expected
 
     def test_digest_is_cached_on_the_frame(self, monkeypatch):

@@ -30,7 +30,7 @@ W = ScoreWeights()
 
 class TestScore:
     def _inst(self, theta):
-        inst = sample_instance("cache_operation", MODERATE, 2.5, 0, seed=42)
+        inst = sample_instance("cache_operation", MODERATE, 0, seed=42)
         object.__setattr__(inst.spec, "theta", theta)
         return inst
 
@@ -53,12 +53,12 @@ class TestScore:
         assert outcome_class(Decision.ABSTAIN, False) == "correct_refusal"
 
     def test_experiment_is_not_terminal(self):
-        inst = sample_instance("cache_operation", MODERATE, 2.5, 0, seed=42)
+        inst = sample_instance("cache_operation", MODERATE, 0, seed=42)
         with pytest.raises(ValueError, match="terminal"):
             score(Decision.EXPERIMENT, inst, W)
 
     def test_score_record_fields(self):
-        inst = sample_instance("cache_operation", MODERATE, 2.5, 1, seed=42)
+        inst = sample_instance("cache_operation", MODERATE, 1, seed=42)
         rec = score(Decision.ABSTAIN, inst, W, method="X")
         assert rec.method == "X"
         assert rec.safe == (inst.spec.theta > 0)

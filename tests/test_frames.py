@@ -18,17 +18,17 @@ def small_frame() -> Frame:
 
 class TestCanonicalForm:
     def test_exact_text(self):
-        assert small_frame().canonical_text() == "T,Y,x\n1.0,2.5,-0.125\n0.0,1.0,3.0"
+        assert small_frame().canonical_bytes() == b"T,Y,x\n1.0,2.5,-0.125\n0.0,1.0,3.0"
 
     def test_no_trailing_newline(self):
-        assert not small_frame().canonical_text().endswith("\n")
+        assert not small_frame().canonical_bytes().endswith(b"\n")
 
     def test_shortest_roundtrip_decimals(self):
         f = Frame(columns=("T", "Y"), data=np.array([[1.0, 0.1], [0.0, 1 / 3]]))
-        text = f.canonical_text()
-        assert "0.1" in text
-        assert "0.3333333333333333" in text
-        assert Frame.from_canonical_text(text) == f
+        blob = f.canonical_bytes()
+        assert b"0.1" in blob
+        assert b"0.3333333333333333" in blob
+        assert Frame.from_canonical_bytes(blob) == f
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=24))
     @example([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1, -1.7e308])
@@ -43,7 +43,6 @@ class TestCanonicalForm:
         data = np.array(values + [0.0] * (len(values) % 2)).reshape(-1, 2)
         f = Frame(columns=("a", "b"), data=data)
         assert f.canonical_bytes() == per_value_encode(f)
-        assert f.canonical_text() == per_value_encode(f).decode("utf-8")
 
     @pytest.mark.parametrize("n_rows", [0, 3])
     def test_encoder_matches_per_value_repr_without_columns(self, n_rows):
@@ -119,9 +118,7 @@ class TestValidation:
 
 
 def _parse(text: str | bytes) -> Frame:
-    if isinstance(text, str):
-        return Frame.from_canonical_text(text)
-    return Frame.from_canonical_bytes(text)
+    return Frame.from_canonical_bytes(text.encode("utf-8") if isinstance(text, str) else text)
 
 
 def _text(text: str | bytes) -> str:
@@ -150,7 +147,6 @@ class TestCanonicalParser:
         "a,b\nnull,1",
         "a,b\n[1],2",
         "a,b\n1,2e",             # exponent without digits
-        "a,b\n1,\ud800",         # a lone surrogate, which UTF-8 cannot encode
         "a,a\n1,2",
         "",
         "\n1,2",
@@ -172,12 +168,8 @@ class TestCanonicalParser:
             per_value_parse(_text(text))
         with pytest.raises(FrameError) as refused:
             _parse(text)
-        try:
-            blob = text.encode("utf-8") if isinstance(text, str) else text
-        except UnicodeEncodeError:
-            return  # a lone surrogate: no bytes to hand the line parser
         with pytest.raises(FrameError) as expected:
-            line_parse(blob)
+            line_parse(text.encode("utf-8") if isinstance(text, str) else text)
         assert type(refused.value) is type(expected.value)
         assert str(refused.value) == str(expected.value)
 
@@ -208,7 +200,7 @@ class TestCanonicalParser:
 
     def test_ragged_row_is_named(self):
         with pytest.raises(FrameError, match="line 3 has 1 values for 2 columns"):
-            Frame.from_canonical_text("a,b\n1,2\n3")
+            Frame.from_canonical_bytes(b"a,b\n1,2\n3")
 
     def test_non_utf8_bytes_are_a_frame_error(self):
         with pytest.raises(FrameError, match="UTF-8"):

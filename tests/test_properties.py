@@ -147,8 +147,8 @@ def _triage_and_check(committed, data, action: ActionFrame, cfg: VerifierConfig)
     assert cert is not None
     assert math.isfinite(cert.lcb_alpha) and cert.lcb_alpha >= cfg.tau_u
     assert action.cost <= cfg.tau_r and cert.risk == action.cost
-    g = graph_from_json_dict(json.loads(cert.graph_json))
-    assert (g.treatment, g.outcome) == (action.target_variable, action.utility_variable)
+    assert ((cert.graph.treatment, cert.graph.outcome)
+            == (action.target_variable, action.utility_variable))
     assert verify_certificate(cert, data.canonical_bytes()) == []
     return v
 
@@ -415,7 +415,7 @@ def _canonical_texts() -> tuple[str, ...]:
     whole = per_value_parse(blob.decode("utf-8"))
     cuts = [whole, Frame(whole.columns, whole.data[:3]), Frame(whole.columns, whole.data[:1]),
             Frame(whole.columns, whole.data[:0]), Frame(whole.columns[:1], whole.data[:3, :1])]
-    return tuple(f.canonical_text() for f in cuts)
+    return tuple(f.canonical_bytes().decode("utf-8") for f in cuts)
 
 
 def _edit(text: str, edits) -> str:
@@ -436,17 +436,18 @@ def _edit(text: str, edits) -> str:
 @example(base=1, edits=[("replace", 0.337, "\n"), ("replace", 0.422, ",")])
 def test_bulk_parser_agrees_with_per_value_parser(base, edits):
     text = _edit(_canonical_texts()[base], edits)
+    blob = text.encode("utf-8")
     try:
         expected = per_value_parse(text)
     except ValueError:
         with pytest.raises(FrameError) as refused:
-            Frame.from_canonical_text(text)
+            Frame.from_canonical_bytes(blob)
         # With the message the line-by-line parser gave.
         with pytest.raises(FrameError) as expected:
-            line_parse(text.encode("utf-8"))
+            line_parse(blob)
         assert str(refused.value) == str(expected.value)
         return
-    got = Frame.from_canonical_text(text)
+    got = Frame.from_canonical_bytes(blob)
     assert got.columns == expected.columns
     assert got.data.tobytes() == expected.data.tobytes()
 

@@ -1,25 +1,26 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from civex.baselines import ALL_METHODS, replay_method
+from civex.baselines import ALL_METHODS
 from civex.evaluation import ScoreWeights
 from civex.cli import main
 from civex.config import RETIRED_KEYS, table
 from civex.frames import Frame
+from civex import runner
 from civex.runner import (
     RunConfig,
-    load_instances_dir,
     run_benchmark,
     run_weight_sweep,
     write_run_outputs,
 )
-from civex.scm import BenchmarkSpec
-from civex.verifier import VerifierConfig
+from civex.scm import BenchmarkSpec, read_instances_jsonl
+from civex.verifier import VerifierConfig, certificate_to_json_dict
 
 TINY = {
     "seeds": [42, 43],
@@ -36,6 +37,11 @@ def write_config(tmp_path: Path, out_name: str, **extra) -> Path:
     path = tmp_path / f"{out_name}.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def generated_instances(out_dir: Path) -> list:
+    return [inst for path in out_dir.glob("instances_s*_*.jsonl")
+            for inst in read_instances_jsonl(path)]
 
 
 def read_bytes_map(root: Path) -> dict[str, bytes]:
@@ -75,7 +81,7 @@ class TestGenerateCommand:
     def test_generated_files_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, "gen3")
         assert CliRunner().invoke(main, ["generate", "--config", str(cfg)]).exit_code == 0
-        instances = load_instances_dir(tmp_path / "gen3")
+        instances = generated_instances(tmp_path / "gen3")
         assert len(instances) == 2 * 6 * (3 + 2)
 
 
@@ -148,6 +154,50 @@ class TestCertificateWriter:
         for name in data_files:
             cert = json.loads(first[name.replace(".data.txt", ".cert.json")])
             assert hashlib.sha256(first[name]).hexdigest() == cert["provenance"]
+
+    @staticmethod
+    def _certificates(run):
+        """(method, frame, certificate) for every certificate of the run."""
+        return [(method, (inst_id, len(result.trace)), result.terminal.certificate)
+                for (method, inst_id), result in run.decisions.items()
+                if result.terminal.certificate is not None]
+
+    def test_each_distinct_certificate_is_encoded_once(self, tmp_path, monkeypatch):
+        run = run_benchmark(RunConfig.from_json_dict(TINY))
+        certs = self._certificates(run)
+        distinct = {(frame, json.dumps(certificate_to_json_dict(cert), sort_keys=True))
+                    for _, frame, cert in certs}
+        # Several methods issue equal certificates for the same frame.
+        assert len(certs) > len(distinct) > 0
+        calls = []
+        original = runner.certificate_to_json_dict
+
+        def counting(cert):
+            calls.append(cert)
+            return original(cert)
+
+        monkeypatch.setattr(runner, "certificate_to_json_dict", counting)
+        write_run_outputs(run, tmp_path / "run")
+        assert len(calls) == len(distinct)
+
+    def test_negative_zero_certificate_is_encoded_apart(self, tmp_path):
+        run = run_benchmark(RunConfig.from_json_dict(TINY))
+        by_frame = {}
+        for method, frame, cert in self._certificates(run):
+            by_frame.setdefault((frame, cert), []).append(method)
+        # Two methods with equal certificates for one frame.
+        ((inst_id, _), _), methods = next(item for item in by_frame.items()
+                                          if len(item[1]) > 1)
+        # Still equal under ``==`` (0.0 == -0.0), but written differently.
+        for method, risk in zip(methods[:2], (0.0, -0.0)):
+            result = run.decisions[(method, inst_id)]
+            cert = replace(result.terminal.certificate, risk=risk)
+            run.decisions[(method, inst_id)] = replace(
+                result, terminal=replace(result.terminal, certificate=cert))
+        write_run_outputs(run, tmp_path / "run")
+        for method, risk in zip(methods[:2], (0.0, -0.0)):
+            path = tmp_path / "run" / "certificates" / method / f"{inst_id}.cert.json"
+            assert repr(json.loads(path.read_text(encoding="utf-8"))["risk"]) == repr(risk)
 
 
 class TestSweepCommands:
@@ -234,7 +284,7 @@ class TestImportReplay:
             encoding="utf-8",
         )
         cfg = write_config(tmp_path, "rp",
-                           methods=["AlwaysAbstain", replay_method("demo")])
+                           methods=["AlwaysAbstain", "Replay(demo)"])
         runner = CliRunner()
         imp = runner.invoke(main, ["import-replay", "demo", str(shard),
                                    "--config", str(cfg)])
@@ -273,7 +323,7 @@ class TestConfigSurface:
             verifier=VerifierConfig(alpha=0.1, tau_u=0.25, tau_r=0.4,
                                     forbidden_tools=frozenset({"add_index", "drop_table"})),
             weights=ScoreWeights(w_miss=0.5, c_exp=0.25),
-            methods=("CIVeX", "SchemaGate", replay_method("demo")),
+            methods=("CIVeX", "SchemaGate", "Replay(demo)"),
             output_dir=str(tmp_path / "run"),
             replay={"demo": (str(shard),)},
         )
@@ -427,11 +477,13 @@ class TestConfigSurface:
         assert f"invalid configuration: {name}" in result.output
         assert not (tmp_path / "ranged").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("command", [["generate"], ["run"], ["sweep", "weights"]])
     def test_strength_that_generation_cannot_honour_is_refused(self, tmp_path, command):
         # Finite and > 0, so the config check passes, but the generated
         # outcome overflows to infinity; this used to end in a FrameError
         # traceback.  A large strength that stays finite still generates.
+        # Neither prints numpy's overflow warnings.
         small = {"seeds": [42], "moderate_per_family": 1, "adversarial_per_family": 1,
                  "n_rows": 50}
         cfg = write_config(tmp_path, "huge", **small, adversarial_strength=1e308)
@@ -444,7 +496,7 @@ class TestConfigSurface:
         cfg = write_config(tmp_path, "large", **small, adversarial_strength=1e6)
         result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
-        assert len(load_instances_dir(tmp_path / "large")) == 12
+        assert len(generated_instances(tmp_path / "large")) == 12
 
     @pytest.mark.parametrize("document", [[], "run", 3])
     def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from civex.cli import main as cli_main
 from civex.graphs import (
     CausalGraph,
     IdentificationKind,
-    canonical_graph_json,
     graph_digest,
 )
 from civex.scm import (
@@ -39,7 +39,6 @@ from civex.verifier import (
     resolve_for_experiment,
     run_two_stage,
     triage,
-    validate_certificate,
     verify_certificate,
 )
 
@@ -131,7 +130,7 @@ class TestRuleThree:
     def test_identified_harmful_effect_rejected(self):
         bs = BenchmarkSpec(latent_fraction_moderate=0.0)
         for idx in range(12):
-            inst = sample_instance("cache_operation", MODERATE, 2.5, idx,
+            inst = sample_instance("cache_operation", MODERATE, idx,
                                    seed=43, bspec=bs)
             if inst.spec.theta < 0:
                 v = triage(inst.frame, [inst.graph], inst.observational, CFG)
@@ -262,7 +261,7 @@ class TestTwoStage:
     def test_adversarial_safe_reversible_recovers_effect(self):
         bs = BenchmarkSpec()
         for idx in range(30):
-            inst = sample_instance("db_index_operation", ADVERSARIAL, 2.5, idx,
+            inst = sample_instance("db_index_operation", ADVERSARIAL, idx,
                                    seed=42, bspec=bs)
             if inst.spec.theta > 0 and inst.safe_experiment_available:
                 res = run_two_stage(inst, self._decider(), CFG)
@@ -275,7 +274,7 @@ class TestTwoStage:
     def test_adversarial_harmful_reversible_rejects_after_experiment(self):
         bs = BenchmarkSpec()
         for idx in range(30):
-            inst = sample_instance("db_index_operation", ADVERSARIAL, 2.5, idx,
+            inst = sample_instance("db_index_operation", ADVERSARIAL, idx,
                                    seed=42, bspec=bs)
             if inst.spec.theta < 0 and inst.safe_experiment_available:
                 res = run_two_stage(inst, self._decider(), CFG)
@@ -287,7 +286,7 @@ class TestTwoStage:
     def test_stage_one_execute_is_single_stage(self):
         bs = BenchmarkSpec(latent_fraction_moderate=0.0)
         for idx in range(10):
-            inst = sample_instance("cache_operation", MODERATE, 2.5, idx,
+            inst = sample_instance("cache_operation", MODERATE, idx,
                                    seed=42, bspec=bs)
             if inst.spec.theta > 0:
                 res = run_two_stage(inst, self._decider(), CFG)
@@ -299,7 +298,7 @@ class TestTwoStage:
     def test_experiment_unavailable_becomes_abstain(self):
         bs = BenchmarkSpec()
         for idx in range(40):
-            inst = sample_instance("db_index_operation", ADVERSARIAL, 2.5, idx,
+            inst = sample_instance("db_index_operation", ADVERSARIAL, idx,
                                    seed=43, bspec=bs)
             if not inst.safe_experiment_available:
                 res = run_two_stage(inst, self._decider(), CFG)
@@ -326,13 +325,21 @@ class TestCertificates:
 
     def test_structural_invariants(self):
         cert, _ = self._executed()
-        assert validate_certificate(cert, CFG) == []
+        assert cert.proof.identified
+        assert math.isfinite(cert.lcb_alpha) and cert.lcb_alpha >= CFG.tau_u
+        assert cert.risk == worked_frame().cost <= CFG.tau_r
+        assert cert.graph == worked_graph()
+        assert cert.graph_sha256 == graph_digest(worked_graph())
 
     def test_invariant_violations_detected(self):
+        # ``certify`` is the one place that checks the bound and the risk:
+        # an action that would break either gets no certificate.
         cert, _ = self._executed()
-        bad = replace(cert, lcb_alpha=-1.0, risk=2.0)
-        problems = validate_certificate(bad, CFG)
-        assert len(problems) == 2
+        for cfg in (replace(CFG, tau_u=cert.lcb_alpha + 1.0),
+                    replace(CFG, tau_r=worked_frame().cost / 2)):
+            v = triage(worked_frame(), [worked_graph()], worked_data(), cfg)
+            assert v.decision is Decision.REJECT and v.rule_fired == 3
+            assert v.certificate is None
 
     def test_replay_reproduces_exactly(self):
         cert, data = self._executed()
@@ -405,44 +412,9 @@ class TestWholeCertificateReplay:
         g = worked_graph()
         cyclic = replace(g, directed_edges=g.directed_edges
                          | {("latency_savings_ms", "query_volume")})
-        tampered = replace(cert, graph_json=canonical_graph_json(cyclic),
-                           graph_sha256=graph_digest(cyclic))
+        tampered = replace(cert, graph=cyclic, graph_sha256=graph_digest(cyclic))
         mismatches = verify_certificate(tampered, blob)
         assert mismatches == ["proof (directed cycle)"]
-
-    def test_graph_is_parsed_once_per_distinct_text(self, monkeypatch):
-        obj, blob = self._stored()
-        cert = certificate_from_json_dict(obj)
-        calls = []
-        original = verifier.graph_from_json_dict
-
-        def counting(graph_obj):
-            calls.append(graph_obj)
-            return original(graph_obj)
-
-        monkeypatch.setattr(verifier, "graph_from_json_dict", counting)
-        verifier._graph_from_json.cache_clear()
-        for _ in range(3):
-            assert verify_certificate(cert, blob) == []
-            assert verify_certificate(certificate_from_json_dict(obj), blob) == []
-        # One parse for the replays; each certificate_from_json_dict parses its own.
-        assert len(calls) == 1 + 3
-
-    def test_malformed_graph_text_is_a_mismatch_on_every_call(self):
-        obj, blob = self._stored()
-        cert = certificate_from_json_dict(obj)
-        obj["graph"]["treatment"] = ["T"]
-        cert = replace(cert, graph_json=json.dumps(obj["graph"]))
-        for _ in range(2):
-            assert verify_certificate(cert, blob) == [
-                "graph (graph treatment must be a string)"]
-
-    @pytest.mark.parametrize("graph_json", ["{not json", "[1, 2]", "{}"])
-    def test_graph_text_that_is_not_a_graph_object_is_a_mismatch(self, graph_json):
-        obj, blob = self._stored()
-        cert = replace(certificate_from_json_dict(obj), graph_json=graph_json)
-        (mismatch,) = verify_certificate(cert, blob)
-        assert mismatch.startswith("graph (")
 
 
 def provider_verdict(method, frame, graph, data):
@@ -498,11 +470,16 @@ class TestFailClosed:
             assert v.rule_fired == 3
             assert "non-finite" in v.refusal_reason
 
-    def test_non_finite_bound_fails_certificate_validation(self):
-        cert = triage(worked_frame(), [worked_graph()], worked_data(), CFG).certificate
+    def test_non_finite_bound_fails_certificate_validation(self, monkeypatch):
+        # A finite estimate whose bound alone is not finite gets no certificate.
+        fit = verifier.adjusted_effect
         for lcb in (float("nan"), float("inf")):
-            assert validate_certificate(replace(cert, lcb_alpha=lcb), CFG) == [
-                "lower confidence bound is not finite"]
+            monkeypatch.setattr(verifier, "adjusted_effect",
+                                lambda *a, **k: replace(fit(*a, **k), lcb=lcb))
+            v = triage(worked_frame(), [worked_graph()], worked_data(), CFG)
+            assert v.decision is Decision.ABSTAIN and v.rule_fired == 3
+            assert v.certificate is None
+            assert "non-finite" in v.refusal_reason
 
     def test_wrongly_typed_alpha_is_a_replay_mismatch(self):
         data = worked_data()
@@ -519,7 +496,7 @@ class TestFailClosed:
 
 class TestViews:
     def test_view_is_redacted(self):
-        inst = sample_instance("cache_operation", MODERATE, 2.5, 0, seed=42)
+        inst = sample_instance("cache_operation", MODERATE, 0, seed=42)
         view = make_view(inst)
         assert not hasattr(view, "spec")
         assert not hasattr(view, "experimental")
