@@ -7,6 +7,22 @@ Wald-type with a standard normal quantile, computed by a port of the
 Cephes Math Library's ``ndtri`` (Stephen L. Moshier), the routine that
 ``scipy.special.ndtri`` compiles: same coefficients, same Horner and
 operation order, so the same bits, without importing scipy.
+
+Two guards of the backdoor fit only decide a boolean, and decide it from
+Python scalars where they can.  A zero-variance adjustment column is
+dropped when ``np.var(col) <= 1e-24``.  For any two entries a and b of an
+n-row column, (a - c)**2 + (b - c)**2 >= (a - b)**2 / 2 whatever mean c is
+subtracted, so the variance is at least (a - b)**2 / (2n); each rounding in
+``np.var`` is relative, of order eps, so the computed value stays above
+(a - b)**2 / (4n).  So (a - b)**2 > 8 * n * 1e-24 proves from the first two
+entries that the column stays, and ``np.var`` runs only when that proof
+fails: the decision is the one ``np.var`` gives.  The entries are Python
+floats, so an overflowing difference is ``inf`` and not a numpy warning
+(the column stays, as it does when ``np.var`` overflows to inf or NaN), and
+a NaN fails the proof.  The rank test compares the squared diagonal of the
+Cholesky factor with the largest diagonal of X'X as Python floats: numpy's
+``x ** 2`` is ``x * x``, and a diagonal of sums of squares of finite data
+holds no NaN, so the comparison is the same.
 """
 
 from __future__ import annotations
@@ -139,13 +155,28 @@ def _check_treatment(t: np.ndarray) -> None:
 def _pivot_rank_ok(xtx: np.ndarray) -> bool:
     # The pivots of Gaussian elimination without pivoting on the (tiny)
     # normal matrix are the squared diagonal of its Cholesky factor; a
-    # failed factorization means a pivot at or below zero.
-    tol = _PIVOT_RTOL * float(xtx.diagonal().max())
+    # failed factorization means a pivot at or below zero.  The diagonals
+    # are compared as Python floats: ``p * p`` is the ``p ** 2`` numpy
+    # computes, and the diagonal of X'X, a sum of squares, holds no NaN
+    # for ``max`` to order differently from ``ndarray.max``.
+    tol = _PIVOT_RTOL * max(xtx.diagonal().tolist())
     try:
         chol = np.linalg.cholesky(xtx)
     except np.linalg.LinAlgError:
         return False
-    return bool((chol.diagonal() ** 2 > tol).all())
+    return all(p * p > tol for p in chol.diagonal().tolist())
+
+
+def _zero_variance(col: np.ndarray) -> bool:
+    """``np.var(col) <= 1e-24``, proved false from the first two entries
+    where the module docstring's bound allows, without the array pass."""
+    n = col.shape[0]
+    if n >= 2:
+        a, b = col[:2].tolist()
+        d = a - b
+        if d * d > 8.0 * n * _ZERO_VARIANCE_ATOL:
+            return False
+    return float(col.var()) <= _ZERO_VARIANCE_ATOL
 
 
 def _fits(d: Frame) -> dict:
@@ -206,7 +237,7 @@ def adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
     cols: list[np.ndarray] = []
     for name in requested:
         col = d.column(name)
-        if float(col.var()) <= _ZERO_VARIANCE_ATOL:
+        if _zero_variance(col):
             warnings.warn(
                 f"dropping zero-variance adjustment column '{name}'",
                 DegenerateRegressorWarning,

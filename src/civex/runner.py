@@ -45,7 +45,7 @@ from .evaluation import (
     utility_value,
     wilcoxon_exact,
 )
-from .graphs import relabel_latent
+from .graphs import graph_digest, relabel_latent
 from .scm import (
     ADVERSARIAL,
     MODERATE,
@@ -488,10 +488,11 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
         inst = by_id[inst_id]
         data = (inst.experimental if stage == 2 else inst.observational).canonical_bytes()
         stem = str(inst_id)
-        # Keyed by ``repr``, which tells -0.0 from 0.0 where ``==`` does not.
+        # Keyed by the graph's memoized digest and the ``repr`` of the other
+        # fields, which tells -0.0 from 0.0 where ``==`` does not.
         encoded: dict[str, str] = {}
         for method, cert in certs:
-            key = repr(cert)
+            key = repr({**vars(cert), "graph": graph_digest(cert.graph)})
             text = encoded.get(key)
             if text is None:
                 text = json.dumps(certificate_to_json_dict(cert), sort_keys=True, indent=1)

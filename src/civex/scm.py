@@ -181,7 +181,7 @@ class ActionFrame:
     interventional: bool = True
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
+        if not self.cost >= 0:  # NaN fails too
             raise ValueError("cost must be >= 0")
 
 

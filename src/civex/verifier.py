@@ -183,8 +183,8 @@ def query_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | Non
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
     if not frame.tool:
         return "malformed action frame: missing tool name"
-    if frame.cost < 0:
-        return "malformed action frame: negative cost"
+    if not frame.cost >= 0:
+        return "malformed action frame: negative or NaN cost"
     return query_reason(frame, graphs)
 
 
@@ -257,7 +257,7 @@ def certify(
             Decision.REJECT, rule_fired=3,
             refusal_reason=f"worst-case lower confidence bound {min_lcb:.6g} "
                            f"is below the utility threshold {cfg.tau_u:.6g}")
-    if frame.cost > cfg.tau_r:
+    if not frame.cost <= cfg.tau_r:  # a NaN cost overruns too
         return Verdict(
             Decision.REJECT, rule_fired=3,
             refusal_reason=f"cost {frame.cost:.6g} overruns the risk threshold {cfg.tau_r:.6g}")

@@ -205,6 +205,25 @@ def elimination_rank_ok(xtx: np.ndarray, rtol: float) -> bool:
     return True
 
 
+def numpy_pivot_rank_ok(xtx: np.ndarray, rtol: float) -> bool:
+    """The Cholesky rank test as numpy array operations: every squared
+    diagonal entry of the factor must exceed ``rtol`` times the largest
+    diagonal entry of ``xtx``."""
+    tol = rtol * float(xtx.diagonal().max())
+    try:
+        chol = np.linalg.cholesky(xtx)
+    except np.linalg.LinAlgError:
+        return False
+    return bool((chol.diagonal() ** 2 > tol).all())
+
+
+def var_zero_variance(col: np.ndarray) -> bool:
+    """The zero-variance test as one ``np.var`` over the whole column, with
+    numpy's floating-point warnings silenced."""
+    with np.errstate(all="ignore"):
+        return float(np.var(col)) <= 1e-24
+
+
 def per_value_encode(frame: Frame) -> bytes:
     """Canonical bytes as the format defines them: ``repr`` of each value."""
     rows = [",".join(repr(float(v)) for v in row) for row in frame.data]
@@ -268,7 +287,8 @@ def reference_adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
                               treatment_col: str = "T",
                               outcome_col: str = "Y") -> EffectEstimate:
     """The backdoor OLS fit built with ``column_stack``, ``np.var``,
-    ``np.all`` and the whole scaled covariance matrix, never memoized."""
+    ``np.all``, the array-level rank test and the whole scaled covariance
+    matrix, never memoized."""
     t = d.column(treatment_col)
     y = d.column(outcome_col)
     treated = t == 1.0
@@ -293,12 +313,7 @@ def reference_adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
         )
     design = np.column_stack([np.ones(n), t, *cols])
     xtx = design.T @ design
-    tol = 1e-10 * float(np.max(np.diag(xtx)))
-    try:
-        chol = np.linalg.cholesky(xtx)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is None or not np.all(np.diag(chol) ** 2 > tol):
+    if not numpy_pivot_rank_ok(xtx, 1e-10):
         raise EstimationError("singular design matrix")
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ beta

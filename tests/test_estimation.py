@@ -9,6 +9,7 @@ from civex.estimation import (
     DegenerateRegressorWarning,
     EstimationError,
     _ndtri,
+    _zero_variance,
     adjusted_effect,
     frontdoor_effect,
     one_sided_z,
@@ -19,7 +20,12 @@ from civex.frames import Frame
 from civex.graphs import identify
 from civex.scm import BenchmarkSpec, build_benchmark
 
-from oracles import normal_equations_ols, per_value_encode, reference_adjusted_effect
+from oracles import (
+    normal_equations_ols,
+    per_value_encode,
+    reference_adjusted_effect,
+    var_zero_variance,
+)
 
 # Eight fixed rows (T, Y, x1, x2); expected values frozen from the
 # normal-equations oracle below.
@@ -213,6 +219,88 @@ class TestAgainstReferenceFit:
                                "dropping zero-variance adjustment column 'flat'")]
         else:
             assert got[0].startswith("EstimationError")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+GUARD_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+def _spread_column(n: int, center: float, ratio: float, i: int, j: int) -> np.ndarray:
+    """``n - 2`` entries at ``center`` and entries ``i`` and ``j`` spread
+    about it so that the variance is about ``ratio * 1e-24``."""
+    delta = float(np.sqrt(ratio * n * 1e-24 / 2.0))
+    col = np.full(n, center)
+    col[i] = center + delta
+    col[j] = center - delta
+    return col
+
+
+def _decide_quietly(col: np.ndarray) -> bool:
+    with np.errstate(all="ignore"):
+        return _zero_variance(col)
+
+
+class TestZeroVarianceGuard:
+    """The two-entry proof decides as ``np.var(col) <= 1e-24`` does."""
+
+    @GUARD_SETTINGS
+    @given(value=FINITE, n=st.integers(1, 300))
+    @example(value=0.0, n=1)
+    @example(value=1e308, n=200)
+    def test_constant_columns(self, value, n):
+        col = np.full(n, value)
+        assert _decide_quietly(col) == var_zero_variance(col)
+
+    @GUARD_SETTINGS
+    @given(values=st.lists(FINITE, min_size=1, max_size=3),
+           base=st.floats(-1e307, 1e307), ulps=st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+    @example(values=[1.0, 1.0 + 2e-12], base=0.0, ulps=[0])
+    @example(values=[-1e308, 1e308, 0.0], base=0.0, ulps=[0])
+    def test_columns_of_one_two_and_three_rows(self, values, base, ulps):
+        # Arbitrary entries, and entries a few ulps around one value.
+        near = [float(base)] * len(ulps)
+        for k, steps in enumerate(ulps):
+            for _ in range(abs(steps)):
+                near[k] = float(np.nextafter(near[k], np.inf if steps > 0 else -np.inf))
+        for col in (np.array(values), np.array(near)):
+            assert _decide_quietly(col) == var_zero_variance(col)
+
+    @GUARD_SETTINGS
+    @given(mantissas=st.lists(st.floats(1.0, 9.99), min_size=2, max_size=50),
+           signs=st.lists(st.booleans(), min_size=50, max_size=50))
+    @example(mantissas=[1.0, 1.0000000000000002], signs=[True] * 50)
+    def test_magnitudes_near_1e300_warn_nothing(self, mantissas, signs):
+        col = np.array([(m if s else -m) * 1e300 for m, s in zip(mantissas, signs)])
+        if col[0] == col[1]:
+            col[1] = np.nextafter(col[1], np.inf)
+        # The array pass overflows here; the two-entry proof must not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _zero_variance(col)
+        assert got == var_zero_variance(col)
+
+    @GUARD_SETTINGS
+    @given(n=st.integers(3, 400), center=st.floats(-1e3, 1e3),
+           ratio=st.floats(0.5, 2.0), first_two=st.booleans(), data=st.data())
+    @example(n=3, center=0.0, ratio=0.999, first_two=True, data=None)
+    @example(n=400, center=1.0, ratio=1.001, first_two=True, data=None)
+    def test_adversarial_spread_around_the_tolerance(self, n, center, ratio, first_two, data):
+        if first_two:
+            i, j = 0, 1
+        else:
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                      unique=True))
+        col = _spread_column(n, center, ratio, i, j)
+        assert _decide_quietly(col) == var_zero_variance(col)
+
+    @pytest.mark.parametrize("n", [3, 10, 400])
+    @pytest.mark.parametrize("ratio", [0.26, 0.9, 0.999, 1.001, 1.1, 4.5])
+    def test_variance_just_under_the_tolerance_is_dropped(self, n, ratio):
+        # The two spread entries come first, where the proof looks: their
+        # squared difference is 2n times the variance.
+        col = _spread_column(n, 1.0, ratio, 0, 1)
+        assert var_zero_variance(col) == (ratio < 1.0)
+        assert _zero_variance(col) == (ratio < 1.0)
 
 
 class TestUnadjustedDifference:

@@ -55,6 +55,7 @@ from civex.verifier import (
 from oracles import (
     elimination_rank_ok,
     line_parse,
+    numpy_pivot_rank_ok,
     per_value_encode,
     per_value_parse,
     random_graph,
@@ -475,13 +476,16 @@ def test_canonical_text_round_trips_random_doubles(width, bits):
 
 # --------------------------------------------------------------- rank test
 
-DESIGN_SHAPES = ("random", "collinear", "near_collinear", "constant", "intercept_binary")
+DESIGN_SHAPES = ("random", "collinear", "near_collinear", "constant", "intercept_binary",
+                 "zero", "overflow")
 
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5), extra_rows=st.integers(1, 30),
        shape=st.sampled_from(DESIGN_SHAPES),
        log_scales=st.lists(st.floats(-6.0, 6.0), min_size=5, max_size=5))
+@example(seed=0, k=3, extra_rows=4, shape="overflow", log_scales=[0.0] * 5)
+@example(seed=0, k=3, extra_rows=4, shape="zero", log_scales=[0.0] * 5)
 def test_cholesky_rank_test_agrees_with_elimination(seed, k, extra_rows, shape, log_scales):
     rng = np.random.default_rng(seed)
     n = k + extra_rows
@@ -496,6 +500,13 @@ def test_cholesky_rank_test_agrees_with_elimination(seed, k, extra_rows, shape, 
     elif shape == "intercept_binary":
         x[:, 0] = 1.0
         x[:, j] = rng.integers(0, 2, size=n)
+    elif shape == "zero":
+        x[:, j] = 0.0
     x = x * 10.0 ** np.array(log_scales[:k])
-    xtx = x.T @ x
-    assert _pivot_rank_ok(xtx) == elimination_rank_ok(xtx, _PIVOT_RTOL)
+    if shape == "overflow":
+        x[:, j] *= 1e160  # its diagonal entry of X'X overflows to inf
+    with np.errstate(over="ignore"):
+        xtx = x.T @ x
+    ok = _pivot_rank_ok(xtx)
+    assert ok == elimination_rank_ok(xtx, _PIVOT_RTOL)
+    assert ok == numpy_pivot_rank_ok(xtx, _PIVOT_RTOL)

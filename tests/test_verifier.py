@@ -481,6 +481,31 @@ class TestFailClosed:
             assert v.certificate is None
             assert "non-finite" in v.refusal_reason
 
+    @staticmethod
+    def _nan_cost_frame() -> ActionFrame:
+        # The constructor refuses a NaN cost; a frame that skipped it (set by
+        # hand, or unpickled) must still fail closed at the gate.
+        with pytest.raises(ValueError, match="cost"):
+            worked_frame(cost=math.nan)
+        frame = worked_frame()
+        object.__setattr__(frame, "cost", math.nan)
+        return frame
+
+    def test_nan_cost_rejected_by_triage(self):
+        v = triage(self._nan_cost_frame(), [worked_graph()], worked_data(), CFG)
+        assert v.decision is Decision.REJECT
+        assert v.rule_fired == 1
+        assert v.certificate is None
+        assert v.refusal_reason == "malformed action frame: negative or NaN cost"
+
+    def test_nan_cost_rejected_by_causal_no_experiment(self):
+        # This method has no tool gate, so rule 3's own cost check refuses.
+        v = causal_no_experiment(self._nan_cost_frame(), worked_graph(), worked_data())
+        assert v.decision is Decision.REJECT
+        assert v.rule_fired == 3
+        assert v.certificate is None
+        assert v.refusal_reason == "cost nan overruns the risk threshold 0.5"
+
     def test_wrongly_typed_alpha_is_a_replay_mismatch(self):
         data = worked_data()
         cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
