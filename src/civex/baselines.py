@@ -9,16 +9,15 @@ ground truth by construction.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .estimation import EstimationError, adjusted_effect, unadjusted_difference
 from .frames import Frame, FrameError
 from .graphs import identify
-from .scm import InstanceId, ScmInstance
+from .scm import FAMILIES, REGIMES, InstanceId, ScmInstance
 from .verifier import (
     Decision,
     InstanceView,
@@ -48,6 +47,7 @@ __all__ = [
     "make_provider",
     "is_replay",
     "replay_tag",
+    "ReplayError",
     "load_replay_shard",
 ]
 
@@ -281,7 +281,9 @@ def _name_only(view: InstanceView) -> Verdict:
 
 
 def _replay(tag: str, ctx: ProviderContext) -> Callable[[InstanceView], Verdict]:
-    shard = ctx.replay_shards.get(tag, {})
+    if tag not in ctx.replay_shards:
+        raise ReplayError(f"replay has no recorded verdicts for tag '{tag}'")
+    shard = ctx.replay_shards[tag]
 
     def provider(view: InstanceView) -> Verdict:
         terminal = shard.get(_shard_key(view.id))
@@ -322,34 +324,44 @@ def make_provider(
     raise ValueError(f"unknown method '{method}'")
 
 
-_VALID_VERDICTS = {d.value for d in Decision}
+# A recorded terminal verdict; EXPERIMENT is only ever a stage-1 answer.
+_TERMINAL_VERDICTS = {d.value for d in Decision if d is not Decision.EXPERIMENT}
+_SHARD_COLUMNS = ("seed", "regime", "family", "index", "stage1", "terminal")
 
 
-def load_replay_shard(path) -> dict[tuple[int, str, str, int], str]:
-    """Parse one recorded-verdict CSV; raises on malformed shards so callers
-    can skip them atomically.  Unknown columns are ignored."""
-    entries: dict[tuple[int, str, str, int], str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"seed", "regime", "family", "index", "stage1", "terminal"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ValueError(f"shard {path} is missing required columns {sorted(required)}")
-        for row in reader:
-            terminal = row["terminal"].strip().upper()
-            if terminal not in _VALID_VERDICTS:
-                raise ValueError(f"shard {path} has invalid verdict '{row['terminal']}'")
-            key = (int(row["seed"]), row["regime"].strip(), row["family"].strip(),
-                   int(row["index"]))
-            entries[key] = terminal
-    return entries
+class ReplayError(ValueError):
+    """A replay input that cannot be scored as written."""
 
 
-def load_replay_shards(paths: Iterable) -> dict[tuple[int, str, str, int], str]:
-    """Merge shards, skipping (with a warning) any that fail to parse."""
-    merged: dict[tuple[int, str, str, int], str] = {}
-    for path in paths:
-        try:
-            merged.update(load_replay_shard(path))
-        except (ValueError, OSError) as exc:
-            warnings.warn(f"skipping replay shard {path}: {exc}")
-    return merged
+def load_replay_shard(path, table: dict | None = None) -> dict[tuple[int, str, str, int], str]:
+    """Add one recorded-verdict CSV's rows to ``table`` (a new one by default).
+
+    Refuses the whole shard on a missing column, a short row, a non-integer
+    seed or index, a regime or family the benchmark does not have, a terminal
+    verdict other than EXECUTE, REJECT or ABSTAIN, or a second row for an
+    instance already in ``table``.  Unknown columns are ignored.
+    """
+    table = {} if table is None else table
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            if not set(_SHARD_COLUMNS).issubset(reader.fieldnames or ()):
+                raise ValueError(f"missing required columns {list(_SHARD_COLUMNS)}")
+            for row in reader:
+                fields = [row[c] for c in _SHARD_COLUMNS]
+                if None in fields:
+                    raise ValueError(f"line {reader.line_num} has too few fields")
+                seed, regime, family, index, _, terminal = (f.strip() for f in fields)
+                key, terminal = (int(seed), regime, family, int(index)), terminal.upper()
+                if regime not in REGIMES or family not in FAMILIES:
+                    raise ValueError(f"line {reader.line_num} has unknown regime or family "
+                                     f"'{regime}/{family}'")
+                if terminal not in _TERMINAL_VERDICTS:
+                    raise ValueError(f"line {reader.line_num} has invalid verdict '{terminal}'")
+                if key in table:
+                    raise ValueError(f"line {reader.line_num} records instance {key} a "
+                                     f"second time")
+                table[key] = terminal
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ReplayError(f"replay shard {path}: {exc}") from None
+    return table

@@ -1,4 +1,4 @@
-"""Command-line front end: generation, runs, sweeps, replay import, reports.
+"""Command-line front end: generation, runs, sweeps, reports, certificate replay.
 
 All commands read one JSON config document (flag overrides for the common
 knobs) and write delimited outputs plus a manifest; `run` exits non-zero
@@ -7,18 +7,19 @@ whenever the verifier records a false execution, so CI can gate on it.
 
 from __future__ import annotations
 
+import csv
 import json
-import shutil
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
-from .baselines import load_replay_shard
+from .baselines import ReplayError
 from .frames import FrameError
 from .runner import (
     SWEEP_METHODS,
+    SWEEP_SEEDS,
     RunConfig,
     run_benchmark,
     run_misspec_sweep,
@@ -44,8 +45,9 @@ def _seed(text: str) -> int | str:
         return text  # the seeds check refuses it by name
 
 
-def _load_config(config_path: str | None, seed_list: str | None, methods: str | None,
-                 n_rows: int | None, strength: float | None, out: str | None) -> RunConfig:
+def _load_config(config_path: str | None = None, seed_list: str | None = None,
+                 methods: str | None = None, n_rows: int | None = None,
+                 strength: float | None = None, out: str | None = None) -> RunConfig:
     obj = {}
     if config_path:
         try:
@@ -68,11 +70,13 @@ def _load_config(config_path: str | None, seed_list: str | None, methods: str | 
 
 
 @contextmanager
-def _generating(config: RunConfig):
-    """Report a strength whose generated data overflows to infinity as a
-    config error; the config check bounds every other setting."""
+def _config_errors(config: RunConfig):
+    """Report a replay shard that cannot be scored as written, and a strength whose
+    data overflows to infinity (the config check bounds the rest), as config errors."""
     try:
         yield
+    except ReplayError as exc:
+        raise click.ClickException(f"invalid configuration: {exc}") from None
     except FrameError as exc:
         raise click.ClickException(
             f"invalid configuration: adversarial_strength "
@@ -85,12 +89,15 @@ def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="JSON config document.")(fn)
     fn = click.option("--seed-list", default=None, help="Comma-separated seeds.")(fn)
-    fn = click.option("--methods", default=None, help="Comma-separated method ids.")(fn)
     fn = click.option("--n-rows", type=int, default=None, help="Rows per data frame.")(fn)
     fn = click.option("--strength", type=float, default=None,
                       help="Adversarial hidden-confounder strength.")(fn)
     fn = click.option("--out", default=None, help="Output directory.")(fn)
     return fn
+
+
+# `generate` draws the same instances whatever the methods, so it takes no --methods.
+_methods_option = click.option("--methods", default=None, help="Comma-separated method ids.")
 
 
 @click.group()
@@ -100,11 +107,11 @@ def main() -> None:
 
 @main.command()
 @_common_options
-def generate(config_path, seed_list, methods, n_rows, strength, out) -> None:
+def generate(**flags) -> None:
     """Write instance files (one JSON-lines file per seed and regime)."""
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
+    config = _load_config(**flags)
     out_dir = config.resolved_output_dir()
-    with _generating(config):
+    with _config_errors(config):
         instances, counterbalance = build_benchmark(config.bench)
     paths = write_generated_instances(out_dir, instances, counterbalance)
     click.echo(f"wrote {len(instances)} instances across {len(paths)} files to {out_dir}")
@@ -112,11 +119,12 @@ def generate(config_path, seed_list, methods, n_rows, strength, out) -> None:
 
 @main.command()
 @_common_options
-def run(config_path, seed_list, methods, n_rows, strength, out) -> None:
+@_methods_option
+def run(**flags) -> None:
     """Evaluate the configured methods and write summaries, records, and
     certificates.  Exits non-zero if the verifier falsely executed anything."""
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
-    with _generating(config):
+    config = _load_config(**flags)
+    with _config_errors(config):
         result = run_benchmark(config)
     manifest = write_run_outputs(result)
     out_dir = config.resolved_output_dir()
@@ -132,20 +140,25 @@ def run(config_path, seed_list, methods, n_rows, strength, out) -> None:
 @main.command()
 @click.argument("kind", type=click.Choice(["strength", "weights", "misspec"]))
 @_common_options
-def sweep(kind, config_path, seed_list, methods, n_rows, strength, out) -> None:
+@_methods_option
+def sweep(kind, **flags) -> None:
     """Run one sensitivity sweep and write its table."""
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
+    if kind != "weights" and (flags["seed_list"] is not None or flags["strength"] is not None):
+        raise click.UsageError(
+            f"sweep {kind} uses seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} and its own grid, "
+            f"so it takes no --seed-list or --strength")
+    config = _load_config(**flags)
     out_dir = config.resolved_output_dir()
-    sweep_methods = config.methods if methods is not None else SWEEP_METHODS
-    if kind == "strength":
-        rows = run_strength_sweep(config, methods=sweep_methods)
-    elif kind == "misspec":
-        rows = run_misspec_sweep(config, methods=sweep_methods)
-    else:
-        with _generating(config):
+    sweep_methods = config.methods if flags["methods"] is not None else SWEEP_METHODS
+    with _config_errors(config):
+        if kind == "strength":
+            rows = run_strength_sweep(config, methods=sweep_methods)
+        elif kind == "misspec":
+            rows = run_misspec_sweep(config, methods=sweep_methods)
+        else:
             result = run_benchmark(config)
-        write_run_outputs(result)
-        rows = run_weight_sweep(result)
+            write_run_outputs(result)
+            rows = run_weight_sweep(result)
     path = write_sweep_csv(out_dir, kind, rows)
     click.echo(f"wrote {len(rows)} sweep rows to {path}")
 
@@ -154,7 +167,12 @@ def sweep(kind, config_path, seed_list, methods, n_rows, strength, out) -> None:
 @click.argument("run_dir", type=click.Path(exists=True, file_okay=False))
 def report(run_dir) -> None:
     """Render report.md from a run directory's delimited outputs."""
-    path = write_report(Path(run_dir))
+    try:
+        path = write_report(Path(run_dir))
+    except KeyError as exc:
+        raise click.ClickException(f"cannot read run directory {run_dir}: no column {exc}")
+    except (OSError, TypeError, ValueError, csv.Error) as exc:
+        raise click.ClickException(f"cannot read run directory {run_dir}: {exc}")
     click.echo(f"wrote {path}")
 
 
@@ -174,32 +192,6 @@ def verify_cert(cert_path, data_path) -> None:
         click.echo(f"certificate mismatch: {', '.join(mismatches)}")
         sys.exit(1)
     click.echo("certificate verified: digests and estimate reproduce exactly")
-
-
-@main.command("import-replay")
-@click.argument("tag")
-@click.argument("shards", nargs=-1, type=click.Path(exists=True, dir_okay=False))
-@_common_options
-def import_replay(tag, shards, config_path, seed_list, methods, n_rows, strength, out) -> None:
-    """Validate recorded-verdict CSVs and install them under the output root."""
-    if not shards:
-        raise click.ClickException("no shard files given")
-    config = _load_config(config_path, seed_list, methods, n_rows, strength, out)
-    dest = config.resolved_output_dir() / "replay" / tag
-    dest.mkdir(parents=True, exist_ok=True)
-    imported = 0
-    for shard in shards:
-        try:
-            entries = load_replay_shard(shard)
-        except ValueError as exc:
-            click.echo(f"skipping {shard}: {exc}")
-            continue
-        shutil.copy(shard, dest / Path(shard).name)
-        imported += 1
-        click.echo(f"imported {shard} ({len(entries)} verdicts)")
-    if imported == 0:
-        raise click.ClickException("no valid shards imported")
-    click.echo(f"replay tag '{tag}' ready under {dest}")
 
 
 if __name__ == "__main__":

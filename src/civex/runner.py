@@ -26,9 +26,10 @@ from .baselines import (
     ORACLE_SCM,
     POLICY_GATE,
     ProviderContext,
+    ReplayError,
     build_context,
     is_replay,
-    load_replay_shards,
+    load_replay_shard,
     make_provider,
     replay_tag,
 )
@@ -132,17 +133,24 @@ class RunConfig:
 
 
 def _load_replay_tables(config: RunConfig) -> dict[str, Mapping]:
+    """Each ``Replay(tag)`` method's verdicts, from the shards ``replay.<tag>`` names."""
     tables: dict[str, Mapping] = {}
-    for method in config.methods:
-        if is_replay(method):
-            tag = replay_tag(method)
-            paths = list(config.replay.get(tag, ()))
-            if not paths:
-                shard_dir = config.resolved_output_dir() / "replay" / tag
-                if shard_dir.is_dir():
-                    paths = sorted(str(p) for p in shard_dir.glob("*.csv"))
-            tables[tag] = load_replay_shards(paths)
+    for method in filter(is_replay, config.methods):
+        tag = replay_tag(method)
+        if not config.replay.get(tag):
+            raise ReplayError(f"replay names no shard for {method}")
+        tables[tag] = {}
+        for path in config.replay[tag]:
+            load_replay_shard(path, tables[tag])
     return tables
+
+
+def _refuse_replay(kind: str, methods: Sequence[str]) -> None:
+    """A sweep that builds its own instances has no recorded verdicts for them."""
+    method = next(filter(is_replay, methods), None)
+    if method is not None:
+        raise ReplayError(f"replay method {method} cannot run in the {kind} sweep: "
+                          f"it regenerates its instances, and no shard recorded them")
 
 
 def evaluate_instances(
@@ -197,12 +205,12 @@ def _score_all(
 
 @collection_deferred()
 def run_benchmark(config: RunConfig) -> RunResult:
+    replay_tables = _load_replay_tables(config)
     instances, counterbalance = build_benchmark(config.bench)
     diagnostics = {
         regime: observational_diagnostics([i for i in instances if i.id.regime == regime])
         for regime in REGIMES
     }
-    replay_tables = _load_replay_tables(config)
     seeds = set(config.bench.seeds)
     replay_coverage = {
         tag: len({key[0] for key in table} & seeds)
@@ -284,6 +292,7 @@ def run_strength_sweep(
     seeds: Sequence[int] = SWEEP_SEEDS,
 ) -> list[SweepRow]:
     """Re-generate the adversarial slice at each hidden-confounder strength."""
+    _refuse_replay("strength", methods)
     rows = []
     for s in strengths:
         bspec = replace(config.bench, seeds=tuple(seeds), adversarial_strength=s)
@@ -347,6 +356,7 @@ def run_misspec_sweep(
     seeds: Sequence[int] = SWEEP_SEEDS,
 ) -> list[SweepRow]:
     """Moderate-regime slice with the committed graphs progressively broken."""
+    _refuse_replay("misspec", methods)
     bspec = replace(config.bench, seeds=tuple(seeds))
     base, _ = build_benchmark(bspec, regimes=(MODERATE,))
     rows = []
@@ -366,16 +376,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def summary_csv_rows(
-    summaries: Iterable[MethodSummary],
-    replay_coverage: Mapping[str, int] | None = None,
-) -> list[dict]:
+def summary_csv_rows(summaries: Iterable[MethodSummary],
+                     replay_coverage: Mapping[str, int]) -> list[dict]:
     rows = []
     for s in summaries:
-        if is_replay(s.method) and replay_coverage is not None:
-            seeds_covered = replay_coverage.get(replay_tag(s.method), 0)
-        else:
-            seeds_covered = len(s.per_seed_means)
+        seeds_covered = (replay_coverage[replay_tag(s.method)] if is_replay(s.method)
+                         else len(s.per_seed_means))
         rows.append({
             "method": s.method,
             "regime": s.regime,
@@ -610,23 +616,15 @@ def _summary_table(rows: list[dict]) -> str:
 
 
 def _strength_table(rows: list[dict]) -> str:
-    methods = sorted({r["method"] for r in rows},
-                     key=lambda m: SWEEP_METHODS.index(m) if m in SWEEP_METHODS else 99)
-    strengths = sorted({float(r["strength"]) for r in rows})
-    headers = ["Strength", *methods]
-    body = []
-    for s in strengths:
-        cells = [f"{s:.1f}"]
-        for m in methods:
-            match = [r for r in rows if float(r["strength"]) == s and r["method"] == m]
-            if match:
-                r = match[0]
-                cells.append(f"{_pct(r['false_exec_per_instance'])} / "
-                             f"{float(r['mean_utility']):+.2f}")
-            else:
-                cells.append("")
-        body.append(cells)
-    return render_markdown_table(headers, body)
+    """False execution / utility at each strength, one column per method in
+    the sweep's order."""
+    methods = list(dict.fromkeys(r["method"] for r in rows))
+    cells = {(float(r["strength"]), r["method"]):
+             f"{_pct(r['false_exec_per_instance'])} / {float(r['mean_utility']):+.2f}"
+             for r in rows}
+    body = [[f"{s:.1f}", *(cells.get((s, m), "") for m in methods)]
+            for s in sorted({s for s, _ in cells})]
+    return render_markdown_table(["Strength", *methods], body)
 
 
 def _ablation_table(moderate: list[dict], adversarial: list[dict]) -> str:

@@ -17,10 +17,10 @@ from civex.baselines import (
     SCHEMA_GATE,
     SEMANTIC_ONTOLOGY_GATE,
     ProviderContext,
+    ReplayError,
     build_context,
     is_replay,
     load_replay_shard,
-    load_replay_shards,
     make_provider,
     replay_tag,
 )
@@ -189,6 +189,9 @@ class TestInputParity:
         assert not hasattr(view, "experimental")
 
 
+SHARD_HEADER = "seed,regime,family,index,stage1,terminal"
+
+
 class TestReplay:
     def test_method_id_parsing(self):
         m = "Replay(opus)"
@@ -226,24 +229,59 @@ class TestReplay:
         assert table[(42, "moderate", "cache_operation", 3)] == "EXECUTE"
         assert table[(42, "adversarial", "cache_operation", 1)] == "ABSTAIN"
 
-    def test_malformed_shard_is_skipped_with_warning(self, tmp_path):
+    def test_malformed_shard_is_refused(self, tmp_path):
         good = tmp_path / "good.csv"
-        good.write_text("seed,regime,family,index,stage1,terminal\n"
-                        "42,moderate,cache_operation,0,EXECUTE,EXECUTE\n",
+        good.write_text(f"{SHARD_HEADER}\n42,moderate,cache_operation,0,EXECUTE,EXECUTE\n",
                         encoding="utf-8")
         bad = tmp_path / "bad.csv"
         bad.write_text("seed,regime\n42,moderate\n", encoding="utf-8")
-        with pytest.warns(UserWarning, match="skipping replay shard"):
-            merged = load_replay_shards([good, bad])
-        assert len(merged) == 1
+        table = load_replay_shard(good)
+        with pytest.raises(ReplayError, match=r"bad\.csv: missing required columns"):
+            load_replay_shard(bad, table)
 
     def test_invalid_verdict_rejected(self, tmp_path):
         path = tmp_path / "shard.csv"
-        path.write_text("seed,regime,family,index,stage1,terminal\n"
-                        "42,moderate,cache_operation,0,EXECUTE,LAUNCH\n",
+        path.write_text(f"{SHARD_HEADER}\n42,moderate,cache_operation,0,EXECUTE,LAUNCH\n",
                         encoding="utf-8")
         with pytest.raises(ValueError, match="invalid verdict"):
             load_replay_shard(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("42,moderate", "line 3 has too few fields"),
+        ("42,moderate,cache_operation,0,EXECUTE", "line 3 has too few fields"),
+        ("42,moderate,cache_operation,0,EXPERIMENT,experiment", "invalid verdict 'EXPERIMENT'"),
+        ("42,moderat,cache_operation,0,EXECUTE,EXECUTE", "unknown regime or family"),
+        ("42,moderate,cache_op,0,EXECUTE,EXECUTE", "unknown regime or family"),
+        ("4.2,moderate,cache_operation,0,EXECUTE,EXECUTE", "invalid literal for int"),
+        ("42,moderate,cache_operation,x,EXECUTE,EXECUTE", "invalid literal for int"),
+    ])
+    def test_malformed_row_is_refused(self, tmp_path, row, message):
+        path = tmp_path / "shard.csv"
+        path.write_text(f"{SHARD_HEADER}\n42,adversarial,cache_operation,0,EXECUTE,REJECT\n"
+                        f"{row}\n", encoding="utf-8")
+        with pytest.raises(ReplayError, match=message):
+            load_replay_shard(path)
+
+    def test_second_row_for_an_instance_is_refused(self, tmp_path):
+        row = "42,moderate,cache_operation,0,EXECUTE,"
+        path = tmp_path / "shard.csv"
+        path.write_text(f"{SHARD_HEADER}\n{row}EXECUTE\n{row}REJECT\n", encoding="utf-8")
+        with pytest.raises(ReplayError, match="line 3 records instance .* a second time"):
+            load_replay_shard(path)
+        # Across the shards of one tag as well.
+        first = tmp_path / "first.csv"
+        first.write_text(f"{SHARD_HEADER}\n{row}EXECUTE\n", encoding="utf-8")
+        table = load_replay_shard(first)
+        with pytest.raises(ReplayError, match="a second time"):
+            load_replay_shard(first, table)
+
+    def test_missing_file_is_refused(self, tmp_path):
+        with pytest.raises(ReplayError, match="absent.csv"):
+            load_replay_shard(tmp_path / "absent.csv")
+
+    def test_tag_without_a_table_is_refused(self):
+        with pytest.raises(ReplayError, match="no recorded verdicts for tag 'x'"):
+            make_provider("Replay(x)", ProviderContext(replay_shards={"y": {}}), CFG)
 
 
 class TestDecideHelper:

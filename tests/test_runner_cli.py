@@ -78,6 +78,14 @@ class TestGenerateCommand:
         assert result.exit_code != 0
         assert "invalid configuration" in result.output
 
+    def test_methods_flag_is_not_an_option(self, tmp_path):
+        cfg = write_config(tmp_path, "gm")
+        result = CliRunner().invoke(main, ["generate", "--config", str(cfg),
+                                           "--methods", "CIVeX"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--methods" in result.output
+        assert not (tmp_path / "gm").exists()
+
     def test_generated_files_round_trip(self, tmp_path):
         cfg = write_config(tmp_path, "gen3")
         assert CliRunner().invoke(main, ["generate", "--config", str(cfg)]).exit_code == 0
@@ -220,6 +228,16 @@ class TestSweepCommands:
         body = (tmp_path / "ss" / "sweep_strength.csv").read_text(encoding="utf-8")
         assert body.count("\n") == 8 * 3 + 1
 
+    @pytest.mark.parametrize("kind", ["strength", "misspec"])
+    @pytest.mark.parametrize("flag", [["--seed-list", "1"], ["--strength", "9"]])
+    def test_fixed_grid_sweep_refuses_seed_and_strength_flags(self, tmp_path, kind, flag):
+        cfg = write_config(tmp_path, "fixed")
+        result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg), *flag])
+        assert result.exit_code == 2
+        assert (f"sweep {kind} uses seeds 42-46 and its own grid, so it takes no "
+                f"--seed-list or --strength") in result.output
+        assert not (tmp_path / "fixed").exists()
+
     def test_misspec_sweep(self, tmp_path):
         cfg = write_config(tmp_path, "sm")
         result = CliRunner().invoke(
@@ -240,6 +258,27 @@ class TestReportCommand:
         assert "## Adversarial confounding" in text
         assert "| Method |" in text
         assert "Certificate-only ablation" in text
+
+    def test_strength_table_keeps_the_sweep_order(self, tmp_path):
+        methods = ["SchemaGate", "ContextOnlyNoCausal", "CIVeX"]
+        rows = [runner.SweepRow("strength", {"strength": s}, m, "adversarial", 10,
+                                0.1, 0.2, 0.3, 0.25)
+                for s in (1.0, 0.5) for m in methods]
+        runner.write_sweep_csv(tmp_path, "strength", rows)
+        result = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "report.md").read_text(encoding="utf-8")
+        assert "| Strength | SchemaGate | ContextOnlyNoCausal | CIVeX |" in text
+        assert text.index("| 0.5 | 10.0% / +0.25 |") < text.index("| 1.0 |")
+
+    def test_unreadable_summary_is_a_clean_error(self, tmp_path):
+        (tmp_path / "summary_moderate.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+        result = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: cannot read run directory {tmp_path}: "
+                                 f"no column 'mean_utility'\n")
+        assert not (tmp_path / "report.md").exists()
 
 
 class TestVerifyCertCommand:
@@ -274,39 +313,92 @@ class TestVerifyCertCommand:
         assert "cannot parse certificate" in result.output
 
 
-class TestImportReplay:
-    def test_import_then_run_with_replay_method(self, tmp_path):
+SHARD = ("seed,regime,family,index,stage1,terminal\n"
+         "42,moderate,db_index_operation,0,EXECUTE,EXECUTE\n"
+         "43,moderate,db_index_operation,0,REJECT,REJECT\n")
+
+
+class TestReplayShards:
+    """A shard reaches a run only through the config's ``replay`` key."""
+
+    def _config(self, tmp_path, out_name, shard_text=SHARD, **extra):
         shard = tmp_path / "shard.csv"
-        shard.write_text(
-            "seed,regime,family,index,stage1,terminal\n"
-            "42,moderate,db_index_operation,0,EXECUTE,EXECUTE\n"
-            "43,moderate,db_index_operation,0,ABSTAIN,ABSTAIN\n",
-            encoding="utf-8",
-        )
-        cfg = write_config(tmp_path, "rp",
-                           methods=["AlwaysAbstain", "Replay(demo)"])
-        runner = CliRunner()
-        imp = runner.invoke(main, ["import-replay", "demo", str(shard),
-                                   "--config", str(cfg)])
-        assert imp.exit_code == 0, imp.output
-        assert (tmp_path / "rp" / "replay" / "demo" / "shard.csv").is_file()
-        run = runner.invoke(main, ["run", "--config", str(cfg)])
+        if shard_text is not None:
+            shard.write_text(shard_text, encoding="utf-8")
+        extra = {"methods": ["AlwaysAbstain", "Replay(demo)"],
+                 "replay": {"demo": [str(shard)]}, **extra}
+        return write_config(tmp_path, out_name, **extra)
+
+    def test_named_shard_is_scored(self, tmp_path):
+        cfg = self._config(tmp_path, "rp")
+        run = CliRunner().invoke(main, ["run", "--config", str(cfg)])
         assert run.exit_code == 0, run.output
         summary = (tmp_path / "rp" / "summary_moderate.csv").read_text(encoding="utf-8")
-        assert "Replay(demo)" in summary
         manifest = json.loads((tmp_path / "rp" / "manifest.json").read_text())
         assert manifest["replay_coverage"]["demo"] == 2
         # Shard covers one instance per seed; everything else abstains.
-        row = next(line for line in summary.splitlines() if "Replay(demo)" in line)
-        assert ",2," in row  # seeds_covered column
+        header, *rows = summary.splitlines()
+        row = dict(zip(header.split(","),
+                       next(r for r in rows if r.startswith("Replay(demo),")).split(",")))
+        assert row["seeds_covered"] == "2"
+        assert row["n_executes"] == "1"
 
-    def test_import_rejects_all_bad_shards(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("nope\n1\n", encoding="utf-8")
-        cfg = write_config(tmp_path, "rp2")
-        result = CliRunner().invoke(main, ["import-replay", "x", str(bad),
-                                           "--config", str(cfg)])
-        assert result.exit_code != 0
+    def test_rerun_from_the_manifest_reproduces_the_run(self, tmp_path):
+        cfg = self._config(tmp_path, "first")
+        runner = CliRunner()
+        assert runner.invoke(main, ["run", "--config", str(cfg)]).exit_code == 0
+        manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+        again = tmp_path / "again.json"
+        again.write_text(json.dumps(manifest["config"]), encoding="utf-8")
+        rerun = runner.invoke(main, ["run", "--config", str(again),
+                                     "--out", str(tmp_path / "second")])
+        assert rerun.exit_code == 0, rerun.output
+        first, second = (read_bytes_map(tmp_path / name) for name in ("first", "second"))
+        assert first.pop("manifest.json") != second.pop("manifest.json")
+        assert first == second
+
+    def test_import_replay_is_gone(self):
+        result = CliRunner().invoke(main, ["import-replay", "demo", "shard.csv"])
+        assert result.exit_code == 2
+        assert "No such command" in result.output and "import-replay" in result.output
+
+    @pytest.mark.parametrize("shard_text, message", [
+        (None, "No such file"),
+        ("seed,regime,family,index,stage1,terminal\n42,moderate\n", "too few fields"),
+        ("nope\n1\n", "missing required columns"),
+        (SHARD + "42,moderate,db_index_operation,0,EXECUTE,REJECT\n", "a second time"),
+        (SHARD.replace("43,moderate", "43,moderat"), "unknown regime or family"),
+    ])
+    def test_missing_or_malformed_shard_is_refused(self, tmp_path, shard_text, message):
+        cfg = self._config(tmp_path, "bad", shard_text)
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: invalid configuration: replay shard ")
+        assert message in result.output
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("replay", [{}, {"demo": []}, {"other": ["shard.csv"]}])
+    def test_replay_method_without_shards_is_refused(self, tmp_path, replay):
+        cfg = self._config(tmp_path, "none", replay=replay)
+        for command in (["run"], ["sweep", "weights"]):
+            result = CliRunner().invoke(main, [*command, "--config", str(cfg)])
+            assert result.exit_code == 1
+            assert result.output == ("Error: invalid configuration: "
+                                     "replay names no shard for Replay(demo)\n")
+            assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("kind", ["strength", "misspec"])
+    def test_regenerating_sweep_refuses_replay(self, tmp_path, kind):
+        cfg = self._config(tmp_path, "sweep")
+        result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg),
+                                           "--methods", "CIVeX,Replay(demo)"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(
+            f"Error: invalid configuration: replay method Replay(demo) cannot run in "
+            f"the {kind} sweep")
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestConfigSurface:
