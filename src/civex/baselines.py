@@ -1,4 +1,4 @@
-"""Comparison verdict providers, plus a replay provider for recorded shards.
+"""Comparison verdict providers, plus the recorded results of replay shards.
 
 Every provider consumes the same redacted view (action frame, committed
 graph set, observational frame).  Only the oracle is handed the planted
@@ -9,24 +9,15 @@ ground truth by construction.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .estimation import EstimationError, adjusted_effect, unadjusted_difference
 from .frames import Frame, FrameError
-from .graphs import identify
 from .scm import FAMILIES, REGIMES, InstanceId, ScmInstance
-from .verifier import (
-    Decision,
-    InstanceView,
-    Verdict,
-    VerifierConfig,
-    certify,
-    query_reason,
-    triage,
-)
+from .verifier import Decision, InstanceView, TwoStageResult, Verdict, VerifierConfig, triage
 
 __all__ = [
     "ORACLE_SCM",
@@ -49,6 +40,7 @@ __all__ = [
     "replay_tag",
     "ReplayError",
     "load_replay_shard",
+    "replayed_result",
 ]
 
 ORACLE_SCM = "OracleSCM"
@@ -107,9 +99,6 @@ class ProviderContext:
     pooled_association: Mapping[tuple[int, str, str], tuple[float, float]] = field(
         default_factory=dict
     )
-    replay_shards: Mapping[str, Mapping[tuple[int, str, str, int], str]] = field(
-        default_factory=dict
-    )
 
 
 def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str, str], tuple[float, float]]:
@@ -137,15 +126,10 @@ def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str
     return pooled
 
 
-def build_context(
-    instances: Sequence[ScmInstance],
-    *,
-    replay_shards: Mapping[str, Mapping[tuple[int, str, str, int], str]] | None = None,
-) -> ProviderContext:
+def build_context(instances: Sequence[ScmInstance]) -> ProviderContext:
     return ProviderContext(
         theta_by_id={inst.id: inst.spec.theta for inst in instances},
         pooled_association=_pooled_association(instances),
-        replay_shards=dict(replay_shards or {}),
     )
 
 
@@ -166,34 +150,14 @@ def _civex(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     return provider
 
 
-def _certificate_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
+def _without_experiments(cfg: VerifierConfig, refusal: str) -> Callable[[InstanceView], Verdict]:
     """CIVeX with experimentation disabled: rule 4's EXPERIMENT becomes ABSTAIN."""
-    civex = _civex(cfg)
 
     def provider(view: InstanceView) -> Verdict:
-        v = civex(view)
+        v = triage(view.frame, view.graphs, view.data, cfg)
         if v.decision is Decision.EXPERIMENT:
-            return Verdict(Decision.ABSTAIN, rule_fired=4,
-                           refusal_reason="effect not identifiable; experimentation disabled "
-                                          "(certificate-only mode)")
+            return Verdict(Decision.ABSTAIN, rule_fired=4, refusal_reason=refusal)
         return v
-
-    return provider
-
-
-def _causal_no_experiment(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
-    """Triage rule 3 without a tool gate and without experimentation:
-    unidentified queries are refused outright."""
-
-    def provider(view: InstanceView) -> Verdict:
-        reason = query_reason(view.frame, view.graphs)
-        if reason is not None:
-            return Verdict(Decision.ABSTAIN, refusal_reason=reason)
-        proofs = [identify(g) for g in view.graphs]
-        if any(not p.identified for p in proofs):
-            return Verdict(Decision.ABSTAIN,
-                           refusal_reason="effect not identifiable; this method never experiments")
-        return certify(view.frame, view.graphs, proofs, view.data, cfg)
 
     return provider
 
@@ -280,35 +244,22 @@ def _name_only(view: InstanceView) -> Verdict:
                    refusal_reason=f"action name '{view.frame.tool}' is not on the benign list")
 
 
-def _replay(tag: str, ctx: ProviderContext) -> Callable[[InstanceView], Verdict]:
-    if tag not in ctx.replay_shards:
-        raise ReplayError(f"replay has no recorded verdicts for tag '{tag}'")
-    shard = ctx.replay_shards[tag]
-
-    def provider(view: InstanceView) -> Verdict:
-        terminal = shard.get(_shard_key(view.id))
-        if terminal is None:
-            return Verdict(Decision.ABSTAIN, refusal_reason="no recorded verdict")
-        return Verdict(Decision(terminal), rationale=f"replayed from shard '{tag}'")
-
-    return provider
-
-
 def make_provider(
     method: str,
     ctx: ProviderContext,
     cfg: VerifierConfig,
 ) -> Callable[[InstanceView], Verdict]:
-    if is_replay(method):
-        return _replay(replay_tag(method), ctx)
     if method == ORACLE_SCM:
         return _oracle(ctx)
     if method == CIVEX:
         return _civex(cfg)
     if method == CIVEX_CERT_ONLY:
-        return _certificate_only(cfg)
+        return _without_experiments(cfg, "effect not identifiable; experimentation disabled "
+                                         "(certificate-only mode)")
     if method == CAUSAL_NO_EXPERIMENT:
-        return _causal_no_experiment(cfg)
+        # No tool gate: this method ignores the forbidden-tool list.
+        return _without_experiments(replace(cfg, forbidden_tools=frozenset()),
+                                    "effect not identifiable; this method never experiments")
     if method == CONTEXT_ONLY_NO_CAUSAL:
         return _context_only(cfg)
     if method == OBSERVATIONAL_ASSOCIATION:
@@ -328,18 +279,31 @@ def make_provider(
 _TERMINAL_VERDICTS = {d.value for d in Decision if d is not Decision.EXPERIMENT}
 _SHARD_COLUMNS = ("seed", "regime", "family", "index", "stage1", "terminal")
 
+_NO_RECORD = Verdict(Decision.ABSTAIN, refusal_reason="no recorded verdict")
+_NOT_RECORDED = TwoStageResult(terminal=_NO_RECORD, trace=(_NO_RECORD,))
+
 
 class ReplayError(ValueError):
     """A replay input that cannot be scored as written."""
 
 
-def load_replay_shard(path, table: dict | None = None) -> dict[tuple[int, str, str, int], str]:
+def replayed_result(table: Mapping[tuple[int, str, str, int], TwoStageResult],
+                    inst_id: InstanceId) -> TwoStageResult:
+    """The result a shard table recorded for an instance; ABSTAIN if none."""
+    return table.get(_shard_key(inst_id), _NOT_RECORDED)
+
+
+def load_replay_shard(path, table: dict | None = None) -> dict[tuple[int, str, str, int],
+                                                                TwoStageResult]:
     """Add one recorded-verdict CSV's rows to ``table`` (a new one by default).
 
-    Refuses the whole shard on a missing column, a short row, a non-integer
-    seed or index, a regime or family the benchmark does not have, a terminal
-    verdict other than EXECUTE, REJECT or ABSTAIN, or a second row for an
-    instance already in ``table``.  Unknown columns are ignored.
+    Each row becomes the two-stage result it records: stage 1, then, after an
+    EXPERIMENT, the terminal verdict.  Refuses the whole shard on a missing
+    column, a short row, a non-integer seed or index, a regime or family the
+    benchmark does not have, a second row for an instance already in
+    ``table``, a terminal verdict other than EXECUTE, REJECT or ABSTAIN, or a
+    stage 1 that is neither EXPERIMENT nor the terminal verdict.  Unknown
+    columns are ignored.
     """
     table = {} if table is None else table
     try:
@@ -351,17 +315,25 @@ def load_replay_shard(path, table: dict | None = None) -> dict[tuple[int, str, s
                 fields = [row[c] for c in _SHARD_COLUMNS]
                 if None in fields:
                     raise ValueError(f"line {reader.line_num} has too few fields")
-                seed, regime, family, index, _, terminal = (f.strip() for f in fields)
-                key, terminal = (int(seed), regime, family, int(index)), terminal.upper()
+                seed, regime, family, index, stage1, terminal = (f.strip() for f in fields)
+                key = (int(seed), regime, family, int(index))
+                stage1, terminal = stage1.upper(), terminal.upper()
                 if regime not in REGIMES or family not in FAMILIES:
                     raise ValueError(f"line {reader.line_num} has unknown regime or family "
                                      f"'{regime}/{family}'")
-                if terminal not in _TERMINAL_VERDICTS:
-                    raise ValueError(f"line {reader.line_num} has invalid verdict '{terminal}'")
                 if key in table:
                     raise ValueError(f"line {reader.line_num} records instance {key} a "
                                      f"second time")
-                table[key] = terminal
+                if terminal not in _TERMINAL_VERDICTS:
+                    raise ValueError(f"line {reader.line_num} has invalid verdict '{terminal}'")
+                if stage1 not in (Decision.EXPERIMENT.value, terminal):
+                    raise ValueError(f"line {reader.line_num} has stage 1 '{stage1}', which is "
+                                     f"neither EXPERIMENT nor its terminal verdict {terminal}")
+                note = f"replayed from {path}"
+                last = Verdict(Decision(terminal), rationale=note)
+                trace = (last,) if stage1 == terminal else (
+                    Verdict(Decision.EXPERIMENT, rationale=note), last)
+                table[key] = TwoStageResult(terminal=last, trace=trace)
     except (OSError, ValueError, csv.Error) as exc:
         raise ReplayError(f"replay shard {path}: {exc}") from None
     return table

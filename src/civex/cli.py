@@ -47,7 +47,10 @@ def _seed(text: str) -> int | str:
 
 def _load_config(config_path: str | None = None, seed_list: str | None = None,
                  methods: str | None = None, n_rows: int | None = None,
-                 strength: float | None = None, out: str | None = None) -> RunConfig:
+                 strength: float | None = None, out: str | None = None,
+                 default_methods: tuple[str, ...] | None = None) -> RunConfig:
+    """The run config from the document and the flags; ``default_methods``
+    replaces the config's default when neither names any methods."""
     obj = {}
     if config_path:
         try:
@@ -63,6 +66,8 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
     }
     if isinstance(obj, dict):
         obj.update((key, value) for key, value in flags.items() if value is not None)
+        if default_methods is not None:
+            obj.setdefault("methods", list(default_methods))
     try:
         return RunConfig.from_json_dict(obj)
     except ValueError as exc:
@@ -147,14 +152,13 @@ def sweep(kind, **flags) -> None:
         raise click.UsageError(
             f"sweep {kind} uses seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} and its own grid, "
             f"so it takes no --seed-list or --strength")
-    config = _load_config(**flags)
+    config = _load_config(**flags, default_methods=None if kind == "weights" else SWEEP_METHODS)
     out_dir = config.resolved_output_dir()
-    sweep_methods = config.methods if flags["methods"] is not None else SWEEP_METHODS
     with _config_errors(config):
         if kind == "strength":
-            rows = run_strength_sweep(config, methods=sweep_methods)
+            rows = run_strength_sweep(config, methods=config.methods)
         elif kind == "misspec":
-            rows = run_misspec_sweep(config, methods=sweep_methods)
+            rows = run_misspec_sweep(config, methods=config.methods)
         else:
             result = run_benchmark(config)
             write_run_outputs(result)

@@ -104,17 +104,13 @@ def score(decision: Decision, inst: ScmInstance, w: ScoreWeights, method: str = 
     )
 
 
-def bootstrap_ci(
-    values: Sequence[float],
-    n_resamples: int = BOOTSTRAP_RESAMPLES,
-    seed: int = BOOTSTRAP_SEED,
-) -> tuple[float, float]:
+def bootstrap_ci(values: Sequence[float]) -> tuple[float, float]:
     """95% percentile interval for the mean, with a fixed resampling stream."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, vals.size, size=(n_resamples, vals.size))
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    idx = rng.integers(0, vals.size, size=(BOOTSTRAP_RESAMPLES, vals.size))
     means = vals[idx].mean(axis=1)
     lo, hi = np.quantile(means, [0.025, 0.975])
     return float(lo), float(hi)

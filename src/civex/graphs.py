@@ -159,7 +159,7 @@ def _violation(g: CausalGraph) -> str | None:
             return f"bidirected edge ({a}, {b}) references an unknown node"
         if a == b:
             return f"bidirected self-edge on '{a}'"
-    if _has_directed_cycle(g):
+    if any(n in g.descendants(n) for n in g.nodes):
         return "directed cycle"
     if g.treatment not in g.nodes:
         return f"treatment '{g.treatment}' is not a node"
@@ -168,22 +168,6 @@ def _violation(g: CausalGraph) -> str | None:
     if g.treatment == g.outcome:
         return "treatment and outcome must be distinct"
     return None
-
-
-def _has_directed_cycle(g: CausalGraph) -> bool:
-    indeg = {n: 0 for n in g.nodes}
-    for _, b in g.directed_edges:
-        indeg[b] += 1
-    queue = deque(n for n, d in indeg.items() if d == 0)
-    seen = 0
-    while queue:
-        n = queue.popleft()
-        seen += 1
-        for child in g.children(n):
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                queue.append(child)
-    return seen != len(g.nodes)
 
 
 def _latent_expansion(g: CausalGraph) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
@@ -281,37 +265,18 @@ def backdoor_view(g: CausalGraph) -> CausalGraph:
     return g.without_directed_out_of([g.treatment])
 
 
-def _has_directed_path(g: CausalGraph, src: str, dst: str, removed: set[str]) -> bool:
-    if src in removed or dst in removed:
-        return False
-    stack = [src]
-    seen = {src}
-    while stack:
-        n = stack.pop()
-        for child in g.children(n):
-            if child in removed:
-                continue
-            if child == dst:
-                return True
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return False
-
-
 def _frontdoor_holds(g: CausalGraph, mediators: tuple[str, ...]) -> bool:
     m = set(mediators)
     t, y = g.treatment, g.outcome
+    cut = g.without_directed_out_of(m)
     # (i) mediators intercept every directed treatment->outcome path
-    if _has_directed_path(g, t, y, removed=m):
+    if y in cut.descendants(t):
         return False
     # (ii) no unblocked backdoor path from treatment to the mediators
     if not d_separated(backdoor_view(g), {t}, m, set()):
         return False
     # (iii) treatment blocks every backdoor path from the mediators to the outcome
-    if not d_separated(g.without_directed_out_of(m), m, {y}, {t}):
-        return False
-    return True
+    return d_separated(cut, m, {y}, {t})
 
 
 MAX_FRONTDOOR_SIZE = 2

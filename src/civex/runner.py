@@ -25,13 +25,13 @@ from .baselines import (
     CIVEX_CERT_ONLY,
     ORACLE_SCM,
     POLICY_GATE,
-    ProviderContext,
     ReplayError,
     build_context,
     is_replay,
     load_replay_shard,
     make_provider,
     replay_tag,
+    replayed_result,
 )
 from .config import STR, STR_LISTS, STRS, check_fields, distinct, dump, load, setting
 from .evaluation import (
@@ -158,16 +158,28 @@ def evaluate_instances(
     methods: Sequence[str],
     vcfg: VerifierConfig,
     *,
-    ctx: ProviderContext | None = None,
+    replay_tables: Mapping[str, Mapping] | None = None,
 ) -> dict[tuple[str, object], TwoStageResult]:
-    """Two-stage verdicts for every (method, instance) pair, in stable order."""
-    if ctx is None:
-        ctx = build_context(instances)
-    providers = {m: make_provider(m, ctx, vcfg) for m in methods}
+    """Two-stage verdicts for every (method, instance) pair, in stable order.
+
+    A ``Replay(tag)`` method's results are the rows that ``replay_tables[tag]``
+    recorded; every other method's verdicts come from its provider.
+    """
+    ctx = build_context(instances)
+    providers = {m: make_provider(m, ctx, vcfg) for m in methods if not is_replay(m)}
+    replayed = {}
+    for m in filter(is_replay, methods):
+        tag = replay_tag(m)
+        if tag not in (replay_tables or {}):
+            raise ReplayError(f"replay has no recorded verdicts for tag '{tag}'")
+        replayed[m] = replay_tables[tag]
     out: dict[tuple[str, object], TwoStageResult] = {}
     for inst in sorted(instances, key=lambda i: instance_sort_key(i.id)):
         for m in methods:
-            out[(m, inst.id)] = run_two_stage(inst, providers[m], vcfg)
+            if m in replayed:
+                out[(m, inst.id)] = replayed_result(replayed[m], inst.id)
+            else:
+                out[(m, inst.id)] = run_two_stage(inst, providers[m], vcfg)
     return out
 
 
@@ -216,8 +228,8 @@ def run_benchmark(config: RunConfig) -> RunResult:
         tag: len({key[0] for key in table} & seeds)
         for tag, table in replay_tables.items()
     }
-    ctx = build_context(instances, replay_shards=replay_tables)
-    decisions = evaluate_instances(instances, config.methods, config.verifier, ctx=ctx)
+    decisions = evaluate_instances(instances, config.methods, config.verifier,
+                                   replay_tables=replay_tables)
     records = _score_all(instances, config.methods, decisions, config.weights)
     summaries: dict[tuple[str, str], MethodSummary] = {}
     for method in config.methods:
@@ -287,15 +299,13 @@ def _sweep_rows_from(
 
 def run_strength_sweep(
     config: RunConfig,
-    strengths: Sequence[float] = STRENGTH_GRID,
     methods: Sequence[str] = SWEEP_METHODS,
-    seeds: Sequence[int] = SWEEP_SEEDS,
 ) -> list[SweepRow]:
     """Re-generate the adversarial slice at each hidden-confounder strength."""
     _refuse_replay("strength", methods)
     rows = []
-    for s in strengths:
-        bspec = replace(config.bench, seeds=tuple(seeds), adversarial_strength=s)
+    for s in STRENGTH_GRID:
+        bspec = replace(config.bench, seeds=SWEEP_SEEDS, adversarial_strength=s)
         instances, _ = build_benchmark(bspec, regimes=(ADVERSARIAL,))
         rows.extend(_sweep_rows_from(
             "strength", {"strength": s}, instances, methods,
@@ -304,36 +314,30 @@ def run_strength_sweep(
     return rows
 
 
-def run_weight_sweep(
-    run: RunResult,
-    w_miss_grid: Sequence[float] = W_MISS_GRID,
-    c_exp_grid: Sequence[float] = C_EXP_GRID,
-) -> list[SweepRow]:
-    """Re-score cached verdicts over the weight grid; decisions are reused
-    untouched because no verdict depends on the scoring weights."""
+def run_weight_sweep(run: RunResult) -> list[SweepRow]:
+    """Re-score cached verdicts over the weight grid.  No verdict depends on
+    the scoring weights, so the decisions and the run's rates are reused and
+    only the mean utility is recomputed."""
     rows = []
     by_regime: dict[tuple[str, str], list[ScoreRecord]] = {}
     for r in run.records:
         by_regime.setdefault((r.method, r.instance_id.regime), []).append(r)
-    for w_miss in w_miss_grid:
-        for c_exp in c_exp_grid:
+    for w_miss in W_MISS_GRID:
+        for c_exp in C_EXP_GRID:
             w = ScoreWeights(w_miss=w_miss, c_exp=c_exp)
             for (method, regime), recs in sorted(by_regime.items()):
+                summary = run.summaries[(method, regime)]
                 utilities = [utility_value(r.decision, r.theta, r.safe, w) for r in recs]
-                n = len(recs)
                 rows.append(SweepRow(
                     kind="weights",
                     point={"w_miss": w_miss, "c_exp": c_exp},
                     method=method,
                     regime=regime,
-                    n_instances=n,
-                    false_exec_per_instance=sum(
-                        r.outcome == "false_exec" for r in recs) / n,
-                    correct_exec_rate=sum(
-                        r.outcome == "correct_exec" for r in recs) / n,
-                    accuracy=sum(r.outcome in ("correct_exec", "correct_refusal")
-                                 for r in recs) / n,
-                    mean_utility=float(sum(utilities) / n),
+                    n_instances=summary.n_instances,
+                    false_exec_per_instance=summary.false_exec_per_instance,
+                    correct_exec_rate=summary.correct_exec_rate,
+                    accuracy=summary.accuracy,
+                    mean_utility=float(sum(utilities) / len(recs)),
                 ))
     return rows
 
@@ -351,16 +355,14 @@ def misspecify_instance(inst: ScmInstance, fraction: float) -> ScmInstance:
 
 def run_misspec_sweep(
     config: RunConfig,
-    fractions: Sequence[float] = MISSPEC_FRACTIONS,
     methods: Sequence[str] = SWEEP_METHODS,
-    seeds: Sequence[int] = SWEEP_SEEDS,
 ) -> list[SweepRow]:
     """Moderate-regime slice with the committed graphs progressively broken."""
     _refuse_replay("misspec", methods)
-    bspec = replace(config.bench, seeds=tuple(seeds))
+    bspec = replace(config.bench, seeds=SWEEP_SEEDS)
     base, _ = build_benchmark(bspec, regimes=(MODERATE,))
     rows = []
-    for fraction in fractions:
+    for fraction in MISSPEC_FRACTIONS:
         instances = [misspecify_instance(inst, fraction) for inst in base]
         rows.extend(_sweep_rows_from(
             "misspec", {"fraction": fraction}, instances, methods,

@@ -60,7 +60,6 @@ __all__ = [
     "TwoStageResult",
     "triage",
     "certify",
-    "query_reason",
     "run_two_stage",
     "make_view",
     "resolve_for_experiment",
@@ -160,13 +159,17 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
     )
 
 
-def query_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
-    """Why the committed graphs cannot certify the action's query, if they cannot.
+def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
+    """Why rule 1 refuses the action as malformed, if it does.
 
-    Each graph must be well formed, and its treatment and outcome must be the
-    action's target and utility variables: a certificate for another
-    (treatment, outcome) pair says nothing about this action.
+    Each committed graph must be well formed, and its treatment and outcome
+    must be the action's target and utility variables: a certificate for
+    another (treatment, outcome) pair says nothing about this action.
     """
+    if not frame.tool:
+        return "malformed action frame: missing tool name"
+    if not frame.cost >= 0:
+        return "malformed action frame: negative or NaN cost"
     for g in graphs:
         violation = validate_graph(g)
         if violation is not None:
@@ -178,14 +181,6 @@ def query_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | Non
             return (f"malformed action frame: utility variable '{frame.utility_variable}' "
                     f"is not the graph's outcome '{g.outcome}'")
     return None
-
-
-def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
-    if not frame.tool:
-        return "malformed action frame: missing tool name"
-    if not frame.cost >= 0:
-        return "malformed action frame: negative or NaN cost"
-    return query_reason(frame, graphs)
 
 
 def _estimate_for(

@@ -23,8 +23,10 @@ from civex.baselines import (
     load_replay_shard,
     make_provider,
     replay_tag,
+    replayed_result,
 )
 from civex.estimation import unadjusted_difference
+from civex.runner import evaluate_instances
 from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, build_benchmark
 from civex.verifier import Decision, VerifierConfig, make_view, run_two_stage
 
@@ -202,20 +204,19 @@ class TestReplay:
             replay_tag(CIVEX)
 
     def test_empty_shard_abstains_everywhere(self, bench):
-        ctx2 = ProviderContext(replay_shards={"tag": {}})
-        provider = make_provider("Replay(tag)", ctx2, CFG)
         for inst in bench[:10]:
-            v = provider(make_view(inst))
-            assert v.decision is Decision.ABSTAIN
-            assert v.refusal_reason == "no recorded verdict"
+            result = replayed_result({}, inst.id)
+            assert [v.decision for v in result.trace] == [Decision.ABSTAIN]
+            assert result.terminal.refusal_reason == "no recorded verdict"
 
-    def test_recorded_verdicts_are_replayed(self, bench):
-        key = (bench[0].id.seed, bench[0].id.regime, bench[0].id.family,
-               bench[0].id.index)
-        ctx2 = ProviderContext(replay_shards={"tag": {key: "EXECUTE"}})
-        provider = make_provider("Replay(tag)", ctx2, CFG)
-        assert provider(make_view(bench[0])).decision is Decision.EXECUTE
-        assert provider(make_view(bench[1])).decision is Decision.ABSTAIN
+    def test_recorded_verdicts_are_replayed(self, bench, tmp_path):
+        i = bench[0].id
+        path = tmp_path / "shard.csv"
+        path.write_text(f"{SHARD_HEADER}\n{i.seed},{i.regime},{i.family},{i.index},"
+                        f"EXECUTE,EXECUTE\n", encoding="utf-8")
+        table = load_replay_shard(path)
+        assert replayed_result(table, bench[0].id).terminal.decision is Decision.EXECUTE
+        assert replayed_result(table, bench[1].id).terminal.decision is Decision.ABSTAIN
 
     def test_shard_csv_roundtrip(self, tmp_path):
         path = tmp_path / "shard.csv"
@@ -226,8 +227,10 @@ class TestReplay:
             encoding="utf-8",
         )
         table = load_replay_shard(path)
-        assert table[(42, "moderate", "cache_operation", 3)] == "EXECUTE"
-        assert table[(42, "adversarial", "cache_operation", 1)] == "ABSTAIN"
+        assert [v.decision for v in table[(42, "moderate", "cache_operation", 3)].trace] \
+            == [Decision.EXPERIMENT, Decision.EXECUTE]
+        assert [v.decision for v in table[(42, "adversarial", "cache_operation", 1)].trace] \
+            == [Decision.ABSTAIN]
 
     def test_malformed_shard_is_refused(self, tmp_path):
         good = tmp_path / "good.csv"
@@ -254,10 +257,14 @@ class TestReplay:
         ("42,moderate,cache_op,0,EXECUTE,EXECUTE", "unknown regime or family"),
         ("4.2,moderate,cache_operation,0,EXECUTE,EXECUTE", "invalid literal for int"),
         ("42,moderate,cache_operation,x,EXECUTE,EXECUTE", "invalid literal for int"),
+        ("42,moderate,cache_operation,0,LAUNCH,EXECUTE", "line 3 has stage 1 'LAUNCH', which"),
+        ("42,moderate,cache_operation,0,REJECT,EXECUTE",
+         "line 3 has stage 1 'REJECT', which is neither EXPERIMENT nor its terminal "
+         "verdict EXECUTE"),
     ])
     def test_malformed_row_is_refused(self, tmp_path, row, message):
         path = tmp_path / "shard.csv"
-        path.write_text(f"{SHARD_HEADER}\n42,adversarial,cache_operation,0,EXECUTE,REJECT\n"
+        path.write_text(f"{SHARD_HEADER}\n42,adversarial,cache_operation,0,REJECT,REJECT\n"
                         f"{row}\n", encoding="utf-8")
         with pytest.raises(ReplayError, match=message):
             load_replay_shard(path)
@@ -279,9 +286,9 @@ class TestReplay:
         with pytest.raises(ReplayError, match="absent.csv"):
             load_replay_shard(tmp_path / "absent.csv")
 
-    def test_tag_without_a_table_is_refused(self):
+    def test_tag_without_a_table_is_refused(self, bench):
         with pytest.raises(ReplayError, match="no recorded verdicts for tag 'x'"):
-            make_provider("Replay(x)", ProviderContext(replay_shards={"y": {}}), CFG)
+            evaluate_instances(bench[:1], ["Replay(x)"], CFG, replay_tables={"y": {}})
 
 
 class TestDecideHelper:

@@ -246,6 +246,15 @@ class TestSweepCommands:
         body = (tmp_path / "sm" / "sweep_misspec.csv").read_text(encoding="utf-8")
         assert body.count("\n") == 4 + 1
 
+    def test_misspec_sweep_takes_methods_from_the_config(self, tmp_path):
+        cfg = write_config(tmp_path, "smc", methods=["CIVeX"])
+        result = CliRunner().invoke(main, ["sweep", "misspec", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        header, *body = (tmp_path / "smc" / "sweep_misspec.csv").read_text(
+            encoding="utf-8").splitlines()
+        method = header.split(",").index("method")
+        assert [line.split(",")[method] for line in body] == ["CIVeX"] * 4
+
 
 class TestReportCommand:
     def test_report_renders_tables(self, tmp_path):
@@ -357,6 +366,18 @@ class TestReplayShards:
         assert first.pop("manifest.json") != second.pop("manifest.json")
         assert first == second
 
+    def test_records_show_the_recorded_stage1(self, tmp_path):
+        cfg = self._config(tmp_path, "st", SHARD.replace("0,EXECUTE,EXECUTE",
+                                                         "0,EXPERIMENT,EXECUTE"))
+        run = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert run.exit_code == 0, run.output
+        records = (tmp_path / "st" / "records.csv").read_text(encoding="utf-8").splitlines()
+        replayed = [r.split(",")[:7] for r in records if r.startswith("Replay(demo),")]
+        assert ["Replay(demo)", "42", "moderate", "db_index_operation", "0",
+                "EXPERIMENT", "EXECUTE"] in replayed
+        assert ["Replay(demo)", "43", "moderate", "db_index_operation", "0",
+                "REJECT", "REJECT"] in replayed
+
     def test_import_replay_is_gone(self):
         result = CliRunner().invoke(main, ["import-replay", "demo", "shard.csv"])
         assert result.exit_code == 2
@@ -368,6 +389,7 @@ class TestReplayShards:
         ("nope\n1\n", "missing required columns"),
         (SHARD + "42,moderate,db_index_operation,0,EXECUTE,REJECT\n", "a second time"),
         (SHARD.replace("43,moderate", "43,moderat"), "unknown regime or family"),
+        (SHARD.replace("REJECT,REJECT", "REJECT,EXECUTE"), "stage 1 'REJECT', which is neither"),
     ])
     def test_missing_or_malformed_shard_is_refused(self, tmp_path, shard_text, message):
         cfg = self._config(tmp_path, "bad", shard_text)

@@ -417,15 +417,15 @@ class TestWholeCertificateReplay:
         assert mismatches == ["proof (directed cycle)"]
 
 
-def provider_verdict(method, frame, graph, data):
+def provider_verdict(method, frame, graph, data, cfg=CFG):
     view = InstanceView(id=InstanceId(seed=0, regime=MODERATE, family="db_index_operation",
                                       index=0),
                         frame=frame, graphs=(graph,), data=data)
-    return make_provider(method, ProviderContext(), CFG)(view)
+    return make_provider(method, ProviderContext(), cfg)(view)
 
 
-def causal_no_experiment(frame, graph, data):
-    return provider_verdict(CAUSAL_NO_EXPERIMENT, frame, graph, data)
+def causal_no_experiment(frame, graph, data, cfg=CFG):
+    return provider_verdict(CAUSAL_NO_EXPERIMENT, frame, graph, data, cfg)
 
 
 class TestFailClosed:
@@ -440,8 +440,7 @@ class TestFailClosed:
         assert v.rule_fired == 1
         assert v.certificate is None
         assert node in v.refusal_reason
-        assert causal_no_experiment(frame, worked_graph(), worked_data()).decision \
-            is Decision.ABSTAIN
+        assert causal_no_experiment(frame, worked_graph(), worked_data()) == v
 
     def test_cyclic_graph_rejected_under_rule_one(self):
         g = worked_graph()
@@ -451,9 +450,24 @@ class TestFailClosed:
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
         assert "cycle" in v.refusal_reason
-        cne = causal_no_experiment(worked_frame(), cyclic, worked_data())
-        assert cne.decision is Decision.ABSTAIN
-        assert "cycle" in cne.refusal_reason
+        assert causal_no_experiment(worked_frame(), cyclic, worked_data()) == v
+
+    def test_tool_less_frame_rejected_by_causal_no_experiment(self):
+        frame = worked_frame(tool="")
+        v = causal_no_experiment(frame, worked_graph(), worked_data())
+        assert v.decision is Decision.REJECT
+        assert v.rule_fired == 1
+        assert v.refusal_reason == "malformed action frame: missing tool name"
+        assert v == triage(frame, [worked_graph()], worked_data(), CFG)
+
+    def test_causal_no_experiment_ignores_forbidden_tools(self):
+        # This method has no tool gate: a forbidden tool is certified as usual.
+        cfg = replace(CFG, forbidden_tools=frozenset({worked_frame().tool}))
+        assert triage(worked_frame(), [worked_graph()], worked_data(), cfg).decision \
+            is Decision.REJECT
+        v = causal_no_experiment(worked_frame(), worked_graph(), worked_data(), cfg)
+        assert v.decision is Decision.EXECUTE
+        assert v == triage(worked_frame(), [worked_graph()], worked_data(), CFG)
 
     def test_non_finite_estimate_abstains(self):
         # Finite data whose outcome sums overflow: the fit gives an infinite
@@ -499,12 +513,11 @@ class TestFailClosed:
         assert v.refusal_reason == "malformed action frame: negative or NaN cost"
 
     def test_nan_cost_rejected_by_causal_no_experiment(self):
-        # This method has no tool gate, so rule 3's own cost check refuses.
         v = causal_no_experiment(self._nan_cost_frame(), worked_graph(), worked_data())
         assert v.decision is Decision.REJECT
-        assert v.rule_fired == 3
+        assert v.rule_fired == 1
         assert v.certificate is None
-        assert v.refusal_reason == "cost nan overruns the risk threshold 0.5"
+        assert v.refusal_reason == "malformed action frame: negative or NaN cost"
 
     def test_wrongly_typed_alpha_is_a_replay_mismatch(self):
         data = worked_data()
