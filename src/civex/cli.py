@@ -45,18 +45,35 @@ def _seed(text: str) -> int | str:
         return text  # the seeds check refuses it by name
 
 
+# What the strength and misspec sweeps set themselves.
+_FIXED_BY_SWEEP = ("seeds", "adversarial_strength")
+
+
+def _fixed_grid(kind: str, what: str) -> str:
+    return (f"sweep {kind} uses seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} and its own grid, "
+            f"so it takes no {what}")
+
+
 def _load_config(config_path: str | None = None, seed_list: str | None = None,
                  methods: str | None = None, n_rows: int | None = None,
                  strength: float | None = None, out: str | None = None,
-                 default_methods: tuple[str, ...] | None = None) -> RunConfig:
+                 default_methods: tuple[str, ...] | None = None,
+                 fixed_sweep: str | None = None) -> RunConfig:
     """The run config from the document and the flags; ``default_methods``
-    replaces the config's default when neither names any methods."""
+    replaces the config's default when neither names any methods.  The
+    ``fixed_sweep`` kind sets the seeds and strength itself, so a document
+    that sets them is refused rather than ignored."""
     obj = {}
     if config_path:
         try:
             obj = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise click.ClickException(f"cannot read config {config_path}: {exc}")
+    if fixed_sweep is not None and isinstance(obj, dict):
+        for key in _FIXED_BY_SWEEP:
+            if key in obj:
+                refusal = _fixed_grid(fixed_sweep, f"'{key}' key")
+                raise click.ClickException(f"invalid configuration: {refusal}")
     flags = {
         "seeds": None if seed_list is None else [_seed(s) for s in _items(seed_list)],
         "methods": None if methods is None else _items(methods),
@@ -148,11 +165,11 @@ def run(**flags) -> None:
 @_methods_option
 def sweep(kind, **flags) -> None:
     """Run one sensitivity sweep and write its table."""
-    if kind != "weights" and (flags["seed_list"] is not None or flags["strength"] is not None):
-        raise click.UsageError(
-            f"sweep {kind} uses seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} and its own grid, "
-            f"so it takes no --seed-list or --strength")
-    config = _load_config(**flags, default_methods=None if kind == "weights" else SWEEP_METHODS)
+    fixed = kind != "weights"
+    if fixed and (flags["seed_list"] is not None or flags["strength"] is not None):
+        raise click.UsageError(_fixed_grid(kind, "--seed-list or --strength"))
+    config = _load_config(**flags, default_methods=SWEEP_METHODS if fixed else None,
+                          fixed_sweep=kind if fixed else None)
     out_dir = config.resolved_output_dir()
     with _config_errors(config):
         if kind == "strength":

@@ -1,8 +1,11 @@
 """Effect estimation with one-sided lower confidence bounds.
 
 All estimators are ordinary least squares with the classical homoskedastic
-covariance (the generating process has homoskedastic Gaussian noise, so the
-robust variant is a documented swap point, not a need).  The lower bound is
+covariance, so the bound assumes one noise variance for every row.  The
+benchmark's generating process draws every row's noise with one variance;
+data whose arms differ in noise break the assumption.  With unbalanced arms
+and a noisier minority arm, the one-sided bound misses up to 3.7 times as
+often as alpha allows (ROADMAP item 3, a robust bound).  The lower bound is
 Wald-type with a standard normal quantile, computed by a port of the
 Cephes Math Library's ``ndtri`` (Stephen L. Moshier), the routine that
 ``scipy.special.ndtri`` compiles: same coefficients, same Horner and

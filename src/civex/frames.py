@@ -5,11 +5,18 @@ the byte: UTF-8, line 1 is the comma-joined header, one comma-joined row per
 line in generation order, floats rendered as their shortest round-trip
 decimal (Python ``repr``), LF line endings, no trailing newline.
 
-The encoder writes all rows with one ``orjson.dumps`` call, whose Ryu
-shortest digits equal ``repr``'s.  The two differ only in how they write an
-exponent (``0.00001``/``1e-05``, ``1.5e-7``/``1.5e-07``, ``1e16``/``1e+16``),
-which ``repr`` does for a nonzero magnitude below 1e-4 or at or above 1e16;
-a row holding such a value is written with ``repr`` instead.
+The encoder writes all values with one ``orjson.dumps`` call on the
+raveled array, whose Ryu shortest digits equal ``repr``'s.  The flat dump
+is cheaper than a 2-D one, which pays for every row, and its commas are its
+only separators.  So the rows are cut by position, in one buffer that
+already holds the header: the dump's opening ``[`` becomes the header's
+newline, every k-th comma of a k-column frame becomes a row break, and the
+closing ``]`` is dropped.  orjson and ``repr`` differ only in how they write
+an exponent (``0.00001``/``1e-05``, ``1.5e-7``/``1.5e-07``,
+``1e16``/``1e+16``), which ``repr`` does for a nonzero magnitude below 1e-4
+or at or above 1e16; a row holding such a value is then rewritten with
+``repr`` in place.  A frame without columns has no values to dump, so it is
+a newline per row.
 
 The parser works on the bytes.  It checks that they are UTF-8 only when
 they are not all ASCII, and it decodes only the header, plus the body on the
@@ -48,6 +55,7 @@ _REPR_EXPONENT_BELOW = 1e-4
 _REPR_EXPONENT_FROM = 1e16
 # The characters of JSON numbers.
 _NUMBER_BYTES = b"0123456789.eE+-"
+_COMMA, _NEWLINE = b",\n"
 
 
 class FrameError(ValueError):
@@ -98,23 +106,34 @@ class Frame:
 
     def canonical_bytes(self) -> bytes:
         header = ",".join(self.columns).encode("utf-8")
-        if not self.n_rows:
+        n_rows, k = self.data.shape
+        if not n_rows:
             return header
-        rows = orjson.dumps(self.data, option=orjson.OPT_SERIALIZE_NUMPY).split(b"],[")
-        rows[0] = rows[0][2:]
-        rows[-1] = rows[-1][:-2]
+        if not k:
+            return b"\n" * n_rows  # the header is empty, and so is every row
+        dump = orjson.dumps(self.data.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+        text = bytearray(header)
+        text += dump
+        text[len(header)] = _NEWLINE  # the dump's "["
+        text.pop()  # and its "]"
+        # Commas are the dump's only separators: every k-th one ends a row.
+        breaks = np.flatnonzero(np.frombuffer(dump, np.uint8) == _COMMA)[k - 1::k]
+        breaks += len(header)
+        np.frombuffer(text, np.uint8)[breaks] = _NEWLINE
         # Rows where ``repr`` writes an exponent, which orjson spells
         # differently.  Most frames have none, which the magnitudes show
-        # without a row mask.  ``tolist`` yields Python floats.
+        # without a row mask.  The rows are rewritten last to first, which
+        # keeps the earlier rows' offsets.  ``tolist`` yields Python floats.
         magnitude = np.abs(self.data)
         if (magnitude.max(initial=0.0) >= _REPR_EXPONENT_FROM
                 or magnitude[magnitude < _REPR_EXPONENT_BELOW].any()):
             exponent_form = ((magnitude < _REPR_EXPONENT_BELOW) & (magnitude != 0.0)
                              | (magnitude >= _REPR_EXPONENT_FROM)).any(axis=1)
-            for i in np.flatnonzero(exponent_form):
-                rows[i] = ",".join(map(repr, self.data[i].tolist())).encode("utf-8")
-        rows.insert(0, header)
-        return b"\n".join(rows)
+            bounds = np.concatenate(([len(header)], breaks, [len(text)]))
+            for i in np.flatnonzero(exponent_form)[::-1]:
+                text[bounds[i] + 1:bounds[i + 1]] = ",".join(
+                    map(repr, self.data[i].tolist())).encode("utf-8")
+        return bytes(text)
 
     def sha256(self) -> str:
         """SHA-256 of ``canonical_bytes()``, lowercase hex.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from civex.estimation import provenance_hash
 from civex.frames import Frame, FrameError
+from civex.scm import BenchmarkSpec, build_benchmark
 
 from oracles import line_parse, per_value_encode, per_value_parse
 
@@ -14,6 +15,30 @@ from oracles import line_parse, per_value_encode, per_value_parse
 def small_frame() -> Frame:
     return Frame(columns=("T", "Y", "x"),
                  data=np.array([[1.0, 2.5, -0.125], [0.0, 1.0, 3.0]]))
+
+
+def _frame(rows) -> Frame:
+    data = np.array(rows, dtype=np.float64)
+    return Frame(columns=tuple(f"c{j}" for j in range(data.shape[1])), data=data)
+
+
+# Any finite float, and a share of the values ``repr`` writes in exponent
+# form: nonzero magnitudes below 1e-4 and at or above 1e16.
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-4, max_value=1e-4, exclude_min=True, exclude_max=True),
+    st.floats(min_value=1e16, allow_infinity=False),
+    st.floats(max_value=-1e16, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@st.composite
+def _frames(draw) -> Frame:
+    n_cols = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(0, 8))
+    values = draw(st.lists(_VALUES, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    return _frame(np.array(values, dtype=np.float64).reshape(n_rows, n_cols))
 
 
 class TestCanonicalForm:
@@ -43,6 +68,24 @@ class TestCanonicalForm:
         data = np.array(values + [0.0] * (len(values) % 2)).reshape(-1, 2)
         f = Frame(columns=("a", "b"), data=data)
         assert f.canonical_bytes() == per_value_encode(f)
+
+    @given(_frames())
+    @example(_frame([[1.0], [-2.5], [0.1], [3.0]]))  # every comma is a row break
+    @example(_frame([[1.0], [2e16], [-0.0], [1e-7]]))
+    @example(_frame([[1.0, -0.0, 0.25, 7.0]]))  # one row
+    @example(_frame([[1e-5, 1.0], [2.0, 3.0], [4.0, 5.0]]))  # exponent-form row first
+    @example(_frame([[1.0, 2.0], [3.0, 4.0], [5.0, -1e16]]))  # ... last
+    @example(_frame([[1.5e-7, 0.5, -0.0]]))  # ... alone
+    @example(_frame([[1.0, 2.0], [3e-5, 4e20], [5e-300, 6.0], [7.0, 8.0]]))  # two in a row
+    def test_encoder_matches_per_value_repr_at_any_width(self, frame):
+        assert frame.canonical_bytes() == per_value_encode(frame)
+
+    def test_every_frame_of_a_default_seed_matches_per_value_repr(self):
+        instances, _ = build_benchmark(BenchmarkSpec(seeds=(42,)))
+        frames = [f for inst in instances for f in (inst.observational, inst.experimental)]
+        assert len(frames) == 540
+        for frame in frames:
+            assert frame.canonical_bytes() == per_value_encode(frame)
 
     @pytest.mark.parametrize("n_rows", [0, 3])
     def test_encoder_matches_per_value_repr_without_columns(self, n_rows):

@@ -28,10 +28,12 @@ TINY = {
     "adversarial_per_family": 2,
     "n_rows": 400,
 }
+# The strength and misspec sweeps set their own seeds and refuse a document's.
+SWEEP_TINY = {key: value for key, value in TINY.items() if key != "seeds"}
 
 
-def write_config(tmp_path: Path, out_name: str, **extra) -> Path:
-    cfg = dict(TINY)
+def write_config(tmp_path: Path, out_name: str, base: dict = TINY, **extra) -> Path:
+    cfg = dict(base)
     cfg["output_dir"] = str(tmp_path / out_name)
     cfg.update(extra)
     path = tmp_path / f"{out_name}.json"
@@ -220,7 +222,7 @@ class TestSweepCommands:
         assert len(pairs) == 20
 
     def test_strength_sweep_runs_on_reduced_grid(self, tmp_path):
-        cfg = write_config(tmp_path, "ss")
+        cfg = write_config(tmp_path, "ss", SWEEP_TINY)
         result = CliRunner().invoke(
             main, ["sweep", "strength", "--config", str(cfg),
                    "--methods", "CIVeX,PolicyGate,AlwaysAbstain"])
@@ -231,15 +233,26 @@ class TestSweepCommands:
     @pytest.mark.parametrize("kind", ["strength", "misspec"])
     @pytest.mark.parametrize("flag", [["--seed-list", "1"], ["--strength", "9"]])
     def test_fixed_grid_sweep_refuses_seed_and_strength_flags(self, tmp_path, kind, flag):
-        cfg = write_config(tmp_path, "fixed")
+        cfg = write_config(tmp_path, "fixed", SWEEP_TINY)
         result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg), *flag])
         assert result.exit_code == 2
         assert (f"sweep {kind} uses seeds 42-46 and its own grid, so it takes no "
                 f"--seed-list or --strength") in result.output
         assert not (tmp_path / "fixed").exists()
 
+    @pytest.mark.parametrize("kind", ["strength", "misspec"])
+    @pytest.mark.parametrize("key, value", [("seeds", [7, 8]), ("adversarial_strength", 9.0)])
+    def test_fixed_grid_sweep_refuses_seed_and_strength_keys(self, tmp_path, kind, key, value):
+        cfg = write_config(tmp_path, "fixed", SWEEP_TINY, **{key: value})
+        result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: invalid configuration: sweep {kind} uses seeds "
+                                 f"42-46 and its own grid, so it takes no '{key}' key\n")
+        assert not (tmp_path / "fixed").exists()
+
     def test_misspec_sweep(self, tmp_path):
-        cfg = write_config(tmp_path, "sm")
+        cfg = write_config(tmp_path, "sm", SWEEP_TINY)
         result = CliRunner().invoke(
             main, ["sweep", "misspec", "--config", str(cfg), "--methods", "CIVeX"])
         assert result.exit_code == 0, result.output
@@ -247,7 +260,7 @@ class TestSweepCommands:
         assert body.count("\n") == 4 + 1
 
     def test_misspec_sweep_takes_methods_from_the_config(self, tmp_path):
-        cfg = write_config(tmp_path, "smc", methods=["CIVeX"])
+        cfg = write_config(tmp_path, "smc", SWEEP_TINY, methods=["CIVeX"])
         result = CliRunner().invoke(main, ["sweep", "misspec", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         header, *body = (tmp_path / "smc" / "sweep_misspec.csv").read_text(
@@ -412,7 +425,7 @@ class TestReplayShards:
 
     @pytest.mark.parametrize("kind", ["strength", "misspec"])
     def test_regenerating_sweep_refuses_replay(self, tmp_path, kind):
-        cfg = self._config(tmp_path, "sweep")
+        cfg = self._config(tmp_path, "sweep", base=SWEEP_TINY)
         result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg),
                                            "--methods", "CIVeX,Replay(demo)"])
         assert result.exit_code == 1
