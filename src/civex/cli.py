@@ -45,8 +45,14 @@ def _seed(text: str) -> int | str:
         return text  # the seeds check refuses it by name
 
 
-# What the strength and misspec sweeps set themselves.
-_FIXED_BY_SWEEP = ("seeds", "adversarial_strength")
+# The keys each regenerating sweep sets itself, and those of the regime slice
+# it never builds: the strength sweep builds only the adversarial slice, the
+# misspec sweep only the moderate one.
+_FIXED_BY_SWEEP = {
+    "strength": ("seeds", "adversarial_strength", "moderate_per_family",
+                 "latent_fraction_moderate"),
+    "misspec": ("seeds", "adversarial_strength", "adversarial_per_family"),
+}
 
 
 def _fixed_grid(kind: str, what: str) -> str:
@@ -61,8 +67,9 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
                  fixed_sweep: str | None = None) -> RunConfig:
     """The run config from the document and the flags; ``default_methods``
     replaces the config's default when neither names any methods.  The
-    ``fixed_sweep`` kind sets the seeds and strength itself, so a document
-    that sets them is refused rather than ignored."""
+    ``fixed_sweep`` kind sets the seeds and strength itself and reads one
+    regime's keys, so a document that sets the others is refused rather than
+    ignored."""
     obj = {}
     if config_path:
         try:
@@ -70,7 +77,7 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
         except (OSError, ValueError) as exc:
             raise click.ClickException(f"cannot read config {config_path}: {exc}")
     if fixed_sweep is not None and isinstance(obj, dict):
-        for key in _FIXED_BY_SWEEP:
+        for key in _FIXED_BY_SWEEP[fixed_sweep]:
             if key in obj:
                 refusal = _fixed_grid(fixed_sweep, f"'{key}' key")
                 raise click.ClickException(f"invalid configuration: {refusal}")
@@ -132,7 +139,7 @@ def main() -> None:
 def generate(**flags) -> None:
     """Write instance files (one JSON-lines file per seed and regime)."""
     config = _load_config(**flags)
-    out_dir = config.resolved_output_dir()
+    out_dir = Path(config.output_dir)
     with _config_errors(config):
         instances, counterbalance = build_benchmark(config.bench)
     paths = write_generated_instances(out_dir, instances, counterbalance)
@@ -149,7 +156,7 @@ def run(**flags) -> None:
     with _config_errors(config):
         result = run_benchmark(config)
     manifest = write_run_outputs(result)
-    out_dir = config.resolved_output_dir()
+    out_dir = Path(config.output_dir)
     click.echo(f"evaluated {len(config.methods)} methods on {len(result.instances)} "
                f"instances; outputs in {out_dir}")
     civex_false = manifest.get("civex_false_executions")
@@ -170,7 +177,7 @@ def sweep(kind, **flags) -> None:
         raise click.UsageError(_fixed_grid(kind, "--seed-list or --strength"))
     config = _load_config(**flags, default_methods=SWEEP_METHODS if fixed else None,
                           fixed_sweep=kind if fixed else None)
-    out_dir = config.resolved_output_dir()
+    out_dir = Path(config.output_dir)
     with _config_errors(config):
         if kind == "strength":
             rows = run_strength_sweep(config, methods=config.methods)

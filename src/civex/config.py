@@ -1,20 +1,21 @@
-"""The config document, one flat JSON object, and its one table.
+"""The config document, one flat JSON object.
 
 Each settable value is a config dataclass field declared with ``setting``:
 its name is the key, its default the default, and it carries the value's kind
-and check.  ``table`` lists these rows in document order.  ``check_fields``
-(every config class's ``__post_init__``), ``dump`` and ``load`` are the one
-validator, writer and reader, so a direct construction, a JSON document and a
-CLI flag pass the same checks.  Every refusal is a ``ValueError`` naming its key.
+and check.  ``check_fields`` (every config class's ``__post_init__``),
+``dump`` and ``load`` are the one validator, writer and reader, so a direct
+construction, a JSON document and a CLI flag pass the same checks; the keys
+of ``dump(cls())`` are the document's keys, in document order.  Every refusal
+is a ``ValueError`` naming its key.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, field, fields
+from dataclasses import field, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
-__all__ = ["Kind", "Setting", "INT", "NUMBER", "STR", "INTS", "STRS", "STR_SET", "STR_LISTS",
-           "RETIRED_KEYS", "setting", "table", "check_fields", "dump", "load", "distinct"]
+__all__ = ["Kind", "INT", "NUMBER", "STR", "INTS", "STRS", "STR_SET", "STR_LISTS",
+           "RETIRED_KEYS", "setting", "check_fields", "dump", "load", "distinct"]
 
 _SETTING = "civex.setting"
 
@@ -58,36 +59,12 @@ def distinct(values) -> bool:  # non-empty and without repeats
     return 0 < len(values) == len(set(values))
 
 
-class Setting(NamedTuple):
-    """One row of the config table; ``must`` is the requirement a refusal states."""
-
-    key: str
-    kind: Kind
-    default: Any
-    check: Callable[[Any], bool]
-    must: str
-
-
 def setting(default, kind: Kind, must: str, check: Callable[[Any], bool] = lambda v: True):
     """A config field with its default, kind, requirement and check."""
     metadata = {_SETTING: (kind, check, must)}
     if isinstance(default, dict):  # a mutable default needs a factory
         return field(default_factory=lambda: dict(default), metadata=metadata)
     return field(default=default, metadata=metadata)
-
-
-def table(cls) -> tuple[Setting, ...]:
-    """The rows of ``cls``'s document in document order.  A field that is not
-    a setting holds a nested config class, its own default factory."""
-    rows: list[Setting] = []
-    for f in fields(cls):
-        if _SETTING not in f.metadata:
-            rows.extend(table(f.default_factory))
-            continue
-        kind, check, must = f.metadata[_SETTING]
-        default = f.default if f.default is not MISSING else f.default_factory()
-        rows.append(Setting(f.name, kind, default, check, must))
-    return tuple(rows)
 
 
 def check_fields(config) -> None:
@@ -117,7 +94,7 @@ def load(cls, document: Mapping):
     a misspelled one, which would silently do so, is refused."""
     if not isinstance(document, Mapping):
         raise ValueError("a config must be a JSON object")
-    keys = {row.key for row in table(cls)} | set(RETIRED_KEYS)
+    keys = set(dump(cls())) | set(RETIRED_KEYS)
     unknown = sorted(str(key) for key in document if key not in keys)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import orjson
@@ -60,7 +60,8 @@ _COMMA, _NEWLINE = b",\n"
 
 class FrameError(ValueError):
     """Malformed table: ragged rows, unparseable values, NaNs or infinities,
-    duplicate or unknown columns."""
+    duplicate or unknown columns, a column name that is not a string or that
+    holds a comma or a newline."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,15 @@ class Frame:
             )
         if len(set(self.columns)) != len(self.columns):
             raise FrameError("duplicate column names")
+        # A separator inside a name would move a header field boundary, and
+        # two different frames would share their canonical bytes.
+        try:
+            header = ",".join(self.columns)
+        except TypeError:
+            raise FrameError(f"column names must be strings, got {self.columns!r}") from None
+        if self.columns and header.count(",") + header.count("\n") >= len(self.columns):
+            bad = next(name for name in self.columns if "," in name or "\n" in name)
+            raise FrameError(f"column name {bad!r} holds a comma or a newline")
         if not np.isfinite(arr).all():
             raise FrameError("missing or infinite values are not allowed")
         arr = arr.copy()
@@ -199,13 +209,6 @@ class Frame:
 
     def to_json_obj(self) -> dict:
         return {"columns": list(self.columns), "rows": self.data.tolist()}
-
-    @classmethod
-    def from_json_obj(cls, obj: Mapping) -> "Frame":
-        rows = obj["rows"]
-        columns = tuple(obj["columns"])
-        data = np.array(rows, dtype=np.float64).reshape(len(rows), len(columns))
-        return cls(columns=columns, data=data)
 
     @classmethod
     def from_columns(cls, named: Sequence[tuple[str, Iterable[float]]]) -> "Frame":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -99,8 +98,6 @@ W_MISS_GRID = (0.0, 0.1, 0.3, 0.5, 1.0)
 C_EXP_GRID = (0.0, 0.05, 0.25, 1.0)
 MISSPEC_FRACTIONS = (0.0, 0.25, 0.5, 1.0)
 
-OUTPUT_ROOT_ENV = "CIVEX_OUTPUT_ROOT"
-
 
 def _method_ids(methods: tuple[str, ...]) -> bool:
     return distinct(methods) and all(m in ALL_METHODS or is_replay(m) for m in methods)
@@ -108,7 +105,8 @@ def _method_ids(methods: tuple[str, ...]) -> bool:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A run's settings; ``config.table(RunConfig)`` lists its document's rows."""
+    """A run's settings; the keys of ``RunConfig().to_json_dict()`` are its
+    document's keys, in document order."""
 
     bench: BenchmarkSpec = field(default_factory=BenchmarkSpec)
     verifier: VerifierConfig = field(default_factory=VerifierConfig)
@@ -120,13 +118,6 @@ class RunConfig:
         {}, STR_LISTS, "an object mapping each tag to a list of shard paths (strings)")
 
     __post_init__ = check_fields
-
-    def resolved_output_dir(self) -> Path:
-        root = os.environ.get(OUTPUT_ROOT_ENV)
-        path = Path(self.output_dir)
-        if root and not path.is_absolute():
-            return Path(root) / path
-        return path
 
     to_json_dict = dump
     from_json_dict = classmethod(load)
@@ -539,7 +530,7 @@ def _pairwise_rows(run: RunResult) -> list[dict]:
 
 def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
     """Write summary/record/counterbalance CSVs, certificates, and the manifest."""
-    out = out_dir or run.config.resolved_output_dir()
+    out = out_dir or Path(run.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for regime in REGIMES:
         regime_summaries = [run.summaries[(m, regime)] for m in run.config.methods

@@ -35,13 +35,13 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import INT, INTS, NUMBER, check_fields, distinct, setting
 from .frames import Frame
-from .graphs import CausalGraph, graph_from_json_dict, graph_to_json_dict
+from .graphs import CausalGraph, graph_to_json_dict
 
 __all__ = [
     "MODERATE",
@@ -61,9 +61,7 @@ __all__ = [
     "build_benchmark",
     "unadjusted_plim_bias",
     "instance_to_json_dict",
-    "instance_from_json_dict",
     "write_instances_jsonl",
-    "read_instances_jsonl",
     "instance_sort_key",
 ]
 
@@ -583,53 +581,8 @@ def instance_to_json_dict(inst: ScmInstance) -> dict:
     }
 
 
-def instance_from_json_dict(obj: Mapping) -> ScmInstance:
-    spec = ScmSpec(
-        family=obj["spec"]["family"],
-        theta=obj["spec"]["theta"],
-        intercept=obj["spec"]["intercept"],
-        noise_sd=obj["spec"]["noise_sd"],
-        confounders=tuple(
-            ConfounderSpec(
-                name=c["name"], mean=c["mean"], sd=c["sd"],
-                treat_coef=c["treat_coef"], outcome_coef=c["outcome_coef"],
-                hidden=c["hidden"],
-            )
-            for c in obj["spec"]["confounders"]
-        ),
-    )
-    fr = obj["frame"]
-    return ScmInstance(
-        id=InstanceId(**obj["id"]),
-        frame=ActionFrame(
-            tool=fr["tool"],
-            target_variable=fr["target_variable"],
-            target_value=fr["target_value"],
-            utility_variable=fr["utility_variable"],
-            cost=fr["cost"],
-            reversible=fr["reversible"],
-            interventional=fr["interventional"],
-        ),
-        graph=graph_from_json_dict(obj["graph"]),
-        spec=spec,
-        observational=Frame.from_json_obj(obj["observational"]),
-        experimental=Frame.from_json_obj(obj["experimental"]),
-        safe_experiment_available=obj["safe_experiment_available"],
-    )
-
-
 def write_instances_jsonl(path, instances: Iterable[ScmInstance]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
             fh.write(json.dumps(instance_to_json_dict(inst), sort_keys=True))
             fh.write("\n")
-
-
-def read_instances_jsonl(path) -> list[ScmInstance]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(instance_from_json_dict(json.loads(line)))
-    return out

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -96,13 +97,14 @@ class TestCanonicalForm:
         f = small_frame()
         assert Frame.from_canonical_bytes(f.canonical_bytes()) == f
 
-    def test_json_roundtrip_is_exact(self):
+    def test_json_object_is_lossless(self):
         import json
 
         f = Frame(columns=("T", "Y"),
-                  data=np.array([[1.0, np.pi], [0.0, np.e]]))
-        blob = json.dumps(f.to_json_obj())
-        assert Frame.from_json_obj(json.loads(blob)) == f
+                  data=np.array([[1.0, np.pi], [-0.0, np.e], [1e-300, 5e-324]]))
+        obj = json.loads(json.dumps(f.to_json_obj()))
+        assert obj["columns"] == ["T", "Y"]
+        assert np.array(obj["rows"], dtype=np.float64).tobytes() == f.data.tobytes()
 
 
 class TestProvenance:
@@ -149,6 +151,21 @@ class TestValidation:
     def test_duplicate_columns_rejected(self):
         with pytest.raises(FrameError):
             Frame(columns=("a", "a"), data=np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("columns, name", [
+        (("a,b", "c"), "a,b"),
+        (("a", "b,c"), "b,c"),
+        (("a", "b\nc"), "b\nc"),
+    ])
+    def test_separator_in_a_column_name_rejected(self, columns, name):
+        # ("a,b", "c") and ("a", "b,c") would share their canonical bytes,
+        # and so their digest, though the frames differ.
+        with pytest.raises(FrameError, match=re.escape(repr(name))):
+            Frame(columns=columns, data=np.array([[1.0, 2.0]]))
+
+    def test_column_name_that_is_not_a_string_rejected(self):
+        with pytest.raises(FrameError, match="column names must be strings"):
+            Frame(columns=("a", 1), data=np.array([[1.0, 2.0]]))
 
     def test_unknown_column_lookup(self):
         with pytest.raises(FrameError):

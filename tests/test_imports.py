@@ -1,4 +1,4 @@
-"""What a civex process loads: no scipy at all.
+"""What a civex process loads: no scipy at all; and what each module exports.
 
 The normal quantile is a port of Cephes ``ndtri`` and the signed-rank test
 ranks with numpy, so scipy is a test oracle, not a runtime dependency.  The
@@ -6,11 +6,17 @@ check runs in a fresh interpreter, because this test process imports scipy
 itself (as an oracle).
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import civex
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,3 +63,13 @@ def test_no_scipy_module_is_loaded(tmp_path):
     loaded = [name for name in result["modules"]
               if name == "scipy" or name.startswith("scipy.")]
     assert loaded == []
+
+
+@pytest.mark.parametrize("name", ["civex"] + [
+    f"civex.{module.name}" for module in pkgutil.iter_modules(civex.__path__)])
+def test_every_exported_name_exists(name):
+    # A deletion that leaves its ``__all__`` entry behind breaks
+    # ``from module import *``.
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from civex.baselines import ALL_METHODS
 from civex.evaluation import ScoreWeights
 from civex.cli import main
-from civex.config import RETIRED_KEYS, table
+from civex.config import RETIRED_KEYS
 from civex.frames import Frame
 from civex import runner
 from civex.runner import (
@@ -19,7 +19,7 @@ from civex.runner import (
     run_weight_sweep,
     write_run_outputs,
 )
-from civex.scm import BenchmarkSpec, read_instances_jsonl
+from civex.scm import BenchmarkSpec
 from civex.verifier import VerifierConfig, certificate_to_json_dict
 
 TINY = {
@@ -28,8 +28,12 @@ TINY = {
     "adversarial_per_family": 2,
     "n_rows": 400,
 }
-# The strength and misspec sweeps set their own seeds and refuse a document's.
-SWEEP_TINY = {key: value for key, value in TINY.items() if key != "seeds"}
+# The strength and misspec sweeps set their own seeds and build one regime's
+# slice, and refuse a document that sets the seeds or the other slice's size.
+SWEEP_TINY = {
+    "strength": {"adversarial_per_family": 2, "n_rows": 400},
+    "misspec": {"moderate_per_family": 3, "n_rows": 400},
+}
 
 
 def write_config(tmp_path: Path, out_name: str, base: dict = TINY, **extra) -> Path:
@@ -41,9 +45,11 @@ def write_config(tmp_path: Path, out_name: str, base: dict = TINY, **extra) -> P
     return path
 
 
-def generated_instances(out_dir: Path) -> list:
-    return [inst for path in out_dir.glob("instances_s*_*.jsonl")
-            for inst in read_instances_jsonl(path)]
+def generated_instance_count(out_dir: Path) -> int:
+    """The JSON lines, one per instance, across ``out_dir``'s instance files."""
+    return sum(isinstance(json.loads(line), dict)
+               for path in out_dir.glob("instances_s*_*.jsonl")
+               for line in path.read_text(encoding="utf-8").splitlines())
 
 
 def read_bytes_map(root: Path) -> dict[str, bytes]:
@@ -88,11 +94,10 @@ class TestGenerateCommand:
         assert "No such option" in result.output and "--methods" in result.output
         assert not (tmp_path / "gm").exists()
 
-    def test_generated_files_round_trip(self, tmp_path):
+    def test_generated_files_hold_one_line_per_instance(self, tmp_path):
         cfg = write_config(tmp_path, "gen3")
         assert CliRunner().invoke(main, ["generate", "--config", str(cfg)]).exit_code == 0
-        instances = generated_instances(tmp_path / "gen3")
-        assert len(instances) == 2 * 6 * (3 + 2)
+        assert generated_instance_count(tmp_path / "gen3") == 2 * 6 * (3 + 2)
 
 
 class TestRunCommand:
@@ -222,7 +227,7 @@ class TestSweepCommands:
         assert len(pairs) == 20
 
     def test_strength_sweep_runs_on_reduced_grid(self, tmp_path):
-        cfg = write_config(tmp_path, "ss", SWEEP_TINY)
+        cfg = write_config(tmp_path, "ss", SWEEP_TINY["strength"])
         result = CliRunner().invoke(
             main, ["sweep", "strength", "--config", str(cfg),
                    "--methods", "CIVeX,PolicyGate,AlwaysAbstain"])
@@ -233,7 +238,7 @@ class TestSweepCommands:
     @pytest.mark.parametrize("kind", ["strength", "misspec"])
     @pytest.mark.parametrize("flag", [["--seed-list", "1"], ["--strength", "9"]])
     def test_fixed_grid_sweep_refuses_seed_and_strength_flags(self, tmp_path, kind, flag):
-        cfg = write_config(tmp_path, "fixed", SWEEP_TINY)
+        cfg = write_config(tmp_path, "fixed", SWEEP_TINY[kind])
         result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg), *flag])
         assert result.exit_code == 2
         assert (f"sweep {kind} uses seeds 42-46 and its own grid, so it takes no "
@@ -243,7 +248,7 @@ class TestSweepCommands:
     @pytest.mark.parametrize("kind", ["strength", "misspec"])
     @pytest.mark.parametrize("key, value", [("seeds", [7, 8]), ("adversarial_strength", 9.0)])
     def test_fixed_grid_sweep_refuses_seed_and_strength_keys(self, tmp_path, kind, key, value):
-        cfg = write_config(tmp_path, "fixed", SWEEP_TINY, **{key: value})
+        cfg = write_config(tmp_path, "fixed", SWEEP_TINY[kind], **{key: value})
         result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -251,8 +256,24 @@ class TestSweepCommands:
                                  f"42-46 and its own grid, so it takes no '{key}' key\n")
         assert not (tmp_path / "fixed").exists()
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("strength", "moderate_per_family", 3),
+        ("strength", "latent_fraction_moderate", 0.5),
+        ("misspec", "adversarial_per_family", 2),
+    ])
+    def test_fixed_grid_sweep_refuses_the_other_slices_keys(self, tmp_path, kind, key, value):
+        # The strength sweep builds only the adversarial slice, the misspec
+        # sweep only the moderate one; each ignored the other slice's keys.
+        cfg = write_config(tmp_path, "slice", SWEEP_TINY[kind], **{key: value})
+        result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"Error: invalid configuration: sweep {kind} uses seeds "
+                                 f"42-46 and its own grid, so it takes no '{key}' key\n")
+        assert not (tmp_path / "slice").exists()
+
     def test_misspec_sweep(self, tmp_path):
-        cfg = write_config(tmp_path, "sm", SWEEP_TINY)
+        cfg = write_config(tmp_path, "sm", SWEEP_TINY["misspec"])
         result = CliRunner().invoke(
             main, ["sweep", "misspec", "--config", str(cfg), "--methods", "CIVeX"])
         assert result.exit_code == 0, result.output
@@ -260,7 +281,7 @@ class TestSweepCommands:
         assert body.count("\n") == 4 + 1
 
     def test_misspec_sweep_takes_methods_from_the_config(self, tmp_path):
-        cfg = write_config(tmp_path, "smc", SWEEP_TINY, methods=["CIVeX"])
+        cfg = write_config(tmp_path, "smc", SWEEP_TINY["misspec"], methods=["CIVeX"])
         result = CliRunner().invoke(main, ["sweep", "misspec", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         header, *body = (tmp_path / "smc" / "sweep_misspec.csv").read_text(
@@ -425,7 +446,7 @@ class TestReplayShards:
 
     @pytest.mark.parametrize("kind", ["strength", "misspec"])
     def test_regenerating_sweep_refuses_replay(self, tmp_path, kind):
-        cfg = self._config(tmp_path, "sweep", base=SWEEP_TINY)
+        cfg = self._config(tmp_path, "sweep", base=SWEEP_TINY[kind])
         result = CliRunner().invoke(main, ["sweep", kind, "--config", str(cfg),
                                            "--methods", "CIVeX,Replay(demo)"])
         assert result.exit_code == 1
@@ -576,11 +597,11 @@ class TestConfigSurface:
         section = readme[readme.index("A config document is one flat JSON object"):]
         start = section.index("```json") + len("```json")
         block = json.loads(section[start:section.index("```", start)])
-        rows = table(RunConfig)
-        assert list(block) == [row.key for row in rows]
-        for row in rows:
-            if row.key not in ("methods", "replay"):  # the two examples
-                assert block[row.key] == row.kind.write(row.default), row.key
+        defaults = RunConfig().to_json_dict()
+        assert list(block) == list(defaults)
+        for key, default in defaults.items():
+            if key not in ("methods", "replay"):  # the two examples
+                assert block[key] == default, key
         RunConfig.from_json_dict(block)
         retired = re.search(r"retired keys[^.]*\.", section).group(0)
         assert sorted(re.findall(r"`(\w+)`", retired)) == sorted(RETIRED_KEYS)
@@ -623,7 +644,7 @@ class TestConfigSurface:
         cfg = write_config(tmp_path, "large", **small, adversarial_strength=1e6)
         result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
-        assert len(generated_instances(tmp_path / "large")) == 12
+        assert generated_instance_count(tmp_path / "large") == 12
 
     @pytest.mark.parametrize("document", [[], "run", 3])
     def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):
@@ -660,11 +681,6 @@ class TestRunnerApi:
             RunConfig(methods=())
         with pytest.raises(ValueError, match="methods must be .* distinct method ids"):
             RunConfig(methods=("NotAMethod",))
-
-    def test_env_var_output_root(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CIVEX_OUTPUT_ROOT", str(tmp_path))
-        config = RunConfig(output_dir="nested/run")
-        assert config.resolved_output_dir() == tmp_path / "nested" / "run"
 
     def test_weight_sweep_reuses_cached_decisions(self):
         config = RunConfig(
