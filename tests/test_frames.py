@@ -1,11 +1,16 @@
+import functools
 import hashlib
+import itertools
 import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import civex.frames
+from civex.cli import main
 from civex.estimation import provenance_hash
 from civex.frames import Frame, FrameError
 from civex.scm import BenchmarkSpec, build_benchmark
@@ -32,6 +37,13 @@ _VALUES = st.one_of(
     st.floats(max_value=-1e16, allow_infinity=False),
     st.sampled_from([0.0, -0.0]),
 )
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_42_frames() -> tuple[Frame, ...]:
+    """The observational and experimental frames of the default seed 42."""
+    instances, _ = build_benchmark(BenchmarkSpec(seeds=(42,)))
+    return tuple(f for inst in instances for f in (inst.observational, inst.experimental))
 
 
 @st.composite
@@ -82,8 +94,7 @@ class TestCanonicalForm:
         assert frame.canonical_bytes() == per_value_encode(frame)
 
     def test_every_frame_of_a_default_seed_matches_per_value_repr(self):
-        instances, _ = build_benchmark(BenchmarkSpec(seeds=(42,)))
-        frames = [f for inst in instances for f in (inst.observational, inst.experimental)]
+        frames = _seed_42_frames()
         assert len(frames) == 540
         for frame in frames:
             assert frame.canonical_bytes() == per_value_encode(frame)
@@ -132,6 +143,38 @@ class TestProvenance:
         data = f.data.copy()
         data[1, 2] += 1e-9
         assert provenance_hash(f) != provenance_hash(Frame(columns=f.columns, data=data))
+
+
+def _signed_zero_frames() -> list[Frame]:
+    """Every frame of up to two rows and two columns over 0.0, -0.0 and 1.5,
+    under two orders of names, and frames without columns."""
+    frames = [Frame((), np.zeros((n_rows, 0))) for n_rows in range(3)]
+    for columns in (("a",), ("b",), ("a", "b"), ("b", "a")):
+        for n_rows in range(3):
+            for values in itertools.product((0.0, -0.0, 1.5), repeat=n_rows * len(columns)):
+                frames.append(Frame(columns, np.reshape(values, (n_rows, len(columns)))))
+    return frames
+
+
+class TestEquality:
+    def test_signed_zeros_make_different_frames(self):
+        plus, minus = Frame(("a",), [[0.0]]), Frame(("a",), [[-0.0]])
+        assert plus != minus
+        assert minus not in {plus}
+        assert plus.sha256() != minus.sha256()
+
+    def test_equal_exactly_when_the_canonical_bytes_are(self):
+        frames = _signed_zero_frames()
+        twins = [Frame(f.columns, f.data.copy()) for f in frames]
+        blobs = [f.canonical_bytes() for f in frames]
+        assert len(set(blobs)) == len(frames)
+        for f, blob in zip(frames, blobs):
+            for twin, other in zip(twins, blobs):
+                assert (f == twin) is (blob == other)
+                if f == twin:
+                    assert hash(f) == hash(twin)
+        assert set(frames) == set(twins)
+        assert len(set(frames)) == len(frames)
 
 
 class TestValidation:
@@ -219,6 +262,8 @@ class TestCanonicalParser:
         "a,b\nnan,1\n2,3",       # nan on a well-formed line
         "a,b\n1,2\n3,-nan",
         "a\n1\n\n2",
+        "a,b\n1..5,2.5",          # one value with two points
+        "a,b\n1.5,2.5,3.5\n4.5",  # one point a value and two rows' worth, but a row break moved
         b"a,b\n1,\xff",         # invalid UTF-8
         b"\xff,b\n1,2",
         b"a,b\n1,\xc3",         # a truncated two-byte sequence
@@ -249,6 +294,12 @@ class TestCanonicalParser:
         "a,b\n1,2\n1_0,4",       # an underscore on a well-formed line
         "\u00e9,b\n1,2\n3,4",     # valid non-ASCII UTF-8 in the header
         "a,b\n1,2\n3,\u0664",     # and in a value
+        "a,b\n1.5,-0",           # the integer -0 beside values with a point
+        "a,b\n-0,1.5\n2.5,3.5",
+        "a,b\n1e-05,-0",         # exponents without a point
+        "a,b\n5e-324,1e+16",
+        "a,b\n-.5,1.5",          # one point a value, but not JSON numbers
+        "a,b\n+1.5,2.5",
         b"\xc3\xa9,b\n1,2",
     ])
     def test_accepts_what_the_per_value_parser_accepts(self, text):
@@ -257,6 +308,24 @@ class TestCanonicalParser:
         assert got.columns == expected.columns
         assert got.data.shape == expected.data.shape
         assert got.data.tobytes() == expected.data.tobytes()
+
+    def test_generated_text_never_reaches_the_str_cast(self, tmp_path, monkeypatch):
+        # Every data file of a seed-42 run, and every seed-42 frame's bytes.
+        # Text that leaves the one-point-per-value path ends in the cast.
+        run = CliRunner().invoke(main, ["run", "--seed-list", "42", "--out", str(tmp_path)])
+        assert run.exit_code == 0, run.output
+        files = sorted(tmp_path.glob("certificates/*/*.data.txt"))
+        assert files
+        texts = [(p.read_bytes(), per_value_parse(p.read_text(encoding="utf-8")).data)
+                 for p in files]
+        texts += [(f.canonical_bytes(), f.data) for f in _seed_42_frames()]
+
+        def str_cast(fields):
+            raise AssertionError("canonical text reached the str-to-float64 cast")
+
+        monkeypatch.setattr(civex.frames, "_str_cast", str_cast)
+        for blob, data in texts:
+            assert Frame.from_canonical_bytes(blob).data.tobytes() == data.tobytes()
 
     def test_ragged_row_is_named(self):
         with pytest.raises(FrameError, match="line 3 has 1 values for 2 columns"):
