@@ -108,11 +108,12 @@ def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str
     for inst in instances:
         t = inst.observational.column("T")
         y = inst.observational.column("Y")
-        if not (t == 1.0).any() or not (t == 0.0).any():
+        treated, control = t == 1.0, t == 0.0
+        if not treated.any() or not control.any():
             continue
         key = (inst.id.seed, inst.id.regime, inst.id.family)
         groups.setdefault(key, []).append(
-            (float(y[t == 1.0].mean()), float(y[t == 0.0].mean()))
+            (float(y[treated].mean()), float(y[control].mean()))
         )
     pooled: dict[tuple[int, str, str], tuple[float, float]] = {}
     for key, pairs in groups.items():

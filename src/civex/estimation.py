@@ -146,13 +146,16 @@ class EffectEstimate:
     adjustment_set: tuple[str, ...]
 
 
-def _check_treatment(t: np.ndarray) -> None:
-    n_treated = np.count_nonzero(t == 1.0)
-    n_control = np.count_nonzero(t == 0.0)
+def _check_treatment(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The treated and control masks of a binary 0/1 column with both arms."""
+    treated, control = t == 1.0, t == 0.0
+    n_treated = np.count_nonzero(treated)
+    n_control = np.count_nonzero(control)
     if n_treated + n_control != t.size:
         raise EstimationError("treatment column must be binary 0/1")
     if not n_treated or not n_control:
         raise EstimationError("positivity violation: only one treatment arm present")
+    return treated, control
 
 
 def _pivot_rank_ok(xtx: np.ndarray) -> bool:
@@ -277,14 +280,15 @@ def unadjusted_difference(d: Frame, alpha: float = 0.05, *,
         return known
     t = d.column(treatment_col)
     y = d.column(outcome_col)
-    _check_treatment(t)
-    y1 = y[t == 1.0]
-    y0 = y[t == 0.0]
+    treated, control = _check_treatment(t)
+    y1 = y[treated]
+    y0 = y[control]
     n1, n0 = y1.size, y0.size
     if n1 + n0 < 3:
         raise EstimationError("need at least 3 rows for a pooled-variance difference")
-    delta = float(y1.mean() - y0.mean())
-    rss = float(((y1 - y1.mean()) ** 2).sum() + ((y0 - y0.mean()) ** 2).sum())
+    mean1, mean0 = y1.mean(), y0.mean()
+    delta = float(mean1 - mean0)
+    rss = float(((y1 - mean1) ** 2).sum() + ((y0 - mean0) ** 2).sum())
     sigma2 = max(rss, 0.0) / (n1 + n0 - 2)
     se = float(np.sqrt(sigma2 * (1.0 / n1 + 1.0 / n0)))
     lcb = delta - one_sided_z(alpha) * se

@@ -86,7 +86,24 @@ class Frame:
     data: np.ndarray = field(compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=np.float64)
+        # The caller keeps its array and may change it, so the frame holds a copy.
+        self._own(np.array(self.data, dtype=np.float64, order="C"), finite=False)
+
+    @classmethod
+    def _adopt(cls, columns: tuple[str, ...], data: np.ndarray, *,
+               finite: bool = False) -> "Frame":
+        """A frame that takes ``data``, a C-ordered float64 array no one else
+        holds, without copying it.
+
+        The constructor's checks all run, but the finiteness scan is skipped
+        when ``finite`` says that the caller has shown every value finite.
+        """
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "columns", columns)
+        frame._own(data, finite=finite)
+        return frame
+
+    def _own(self, arr: np.ndarray, *, finite: bool) -> None:
         if arr.ndim != 2:
             raise FrameError(f"expected 2-D data, got shape {arr.shape}")
         if arr.shape[1] != len(self.columns):
@@ -104,9 +121,8 @@ class Frame:
         if self.columns and header.count(",") + header.count("\n") >= len(self.columns):
             bad = next(name for name in self.columns if "," in name or "\n" in name)
             raise FrameError(f"column name {bad!r} holds a comma or a newline")
-        if not np.isfinite(arr).all():
+        if not finite and not np.isfinite(arr).all():
             raise FrameError("missing or infinite values are not allowed")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "data", arr)
@@ -210,8 +226,9 @@ class Frame:
             else:
                 # Every value is a Python float; packing them is about twice
                 # as fast as ``np.fromiter``, and the bits are the same.
+                # orjson refuses infinities (and has no NaN), so no rescan.
                 data = np.frombuffer(struct.pack(f"{n_rows * k}d", *values), np.float64)
-                return cls(columns=columns, data=data.reshape(n_rows, k))
+                return cls._adopt(columns, data.reshape(n_rows, k), finite=True)
         # Any other text: name the first ragged row, then cast the values.
         lines = body.split(b"\n") if newline else []
         for i, line in enumerate(lines):
@@ -220,7 +237,7 @@ class Frame:
                                  f"for {k} columns")
         values = _str_cast(body.decode("utf-8").replace("\n", ",").split(",")
                            if newline else [])
-        return cls(columns=columns, data=values.reshape(len(lines), k))
+        return cls._adopt(columns, values.reshape(len(lines), k))
 
     def to_json_obj(self) -> dict:
         return {"columns": list(self.columns), "rows": self.data.tolist()}

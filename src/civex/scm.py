@@ -24,11 +24,16 @@ Two regimes:
 
 Determinism contract: every instance consumes its own counter-based stream
 keyed by a 64-bit hash of (seed, regime, family, index), so generation order
-cannot change results.
+cannot change results.  A build re-keys one generator of its own per
+instance, to the state a fresh ``instance_rng`` stream starts in, and draws
+each fixed-length run of uniforms with one call; the numbers and their order
+are those of one scalar call per value.  Instances of one shape share their
+committed graph and action frame, which are immutable.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
@@ -129,6 +134,10 @@ CONFOUNDER_SD_RANGE = (0.5, 2.0)
 TREATMENT_NODE = "T"
 OUTCOME_NODE = "Y"
 
+# Distinct committed graphs and action frames a process keeps; a benchmark
+# build has a few dozen shapes.
+_SHAPE_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class ConfounderSpec:
@@ -224,11 +233,42 @@ class BenchmarkSpec:
     __post_init__ = check_fields
 
 
+def _instance_key(seed: int, regime: str, family: str, index: int) -> int:
+    digest = hashlib.sha256(f"{seed}|{regime}|{family}|{index}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 def instance_rng(seed: int, regime: str, family: str, index: int) -> np.random.Generator:
     """Counter-based stream keyed by a 64-bit hash of the instance coordinates."""
-    digest = hashlib.sha256(f"{seed}|{regime}|{family}|{index}".encode("utf-8")).digest()
-    key = int.from_bytes(digest[:8], "big")
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_instance_key(seed, regime, family, index)))
+
+
+class _KeyedStreams:
+    """One generator re-keyed per instance, to the stream ``instance_rng`` gives.
+
+    A new ``Philox`` seeds itself from the OS before its key replaces that
+    seed, which costs several times as much as setting the state a fresh
+    ``Philox(key=k)`` has.  Each build owns one, so builds in other threads
+    never share it.
+    """
+
+    def __init__(self) -> None:
+        self._bitgen = np.random.Philox(0)  # its state is replaced for each instance
+        self._rng = np.random.Generator(self._bitgen)
+        self._key = np.zeros(2, np.uint64)
+        self._fresh = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": self._key},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def rekey(self, seed: int, regime: str, family: str, index: int) -> np.random.Generator:
+        self._key[0] = _instance_key(seed, regime, family, index)
+        self._bitgen.state = self._fresh
+        return self._rng
 
 
 def _sigm(x: np.ndarray) -> np.ndarray:
@@ -254,8 +294,13 @@ def unadjusted_plim_bias(spec: ScmSpec) -> float:
     where v^2 = sum gamma_i^2 (Stein's identity), and the treatment is
     marginally balanced, so the bias is sum_i beta_i gamma_i E[sigm'(vZ)]/0.25.
     """
-    gammas = np.array([c.treat_coef for c in spec.confounders])
-    betas = np.array([c.outcome_coef for c in spec.confounders])
+    return _plim_bias([c.treat_coef for c in spec.confounders],
+                      [c.outcome_coef for c in spec.confounders])
+
+
+def _plim_bias(treat_coefs: Sequence[float], outcome_coefs: Sequence[float]) -> float:
+    gammas = np.array(treat_coefs)
+    betas = np.array(outcome_coefs)
     if gammas.size == 0:
         return 0.0
     v = float(np.sqrt(np.sum(gammas**2)))
@@ -280,35 +325,45 @@ def generate_frame(
     """
     if n_rows < 2:
         raise ValueError("n_rows must be >= 2")
-    raw: dict[str, np.ndarray] = {}
-    standardized: dict[str, np.ndarray] = {}
+    observed = spec.observed
+    # Columns T, Y, then the observed confounders' raw draws.
+    data = np.empty((n_rows, 2 + len(observed)))
+    column = 2
+    standardized = []
     for c in spec.confounders:
         u = rng.normal(c.mean, c.sd, size=n_rows)
-        raw[c.name] = u
-        standardized[c.name] = (u - c.mean) / c.sd
-    logit = np.zeros(n_rows)
-    for c in spec.confounders:
-        logit += c.treat_coef * standardized[c.name]
+        if not c.hidden:
+            data[:, column] = u
+            column += 1
+        standardized.append((u - c.mean) / c.sd)
+    t = data[:, 0]
     if randomize_treatment:
-        t = (rng.random(n_rows) < 0.5).astype(np.float64)
+        t[:] = rng.random(n_rows) < 0.5
     else:
-        t = (rng.random(n_rows) < _sigm(logit)).astype(np.float64)
+        logit = np.zeros(n_rows)
+        for c, z in zip(spec.confounders, standardized):
+            logit += c.treat_coef * z
+        t[:] = rng.random(n_rows) < _sigm(logit)
     eps = rng.normal(0.0, spec.noise_sd, size=n_rows) if spec.noise_sd > 0 else np.zeros(n_rows)
     y = spec.intercept + spec.theta * t + eps
-    for c in spec.confounders:
-        y = y + c.outcome_coef * standardized[c.name]
-    named = [(TREATMENT_NODE, t), (OUTCOME_NODE, y)]
-    named.extend((c.name, raw[c.name]) for c in spec.observed)
-    return Frame.from_columns(named)
+    for c, z in zip(spec.confounders, standardized):
+        y += c.outcome_coef * z
+    data[:, 1] = y
+    return Frame._adopt((TREATMENT_NODE, OUTCOME_NODE, *(c.name for c in observed)), data)
 
 
-def _committed_graph(spec: ScmSpec) -> CausalGraph:
-    observed = [c.name for c in spec.observed]
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _committed_graph(observed: tuple[str, ...], latent: bool) -> CausalGraph:
+    """The committed graph of every spec with these observed confounders and,
+    if ``latent``, a hidden one.
+
+    One object per shape, so graph-keyed caches downstream hit by identity.
+    """
     directed = [(TREATMENT_NODE, OUTCOME_NODE)]
     for name in observed:
         directed.append((name, TREATMENT_NODE))
         directed.append((name, OUTCOME_NODE))
-    bidirected = [(TREATMENT_NODE, OUTCOME_NODE)] if spec.hidden_confounders else []
+    bidirected = [(TREATMENT_NODE, OUTCOME_NODE)] if latent else []
     return CausalGraph.create(
         nodes=[TREATMENT_NODE, OUTCOME_NODE, *observed],
         directed=directed,
@@ -318,15 +373,41 @@ def _committed_graph(spec: ScmSpec) -> CausalGraph:
     )
 
 
-def _signed_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * rng.uniform(lo, hi)
+def _action_frame(family: str, cost: float, reversible: bool) -> ActionFrame:
+    # The cache compares keys with ``==``: its ``typed`` keeps an integer cost
+    # apart from the float, and the sign keeps 0.0 apart from -0.0.
+    return _action_frame_of_shape(FAMILY_TOOLS[family], cost, math.copysign(1.0, cost),
+                                  reversible)
 
 
-def _confounder_shell(name: str, rng: np.random.Generator, hidden: bool) -> tuple[str, float, float, bool]:
-    mean = rng.uniform(*CONFOUNDER_MEAN_RANGE)
-    sd = rng.uniform(*CONFOUNDER_SD_RANGE)
-    return name, mean, sd, hidden
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE, typed=True)
+def _action_frame_of_shape(tool: str, cost: float, cost_sign: float,
+                           reversible: bool) -> ActionFrame:
+    return ActionFrame(
+        tool=tool,
+        target_variable=TREATMENT_NODE,
+        target_value=1.0,
+        utility_variable=OUTCOME_NODE,
+        cost=cost,
+        reversible=reversible,
+    )
+
+
+def _uniform(lo: float, hi: float, u: float) -> float:
+    """What ``rng.uniform(lo, hi)`` returns when it draws ``u`` from ``rng.random()``.
+
+    A run of draws whose length is known beforehand is taken with one
+    ``rng.random(n)`` call and mapped through this, giving the same doubles
+    in the same order as one ``rng.uniform`` call per value.  (An
+    array-argument ``rng.uniform`` draws them too, but its argument checks
+    cost more than the scalar calls it replaces.)
+    """
+    return lo + (hi - lo) * u
+
+
+def _signed(lo: float, hi: float, u_sign: float, u: float) -> float:
+    """A magnitude in [lo, hi) with a fair random sign, from two draws."""
+    return (1.0 if u_sign < 0.5 else -1.0) * _uniform(lo, hi, u)
 
 
 def _draw_moderate_spec(
@@ -338,34 +419,38 @@ def _draw_moderate_spec(
 ) -> ScmSpec:
     pool = FAMILY_CONFOUNDERS[family]
     if family == "db_index_operation":
-        names = list(pool)
+        observed = pool
     else:
-        count = int(rng.integers(2, 5))
-        names = list(pool[:count])
-    hidden_name = f"latent_{family}_driver"
-    hidden_present = rng.random() < latent_fraction
-    noise_sd = rng.uniform(*NOISE_SD_MODERATE)
-    shells = [_confounder_shell(n, rng, hidden=False) for n in names]
-    if hidden_present:
-        shells.append(_confounder_shell(hidden_name, rng, hidden=True))
+        observed = pool[:int(rng.integers(2, 5))]
+    # The latent coin, the noise sd, then each observed confounder's mean and sd.
+    coin, u_noise, *u = rng.random(2 + 2 * len(observed)).tolist()
+    noise_sd = _uniform(*NOISE_SD_MODERATE, u_noise)
+    names, hidden = list(observed), [False] * len(observed)
+    if coin < latent_fraction:
+        names.append(f"latent_{family}_driver")
+        hidden.append(True)
+        u += rng.random(2).tolist()  # the latent's mean and sd
+    means = [_uniform(*CONFOUNDER_MEAN_RANGE, x) for x in u[0::2]]
+    sds = [_uniform(*CONFOUNDER_SD_RANGE, x) for x in u[1::2]]
+    ranges = [MODERATE_HIDDEN_COEF if h else MODERATE_OBS_COEF for h in hidden]
 
     margin = MODERATE_SIGN_MARGIN
     for _ in range(_MAX_COEF_REDRAWS):
-        confounders = []
-        for name, mean, sd, hidden in shells:
-            lo, hi = MODERATE_HIDDEN_COEF if hidden else MODERATE_OBS_COEF
-            confounders.append(
-                ConfounderSpec(
-                    name=name, mean=mean, sd=sd,
-                    treat_coef=_signed_uniform(rng, lo, hi),
-                    outcome_coef=_signed_uniform(rng, lo, hi),
-                    hidden=hidden,
-                )
+        # Per confounder: treatment sign and magnitude, then outcome sign and magnitude.
+        u = rng.random(4 * len(names)).tolist()
+        treat = [_signed(lo, hi, sign, x) for (lo, hi), sign, x in zip(ranges, u[0::4], u[1::4])]
+        outcome = [_signed(lo, hi, sign, x) for (lo, hi), sign, x in zip(ranges, u[2::4], u[3::4])]
+        if abs(_plim_bias(treat, outcome)) <= abs(theta) - margin:
+            return ScmSpec(
+                family=family, theta=theta, intercept=intercept,
+                confounders=tuple(
+                    ConfounderSpec(name=name, mean=mean, sd=sd, treat_coef=gamma,
+                                   outcome_coef=beta, hidden=h)
+                    for name, mean, sd, gamma, beta, h in zip(names, means, sds, treat,
+                                                              outcome, hidden)
+                ),
+                noise_sd=noise_sd,
             )
-        spec = ScmSpec(family=family, theta=theta, intercept=intercept,
-                       confounders=tuple(confounders), noise_sd=noise_sd)
-        if abs(unadjusted_plim_bias(spec)) <= abs(theta) - margin:
-            return spec
     raise RuntimeError(
         "could not draw moderate coefficients inside the sign margin; "
         "the coefficient ranges no longer fit the magnitude grid"
@@ -380,19 +465,20 @@ def _draw_adversarial_spec(
     rng: np.random.Generator,
 ) -> ScmSpec:
     harmful = theta < 0
-    pool = FAMILY_CONFOUNDERS[family]
-    names = list(pool[:ADVERSARIAL_OBS_COUNT])
+    names = FAMILY_CONFOUNDERS[family][:ADVERSARIAL_OBS_COUNT]
     hidden_name = f"latent_{family}_driver"
     tau = ADVERSARIAL_OBS_SCALE * strength
     align = 1.0 if harmful else -1.0
-    confounders = []
-    for name in names:
-        _, mean, sd, _ = _confounder_shell(name, rng, hidden=False)
-        confounders.append(
-            ConfounderSpec(name=name, mean=mean, sd=sd,
-                           treat_coef=tau, outcome_coef=align * tau, hidden=False)
-        )
-    _, mean, sd, _ = _confounder_shell(hidden_name, rng, hidden=True)
+    # Each observed confounder's mean and sd, then the latent's.
+    u = rng.random(2 * (len(names) + 1)).tolist()
+    shells = [(_uniform(*CONFOUNDER_MEAN_RANGE, m), _uniform(*CONFOUNDER_SD_RANGE, s))
+              for m, s in zip(u[0::2], u[1::2])]
+    confounders = [
+        ConfounderSpec(name=name, mean=mean, sd=sd,
+                       treat_coef=tau, outcome_coef=align * tau, hidden=False)
+        for name, (mean, sd) in zip(names, shells)
+    ]
+    mean, sd = shells[-1]
     confounders.append(
         ConfounderSpec(name=hidden_name, mean=mean, sd=sd,
                        treat_coef=strength, outcome_coef=align * strength, hidden=True)
@@ -404,10 +490,11 @@ def _draw_adversarial_spec(
 
 def _draw_effect(regime: str, rng: np.random.Generator) -> tuple[float, float]:
     """Draw the planted effect theta (signed by a harmful coin) and the intercept."""
-    harmful = rng.random() < P_HARMFUL[regime]
+    coin, u_theta, u_intercept = rng.random(3).tolist()
+    harmful = coin < P_HARMFUL[regime]
     lo, hi = THETA_RANGES[regime]["harmful" if harmful else "safe"]
-    theta = rng.uniform(lo, hi) * (-1.0 if harmful else 1.0)
-    return theta, rng.uniform(*INTERCEPT_RANGE)
+    theta = _uniform(lo, hi, u_theta) * (-1.0 if harmful else 1.0)
+    return theta, _uniform(*INTERCEPT_RANGE, u_intercept)
 
 
 def sample_instance(
@@ -423,9 +510,12 @@ def sample_instance(
         raise ValueError(f"unknown family '{family}'")
     if regime not in REGIMES:
         raise ValueError(f"unknown regime '{regime}'")
-    bspec = bspec or BenchmarkSpec()
-    rng = instance_rng(seed, regime, family, idx)
+    return _sample(InstanceId(seed=seed, regime=regime, family=family, index=idx),
+                   bspec or BenchmarkSpec(), instance_rng(seed, regime, family, idx))
 
+
+def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator) -> ScmInstance:
+    family, regime = inst_id.family, inst_id.regime
     theta, intercept = _draw_effect(regime, rng)
     if regime == MODERATE:
         spec = _draw_moderate_spec(family, theta, intercept, rng,
@@ -437,19 +527,11 @@ def sample_instance(
     reversible = bool(rng.random() < bspec.reversible_fraction)
     observational = generate_frame(spec, bspec.n_rows, randomize_treatment=False, rng=rng)
     experimental = generate_frame(spec, bspec.n_rows, randomize_treatment=True, rng=rng)
-
-    frame = ActionFrame(
-        tool=FAMILY_TOOLS[family],
-        target_variable=TREATMENT_NODE,
-        target_value=1.0,
-        utility_variable=OUTCOME_NODE,
-        cost=bspec.action_cost,
-        reversible=reversible,
-    )
     return ScmInstance(
-        id=InstanceId(seed=seed, regime=regime, family=family, index=idx),
-        frame=frame,
-        graph=_committed_graph(spec),
+        id=inst_id,
+        frame=_action_frame(family, bspec.action_cost, reversible),
+        graph=_committed_graph(tuple(c.name for c in spec.observed),
+                               bool(spec.hidden_confounders)),
         spec=spec,
         observational=observational,
         experimental=experimental,
@@ -526,6 +608,7 @@ def build_benchmark(
     Instances are keyed streams, so the generation order does not matter; the
     output is sorted by (seed, regime, family, index).
     """
+    streams = _KeyedStreams()
     instances = []
     for seed in bspec.seeds:
         for regime in regimes:
@@ -533,8 +616,8 @@ def build_benchmark(
                           else bspec.adversarial_per_family)
             for family in FAMILIES:
                 for idx in range(per_family):
-                    instances.append(sample_instance(family, regime, idx,
-                                                     seed=seed, bspec=bspec))
+                    rng = streams.rekey(seed, regime, family, idx)
+                    instances.append(_sample(InstanceId(seed, regime, family, idx), bspec, rng))
     instances.sort(key=lambda inst: instance_sort_key(inst.id))
     return instances, _counterbalance(instances)
 

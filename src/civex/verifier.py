@@ -23,6 +23,7 @@ its one-sided bound, the provenance hash of the data, and the declared risk.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -145,12 +146,20 @@ def make_view(inst: ScmInstance) -> InstanceView:
     )
 
 
+# Distinct committed graphs a process keeps resolved; a benchmark run commits
+# a few dozen graph shapes.
+_RESOLVED_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_RESOLVED_CACHE_SIZE)
 def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
     """Graph describing the randomized follow-up data.
 
     Random assignment severs every influence on the treatment, so the latent
     edge and all directed edges into the treatment are dropped; the empty
-    backdoor set then identifies the effect.
+    backdoor set then identifies the effect.  Memoized per graph, so each
+    committed graph object resolves to one object, whose ``identify`` result
+    is then found by identity.
     """
     return replace(
         g,

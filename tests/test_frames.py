@@ -219,6 +219,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             f.data[0, 0] = 9.0
 
+    @pytest.mark.parametrize("blob", [
+        b"T,Y\n1.0,2.5\n0.0,1.0",  # the orjson path, whose array the frame takes as it is
+        b"T,Y\n1,2\n0,1",          # numpy's cast
+    ])
+    def test_parsed_data_is_immutable(self, blob):
+        f = Frame.from_canonical_bytes(blob)
+        assert not f.data.flags.writeable
+        with pytest.raises(ValueError):
+            f.data[0, 0] = 9.0
+
+    def test_frame_keeps_a_copy_of_the_callers_array(self):
+        data = np.array([[1.0, 2.0], [3.0, 4.0]])
+        f = Frame(columns=("a", "b"), data=data)
+        data[0, 0] = 9.0
+        assert f.data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert data.flags.writeable
+
+    def test_fortran_ordered_data_is_held_in_row_order(self):
+        f = Frame(columns=("a", "b"), data=np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]))
+        assert f.data.flags.c_contiguous
+        assert f.canonical_bytes() == b"a,b\n1.0,2.0\n3.0,4.0"
+
 
 def _parse(text: str | bytes) -> Frame:
     return Frame.from_canonical_bytes(text.encode("utf-8") if isinstance(text, str) else text)
@@ -246,6 +268,7 @@ class TestCanonicalParser:
         "a,b\n1,nan",
         "a,b\n1,-inf",
         "a,b\n1,1e400",          # overflows to infinity
+        "a,b\n1.0e999,2.0",      # the same with a point: orjson refuses it, numpy's cast takes it
         "a,b\ntrue,1",           # JSON literals and arrays are not numbers
         "a,b\nnull,1",
         "a,b\n[1],2",

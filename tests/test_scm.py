@@ -1,11 +1,15 @@
 import gc
+import hashlib
 import json
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from civex.estimation import adjusted_effect, unadjusted_difference
+from civex.frames import FrameError
 from civex.scm import (
     ADVERSARIAL,
     FAMILIES,
@@ -62,6 +66,27 @@ class TestGenerateFrame:
         spec = self._flat_spec(confs=[hidden])
         frame = generate_frame(spec, 50, False, np.random.default_rng(3))
         assert frame.columns == ("T", "Y")
+
+    def test_columns_and_read_only_data(self):
+        hidden = ConfounderSpec(name="ghost", mean=0.0, sd=1.0, treat_coef=2.0,
+                                outcome_coef=2.0, hidden=True)
+        seen = ConfounderSpec(name="x", mean=1.0, sd=2.0, treat_coef=0.8,
+                              outcome_coef=0.9, hidden=False)
+        spec = self._flat_spec(theta=1.5, confs=[hidden, seen])
+        frame = generate_frame(spec, 50, False, np.random.default_rng(4))
+        assert frame.columns == ("T", "Y", "x")
+        draws = np.random.default_rng(4)
+        draws.normal(0.0, 1.0, size=50)  # the hidden confounder's, drawn first
+        assert frame.column("x").tobytes() == draws.normal(1.0, 2.0, size=50).tobytes()
+        assert frame.data.flags.c_contiguous and not frame.data.flags.writeable
+        assert set(frame.column("T").tolist()) == {0.0, 1.0}
+
+    @pytest.mark.parametrize("value", [1e308, np.inf])
+    def test_overflowing_draws_are_refused(self, value):
+        conf = ConfounderSpec(name="x", mean=0.0, sd=1.0, treat_coef=1.0,
+                              outcome_coef=value, hidden=False)
+        with pytest.raises(FrameError, match="infinite"):
+            generate_frame(self._flat_spec(confs=[conf]), 50, False, np.random.default_rng(5))
 
     def test_min_rows(self):
         with pytest.raises(ValueError):
@@ -139,6 +164,27 @@ class TestSampleInstance:
             assert inst.frame.tool == FAMILY_TOOLS[family]
             assert inst.frame.interventional
             assert inst.frame.cost == 0.05
+
+    def test_shared_action_frames_keep_the_cost_as_given(self):
+        # Equal costs of another type or sign must not share an action frame:
+        # the instance lines write 0, 0.0 and -0.0 differently.
+        for cost in (0.0, 0, -0.0, 0.0):
+            bspec = BenchmarkSpec(seeds=(42,), moderate_per_family=1,
+                                  adversarial_per_family=1, action_cost=cost)
+            insts, _ = build_benchmark(bspec)
+            assert all(repr(i.frame.cost) == repr(cost) for i in insts)
+            assert repr(sample_instance("cache_operation", MODERATE, 0, seed=42,
+                                        bspec=bspec).frame.cost) == repr(cost)
+
+    def test_instances_of_one_shape_share_graph_and_action_frame(self):
+        insts, _ = build_benchmark(SMALL)
+        graphs = {id(i.graph): i.graph for i in insts}
+        frames = {id(i.frame): i.frame for i in insts}
+        assert len(graphs) == len(set(graphs.values()))
+        assert len(frames) == len(set(frames.values())) <= len(FAMILIES) * 2
+        again = sample_instance(insts[0].id.family, insts[0].id.regime, insts[0].id.index,
+                                seed=insts[0].id.seed, bspec=SMALL)
+        assert again.graph is insts[0].graph and again.frame is insts[0].frame
 
     def test_safe_flag_tracks_theta_sign(self):
         insts, _ = build_benchmark(SMALL)
@@ -333,3 +379,71 @@ class TestInstanceLines:
                 rows = np.array(obj[key]["rows"], dtype=np.float64)
                 assert rows.shape == frame.data.shape
                 assert rows.tobytes() == frame.data.tobytes()  # bit-equal, -0.0 included
+
+
+def _digests(instances):
+    """SHA-256 of the instance lines, and of the frames' canonical bytes."""
+    lines, frames = hashlib.sha256(), hashlib.sha256()
+    for inst in instances:
+        lines.update(json.dumps(instance_to_json_dict(inst), sort_keys=True).encode() + b"\n")
+        for frame in (inst.observational, inst.experimental):
+            frames.update(hashlib.sha256(frame.canonical_bytes()).digest())
+    return lines.hexdigest(), frames.hexdigest()
+
+
+class TestGolden:
+    """Pinned digests of generated instances.
+
+    Any change to generation, however it is made faster, must draw the same
+    numbers in the same order: these values were computed before generation
+    was reorganised, and must never be updated to follow a change.
+    """
+
+    def test_seed_42(self):
+        insts, _ = build_benchmark(BenchmarkSpec(seeds=(42,)))
+        assert len(insts) == 270
+        assert _digests(insts) == (
+            "b0c6293ddedd15d394082546ace418132f5e9d4f69d769aad2bb790c89c4d9a1",
+            "fb1854309d0b5c32bb8d9f2fcbf91ec1885ed19176155c1091f4f040a8f52c86",
+        )
+
+    def test_corner_spec(self):
+        # Two rows, a latent confounder on every moderate draw (the most
+        # coefficient redraws) and an extreme adversarial strength.
+        insts, _ = build_benchmark(BenchmarkSpec(n_rows=2, latent_fraction_moderate=1.0,
+                                                 adversarial_strength=1e6))
+        assert len(insts) == 1890
+        assert _digests(insts) == (
+            "aff22a2a2a67dc20a3aace5db7a373c150e69444229b8c517aedd9c4f5a17150",
+            "0d9b5ca7b3f4c458b6c2316b6931355f71b0abae1ba37ac97243c4115336d15c",
+        )
+
+
+class TestConcurrentBuilds:
+    def test_threads_building_at_once_match_a_sequential_build(self):
+        # A generator shared between builds would interleave two threads'
+        # draws; a short switch interval makes the threads swap often.
+        spec = BenchmarkSpec(seeds=(42,), moderate_per_family=4, adversarial_per_family=4)
+        expected, _ = build_benchmark(spec)
+        start = threading.Barrier(2)
+        built = [None, None]
+
+        def build(slot):
+            start.wait(timeout=30)
+            built[slot], _ = build_benchmark(spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert _digests(built[0]) == _digests(built[1]) == _digests(expected)
+        for inst in built[0]:
+            assert inst == sample_instance(inst.id.family, inst.id.regime, inst.id.index,
+                                           seed=inst.id.seed, bspec=spec)
