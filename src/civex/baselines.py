@@ -281,7 +281,7 @@ _TERMINAL_VERDICTS = {d.value for d in Decision if d is not Decision.EXPERIMENT}
 _SHARD_COLUMNS = ("seed", "regime", "family", "index", "stage1", "terminal")
 
 _NO_RECORD = Verdict(Decision.ABSTAIN, refusal_reason="no recorded verdict")
-_NOT_RECORDED = TwoStageResult(terminal=_NO_RECORD, trace=(_NO_RECORD,))
+_NOT_RECORDED = TwoStageResult((_NO_RECORD,))
 
 
 class ReplayError(ValueError):
@@ -334,7 +334,7 @@ def load_replay_shard(path, table: dict | None = None) -> dict[tuple[int, str, s
                 last = Verdict(Decision(terminal), rationale=note)
                 trace = (last,) if stage1 == terminal else (
                     Verdict(Decision.EXPERIMENT, rationale=note), last)
-                table[key] = TwoStageResult(terminal=last, trace=trace)
+                table[key] = TwoStageResult(trace)
     except (OSError, ValueError, csv.Error) as exc:
         raise ReplayError(f"replay shard {path}: {exc}") from None
     return table

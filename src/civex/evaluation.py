@@ -191,20 +191,16 @@ def summarize(
         raise ValueError("no records to aggregate")
     ordered = sorted(records, key=lambda r: (r.instance_id.seed, r.instance_id.family,
                                              r.instance_id.index))
-    utilities = np.array([r.utility for r in ordered])
-    seeds = sorted({r.instance_id.seed for r in ordered})
-    per_seed: dict[int, float] = {}
-    false_by_seed: dict[int, int] = {}
-    for s in seeds:
-        seed_records = [r for r in ordered if r.instance_id.seed == s]
-        per_seed[s] = float(np.mean([r.utility for r in seed_records]))
-        false_by_seed[s] = sum(r.outcome == FALSE_EXEC for r in seed_records)
+    by_seed: dict[int, list[float]] = {}
+    for r in ordered:
+        by_seed.setdefault(r.instance_id.seed, []).append(r.utility)
+    per_seed = {s: float(np.mean(utilities)) for s, utilities in by_seed.items()}
+    seed_means = list(per_seed.values())
     n = len(ordered)
     n_exec = sum(r.decision is Decision.EXECUTE for r in ordered)
     n_false = sum(r.outcome == FALSE_EXEC for r in ordered)
     n_correct_exec = sum(r.outcome == CORRECT_EXEC for r in ordered)
     n_correct_refusal = sum(r.outcome == CORRECT_REFUSAL for r in ordered)
-    seed_means = [per_seed[s] for s in seeds]
     ci = bootstrap_ci(seed_means) if len(seed_means) > 1 else (seed_means[0], seed_means[0])
     return MethodSummary(
         method=method,
@@ -220,8 +216,7 @@ def summarize(
         mean_utility=float(np.mean(seed_means)),
         utility_ci=ci,
         per_seed_means=per_seed,
-        constrained_status="disqualified" if any(v > 0 for v in false_by_seed.values())
-        else "qualified",
+        constrained_status="disqualified" if n_false else "qualified",
         trap_fraction=diagnostics.trap_fraction if diagnostics else None,
         flip_fraction=diagnostics.flip_fraction if diagnostics else None,
         mean_observational_bias=(diagnostics.mean_observational_bias

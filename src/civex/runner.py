@@ -4,6 +4,11 @@ sweeps, and the delimited/markdown output files.
 Instances are evaluated one at a time in instance-id order; every verdict
 is computed independently (keyed generator streams, stateless providers), so
 identical configs produce byte-identical output.
+
+Runs and sweeps summarize alike: score records are grouped by (method,
+regime) in one pass and each group is summarized once.  A sweep row is a
+grid point with its ``MethodSummary``, and its CSV cells are the summary
+CSV's, formatted by the same function.
 """
 
 from __future__ import annotations
@@ -206,6 +211,27 @@ def _score_all(
     return records
 
 
+def _by_method_regime(records: Iterable[ScoreRecord]) -> dict[tuple[str, str],
+                                                               list[ScoreRecord]]:
+    """The records of each (method, regime), in record order."""
+    groups: dict[tuple[str, str], list[ScoreRecord]] = {}
+    for r in records:
+        groups.setdefault((r.method, r.instance_id.regime), []).append(r)
+    return groups
+
+
+def _summaries(
+    records: Iterable[ScoreRecord],
+    diagnostics: Mapping[str, RegimeDiagnostics] | None = None,
+) -> dict[tuple[str, str], MethodSummary]:
+    """One summary per (method, regime) the records cover, in record order."""
+    return {
+        (method, regime): summarize(group, method=method, regime=regime,
+                                    diagnostics=diagnostics[regime] if diagnostics else None)
+        for (method, regime), group in _by_method_regime(records).items()
+    }
+
+
 @collection_deferred()
 def run_benchmark(config: RunConfig) -> RunResult:
     replay_tables = _load_replay_tables(config)
@@ -222,15 +248,6 @@ def run_benchmark(config: RunConfig) -> RunResult:
     decisions = evaluate_instances(instances, config.methods, config.verifier,
                                    replay_tables=replay_tables)
     records = _score_all(instances, config.methods, decisions, config.weights)
-    summaries: dict[tuple[str, str], MethodSummary] = {}
-    for method in config.methods:
-        for regime in REGIMES:
-            subset = [r for r in records
-                      if r.method == method and r.instance_id.regime == regime]
-            if subset:
-                summaries[(method, regime)] = summarize(
-                    subset, method=method, regime=regime, diagnostics=diagnostics[regime]
-                )
     return RunResult(
         config=config,
         instances=instances,
@@ -238,7 +255,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
         diagnostics=diagnostics,
         decisions=decisions,
         records=records,
-        summaries=summaries,
+        summaries=_summaries(records, diagnostics),
         replay_coverage=replay_coverage,
     )
 
@@ -248,44 +265,21 @@ def run_benchmark(config: RunConfig) -> RunResult:
 
 @dataclass(frozen=True)
 class SweepRow:
-    kind: str
+    """One method's summary for one regime at one grid point."""
+
     point: dict
-    method: str
-    regime: str
-    n_instances: int
-    false_exec_per_instance: float
-    correct_exec_rate: float
-    accuracy: float
-    mean_utility: float
+    summary: MethodSummary
 
 
 def _sweep_rows_from(
-    kind: str,
     point: dict,
     instances: Sequence[ScmInstance],
     methods: Sequence[str],
-    vcfg: VerifierConfig,
-    weights: ScoreWeights,
-    regime: str,
+    config: RunConfig,
 ) -> list[SweepRow]:
-    decisions = evaluate_instances(instances, methods, vcfg)
-    records = _score_all(instances, methods, decisions, weights)
-    rows = []
-    for method in methods:
-        subset = [r for r in records if r.method == method]
-        summary = summarize(subset, method=method, regime=regime)
-        rows.append(SweepRow(
-            kind=kind,
-            point=point,
-            method=method,
-            regime=regime,
-            n_instances=summary.n_instances,
-            false_exec_per_instance=summary.false_exec_per_instance,
-            correct_exec_rate=summary.correct_exec_rate,
-            accuracy=summary.accuracy,
-            mean_utility=summary.mean_utility,
-        ))
-    return rows
+    decisions = evaluate_instances(instances, methods, config.verifier)
+    records = _score_all(instances, methods, decisions, config.weights)
+    return [SweepRow(point, summary) for summary in _summaries(records).values()]
 
 
 def run_strength_sweep(
@@ -298,38 +292,24 @@ def run_strength_sweep(
     for s in STRENGTH_GRID:
         bspec = replace(config.bench, seeds=SWEEP_SEEDS, adversarial_strength=s)
         instances, _ = build_benchmark(bspec, regimes=(ADVERSARIAL,))
-        rows.extend(_sweep_rows_from(
-            "strength", {"strength": s}, instances, methods,
-            config.verifier, config.weights, regime=ADVERSARIAL,
-        ))
+        rows.extend(_sweep_rows_from({"strength": s}, instances, methods, config))
     return rows
 
 
 def run_weight_sweep(run: RunResult) -> list[SweepRow]:
     """Re-score cached verdicts over the weight grid.  No verdict depends on
-    the scoring weights, so the decisions and the run's rates are reused and
-    only the mean utility is recomputed."""
+    the scoring weights, so each row is the run's summary with only the mean
+    utility recomputed, pooled over the instances."""
+    groups = sorted(_by_method_regime(run.records).items())
     rows = []
-    by_regime: dict[tuple[str, str], list[ScoreRecord]] = {}
-    for r in run.records:
-        by_regime.setdefault((r.method, r.instance_id.regime), []).append(r)
     for w_miss in W_MISS_GRID:
         for c_exp in C_EXP_GRID:
             w = ScoreWeights(w_miss=w_miss, c_exp=c_exp)
-            for (method, regime), recs in sorted(by_regime.items()):
-                summary = run.summaries[(method, regime)]
+            for key, recs in groups:
                 utilities = [utility_value(r.decision, r.theta, r.safe, w) for r in recs]
-                rows.append(SweepRow(
-                    kind="weights",
-                    point={"w_miss": w_miss, "c_exp": c_exp},
-                    method=method,
-                    regime=regime,
-                    n_instances=summary.n_instances,
-                    false_exec_per_instance=summary.false_exec_per_instance,
-                    correct_exec_rate=summary.correct_exec_rate,
-                    accuracy=summary.accuracy,
-                    mean_utility=float(sum(utilities) / len(recs)),
-                ))
+                summary = replace(run.summaries[key],
+                                  mean_utility=float(sum(utilities) / len(recs)))
+                rows.append(SweepRow({"w_miss": w_miss, "c_exp": c_exp}, summary))
     return rows
 
 
@@ -355,10 +335,7 @@ def run_misspec_sweep(
     rows = []
     for fraction in MISSPEC_FRACTIONS:
         instances = [misspecify_instance(inst, fraction) for inst in base]
-        rows.extend(_sweep_rows_from(
-            "misspec", {"fraction": fraction}, instances, methods,
-            config.verifier, config.weights, regime=MODERATE,
-        ))
+        rows.extend(_sweep_rows_from({"fraction": fraction}, instances, methods, config))
     return rows
 
 
@@ -369,38 +346,46 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _summary_cells(s: MethodSummary) -> dict:
+    """A summary's CSV cells, in column order."""
+    return {
+        "method": s.method,
+        "regime": s.regime,
+        "n_instances": s.n_instances,
+        "n_executes": s.n_executes,
+        "false_exec_count": s.false_exec_count,
+        "false_exec_per_instance": _fmt(s.false_exec_per_instance),
+        "false_exec_per_execute": ("n/a" if s.false_exec_per_execute is None
+                                   else _fmt(s.false_exec_per_execute)),
+        "correct_exec_rate": _fmt(s.correct_exec_rate),
+        "correct_refusal_rate": _fmt(s.correct_refusal_rate),
+        "accuracy": _fmt(s.accuracy),
+        "mean_utility": _fmt(s.mean_utility),
+        "utility_ci_lo": _fmt(s.utility_ci[0]),
+        "utility_ci_hi": _fmt(s.utility_ci[1]),
+        "per_seed_means": ";".join(
+            f"{seed}:{_fmt(v)}" for seed, v in sorted(s.per_seed_means.items())
+        ),
+        "constrained_status": s.constrained_status,
+    }
+
+
+def _fmt_or_blank(x: float | None) -> str:
+    return "" if x is None else _fmt(x)
+
+
 def summary_csv_rows(summaries: Iterable[MethodSummary],
                      replay_coverage: Mapping[str, int]) -> list[dict]:
-    rows = []
-    for s in summaries:
-        seeds_covered = (replay_coverage[replay_tag(s.method)] if is_replay(s.method)
-                         else len(s.per_seed_means))
-        rows.append({
-            "method": s.method,
-            "regime": s.regime,
-            "n_instances": s.n_instances,
-            "n_executes": s.n_executes,
-            "false_exec_count": s.false_exec_count,
-            "false_exec_per_instance": _fmt(s.false_exec_per_instance),
-            "false_exec_per_execute": ("n/a" if s.false_exec_per_execute is None
-                                       else _fmt(s.false_exec_per_execute)),
-            "correct_exec_rate": _fmt(s.correct_exec_rate),
-            "correct_refusal_rate": _fmt(s.correct_refusal_rate),
-            "accuracy": _fmt(s.accuracy),
-            "mean_utility": _fmt(s.mean_utility),
-            "utility_ci_lo": _fmt(s.utility_ci[0]),
-            "utility_ci_hi": _fmt(s.utility_ci[1]),
-            "per_seed_means": ";".join(
-                f"{seed}:{_fmt(v)}" for seed, v in sorted(s.per_seed_means.items())
-            ),
-            "constrained_status": s.constrained_status,
-            "seeds_covered": seeds_covered,
-            "trap_fraction": "" if s.trap_fraction is None else _fmt(s.trap_fraction),
-            "flip_fraction": "" if s.flip_fraction is None else _fmt(s.flip_fraction),
-            "mean_observational_bias": ("" if s.mean_observational_bias is None
-                                        else _fmt(s.mean_observational_bias)),
-        })
-    return rows
+    """A run's summary rows: each summary's cells, its replay coverage and
+    its regime's diagnostics."""
+    return [{
+        **_summary_cells(s),
+        "seeds_covered": (replay_coverage[replay_tag(s.method)] if is_replay(s.method)
+                          else len(s.per_seed_means)),
+        "trap_fraction": _fmt_or_blank(s.trap_fraction),
+        "flip_fraction": _fmt_or_blank(s.flip_fraction),
+        "mean_observational_bias": _fmt_or_blank(s.mean_observational_bias),
+    } for s in summaries]
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -564,21 +549,18 @@ def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
     return manifest
 
 
+_SWEEP_COLUMNS = ("method", "regime", "n_instances", "false_exec_per_instance",
+                  "correct_exec_rate", "accuracy", "mean_utility")
+
+
 def write_sweep_csv(out_dir: Path, kind: str, rows: Sequence[SweepRow]) -> Path:
+    """The grid point's values, then ``_SWEEP_COLUMNS`` of each row's summary."""
     point_keys = sorted({k for row in rows for k in row.point})
     csv_rows = []
     for row in rows:
-        d = {k: _fmt(row.point[k]) for k in point_keys}
-        d.update({
-            "method": row.method,
-            "regime": row.regime,
-            "n_instances": row.n_instances,
-            "false_exec_per_instance": _fmt(row.false_exec_per_instance),
-            "correct_exec_rate": _fmt(row.correct_exec_rate),
-            "accuracy": _fmt(row.accuracy),
-            "mean_utility": _fmt(row.mean_utility),
-        })
-        csv_rows.append(d)
+        cells = _summary_cells(row.summary)
+        csv_rows.append({**{k: _fmt(row.point[k]) for k in point_keys},
+                         **{k: cells[k] for k in _SWEEP_COLUMNS}})
     path = out_dir / f"sweep_{kind}.csv"
     _write_dict_csv(path, csv_rows)
     return path

@@ -311,12 +311,15 @@ def triage(
 
 @dataclass(frozen=True)
 class TwoStageResult:
-    terminal: Verdict
     trace: tuple[Verdict, ...]
 
     @property
     def stage1(self) -> Verdict:
         return self.trace[0]
+
+    @property
+    def terminal(self) -> Verdict:
+        return self.trace[-1]
 
 
 def run_two_stage(
@@ -335,11 +338,11 @@ def run_two_stage(
     view1 = make_view(inst)
     v1 = decide(view1)
     if v1.decision is not Decision.EXPERIMENT:
-        return TwoStageResult(terminal=v1, trace=(v1,))
+        return TwoStageResult((v1,))
     if not inst.safe_experiment_available:
         vt = Verdict(Decision.ABSTAIN, rule_fired=4,
                      refusal_reason="experiment requested but no safe experiment is available")
-        return TwoStageResult(terminal=vt, trace=(v1, vt))
+        return TwoStageResult((v1, vt))
     view2 = InstanceView(
         id=inst.id,
         frame=inst.frame,
@@ -350,7 +353,7 @@ def run_two_stage(
     if v2.decision is Decision.EXPERIMENT:
         v2 = Verdict(Decision.ABSTAIN, rule_fired=4,
                      refusal_reason="experiment loop did not terminate after one stage")
-    return TwoStageResult(terminal=v2, trace=(v1, v2))
+    return TwoStageResult((v1, v2))
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:

@@ -153,14 +153,14 @@ def test_criterion_02_zero_false_executions_everywhere(default_run, strength_row
     assert per_regime == {MODERATE: 0, ADVERSARIAL: 0}
     strengths_checked = []
     for row in strength_rows:
-        if row.method == CIVEX:
-            assert row.false_exec_per_instance == 0.0, row.point
+        if row.summary.method == CIVEX:
+            assert row.summary.false_exec_per_instance == 0.0, row.point
             strengths_checked.append(row.point["strength"])
     assert sorted(strengths_checked) == sorted(STRENGTH_GRID)
     fractions_checked = []
     for row in misspec_rows:
-        if row.method == CIVEX:
-            assert row.false_exec_per_instance == 0.0, row.point
+        if row.summary.method == CIVEX:
+            assert row.summary.false_exec_per_instance == 0.0, row.point
             fractions_checked.append(row.point["fraction"])
     assert sorted(fractions_checked) == sorted(MISSPEC_FRACTIONS)
     grid_seconds = sum(_timings.values())
@@ -256,13 +256,13 @@ def test_criterion_07_adversarial_ordering(default_run):
 
 
 def test_criterion_08_strength_sweep_shapes(strength_rows):
-    policy_fe = [r.false_exec_per_instance for r in strength_rows
-                 if r.method == POLICY_GATE]
+    policy_fe = [r.summary.false_exec_per_instance for r in strength_rows
+                 if r.summary.method == POLICY_GATE]
     assert len(policy_fe) == len(STRENGTH_GRID)
     assert policy_fe[0] == 0.0
     assert all(a <= b + 1e-12 for a, b in zip(policy_fe, policy_fe[1:]))
     assert policy_fe[-1] >= 0.40
-    civex_u = [r.mean_utility for r in strength_rows if r.method == CIVEX]
+    civex_u = [r.summary.mean_utility for r in strength_rows if r.summary.method == CIVEX]
     spread = (max(civex_u) - min(civex_u)) / max(civex_u)
     assert spread < 0.05
     _report(8, f"PolicyGate false-execution is monotone over strengths "
@@ -276,8 +276,8 @@ def test_criterion_09_weight_sweep_dominance(default_run):
     assert len(grid) == 20
 
     def util(method, regime, w, c):
-        return next(r.mean_utility for r in rows
-                    if r.method == method and r.regime == regime
+        return next(r.summary.mean_utility for r in rows
+                    if r.summary.method == method and r.summary.regime == regime
                     and r.point == {"w_miss": w, "c_exp": c})
 
     beats_abstain = sum(

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from civex.baselines import ALL_METHODS
-from civex.evaluation import ScoreWeights
+from civex.evaluation import MethodSummary, ScoreWeights
 from civex.cli import main
 from civex.config import RETIRED_KEYS
 from civex.frames import Frame
@@ -50,6 +50,20 @@ def generated_instance_count(out_dir: Path) -> int:
     return sum(isinstance(json.loads(line), dict)
                for path in out_dir.glob("instances_s*_*.jsonl")
                for line in path.read_text(encoding="utf-8").splitlines())
+
+
+# The SHA-256 of each sweep CSV the sweep tests below write, which pins
+# every byte of those tables.
+SWEEP_SHA256 = {
+    "weights": "35cadf1ef1d02bb4a46ef8587fbff4a17fefd0830891b5afa1b527dc86112076",
+    "strength": "0b63c43163755747664c1db392fdc017e0594d62568d61756d0c99a481932712",
+    "misspec": "cded7af94c87826b261cad89c949af2720580d5b106f96e23bd4f865e2ed2780",
+    "weights_replay": "1914501931c02a6f116f5d1460a69522adaff58ec7e3891a8e483036a6f8242a",
+}
+
+
+def sha256_hex(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def read_bytes_map(root: Path) -> dict[str, bytes]:
@@ -208,7 +222,7 @@ class TestCertificateWriter:
             result = run.decisions[(method, inst_id)]
             cert = replace(result.terminal.certificate, risk=risk)
             run.decisions[(method, inst_id)] = replace(
-                result, terminal=replace(result.terminal, certificate=cert))
+                result, trace=(*result.trace[:-1], replace(result.terminal, certificate=cert)))
         write_run_outputs(run, tmp_path / "run")
         for method, risk in zip(methods[:2], (0.0, -0.0)):
             path = tmp_path / "run" / "certificates" / method / f"{inst_id}.cert.json"
@@ -225,6 +239,7 @@ class TestSweepCommands:
         assert "w_miss" in header and "c_exp" in header
         pairs = {tuple(line.split(",")[:2]) for line in body}
         assert len(pairs) == 20
+        assert sha256_hex(rows) == SWEEP_SHA256["weights"]
 
     def test_strength_sweep_runs_on_reduced_grid(self, tmp_path):
         cfg = write_config(tmp_path, "ss", SWEEP_TINY["strength"])
@@ -234,6 +249,7 @@ class TestSweepCommands:
         assert result.exit_code == 0, result.output
         body = (tmp_path / "ss" / "sweep_strength.csv").read_text(encoding="utf-8")
         assert body.count("\n") == 8 * 3 + 1
+        assert sha256_hex(body) == SWEEP_SHA256["strength"]
 
     @pytest.mark.parametrize("kind", ["strength", "misspec"])
     @pytest.mark.parametrize("flag", [["--seed-list", "1"], ["--strength", "9"]])
@@ -279,6 +295,7 @@ class TestSweepCommands:
         assert result.exit_code == 0, result.output
         body = (tmp_path / "sm" / "sweep_misspec.csv").read_text(encoding="utf-8")
         assert body.count("\n") == 4 + 1
+        assert sha256_hex(body) == SWEEP_SHA256["misspec"]
 
     def test_misspec_sweep_takes_methods_from_the_config(self, tmp_path):
         cfg = write_config(tmp_path, "smc", SWEEP_TINY["misspec"], methods=["CIVeX"])
@@ -304,8 +321,9 @@ class TestReportCommand:
 
     def test_strength_table_keeps_the_sweep_order(self, tmp_path):
         methods = ["SchemaGate", "ContextOnlyNoCausal", "CIVeX"]
-        rows = [runner.SweepRow("strength", {"strength": s}, m, "adversarial", 10,
-                                0.1, 0.2, 0.3, 0.25)
+        rows = [runner.SweepRow({"strength": s}, MethodSummary(
+                    m, "adversarial", 10, 3, 1, 0.1, 1 / 3, 0.2, 0.1, 0.3, 0.25, (0.2, 0.3),
+                    {42: 0.25}, "disqualified"))
                 for s in (1.0, 0.5) for m in methods]
         runner.write_sweep_csv(tmp_path, "strength", rows)
         result = CliRunner().invoke(main, ["report", str(tmp_path)])
@@ -411,6 +429,19 @@ class TestReplayShards:
                 "EXPERIMENT", "EXECUTE"] in replayed
         assert ["Replay(demo)", "43", "moderate", "db_index_operation", "0",
                 "REJECT", "REJECT"] in replayed
+
+    def test_weights_sweep_scores_the_replay_method(self, tmp_path):
+        cfg = self._config(tmp_path, "swr")
+        result = CliRunner().invoke(main, ["sweep", "weights", "--config", str(cfg),
+                                           "--methods", "CIVeX,Replay(demo)"])
+        assert result.exit_code == 0, result.output
+        body = (tmp_path / "swr" / "sweep_weights.csv").read_text(encoding="utf-8")
+        header, *lines = body.splitlines()
+        method = header.split(",").index("method")
+        methods = [line.split(",")[method] for line in lines]
+        # 20 weight configurations, two regimes each.
+        assert methods.count("Replay(demo)") == methods.count("CIVeX") == 20 * 2
+        assert sha256_hex(body) == SWEEP_SHA256["weights_replay"]
 
     def test_import_replay_is_gone(self):
         result = CliRunner().invoke(main, ["import-replay", "demo", "shard.csv"])
@@ -694,6 +725,6 @@ class TestRunnerApi:
         assert len(rows) == 20 * 2 * 2
         default = [r for r in rows
                    if r.point == {"w_miss": 0.3, "c_exp": 0.05}
-                   and r.method == "CIVeX" and r.regime == "moderate"]
+                   and r.summary.method == "CIVeX" and r.summary.regime == "moderate"]
         summary = result.summaries[("CIVeX", "moderate")]
-        assert default[0].mean_utility == pytest.approx(summary.mean_utility, abs=1e-12)
+        assert default[0].summary.mean_utility == pytest.approx(summary.mean_utility, abs=1e-12)

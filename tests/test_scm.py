@@ -31,9 +31,12 @@ from civex.scm import (
 SMALL = BenchmarkSpec(seeds=(42, 43), moderate_per_family=6, adversarial_per_family=5)
 
 
-def serialize(instances):
-    return "\n".join(json.dumps(instance_to_json_dict(i), sort_keys=True)
-                     for i in instances)
+def digest(instances) -> str:
+    """The SHA-256 of the instances' JSON lines.  Tests compare digests, which
+    fail at once, rather than the multi-MB texts, which pytest would diff."""
+    text = "\n".join(json.dumps(instance_to_json_dict(i), sort_keys=True)
+                      for i in instances)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestGenerateFrame:
@@ -213,25 +216,25 @@ class TestDeterminism:
     def test_same_coordinates_same_instance(self):
         a = sample_instance("git_branch_operation", ADVERSARIAL, 7, seed=45)
         b = sample_instance("git_branch_operation", ADVERSARIAL, 7, seed=45)
-        assert serialize([a]) == serialize([b])
+        assert digest([a]) == digest([b])
 
     def test_keyed_streams_are_independent_of_order(self):
         a1 = sample_instance("cache_operation", MODERATE, 0, seed=42)
         _ = sample_instance("cache_operation", MODERATE, 1, seed=42)
         a2 = sample_instance("cache_operation", MODERATE, 0, seed=42)
-        assert serialize([a1]) == serialize([a2])
+        assert digest([a1]) == digest([a2])
 
     def test_build_benchmark_is_reproducible(self):
         i1, _ = build_benchmark(SMALL)
         i2, _ = build_benchmark(SMALL)
-        assert serialize(i1) == serialize(i2)
+        assert digest(i1) == digest(i2)
 
     def test_reverse_order_generation_matches_build(self):
         built, _ = build_benchmark(SMALL)
         reverse = [sample_instance(i.id.family, i.id.regime, i.id.index,
                                    seed=i.id.seed, bspec=SMALL)
                    for i in reversed(built)]
-        assert serialize(built) == serialize(reversed(reverse))
+        assert digest(built) == digest(reversed(reverse))
 
     def test_rng_keying_distinguishes_every_coordinate(self):
         keys = {
