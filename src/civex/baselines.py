@@ -56,21 +56,6 @@ SEMANTIC_ONTOLOGY_GATE = "SemanticOntologyGate"
 FAMILY_MAJORITY_CLASSIFIER = "FamilyMajorityClassifier"
 NAME_ONLY_CLASSIFIER = "NameOnlyClassifier"
 
-ALL_METHODS = (
-    ORACLE_SCM,
-    CIVEX,
-    CIVEX_CERT_ONLY,
-    CAUSAL_NO_EXPERIMENT,
-    CONTEXT_ONLY_NO_CAUSAL,
-    OBSERVATIONAL_ASSOCIATION,
-    ALWAYS_ABSTAIN,
-    POLICY_GATE,
-    SCHEMA_GATE,
-    SEMANTIC_ONTOLOGY_GATE,
-    FAMILY_MAJORITY_CLASSIFIER,
-    NAME_ONLY_CLASSIFIER,
-)
-
 # Action names treated as benign by the name-only classifier.
 NAME_ONLY_EXECUTE_TOOLS = frozenset({"enable_cache", "trim_logs"})
 
@@ -228,15 +213,6 @@ def _forbidden_list_gate(rationale: str, cfg: VerifierConfig) -> Callable[[Insta
     return provider
 
 
-# Forbidden-list gates: each executes every tool not on the forbidden list.
-_FORBIDDEN_LIST_RATIONALES = {
-    SCHEMA_GATE: "tool schema validated",
-    SEMANTIC_ONTOLOGY_GATE: "target and utility variables are present in the tool ontology",
-    FAMILY_MAJORITY_CLASSIFIER:
-        "counterbalanced families have no usable majority label; defaults to allow",
-}
-
-
 def _name_only(view: InstanceView) -> Verdict:
     if view.frame.tool in NAME_ONLY_EXECUTE_TOOLS:
         return Verdict(Decision.EXECUTE,
@@ -245,35 +221,44 @@ def _name_only(view: InstanceView) -> Verdict:
                    refusal_reason=f"action name '{view.frame.tool}' is not on the benign list")
 
 
+ProviderFactory = Callable[[ProviderContext, VerifierConfig], Callable[[InstanceView], Verdict]]
+
+# Each method id and the factory of its provider; the order is the methods'
+# order in a default run.  The forbidden-list gates execute every tool not on
+# the forbidden list.
+_PROVIDERS: dict[str, ProviderFactory] = {
+    ORACLE_SCM: lambda ctx, cfg: _oracle(ctx),
+    CIVEX: lambda ctx, cfg: _civex(cfg),
+    CIVEX_CERT_ONLY: lambda ctx, cfg: _without_experiments(
+        cfg, "effect not identifiable; experimentation disabled (certificate-only mode)"),
+    # No tool gate: this method ignores the forbidden-tool list.
+    CAUSAL_NO_EXPERIMENT: lambda ctx, cfg: _without_experiments(
+        replace(cfg, forbidden_tools=frozenset()),
+        "effect not identifiable; this method never experiments"),
+    CONTEXT_ONLY_NO_CAUSAL: lambda ctx, cfg: _context_only(cfg),
+    OBSERVATIONAL_ASSOCIATION: lambda ctx, cfg: _observational_association(ctx),
+    ALWAYS_ABSTAIN: lambda ctx, cfg: _always_abstain,
+    POLICY_GATE: lambda ctx, cfg: _policy_gate,
+    SCHEMA_GATE: lambda ctx, cfg: _forbidden_list_gate("tool schema validated", cfg),
+    SEMANTIC_ONTOLOGY_GATE: lambda ctx, cfg: _forbidden_list_gate(
+        "target and utility variables are present in the tool ontology", cfg),
+    FAMILY_MAJORITY_CLASSIFIER: lambda ctx, cfg: _forbidden_list_gate(
+        "counterbalanced families have no usable majority label; defaults to allow", cfg),
+    NAME_ONLY_CLASSIFIER: lambda ctx, cfg: _name_only,
+}
+
+ALL_METHODS = tuple(_PROVIDERS)
+
+
 def make_provider(
     method: str,
     ctx: ProviderContext,
     cfg: VerifierConfig,
 ) -> Callable[[InstanceView], Verdict]:
-    if method == ORACLE_SCM:
-        return _oracle(ctx)
-    if method == CIVEX:
-        return _civex(cfg)
-    if method == CIVEX_CERT_ONLY:
-        return _without_experiments(cfg, "effect not identifiable; experimentation disabled "
-                                         "(certificate-only mode)")
-    if method == CAUSAL_NO_EXPERIMENT:
-        # No tool gate: this method ignores the forbidden-tool list.
-        return _without_experiments(replace(cfg, forbidden_tools=frozenset()),
-                                    "effect not identifiable; this method never experiments")
-    if method == CONTEXT_ONLY_NO_CAUSAL:
-        return _context_only(cfg)
-    if method == OBSERVATIONAL_ASSOCIATION:
-        return _observational_association(ctx)
-    if method == ALWAYS_ABSTAIN:
-        return _always_abstain
-    if method == POLICY_GATE:
-        return _policy_gate
-    if method in _FORBIDDEN_LIST_RATIONALES:
-        return _forbidden_list_gate(_FORBIDDEN_LIST_RATIONALES[method], cfg)
-    if method == NAME_ONLY_CLASSIFIER:
-        return _name_only
-    raise ValueError(f"unknown method '{method}'")
+    factory = _PROVIDERS.get(method)
+    if factory is None:
+        raise ValueError(f"unknown method '{method}'")
+    return factory(ctx, cfg)
 
 
 # A recorded terminal verdict; EXPERIMENT is only ever a stage-1 answer.

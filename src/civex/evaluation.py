@@ -169,9 +169,6 @@ class MethodSummary:
     utility_ci: tuple[float, float]
     per_seed_means: dict[int, float]
     constrained_status: str
-    trap_fraction: float | None = None
-    flip_fraction: float | None = None
-    mean_observational_bias: float | None = None
 
 
 def summarize(
@@ -179,7 +176,6 @@ def summarize(
     *,
     method: str,
     regime: str,
-    diagnostics: RegimeDiagnostics | None = None,
 ) -> MethodSummary:
     """Aggregate one method's records for one regime.
 
@@ -217,10 +213,6 @@ def summarize(
         utility_ci=ci,
         per_seed_means=per_seed,
         constrained_status="disqualified" if n_false else "qualified",
-        trap_fraction=diagnostics.trap_fraction if diagnostics else None,
-        flip_fraction=diagnostics.flip_fraction if diagnostics else None,
-        mean_observational_bias=(diagnostics.mean_observational_bias
-                                 if diagnostics else None),
     )
 
 

@@ -8,9 +8,10 @@ synthetic latents are never eligible for adjustment sets.
 
 Identification is deliberately small: exhaustive backdoor search over
 subsets of observed non-descendants of the treatment (smallest set first,
-lexicographic tie-break), with a bounded frontdoor fallback.  Graphs in this
-codebase have a handful of nodes, so determinism and auditability beat
-asymptotic cleverness.
+lexicographic tie-break), with a single-mediator frontdoor fallback, the
+only mediator set that ``estimation.frontdoor_effect`` can estimate.  Graphs
+in this codebase have a handful of nodes, so determinism and auditability
+beat asymptotic cleverness.
 """
 
 from __future__ import annotations
@@ -265,21 +266,18 @@ def backdoor_view(g: CausalGraph) -> CausalGraph:
     return g.without_directed_out_of([g.treatment])
 
 
-def _frontdoor_holds(g: CausalGraph, mediators: tuple[str, ...]) -> bool:
-    m = set(mediators)
+def _frontdoor_holds(g: CausalGraph, mediator: str) -> bool:
+    m = {mediator}
     t, y = g.treatment, g.outcome
     cut = g.without_directed_out_of(m)
-    # (i) mediators intercept every directed treatment->outcome path
+    # (i) the mediator intercepts every directed treatment->outcome path
     if y in cut.descendants(t):
         return False
-    # (ii) no unblocked backdoor path from treatment to the mediators
+    # (ii) no unblocked backdoor path from treatment to the mediator
     if not d_separated(backdoor_view(g), {t}, m, set()):
         return False
-    # (iii) treatment blocks every backdoor path from the mediators to the outcome
+    # (iii) treatment blocks every backdoor path from the mediator to the outcome
     return d_separated(cut, m, {y}, {t})
-
-
-MAX_FRONTDOOR_SIZE = 2
 
 
 # Distinct graphs a process keeps analyses for; a benchmark run commits a few
@@ -292,7 +290,7 @@ def identify(g: CausalGraph) -> IdentificationResult:
 
     Backdoor search is exhaustive over observed non-descendants of the
     treatment, smallest set first with lexicographic tie-break.  Frontdoor
-    search is limited to mediator sets of size <= 2.  Raises ``GraphError``
+    search tries each single mediator in name order.  Raises ``GraphError``
     for a malformed graph.  The result is memoized per distinct graph; it is
     immutable, so every caller may share it.
     """
@@ -328,23 +326,21 @@ def _identify_valid(g: CausalGraph) -> IdentificationResult:
                     adjustment_set=subset,
                     proof_note=note,
                 )
-    mediator_pool = sorted(g.nodes - {t, y})
-    for size in range(1, MAX_FRONTDOOR_SIZE + 1):
-        for subset in itertools.combinations(mediator_pool, size):
-            if _frontdoor_holds(g, subset):
-                note = (
-                    "frontdoor criterion: {%s} intercepts all directed paths, "
-                    "has no backdoor from the treatment, and the treatment "
-                    "blocks its backdoor paths to the outcome" % ", ".join(subset)
-                )
-                return IdentificationResult(
-                    kind=IdentificationKind.FRONTDOOR,
-                    mediator_set=subset,
-                    proof_note=note,
-                )
+    for mediator in sorted(g.nodes - {t, y}):
+        if _frontdoor_holds(g, mediator):
+            note = (
+                "frontdoor criterion: {%s} intercepts all directed paths, "
+                "has no backdoor from the treatment, and the treatment "
+                "blocks its backdoor paths to the outcome" % mediator
+            )
+            return IdentificationResult(
+                kind=IdentificationKind.FRONTDOOR,
+                mediator_set=(mediator,),
+                proof_note=note,
+            )
     return IdentificationResult(
         kind=IdentificationKind.NOT_IDENTIFIED,
-        proof_note="no backdoor adjustment set; no frontdoor mediator set of size <= 2",
+        proof_note="no backdoor adjustment set; no single frontdoor mediator",
     )
 
 

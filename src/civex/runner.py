@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -220,14 +220,10 @@ def _by_method_regime(records: Iterable[ScoreRecord]) -> dict[tuple[str, str],
     return groups
 
 
-def _summaries(
-    records: Iterable[ScoreRecord],
-    diagnostics: Mapping[str, RegimeDiagnostics] | None = None,
-) -> dict[tuple[str, str], MethodSummary]:
+def _summaries(records: Iterable[ScoreRecord]) -> dict[tuple[str, str], MethodSummary]:
     """One summary per (method, regime) the records cover, in record order."""
     return {
-        (method, regime): summarize(group, method=method, regime=regime,
-                                    diagnostics=diagnostics[regime] if diagnostics else None)
+        (method, regime): summarize(group, method=method, regime=regime)
         for (method, regime), group in _by_method_regime(records).items()
     }
 
@@ -255,7 +251,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
         diagnostics=diagnostics,
         decisions=decisions,
         records=records,
-        summaries=_summaries(records, diagnostics),
+        summaries=_summaries(records),
         replay_coverage=replay_coverage,
     )
 
@@ -370,21 +366,17 @@ def _summary_cells(s: MethodSummary) -> dict:
     }
 
 
-def _fmt_or_blank(x: float | None) -> str:
-    return "" if x is None else _fmt(x)
-
-
-def summary_csv_rows(summaries: Iterable[MethodSummary],
-                     replay_coverage: Mapping[str, int]) -> list[dict]:
-    """A run's summary rows: each summary's cells, its replay coverage and
-    its regime's diagnostics."""
+def summary_csv_rows(run: RunResult, regime: str) -> list[dict]:
+    """The rows of a regime's summary CSV, best mean utility first: each
+    method's cells, its replay coverage, then the regime's diagnostics."""
+    summaries = sorted((run.summaries[(m, regime)] for m in run.config.methods
+                        if (m, regime) in run.summaries), key=lambda s: -s.mean_utility)
+    diagnostics = {k: _fmt(v) for k, v in asdict(run.diagnostics[regime]).items()}
     return [{
         **_summary_cells(s),
-        "seeds_covered": (replay_coverage[replay_tag(s.method)] if is_replay(s.method)
+        "seeds_covered": (run.replay_coverage[replay_tag(s.method)] if is_replay(s.method)
                           else len(s.per_seed_means)),
-        "trap_fraction": _fmt_or_blank(s.trap_fraction),
-        "flip_fraction": _fmt_or_blank(s.flip_fraction),
-        "mean_observational_bias": _fmt_or_blank(s.mean_observational_bias),
+        **diagnostics,
     } for s in summaries]
 
 
@@ -518,11 +510,7 @@ def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
     out = out_dir or Path(run.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     for regime in REGIMES:
-        regime_summaries = [run.summaries[(m, regime)] for m in run.config.methods
-                            if (m, regime) in run.summaries]
-        regime_summaries.sort(key=lambda s: -s.mean_utility)
-        _write_dict_csv(out / f"summary_{regime}.csv",
-                        summary_csv_rows(regime_summaries, run.replay_coverage))
+        _write_dict_csv(out / f"summary_{regime}.csv", summary_csv_rows(run, regime))
     _write_csv(out / "records.csv", _RECORD_HEADER, _record_rows(run))
     _write_dict_csv(out / "counterbalance.csv", _counterbalance_rows(run.counterbalance))
     _write_dict_csv(out / "pairwise_wilcoxon.csv", _pairwise_rows(run))
@@ -535,14 +523,7 @@ def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
         "n_certificates": n_certs,
         "civex_false_executions": civex_false,
         "replay_coverage": dict(run.replay_coverage),
-        "diagnostics": {
-            regime: {
-                "trap_fraction": diag.trap_fraction,
-                "flip_fraction": diag.flip_fraction,
-                "mean_observational_bias": diag.mean_observational_bias,
-            }
-            for regime, diag in run.diagnostics.items()
-        },
+        "diagnostics": {regime: asdict(diag) for regime, diag in run.diagnostics.items()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1),
                                        encoding="utf-8")

@@ -39,7 +39,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -188,8 +188,30 @@ class ActionFrame:
     interventional: bool = True
 
     def __post_init__(self) -> None:
-        if not self.cost >= 0:  # NaN fails too
-            raise ValueError("cost must be >= 0")
+        violation = self.violation()
+        if violation is not None:
+            raise ValueError(f"malformed action frame: {violation}")
+
+    def violation(self) -> str | None:
+        """The first field of the wrong type or value, if any.
+
+        The check runs again at the gate, for a frame that skipped the
+        constructor (set by hand, or unpickled).
+        """
+        if not isinstance(self.tool, str):
+            return "tool name is not a string"
+        if not self.tool:
+            return "missing tool name"
+        for name in ("cost", "target_value"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return f"{name.replace('_', ' ')} is not a number"
+        if not self.cost >= 0:
+            return "negative or NaN cost"
+        for name in ("reversible", "interventional"):
+            if not isinstance(getattr(self, name), bool):
+                return f"{name} flag is not a boolean"
+        return None
 
 
 @dataclass(frozen=True, order=True)
@@ -623,41 +645,13 @@ def build_benchmark(
 
 
 def instance_to_json_dict(inst: ScmInstance) -> dict:
+    """The instance file's record: each dataclass's own fields, plus the
+    spec's ``safe`` label."""
     return {
-        "id": {
-            "seed": inst.id.seed,
-            "regime": inst.id.regime,
-            "family": inst.id.family,
-            "index": inst.id.index,
-        },
-        "frame": {
-            "tool": inst.frame.tool,
-            "target_variable": inst.frame.target_variable,
-            "target_value": inst.frame.target_value,
-            "utility_variable": inst.frame.utility_variable,
-            "cost": inst.frame.cost,
-            "reversible": inst.frame.reversible,
-            "interventional": inst.frame.interventional,
-        },
+        "id": asdict(inst.id),
+        "frame": asdict(inst.frame),
         "graph": graph_to_json_dict(inst.graph),
-        "spec": {
-            "family": inst.spec.family,
-            "theta": inst.spec.theta,
-            "intercept": inst.spec.intercept,
-            "noise_sd": inst.spec.noise_sd,
-            "safe": inst.spec.safe,
-            "confounders": [
-                {
-                    "name": c.name,
-                    "mean": c.mean,
-                    "sd": c.sd,
-                    "treat_coef": c.treat_coef,
-                    "outcome_coef": c.outcome_coef,
-                    "hidden": c.hidden,
-                }
-                for c in inst.spec.confounders
-            ],
-        },
+        "spec": {**asdict(inst.spec), "safe": inst.spec.safe},
         "observational": inst.observational.to_json_obj(),
         "experimental": inst.experimental.to_json_obj(),
         "safe_experiment_available": inst.safe_experiment_available,

@@ -2,9 +2,10 @@
 
 Rules, in order:
 
-1. Tool gate - malformed frames, malformed graphs, actions whose target or
-   utility variable is not the graph's treatment or outcome, and forbidden
-   tools are rejected; non-interventional actions then pass straight through.
+1. Tool gate - malformed frames (a wrongly typed field, or a target value
+   other than 1.0), malformed graphs, actions whose target or utility
+   variable is not the graph's treatment or outcome, and forbidden tools are
+   rejected; non-interventional actions then pass straight through.
 2. Identification - every candidate graph is checked for a backdoor or
    frontdoor argument and the set is partitioned into identified /
    not-identified.
@@ -171,14 +172,19 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
+    Each field of the frame must have its declared type, and its target
+    value must be 1.0, the treatment level a certificate's estimate compares
+    with 0.
     Each committed graph must be well formed, and its treatment and outcome
     must be the action's target and utility variables: a certificate for
     another (treatment, outcome) pair says nothing about this action.
     """
-    if not frame.tool:
-        return "malformed action frame: missing tool name"
-    if not frame.cost >= 0:
-        return "malformed action frame: negative or NaN cost"
+    violation = frame.violation()
+    if violation is not None:
+        return f"malformed action frame: {violation}"
+    if frame.target_value != 1.0:
+        return (f"malformed action frame: target value {frame.target_value!r} is not 1.0, "
+                f"the only treatment level civex certifies")
     for g in graphs:
         violation = validate_graph(g)
         if violation is not None:
@@ -357,19 +363,9 @@ def run_two_stage(
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:
-    return {
-        "graph": graph_to_json_dict(cert.graph),
-        "graph_sha256": cert.graph_sha256,
-        "assumptions": list(cert.assumptions),
-        "proof": cert.proof.to_json_dict(),
-        "theta_hat": cert.theta_hat,
-        "std_err": cert.std_err,
-        "lcb_alpha": cert.lcb_alpha,
-        "alpha": cert.alpha,
-        "n": cert.n,
-        "provenance": cert.provenance,
-        "risk": cert.risk,
-    }
+    """The certificate's own fields, with the graph and proof in JSON form."""
+    return {**vars(cert), "graph": graph_to_json_dict(cert.graph),
+            "assumptions": list(cert.assumptions), "proof": cert.proof.to_json_dict()}
 
 
 def certificate_from_json_dict(obj: Mapping) -> Certificate:

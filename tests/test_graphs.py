@@ -157,6 +157,17 @@ class TestIdentify:
         kind, nodes = brute_force_identify(g)
         assert (kind, nodes) == (IdentificationKind.FRONTDOOR, ("M",))
 
+    def test_two_mediator_frontdoor_is_not_identified(self):
+        # Only the pair {M1, M2} intercepts both directed paths; the search
+        # tries single mediators, the only sets the estimator supports.
+        g = CausalGraph.create(["T", "M1", "M2", "Y"],
+                               [("T", "M1"), ("M1", "Y"), ("T", "M2"), ("M2", "Y")],
+                               bidirected=[("T", "Y")])
+        res = identify(g)
+        assert res.kind is IdentificationKind.NOT_IDENTIFIED
+        assert res.proof_note == "no backdoor adjustment set; no single frontdoor mediator"
+        assert brute_force_identify(g) == (IdentificationKind.NOT_IDENTIFIED, ())
+
     def test_smallest_set_lexicographic_tiebreak(self):
         # Either confounder alone blocks its own path, but both paths exist,
         # so the smallest blocking set has size 2; with one shared confounder

@@ -59,6 +59,7 @@ from oracles import (
     per_value_encode,
     per_value_parse,
     random_graph,
+    unchecked,
 )
 
 # Derandomized, so that the tier-1 run is reproducible.
@@ -141,9 +142,10 @@ def _triage_and_check(committed, data, action: ActionFrame, cfg: VerifierConfig)
         assert v.certificate is None
         return v
     if v.rule_fired == 1:
-        assert not action.interventional and v.certificate is None
+        assert action.interventional is False and v.certificate is None
         return v
     assert v.rule_fired == 3
+    assert action.interventional is True and action.target_value == 1.0
     cert = v.certificate
     assert cert is not None
     assert math.isfinite(cert.lcb_alpha) and cert.lcb_alpha >= cfg.tau_u
@@ -160,20 +162,23 @@ def _triage_and_check(committed, data, action: ActionFrame, cfg: VerifierConfig)
     n=st.integers(3, 300),
     theta=st.floats(-2.0, 4.0),
     malformation=st.sampled_from(MALFORMATIONS),
-    tool=st.sampled_from(["change", "change", "change", "", "banned"]),
-    cost=st.floats(0.0, 1.0),
-    reversible=st.booleans(),
-    interventional=st.booleans(),
+    tool=st.sampled_from(["change", "change", "change", "", "banned", None]),
+    target_value=st.sampled_from([1.0, 1.0, 1.0, 0.0]),
+    cost=st.one_of(st.floats(0.0, 1.0), st.sampled_from(["0.1", True, None])),
+    reversible=st.sampled_from([True, False, "no"]),
+    interventional=st.sampled_from([True, True, False, None, 0]),
     alpha=st.sampled_from([0.01, 0.05, 0.2]),
     tau_u=st.floats(-1.0, 1.0),
     tau_r=st.floats(0.0, 1.0),
 )
-def test_triage_never_raises(seed, n, theta, malformation, tool, cost, reversible,
-                             interventional, alpha, tau_u, tau_r):
+def test_triage_never_raises(seed, n, theta, malformation, tool, target_value, cost,
+                             reversible, interventional, alpha, tau_u, tau_r):
+    # Some fields are wrongly typed, so the frame is built past its checks.
     committed, data, target, utility = _case(seed, n, theta, malformation)
-    action = ActionFrame(tool=tool, target_variable=target, target_value=1.0,
-                         utility_variable=utility, cost=cost, reversible=reversible,
-                         interventional=interventional)
+    action = unchecked(ActionFrame(tool="change", target_variable=target, target_value=1.0,
+                                   utility_variable=utility, cost=0.0, reversible=True),
+                       tool=tool, target_value=target_value, cost=cost,
+                       reversible=reversible, interventional=interventional)
     cfg = VerifierConfig(alpha=alpha, tau_u=tau_u, tau_r=tau_r,
                          forbidden_tools=frozenset({"banned"}))
     _triage_and_check(committed, data, action, cfg)

@@ -62,6 +62,38 @@ SWEEP_SHA256 = {
 }
 
 
+# The SHA-256 of each file of a ``seeds=(42,)`` run with every other setting
+# at its default.  The manifest is hashed as written, after dropping
+# ``config.output_dir``.  "certificates/" hashes each certificate and data
+# file's path and digest, in path order.
+RUN_SHA256 = {
+    "counterbalance.csv": "f648e8295c26e545606cf90f4ba0df1ddc29aaa58032f5f6bbae5907e996c8b8",
+    "manifest.json": "5c75297e96e30f10f6d1c1a296d3db3b406e70d01161c3afc88510113cf91688",
+    "pairwise_wilcoxon.csv": "0905a7f7ef14e74b31b091b8703f0884518619b70f1e2170563806cea5b77eef",
+    "records.csv": "23d4e36074aa5b1e99f81e8c9cd9987fb844fe89609efec2f9c02c2987b81dc4",
+    "summary_adversarial.csv": "2bbede146c38262de0c65b42ddd86adf17f873e2c479836907ec51a340823216",
+    "summary_moderate.csv": "88ec182191c499320327b42de55e17e1b0d76e823a0880cc5b2c466e2f11f362",
+    "certificates/": "ecce7801c43c463471594027c9ed0bae0d69667aad1639cb19f68601f4db5ba1",
+}
+
+
+def run_digests(out: Path) -> dict[str, str]:
+    """``RUN_SHA256``'s digests of the run written to ``out``."""
+    digests, certificates = {}, hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        name, data = path.relative_to(out).as_posix(), path.read_bytes()
+        if name == "manifest.json":
+            manifest = json.loads(data)
+            del manifest["config"]["output_dir"]
+            data = json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8")
+        if name.startswith("certificates/"):
+            certificates.update(name.encode("utf-8") + b"\0" + hashlib.sha256(data).digest())
+        else:
+            digests[name] = hashlib.sha256(data).hexdigest()
+    digests["certificates/"] = certificates.hexdigest()
+    return digests
+
+
 def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -143,6 +175,12 @@ class TestRunCommand:
         # Manifests record their own output directories; everything else must match.
         a.pop("manifest.json"), b.pop("manifest.json")
         assert a == b
+
+    def test_run_bytes_are_pinned(self, tmp_path):
+        run = run_benchmark(RunConfig(bench=BenchmarkSpec(seeds=(42,))))
+        write_run_outputs(run, tmp_path / "run")
+        assert len(list((tmp_path / "run").rglob("*.cert.json"))) == 202
+        assert run_digests(tmp_path / "run") == RUN_SHA256
 
     def test_method_override(self, tmp_path):
         cfg = write_config(tmp_path, "runm")

@@ -20,6 +20,7 @@ from civex.graphs import (
     CausalGraph,
     IdentificationKind,
     graph_digest,
+    identify,
 )
 from civex.scm import (
     ADVERSARIAL,
@@ -41,6 +42,8 @@ from civex.verifier import (
     triage,
     verify_certificate,
 )
+
+from oracles import unchecked
 
 CFG = VerifierConfig()
 
@@ -94,7 +97,7 @@ class TestRuleOne:
         assert v.certificate is None
 
     def test_missing_tool_name_rejected(self):
-        v = triage(worked_frame(tool=""), [worked_graph()], worked_data(), CFG)
+        v = triage(unchecked(worked_frame(), tool=""), [worked_graph()], worked_data(), CFG)
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
         assert "malformed" in v.refusal_reason
@@ -206,13 +209,42 @@ class TestRuleFour:
     @pytest.mark.parametrize("frame, latent", [
         (worked_frame(), False),                  # rule 3 EXECUTE with a certificate
         (worked_frame(reversible=False), True),   # rule 4 ABSTAIN
-        (worked_frame(tool=""), False),           # rule 1 REJECT
+        (unchecked(worked_frame(), tool=""), False),  # rule 1 REJECT
     ])
     def test_cert_only_passes_every_other_verdict_through(self, frame, latent):
         graph = self._latent_graph() if latent else worked_graph()
         data = worked_data()
         assert provider_verdict(CIVEX_CERT_ONLY, frame, graph, data) \
             == triage(frame, [graph], data, CFG)
+
+    @staticmethod
+    def _two_mediator_case():
+        """T -> M1 -> Y and T -> M2 -> Y with T <-> Y: only the pair {M1, M2}
+        meets the frontdoor criterion, and civex estimates single mediators."""
+        g = CausalGraph.create(["T", "M1", "M2", "Y"],
+                               [("T", "M1"), ("M1", "Y"), ("T", "M2"), ("M2", "Y")],
+                               bidirected=[("T", "Y")])
+        rng = np.random.default_rng(3)
+        u = rng.normal(size=400)
+        t = (rng.random(400) < 1 / (1 + np.exp(-u))).astype(float)
+        m1 = 1.5 * t + rng.normal(size=400)
+        m2 = -0.5 * t + rng.normal(size=400)
+        y = 2.0 * m1 + m2 + u + rng.normal(size=400)
+        data = Frame.from_columns([("T", t), ("Y", y), ("M1", m1), ("M2", m2)])
+        frame = ActionFrame(tool="x", target_variable="T", target_value=1.0,
+                            utility_variable="Y", cost=0.05, reversible=True)
+        return frame, g, data
+
+    def test_two_mediator_frontdoor_routes_to_rule_four(self):
+        frame, g, data = self._two_mediator_case()
+        assert identify(g).kind is IdentificationKind.NOT_IDENTIFIED
+        v = triage(frame, [g], data, CFG)
+        assert (v.decision, v.rule_fired) == (Decision.EXPERIMENT, 4)
+        for refused in (replace(frame, reversible=False), replace(frame, cost=0.9)):
+            v = triage(refused, [g], data, CFG)
+            assert (v.decision, v.rule_fired) == (Decision.ABSTAIN, 4)
+            assert v.refusal_reason == ("effect not identifiable and no safe "
+                                        "experiment is admissible")
 
     def test_mixed_graph_set_routes_to_rule_four(self):
         v = triage(worked_frame(), [worked_graph(), self._latent_graph()],
@@ -453,7 +485,7 @@ class TestFailClosed:
         assert causal_no_experiment(worked_frame(), cyclic, worked_data()) == v
 
     def test_tool_less_frame_rejected_by_causal_no_experiment(self):
-        frame = worked_frame(tool="")
+        frame = unchecked(worked_frame(), tool="")
         v = causal_no_experiment(frame, worked_graph(), worked_data())
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
@@ -518,6 +550,56 @@ class TestFailClosed:
         assert v.rule_fired == 1
         assert v.certificate is None
         assert v.refusal_reason == "malformed action frame: negative or NaN cost"
+
+    @staticmethod
+    def _harmful_adversarial_instance():
+        inst = sample_instance("db_index_operation", ADVERSARIAL, 0, seed=42)
+        assert inst.spec.theta < -4
+        return inst
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("interventional", None, "interventional flag is not a boolean"),
+        ("interventional", 0, "interventional flag is not a boolean"),
+        ("reversible", "no", "reversible flag is not a boolean"),
+        ("reversible", 1, "reversible flag is not a boolean"),
+        ("tool", None, "tool name is not a string"),
+        ("tool", ["add_index"], "tool name is not a string"),
+        ("tool", "", "missing tool name"),
+        ("cost", "0.05", "cost is not a number"),
+        ("cost", True, "cost is not a number"),
+        ("cost", None, "cost is not a number"),
+        ("cost", -0.5, "negative or NaN cost"),
+        ("target_value", "1.0", "target value is not a number"),
+        ("target_value", True, "target value is not a number"),
+        ("target_value", np.ones(2), "target value is not a number"),
+    ])
+    def test_wrongly_typed_frame_field_rejected_under_rule_one(self, field, value, reason):
+        inst = self._harmful_adversarial_instance()
+        with pytest.raises(ValueError, match=f"malformed action frame: {reason}"):
+            replace(inst.frame, **{field: value})
+        frame = unchecked(inst.frame, **{field: value})
+        verdicts = [triage(frame, [inst.graph], inst.observational, CFG),
+                    causal_no_experiment(frame, inst.graph, inst.observational)]
+        for v in verdicts:
+            assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
+            assert v.certificate is None
+            assert v.refusal_reason == f"malformed action frame: {reason}"
+
+    @pytest.mark.parametrize("value", [0.0, 2.0, -1.0, math.nan])
+    def test_target_value_other_than_one_rejected(self, value):
+        # A safe instance that executes under the T=1 certificate; the effect
+        # of setting T to another value is not what that certificate bounds.
+        inst = sample_instance("db_index_operation", MODERATE, 8, seed=42)
+        assert inst.spec.theta > 2
+        assert triage(inst.frame, [inst.graph], inst.observational, CFG).decision \
+            is Decision.EXECUTE
+        frame = replace(inst.frame, target_value=value)
+        for v in (triage(frame, [inst.graph], inst.observational, CFG),
+                  causal_no_experiment(frame, inst.graph, inst.observational)):
+            assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
+            assert v.certificate is None
+            assert v.refusal_reason.startswith(
+                f"malformed action frame: target value {value!r} is not 1.0")
 
     def test_wrongly_typed_alpha_is_a_replay_mismatch(self):
         data = worked_data()
