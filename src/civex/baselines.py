@@ -72,23 +72,18 @@ def replay_tag(method: str) -> str:
     return method[len(_REPLAY_PREFIX):-1]
 
 
-def _shard_key(inst_id: InstanceId) -> tuple[int, str, str, int]:
-    return (inst_id.seed, inst_id.regime, inst_id.family, inst_id.index)
-
-
 @dataclass(frozen=True)
 class ProviderContext:
     """Side tables a provider may need beyond the redacted view."""
 
     theta_by_id: Mapping[InstanceId, float] = field(default_factory=dict)
-    pooled_association: Mapping[tuple[int, str, str], tuple[float, float]] = field(
-        default_factory=dict
-    )
+    # Each (seed, regime, family) pool's frame of instance-level arm means.
+    pooled_association: Mapping[tuple[int, str, str], Frame] = field(default_factory=dict)
 
 
-def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str, str], tuple[float, float]]:
-    """Family-pooled association per seed: one estimate over the family's
-    instance-level arm means, shared by all instances in the pool."""
+def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str, str], Frame]:
+    """Family-pooled arm means per seed: one (T, Y) frame of the treated and
+    control means of each instance in the pool that has both arms."""
     groups: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
     for inst in instances:
         t = inst.observational.column("T")
@@ -100,16 +95,9 @@ def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str
         groups.setdefault(key, []).append(
             (float(y[treated].mean()), float(y[control].mean()))
         )
-    pooled: dict[tuple[int, str, str], tuple[float, float]] = {}
-    for key, pairs in groups.items():
-        rows = [(1.0, m1) for m1, _ in pairs] + [(0.0, m0) for _, m0 in pairs]
-        frame = Frame(columns=("T", "Y"), data=np.array(rows))
-        try:
-            est = unadjusted_difference(frame)
-        except EstimationError:
-            continue
-        pooled[key] = (est.theta_hat, est.lcb)
-    return pooled
+    return {key: Frame(columns=("T", "Y"), data=np.array(
+                [(1.0, m1) for m1, _ in pairs] + [(0.0, m0) for _, m0 in pairs]))
+            for key, pairs in groups.items()}
 
 
 def build_context(instances: Sequence[ScmInstance]) -> ProviderContext:
@@ -170,14 +158,23 @@ def _context_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     return provider
 
 
-def _observational_association(ctx: ProviderContext) -> Callable[[InstanceView], Verdict]:
+def _observational_association(ctx: ProviderContext,
+                                cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
+    """One association estimate per pool, at ``cfg.alpha``, shared by the
+    pool's instances; its bound is compared with ``cfg.tau_u``."""
+    estimates = {}
+    for key, frame in ctx.pooled_association.items():
+        try:
+            estimates[key] = unadjusted_difference(frame, cfg.alpha)
+        except EstimationError:
+            continue
+
     def provider(view: InstanceView) -> Verdict:
-        key = (view.id.seed, view.id.regime, view.id.family)
-        if key not in ctx.pooled_association:
+        est = estimates.get((view.id.seed, view.id.regime, view.id.family))
+        if est is None:
             return Verdict(Decision.ABSTAIN,
                            refusal_reason="no pooled association available")
-        delta, lcb = ctx.pooled_association[key]
-        if delta > 0 and lcb >= 0:
+        if est.theta_hat > 0 and est.lcb >= cfg.tau_u:
             return Verdict(Decision.EXECUTE,
                            rationale="positive association with a non-negative bound")
         return Verdict(Decision.ABSTAIN,
@@ -236,7 +233,7 @@ _PROVIDERS: dict[str, ProviderFactory] = {
         replace(cfg, forbidden_tools=frozenset()),
         "effect not identifiable; this method never experiments"),
     CONTEXT_ONLY_NO_CAUSAL: lambda ctx, cfg: _context_only(cfg),
-    OBSERVATIONAL_ASSOCIATION: lambda ctx, cfg: _observational_association(ctx),
+    OBSERVATIONAL_ASSOCIATION: _observational_association,
     ALWAYS_ABSTAIN: lambda ctx, cfg: _always_abstain,
     POLICY_GATE: lambda ctx, cfg: _policy_gate,
     SCHEMA_GATE: lambda ctx, cfg: _forbidden_list_gate("tool schema validated", cfg),
@@ -273,15 +270,15 @@ class ReplayError(ValueError):
     """A replay input that cannot be scored as written."""
 
 
-def replayed_result(table: Mapping[tuple[int, str, str, int], TwoStageResult],
+def replayed_result(table: Mapping[InstanceId, TwoStageResult],
                     inst_id: InstanceId) -> TwoStageResult:
     """The result a shard table recorded for an instance; ABSTAIN if none."""
-    return table.get(_shard_key(inst_id), _NOT_RECORDED)
+    return table.get(inst_id, _NOT_RECORDED)
 
 
-def load_replay_shard(path, table: dict | None = None) -> dict[tuple[int, str, str, int],
-                                                                TwoStageResult]:
-    """Add one recorded-verdict CSV's rows to ``table`` (a new one by default).
+def load_replay_shard(path, table: dict | None = None) -> dict[InstanceId, TwoStageResult]:
+    """Add one recorded-verdict CSV's rows to ``table`` (a new one by default),
+    keyed by instance id as ``RunResult.decisions`` is.
 
     Each row becomes the two-stage result it records: stage 1, then, after an
     EXPERIMENT, the terminal verdict.  Refuses the whole shard on a missing
@@ -302,7 +299,7 @@ def load_replay_shard(path, table: dict | None = None) -> dict[tuple[int, str, s
                 if None in fields:
                     raise ValueError(f"line {reader.line_num} has too few fields")
                 seed, regime, family, index, stage1, terminal = (f.strip() for f in fields)
-                key = (int(seed), regime, family, int(index))
+                key = InstanceId(int(seed), regime, family, int(index))
                 stage1, terminal = stage1.upper(), terminal.upper()
                 if regime not in REGIMES or family not in FAMILIES:
                     raise ValueError(f"line {reader.line_num} has unknown regime or family "

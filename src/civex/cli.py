@@ -99,13 +99,18 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
 
 
 @contextmanager
-def _config_errors(config: RunConfig):
+def _clean_errors(config: RunConfig):
     """Report a replay shard that cannot be scored as written, and a strength whose
-    data overflows to infinity (the config check bounds the rest), as config errors."""
+    data overflows to infinity (the config check bounds the rest), as config
+    errors.  Inputs report their own OSError, so one here is an output that
+    cannot be written, such as an output directory that is an existing file."""
     try:
         yield
     except ReplayError as exc:
         raise click.ClickException(f"invalid configuration: {exc}") from None
+    except OSError as exc:
+        raise click.ClickException(
+            f"cannot write outputs to {config.output_dir}: {exc}") from None
     except FrameError as exc:
         raise click.ClickException(
             f"invalid configuration: adversarial_strength "
@@ -140,9 +145,9 @@ def generate(**flags) -> None:
     """Write instance files (one JSON-lines file per seed and regime)."""
     config = _load_config(**flags)
     out_dir = Path(config.output_dir)
-    with _config_errors(config):
+    with _clean_errors(config):
         instances, counterbalance = build_benchmark(config.bench)
-    paths = write_generated_instances(out_dir, instances, counterbalance)
+        paths = write_generated_instances(out_dir, instances, counterbalance)
     click.echo(f"wrote {len(instances)} instances across {len(paths)} files to {out_dir}")
 
 
@@ -153,9 +158,9 @@ def run(**flags) -> None:
     """Evaluate the configured methods and write summaries, records, and
     certificates.  Exits non-zero if the verifier falsely executed anything."""
     config = _load_config(**flags)
-    with _config_errors(config):
+    with _clean_errors(config):
         result = run_benchmark(config)
-    manifest = write_run_outputs(result)
+        manifest = write_run_outputs(result)
     out_dir = Path(config.output_dir)
     click.echo(f"evaluated {len(config.methods)} methods on {len(result.instances)} "
                f"instances; outputs in {out_dir}")
@@ -178,7 +183,7 @@ def sweep(kind, **flags) -> None:
     config = _load_config(**flags, default_methods=SWEEP_METHODS if fixed else None,
                           fixed_sweep=kind if fixed else None)
     out_dir = Path(config.output_dir)
-    with _config_errors(config):
+    with _clean_errors(config):
         if kind == "strength":
             rows = run_strength_sweep(config, methods=config.methods)
         elif kind == "misspec":
@@ -187,7 +192,7 @@ def sweep(kind, **flags) -> None:
             result = run_benchmark(config)
             write_run_outputs(result)
             rows = run_weight_sweep(result)
-    path = write_sweep_csv(out_dir, kind, rows)
+        path = write_sweep_csv(out_dir, kind, rows)
     click.echo(f"wrote {len(rows)} sweep rows to {path}")
 
 

@@ -15,14 +15,9 @@ from dataclasses import field, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
 __all__ = ["Kind", "INT", "NUMBER", "STR", "INTS", "STRS", "STR_SET", "STR_LISTS",
-           "RETIRED_KEYS", "setting", "check_fields", "dump", "load", "distinct"]
+           "setting", "check_fields", "dump", "load", "distinct"]
 
 _SETTING = "civex.setting"
-
-# Keys that older manifests record, each mapped to whether only false loads.
-# ``parallelism`` is ignored; ignoring a removed switch set true would run
-# another verifier than the document names.
-RETIRED_KEYS = {"parallelism": False, "cert_only": True, "obs_assoc_per_instance": True}
 
 
 class Kind(NamedTuple):
@@ -91,16 +86,13 @@ def dump(config) -> dict:
 
 def load(cls, document: Mapping):
     """A ``cls`` from a flat JSON document.  A missing key takes its default, so
-    a misspelled one, which would silently do so, is refused."""
+    a key that ``dump`` does not write, such as a misspelled one, is refused."""
     if not isinstance(document, Mapping):
         raise ValueError("a config must be a JSON object")
-    keys = set(dump(cls())) | set(RETIRED_KEYS)
+    keys = dump(cls())
     unknown = sorted(str(key) for key in document if key not in keys)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    for key, false_only in RETIRED_KEYS.items():
-        if false_only and document.get(key, False) is not False:
-            raise ValueError(f"'{key}' was removed; only false is accepted")
     return _build(cls, document)
 
 

@@ -127,7 +127,8 @@ class RegimeDiagnostics:
 
 def observational_diagnostics(instances: Sequence[ScmInstance]) -> RegimeDiagnostics:
     """Trap fraction (harmful with positive association), overall sign-flip
-    fraction, and mean observational-causal bias over the given instances."""
+    fraction, and mean observational-causal bias over the given instances;
+    NaN each when no instance has a usable observational difference."""
     n = 0
     traps = 0
     flips = 0
@@ -145,7 +146,7 @@ def observational_diagnostics(instances: Sequence[ScmInstance]) -> RegimeDiagnos
         if np.sign(delta) != np.sign(theta):
             flips += 1
     if n == 0:
-        raise ValueError("no usable instances for diagnostics")
+        return RegimeDiagnostics(math.nan, math.nan, math.nan)
     return RegimeDiagnostics(
         trap_fraction=traps / n,
         flip_fraction=flips / n,
@@ -217,7 +218,7 @@ def summarize(
 
 
 def wilcoxon_exact(diffs: Sequence[float]) -> float:
-    """Exact two-sided signed-rank p by enumerating all sign assignments.
+    """Exact two-sided signed-rank p, counting the sign assignments by rank sum.
 
     Zero differences are dropped (with a warning) per the usual convention;
     ties in |diff| receive average ranks.
@@ -233,19 +234,19 @@ def wilcoxon_exact(diffs: Sequence[float]) -> float:
     if n == 0:
         warnings.warn("all differences are zero; returning p = 1.0")
         return 1.0
-    if n > 20:
-        raise ValueError("exact enumeration supports at most 20 nonzero differences")
-    # Average ranks of |d|: a value's rank is the mean of the first and last
-    # 1-based positions its tie group takes in sorted order.
+    # Doubled average ranks of |d|, integers: the sum of the first and last
+    # 1-based positions a value's tie group takes in sorted order.
     mags = np.abs(nonzero)
     ordered = np.sort(mags)
     ranks = (np.searchsorted(ordered, mags, "left")
-             + np.searchsorted(ordered, mags, "right") + 1) / 2
-    w_obs = float(ranks[nonzero > 0].sum())
-    assignments = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-    w_all = assignments @ ranks
-    p_ge = float(np.mean(w_all >= w_obs))
-    p_le = float(np.mean(w_all <= w_obs))
+             + np.searchsorted(ordered, mags, "right") + 1).tolist()
+    w_obs = sum(r for r, x in zip(ranks, nonzero) if x > 0)
+    # counts[w]: the sign assignments whose positive ranks sum to w.
+    counts = [1] + [0] * sum(ranks)
+    for r in ranks:
+        counts = [a + b for a, b in zip(counts, [0] * r + counts)]
+    p_ge = sum(counts[w_obs:]) / 2**n
+    p_le = sum(counts[:w_obs + 1]) / 2**n
     return min(1.0, 2.0 * min(p_ge, p_le))
 
 

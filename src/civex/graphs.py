@@ -114,30 +114,13 @@ class IdentificationResult:
     """Outcome of an identification query, with a short machine-checkable note."""
 
     kind: IdentificationKind
-    adjustment_set: tuple[str, ...] = ()
-    mediator_set: tuple[str, ...] = ()
-    proof_note: str = ""
+    adjustment_set: tuple[str, ...]
+    mediator_set: tuple[str, ...]
+    proof_note: str
 
     @property
     def identified(self) -> bool:
         return self.kind is not IdentificationKind.NOT_IDENTIFIED
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "adjustment_set": list(self.adjustment_set),
-            "mediator_set": list(self.mediator_set),
-            "proof_note": self.proof_note,
-        }
-
-    @classmethod
-    def from_json_dict(cls, obj: Mapping) -> "IdentificationResult":
-        return cls(
-            kind=IdentificationKind(obj["kind"]),
-            adjustment_set=tuple(obj.get("adjustment_set", ())),
-            mediator_set=tuple(obj.get("mediator_set", ())),
-            proof_note=obj.get("proof_note", ""),
-        )
 
 
 def validate_graph(g: CausalGraph) -> str | None:
@@ -323,7 +306,7 @@ def _identify_valid(g: CausalGraph) -> IdentificationResult:
                 )
                 return IdentificationResult(
                     kind=IdentificationKind.BACKDOOR,
-                    adjustment_set=subset,
+                    adjustment_set=subset, mediator_set=(),
                     proof_note=note,
                 )
     for mediator in sorted(g.nodes - {t, y}):
@@ -335,11 +318,11 @@ def _identify_valid(g: CausalGraph) -> IdentificationResult:
             )
             return IdentificationResult(
                 kind=IdentificationKind.FRONTDOOR,
-                mediator_set=(mediator,),
+                adjustment_set=(), mediator_set=(mediator,),
                 proof_note=note,
             )
     return IdentificationResult(
-        kind=IdentificationKind.NOT_IDENTIFIED,
+        kind=IdentificationKind.NOT_IDENTIFIED, adjustment_set=(), mediator_set=(),
         proof_note="no backdoor adjustment set; no single frontdoor mediator",
     )
 
@@ -382,8 +365,12 @@ def relabel_latent(
     )
 
 
+_GRAPH_KEYS = ("nodes", "directed", "bidirected", "treatment", "outcome")
+
+
 def graph_to_json_dict(g: CausalGraph) -> dict:
-    """Canonical JSON form: node names sorted, edges as sorted 2-element arrays."""
+    """Canonical JSON form, under the keys ``_GRAPH_KEYS``: node names sorted,
+    edges as sorted 2-element arrays."""
     return {
         "nodes": sorted(g.nodes),
         "directed": sorted([a, b] for a, b in g.directed_edges),
@@ -407,7 +394,10 @@ def _edges(value: object, kind: str) -> list[tuple[str, ...]]:
 
 
 def graph_from_json_dict(obj: Mapping) -> CausalGraph:
-    """Parse the canonical JSON form; a wrongly typed field raises GraphError."""
+    """Parse the canonical JSON form; a missing or extra key, or a wrongly typed
+    field, raises GraphError."""
+    if set(obj) != set(_GRAPH_KEYS):
+        raise GraphError(f"graph keys must be {', '.join(_GRAPH_KEYS)}")
     for role in ("treatment", "outcome"):
         if not isinstance(obj[role], str):
             raise GraphError(f"graph {role} must be a string")

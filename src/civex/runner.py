@@ -238,7 +238,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
     }
     seeds = set(config.bench.seeds)
     replay_coverage = {
-        tag: len({key[0] for key in table} & seeds)
+        tag: len({key.seed for key in table} & seeds)
         for tag, table in replay_tables.items()
     }
     decisions = evaluate_instances(instances, config.methods, config.verifier,

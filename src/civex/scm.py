@@ -211,6 +211,9 @@ class ActionFrame:
         for name in ("reversible", "interventional"):
             if not isinstance(getattr(self, name), bool):
                 return f"{name} flag is not a boolean"
+        if self.target_value != 1.0:
+            return (f"target value {self.target_value!r} is not 1.0, "
+                    f"the only treatment level civex certifies")
         return None
 
 

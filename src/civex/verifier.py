@@ -172,9 +172,9 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
-    Each field of the frame must have its declared type, and its target
-    value must be 1.0, the treatment level a certificate's estimate compares
-    with 0.
+    The frame must pass its own check, ``ActionFrame.violation``: each field
+    of its declared type, and a target value of 1.0, the treatment level a
+    certificate's estimate compares with 0.
     Each committed graph must be well formed, and its treatment and outcome
     must be the action's target and utility variables: a certificate for
     another (treatment, outcome) pair says nothing about this action.
@@ -182,9 +182,6 @@ def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str 
     violation = frame.violation()
     if violation is not None:
         return f"malformed action frame: {violation}"
-    if frame.target_value != 1.0:
-        return (f"malformed action frame: target value {frame.target_value!r} is not 1.0, "
-                f"the only treatment level civex certifies")
     for g in graphs:
         violation = validate_graph(g)
         if violation is not None:
@@ -363,25 +360,24 @@ def run_two_stage(
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:
-    """The certificate's own fields, with the graph and proof in JSON form."""
+    """The certificate's and its proof's own fields, in JSON form."""
+    proof = cert.proof
     return {**vars(cert), "graph": graph_to_json_dict(cert.graph),
-            "assumptions": list(cert.assumptions), "proof": cert.proof.to_json_dict()}
+            "assumptions": list(cert.assumptions),
+            "proof": {**vars(proof), "kind": proof.kind.value,
+                      "adjustment_set": list(proof.adjustment_set),
+                      "mediator_set": list(proof.mediator_set)}}
 
 
 def certificate_from_json_dict(obj: Mapping) -> Certificate:
-    return Certificate(
-        graph=graph_from_json_dict(obj["graph"]),
-        graph_sha256=obj["graph_sha256"],
-        assumptions=tuple(obj["assumptions"]),
-        proof=IdentificationResult.from_json_dict(obj["proof"]),
-        theta_hat=obj["theta_hat"],
-        std_err=obj["std_err"],
-        lcb_alpha=obj["lcb_alpha"],
-        alpha=obj["alpha"],
-        n=obj["n"],
-        provenance=obj["provenance"],
-        risk=obj["risk"],
-    )
+    """The mirror of ``certificate_to_json_dict``: a missing or extra key in the
+    certificate, its proof or its graph raises a KeyError, TypeError or GraphError."""
+    proof = obj["proof"]
+    proof = IdentificationResult(**{**proof, "kind": IdentificationKind(proof["kind"]),
+                                    "adjustment_set": tuple(proof["adjustment_set"]),
+                                    "mediator_set": tuple(proof["mediator_set"])})
+    return Certificate(**{**obj, "graph": graph_from_json_dict(obj["graph"]),
+                          "assumptions": tuple(obj["assumptions"]), "proof": proof})
 
 
 def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:

@@ -27,7 +27,7 @@ from civex.baselines import (
 )
 from civex.estimation import unadjusted_difference
 from civex.runner import evaluate_instances
-from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, build_benchmark
+from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, InstanceId, build_benchmark
 from civex.verifier import Decision, VerifierConfig, make_view, run_two_stage
 
 CFG = VerifierConfig()
@@ -124,6 +124,16 @@ class TestObservationalAssociation:
             key = (inst.id.seed, inst.id.regime, inst.id.family)
             by_pool.setdefault(key, set()).add(v.decision)
         assert all(len(decisions) == 1 for decisions in by_pool.values())
+
+    def test_bound_is_at_the_configured_alpha_and_threshold(self, bench, ctx):
+        def executes(cfg):
+            provider = make_provider(OBSERVATIONAL_ASSOCIATION, ctx, cfg)
+            return sum(provider(make_view(i)).decision is Decision.EXECUTE for i in bench)
+
+        # A one-sided bound at alpha 0.5 is the point estimate itself.
+        assert executes(CFG) == 0
+        assert executes(VerifierConfig(alpha=0.5)) == 24
+        assert executes(VerifierConfig(alpha=0.5, tau_u=1e9)) == 0
 
     def test_abstains_on_adversarial_pools(self, bench, ctx):
         for inst in bench:
@@ -227,9 +237,10 @@ class TestReplay:
             encoding="utf-8",
         )
         table = load_replay_shard(path)
-        assert [v.decision for v in table[(42, "moderate", "cache_operation", 3)].trace] \
+        assert [v.decision for v in table[InstanceId(42, MODERATE, "cache_operation", 3)].trace] \
             == [Decision.EXPERIMENT, Decision.EXECUTE]
-        assert [v.decision for v in table[(42, "adversarial", "cache_operation", 1)].trace] \
+        assert [v.decision
+                for v in table[InstanceId(42, ADVERSARIAL, "cache_operation", 1)].trace] \
             == [Decision.ABSTAIN]
 
     def test_malformed_shard_is_refused(self, tmp_path):
@@ -273,7 +284,8 @@ class TestReplay:
         row = "42,moderate,cache_operation,0,EXECUTE,"
         path = tmp_path / "shard.csv"
         path.write_text(f"{SHARD_HEADER}\n{row}EXECUTE\n{row}REJECT\n", encoding="utf-8")
-        with pytest.raises(ReplayError, match="line 3 records instance .* a second time"):
+        with pytest.raises(ReplayError, match="line 3 records instance "
+                                              "s42-moderate-cache_operation-0000 a second time"):
             load_replay_shard(path)
         # Across the shards of one tag as well.
         first = tmp_path / "first.csv"

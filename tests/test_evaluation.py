@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -112,9 +113,13 @@ class TestWilcoxon:
             warnings.simplefilter("ignore")
             assert wilcoxon_exact([0.0, 0.0]) == 1.0
 
-    def test_too_many_differences(self):
-        with pytest.raises(ValueError):
-            wilcoxon_exact(list(range(1, 23)))
+    @pytest.mark.parametrize("n", range(21, 31))
+    def test_matches_scipy_exact_beyond_twenty_differences(self, n):
+        # More seeds than a 2**n enumeration could hold; the rank-sum counts
+        # stay exact.
+        diffs = np.random.default_rng(n).normal(size=n)
+        expected = stats.wilcoxon(diffs, alternative="two-sided", mode="exact").pvalue
+        assert wilcoxon_exact(diffs.tolist()) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(3)
@@ -226,6 +231,14 @@ class TestDiagnostics:
         diag = observational_diagnostics(adv)
         assert diag.flip_fraction > 0.95
         assert 0 <= diag.trap_fraction <= 1
+
+    def test_no_usable_difference_reads_nan(self):
+        # A pooled-variance difference needs at least three rows.
+        spec = BenchmarkSpec(seeds=(42,), moderate_per_family=1, adversarial_per_family=1,
+                             n_rows=2)
+        instances, _ = build_benchmark(spec)
+        diag = observational_diagnostics(instances)
+        assert all(math.isnan(v) for v in vars(diag).values())
 
     def test_abstain_everywhere_accuracy_equals_harmful_fraction(self):
         spec = BenchmarkSpec(seeds=(42, 43), moderate_per_family=2,

@@ -307,6 +307,20 @@ class TestSerialization:
         with pytest.raises(GraphError):
             graph_from_json_dict(obj)
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(latent=[["add_index", "latency_savings_ms"]]),
+        lambda obj: obj.pop("bidirected"),
+        lambda obj: obj.pop("treatment"),
+    ], ids=["extra-key", "missing-edges", "missing-role"])
+    def test_missing_or_extra_key_raises_graph_error(self, edit):
+        # An unread key such as "latent" would be a commitment the digest
+        # does not cover.
+        obj = graph_to_json_dict(worked_graph())
+        edit(obj)
+        with pytest.raises(GraphError, match="graph keys must be nodes, directed, "
+                                             "bidirected, treatment, outcome"):
+            graph_from_json_dict(obj)
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))

@@ -341,11 +341,10 @@ def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, r
 
 # ------------------------------------------------------------ config documents
 
-# The default document as an older manifest records it, with the retired keys,
-# and with an example in each list so that element paths exist.
+# The default document as a manifest records it, with an example in each list
+# so that element paths exist.
 CONFIG_BASE = {**RunConfig().to_json_dict(), "forbidden_tools": ["add_index"],
-               "methods": ["CIVeX", "Replay(demo)"], "replay": {"demo": ["shards/demo.csv"]},
-               "parallelism": 4, "cert_only": False, "obs_assoc_per_instance": False}
+               "methods": ["CIVeX", "Replay(demo)"], "replay": {"demo": ["shards/demo.csv"]}}
 CONFIG_PATHS = (
     *((key,) for key in CONFIG_BASE),
     ("seeds", 0), ("forbidden_tools", 0), ("methods", 0), ("replay", "demo"),

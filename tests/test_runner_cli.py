@@ -1,6 +1,6 @@
 import hashlib
 import json
-import re
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +10,6 @@ from click.testing import CliRunner
 from civex.baselines import ALL_METHODS
 from civex.evaluation import MethodSummary, ScoreWeights
 from civex.cli import main
-from civex.config import RETIRED_KEYS
 from civex.frames import Frame
 from civex import runner
 from civex.runner import (
@@ -28,6 +27,7 @@ TINY = {
     "adversarial_per_family": 2,
     "n_rows": 400,
 }
+ONE_PER_FAMILY = {"seeds": [42], "moderate_per_family": 1, "adversarial_per_family": 1}
 # The strength and misspec sweeps set their own seeds and build one regime's
 # slice, and refuse a document that sets the seeds or the other slice's size.
 SWEEP_TINY = {
@@ -164,9 +164,7 @@ class TestRunCommand:
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, "runa")
-        # Older configs carry a "parallelism" key; that retired key is ignored.
-        cfg_b = write_config(tmp_path, "runb", parallelism=4)
-        assert RunConfig.from_json_dict({"parallelism": 4}) == RunConfig()
+        cfg_b = write_config(tmp_path, "runb")
         runner = CliRunner()
         assert runner.invoke(main, ["run", "--config", str(cfg_a)]).exit_code == 0
         assert runner.invoke(main, ["run", "--config", str(cfg_b)]).exit_code == 0
@@ -181,6 +179,55 @@ class TestRunCommand:
         write_run_outputs(run, tmp_path / "run")
         assert len(list((tmp_path / "run").rglob("*.cert.json"))) == 202
         assert run_digests(tmp_path / "run") == RUN_SHA256
+
+    def test_more_than_twenty_seeds_run(self, tmp_path):
+        # The signed-rank test over 21 per-seed means used to raise after the
+        # summaries were written, so no certificate or manifest was.
+        cfg = write_config(tmp_path, "seeds", {
+            "seeds": list(range(21)), "moderate_per_family": 1, "adversarial_per_family": 1,
+            "n_rows": 50, "methods": ["CIVeX", "PolicyGate", "OracleSCM"]})
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "seeds" / "pairwise_wilcoxon.csv").read_text(encoding="utf-8")
+        assert rows.count(",21,") == 4
+        assert (tmp_path / "seeds" / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("n_rows", [2, 3])
+    def test_smallest_frames_run_to_the_end(self, tmp_path, n_rows):
+        # A pooled-variance difference needs three rows, so at two no instance
+        # has one: the regime diagnostics are NaN rather than a traceback, and
+        # no estimate can certify an execution.
+        cfg = write_config(tmp_path, "small", n_rows=n_rows)
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "verifier false executions" in result.output
+        manifest = json.loads((tmp_path / "small" / "manifest.json").read_text(encoding="utf-8"))
+        summary = (tmp_path / "small" / "summary_moderate.csv").read_text(encoding="utf-8")
+        if n_rows == 2:
+            assert result.exit_code == 0, result.output
+            assert manifest["civex_false_executions"] == 0
+            assert all(math.isnan(v) for v in manifest["diagnostics"]["moderate"].values())
+            assert summary.splitlines()[1].endswith(",nan,nan,nan")
+        else:
+            assert all(math.isfinite(v) for v in manifest["diagnostics"]["moderate"].values())
+
+    @pytest.mark.parametrize("command, base", [
+        (["generate"], ONE_PER_FAMILY),
+        (["run", "--methods", "CIVeX"], ONE_PER_FAMILY),
+        (["sweep", "weights", "--methods", "CIVeX"], ONE_PER_FAMILY),
+        (["sweep", "strength", "--methods", "CIVeX"], {"adversarial_per_family": 1}),
+        (["sweep", "misspec", "--methods", "CIVeX"], {"moderate_per_family": 1}),
+    ])
+    def test_output_path_that_cannot_be_written_is_a_clean_error(self, tmp_path, command,
+                                                                 base):
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory", encoding="utf-8")
+        cfg = write_config(tmp_path, "unused", {**base, "n_rows": 50}, output_dir=str(taken))
+        result = CliRunner().invoke(main, [*command, "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"Error: cannot write outputs to {taken}: ")
+        assert taken.read_text(encoding="utf-8") == "a file, not a directory"
 
     def test_method_override(self, tmp_path):
         cfg = write_config(tmp_path, "runm")
@@ -548,20 +595,19 @@ class TestConfigSurface:
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
         assert RunConfig.from_json_dict(manifest["config"]) == config
 
-    @pytest.mark.parametrize("key", ["cert_only", "obs_assoc_per_instance"])
-    def test_removed_switch_set_true_is_refused(self, tmp_path, key):
-        cfg = write_config(tmp_path, "removed", **{key: True})
+    @pytest.mark.parametrize("key, value", [
+        ("parallelism", 4), ("cert_only", True), ("cert_only", False),
+        ("obs_assoc_per_instance", True), ("obs_assoc_per_instance", False),
+    ])
+    def test_retired_key_is_refused(self, tmp_path, key, value):
+        # Keys that older manifests record; a config holds only the keys that
+        # the manifest writes, so an older config must drop them.
+        cfg = write_config(tmp_path, "removed", **{key: value})
         result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
-        assert "invalid configuration" in result.output and key in result.output
+        assert f"invalid configuration: unknown config key(s): {key}" in result.output
         assert not (tmp_path / "removed").exists()
-
-    def test_removed_switches_set_false_still_run(self, tmp_path):
-        cfg = write_config(tmp_path, "old", cert_only=False, obs_assoc_per_instance=False,
-                           methods=["CIVeXCertOnly", "ObservationalAssociation"])
-        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
-        assert result.exit_code == 0, result.output
 
     def test_misspelled_key_is_refused(self, tmp_path):
         cfg = write_config(tmp_path, "typo", forbiden_tools=["add_index"])
@@ -582,13 +628,6 @@ class TestConfigSurface:
         assert RunConfig.from_json_dict(document) == config
         for key, value in document.items():
             RunConfig.from_json_dict({key: value})
-
-    def test_old_manifest_config_loads(self):
-        # The config block that manifests recorded before the retired settings
-        # were removed.
-        document = {**RunConfig().to_json_dict(), "parallelism": 4, "cert_only": False,
-                    "obs_assoc_per_instance": False}
-        assert RunConfig.from_json_dict(document) == RunConfig()
 
     @pytest.mark.parametrize("key, value", [
         ("forbidden_tools", "add_index"),
@@ -672,8 +711,6 @@ class TestConfigSurface:
             if key not in ("methods", "replay"):  # the two examples
                 assert block[key] == default, key
         RunConfig.from_json_dict(block)
-        retired = re.search(r"retired keys[^.]*\.", section).group(0)
-        assert sorted(re.findall(r"`(\w+)`", retired)) == sorted(RETIRED_KEYS)
 
     @pytest.mark.parametrize("key, value, name", [
         ("adversarial_strength", float("nan"), "adversarial_strength"),

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -426,6 +427,29 @@ class TestWholeCertificateReplay:
         assert result.exit_code == 1
         assert f"certificate mismatch: {name}" in result.output
 
+    @pytest.mark.parametrize("edit", [
+        lambda obj: obj.update(note="added"),
+        lambda obj: obj["proof"].update(witness=[]),
+        lambda obj: obj["graph"].update(latent=[["T", "Y"]]),
+        lambda obj: obj.pop("risk"),
+        lambda obj: obj["proof"].pop("mediator_set"),
+        lambda obj: obj["proof"].pop("proof_note"),
+        lambda obj: obj["graph"].pop("bidirected"),
+    ], ids=["extra-key", "extra-proof-key", "extra-graph-key", "missing-key",
+            "missing-proof-set", "missing-proof-note", "missing-graph-key"])
+    def test_missing_or_extra_key_is_refused(self, tmp_path, edit):
+        # The reader is the writer's mirror, so a key that it would drop or
+        # fill in cannot pass for a verified certificate.
+        obj, blob = self._stored()
+        edit(obj)
+        cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+        cert_path.write_text(json.dumps(obj), encoding="utf-8")
+        data_path.write_bytes(blob)
+        result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: cannot parse certificate")
+
     @pytest.mark.parametrize("role", ["treatment", "outcome"])
     def test_list_valued_graph_role_is_a_clean_error(self, tmp_path, role):
         obj, blob = self._stored()
@@ -593,7 +617,10 @@ class TestFailClosed:
         assert inst.spec.theta > 2
         assert triage(inst.frame, [inst.graph], inst.observational, CFG).decision \
             is Decision.EXECUTE
-        frame = replace(inst.frame, target_value=value)
+        with pytest.raises(ValueError, match=f"malformed action frame: target value "
+                                             f"{re.escape(repr(value))} is not 1.0"):
+            replace(inst.frame, target_value=value)
+        frame = unchecked(inst.frame, target_value=value)
         for v in (triage(frame, [inst.graph], inst.observational, CFG),
                   causal_no_experiment(frame, inst.graph, inst.observational)):
             assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
