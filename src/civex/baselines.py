@@ -176,9 +176,11 @@ def _observational_association(ctx: ProviderContext,
                            refusal_reason="no pooled association available")
         if est.theta_hat > 0 and est.lcb >= cfg.tau_u:
             return Verdict(Decision.EXECUTE,
-                           rationale="positive association with a non-negative bound")
+                           rationale=f"positive association with a bound at or above "
+                                     f"the utility threshold {cfg.tau_u:.6g}")
         return Verdict(Decision.ABSTAIN,
-                       refusal_reason="association sign or bound did not clear zero")
+                       refusal_reason=f"association is not positive or its bound is "
+                                      f"below the utility threshold {cfg.tau_u:.6g}")
 
     return provider
 

@@ -26,6 +26,17 @@ a NaN fails the proof.  The rank test compares the squared diagonal of the
 Cholesky factor with the largest diagonal of X'X as Python floats: numpy's
 ``x ** 2`` is ``x * x``, and a diagonal of sums of squares of finite data
 holds no NaN, so the comparison is the same.
+
+The fit calls LAPACK through numpy's own gufuncs (``cholesky_lo`` for the
+rank test, ``lstsq`` and ``inv`` from ``numpy.linalg._umath_linalg``) with
+the arguments that ``np.linalg.cholesky``, ``np.linalg.lstsq(rcond=None)``
+and ``np.linalg.inv`` pass them: the same signatures, ``rcond`` and
+right-hand-side shape, so the same bits, without the wrappers' per-call
+type checks and error-state contexts.  It needs numpy 2.0 or later, whose
+least squares is one gufunc.  A factorization or solve that fails comes
+back as NaN rather than as ``LinAlgError``: the rank test then finds the
+design singular, and a NaN estimate or bound fails ``certify``'s finiteness
+check, so the gate abstains.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg as _lapack
 
 from .frames import Frame
 
@@ -53,6 +65,7 @@ __all__ = [
 # diagonal of X'X marks the design singular.
 _PIVOT_RTOL = 1e-10
 _ZERO_VARIANCE_ATOL = 1e-24
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class EstimationError(ValueError):
@@ -161,15 +174,13 @@ def _check_treatment(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pivot_rank_ok(xtx: np.ndarray) -> bool:
     # The pivots of Gaussian elimination without pivoting on the (tiny)
     # normal matrix are the squared diagonal of its Cholesky factor; a
-    # failed factorization means a pivot at or below zero.  The diagonals
-    # are compared as Python floats: ``p * p`` is the ``p ** 2`` numpy
-    # computes, and the diagonal of X'X, a sum of squares, holds no NaN
-    # for ``max`` to order differently from ``ndarray.max``.
+    # failed factorization is all NaN, so no pivot clears the tolerance.
+    # The diagonals are compared as Python floats: ``p * p`` is the
+    # ``p ** 2`` numpy computes, and the diagonal of X'X, a sum of squares,
+    # holds no NaN for ``max`` to order differently from ``ndarray.max``.
     tol = _PIVOT_RTOL * max(xtx.diagonal().tolist())
-    try:
-        chol = np.linalg.cholesky(xtx)
-    except np.linalg.LinAlgError:
-        return False
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        chol = _lapack.cholesky_lo(xtx, signature="d->d")
     return all(p * p > tol for p in chol.diagonal().tolist())
 
 
@@ -209,12 +220,16 @@ def _ols_theta(y: np.ndarray, design: np.ndarray, coef_index: int, alpha: float,
     xtx = design.T @ design
     if not _pivot_rank_ok(xtx):
         raise EstimationError("singular design matrix")
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    p = design.shape[1]
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        solution = _lapack.lstsq(design, y[:, None], _EPS * max(n, p),
+                                 signature="ddd->ddid")[0]
+        xtx_inv = _lapack.inv(xtx, signature="d->d")
+    beta = solution[:, 0]
     resid = y - design @ beta
-    dof = n - design.shape[1]
-    sigma2 = max(float(resid @ resid), 0.0) / dof
+    sigma2 = max(float(resid @ resid), 0.0) / (n - p)
     # Only one entry of the covariance sigma2 * inv(X'X) is needed.
-    var = max(sigma2 * float(np.linalg.inv(xtx)[coef_index, coef_index]), 0.0)
+    var = max(sigma2 * float(xtx_inv[coef_index, coef_index]), 0.0)
     se = math.sqrt(var)
     theta = float(beta[coef_index])
     lcb = theta - one_sided_z(alpha) * se

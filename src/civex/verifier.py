@@ -371,7 +371,13 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
 
 def certificate_from_json_dict(obj: Mapping) -> Certificate:
     """The mirror of ``certificate_to_json_dict``: a missing or extra key in the
-    certificate, its proof or its graph raises a KeyError, TypeError or GraphError."""
+    certificate, its proof or its graph raises a KeyError, TypeError or GraphError.
+    Replay cannot check the declared ``risk``, so one that is not a finite
+    number >= 0 raises a ValueError here."""
+    risk = obj["risk"]
+    if (isinstance(risk, bool) or not isinstance(risk, (int, float))
+            or not 0.0 <= risk < math.inf):
+        raise ValueError(f"risk {risk!r} is not a finite number >= 0")
     proof = obj["proof"]
     proof = IdentificationResult(**{**proof, "kind": IdentificationKind(proof["kind"]),
                                     "adjustment_set": tuple(proof["adjustment_set"]),

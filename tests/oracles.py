@@ -8,7 +8,9 @@ value by value with ``float``,
 the rank test by Gaussian elimination.  ``line_parse`` and
 ``reference_adjusted_effect`` are the canonical parser and the backdoor OLS
 fit as they were before their passes and copies were cut; the library must
-refuse with their messages and fit to their bits.  They exist so the fast implementations have something
+refuse with their messages and fit to their bits.  ``linalg_ols_theta`` is
+the OLS kernel as it was when it called ``np.linalg``'s wrappers rather
+than LAPACK's gufuncs.  They exist so the fast implementations have something
 slower and dumber to agree with.  ``wilcoxon_rankdata_oracle`` is the
 signed-rank test as it was when it ranked with ``scipy.stats.rankdata``,
 which the library no longer imports.  ``unchecked`` sets an action frame's
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -218,6 +221,25 @@ def numpy_pivot_rank_ok(xtx: np.ndarray, rtol: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return bool((chol.diagonal() ** 2 > tol).all())
+
+
+def linalg_ols_theta(y: np.ndarray, design: np.ndarray, coef_index: int, alpha: float,
+                     n: int, adjustment_set: tuple[str, ...]) -> EffectEstimate:
+    """The OLS kernel through ``np.linalg``'s wrappers: the rank test by
+    ``np.linalg.cholesky``, then ``lstsq`` with ``rcond=None`` and ``inv``;
+    a failed solve raises ``LinAlgError``."""
+    xtx = design.T @ design
+    if not numpy_pivot_rank_ok(xtx, 1e-10):
+        raise EstimationError("singular design matrix")
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    dof = n - design.shape[1]
+    sigma2 = max(float(resid @ resid), 0.0) / dof
+    var = max(sigma2 * float(np.linalg.inv(xtx)[coef_index, coef_index]), 0.0)
+    se = math.sqrt(var)
+    theta = float(beta[coef_index])
+    return EffectEstimate(theta_hat=theta, std_err=se, lcb=theta - one_sided_z(alpha) * se,
+                          alpha=alpha, n=n, adjustment_set=adjustment_set)
 
 
 def var_zero_variance(col: np.ndarray) -> bool:

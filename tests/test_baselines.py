@@ -135,6 +135,22 @@ class TestObservationalAssociation:
         assert executes(VerifierConfig(alpha=0.5)) == 24
         assert executes(VerifierConfig(alpha=0.5, tau_u=1e9)) == 0
 
+    def test_texts_name_the_threshold(self, bench, ctx):
+        # At alpha 0.5 the bound is the point estimate; two moderate pools
+        # (0.35 and 0.43) clear zero but not tau_u 0.5, and abstain.
+        provider = make_provider(OBSERVATIONAL_ASSOCIATION, ctx,
+                                 VerifierConfig(alpha=0.5, tau_u=0.5))
+        texts = {}
+        for inst in bench:
+            v = provider(make_view(inst))
+            texts.setdefault(v.decision, set()).add(v.rationale or v.refusal_reason)
+        assert texts == {
+            Decision.EXECUTE: {"positive association with a bound at or above "
+                               "the utility threshold 0.5"},
+            Decision.ABSTAIN: {"association is not positive or its bound is below "
+                               "the utility threshold 0.5"},
+        }
+
     def test_abstains_on_adversarial_pools(self, bench, ctx):
         for inst in bench:
             if inst.id.regime == ADVERSARIAL:

@@ -9,6 +9,7 @@ from civex.estimation import (
     DegenerateRegressorWarning,
     EstimationError,
     _ndtri,
+    _pivot_rank_ok,
     _zero_variance,
     adjusted_effect,
     frontdoor_effect,
@@ -219,6 +220,17 @@ class TestAgainstReferenceFit:
                                "dropping zero-variance adjustment column 'flat'")]
         else:
             assert got[0].startswith("EstimationError")
+
+
+@pytest.mark.parametrize("xtx", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                 np.array([[1.0, 0.0], [0.0, -1.0]])],
+                         ids=["zero", "rank_one", "indefinite"])
+def test_rank_check_on_a_singular_matrix_is_silent(xtx):
+    # The failed factorization is NaN with the invalid flag raised, which
+    # numpy would report as a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not _pivot_rank_ok(xtx)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

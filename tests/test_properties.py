@@ -9,8 +9,9 @@ mutated certificate and data file in exit 0, exit 1 or a clean error, and
 every mutated config document loads into a config that round-trips or is a
 clean ``invalid configuration`` from ``civex generate``.  The
 canonical-text encoder and parser and the Cholesky rank test agree with the
-per-value ``repr`` and ``float()`` and the elimination loop they replaced
-(``oracles``).
+per-value ``repr`` and ``float()`` and the elimination loop they replaced, and
+the OLS kernel fits to the bits, and decides singularity as, the
+``np.linalg`` calls it replaced (``oracles``).
 """
 
 import copy
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 from civex import graphs
 from civex.cli import main
-from civex.estimation import _PIVOT_RTOL, _pivot_rank_ok
+from civex.estimation import _PIVOT_RTOL, EstimationError, _ols_theta, _pivot_rank_ok
 from civex.frames import Frame, FrameError
 from civex.graphs import (
     CausalGraph,
@@ -55,6 +56,7 @@ from civex.verifier import (
 from oracles import (
     elimination_rank_ok,
     line_parse,
+    linalg_ols_theta,
     numpy_pivot_rank_ok,
     per_value_encode,
     per_value_parse,
@@ -514,3 +516,56 @@ def test_cholesky_rank_test_agrees_with_elimination(seed, k, extra_rows, shape, 
     ok = _pivot_rank_ok(xtx)
     assert ok == elimination_rank_ok(xtx, _PIVOT_RTOL)
     assert ok == numpy_pivot_rank_ok(xtx, _PIVOT_RTOL)
+
+
+# --------------------------------------------------------------- OLS kernel
+
+KERNEL_SHAPES = ("random", "binary", "collinear", "near_collinear")
+
+
+def _estimate_bits(est) -> tuple:
+    return (np.array([est.theta_hat, est.std_err, est.lcb]).tobytes(), est.alpha, est.n,
+            est.adjustment_set)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 400), p=st.integers(2, 7),
+       shape=st.sampled_from(KERNEL_SHAPES),
+       log_scales=st.lists(st.floats(-6.0, 6.0), min_size=7, max_size=7),
+       alpha=st.sampled_from((0.05, 0.01, 0.5)))
+@example(seed=0, n=40, p=4, shape="collinear", log_scales=[0.0] * 7, alpha=0.05)
+@example(seed=0, n=3, p=2, shape="binary", log_scales=[6.0] * 7, alpha=0.05)
+def test_ols_kernel_matches_numpy_linalg(seed, n, p, shape, log_scales, alpha):
+    # Column 0 is the intercept; the others are scaled by 1e-6 to 1e6, and
+    # one of them is binary, or (nearly) a combination of those before it.
+    p = min(p, n - 1)
+    rng = np.random.default_rng(seed)
+    design = rng.normal(size=(n, p))
+    design[:, 0] = 1.0
+    j = int(rng.integers(1, p))
+    if shape == "binary":
+        design[:, j] = rng.integers(0, 2, size=n)
+    elif shape in ("collinear", "near_collinear"):
+        design[:, j] = design[:, :j] @ rng.normal(size=j)
+        if shape == "near_collinear":
+            design[:, j] += rng.normal(size=n) * 10.0 ** rng.uniform(-9, -3)
+    design[:, 1:] *= 10.0 ** np.array(log_scales[1:p])
+    y = design @ rng.normal(size=p) + rng.normal(size=n) * 10.0 ** log_scales[0]
+    coef_index = int(rng.integers(0, p))
+    args = (y, design, coef_index, alpha, n, ("x",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            expected = linalg_ols_theta(*args)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError) as refused:
+                _ols_theta(*args)
+            assert str(refused.value) == str(exc)
+            return
+        except np.linalg.LinAlgError:
+            # A failed solve is NaN, which ``certify`` refuses as non-finite.
+            got = _ols_theta(*args)
+            assert not all(map(math.isfinite, (got.theta_hat, got.std_err, got.lcb)))
+            return
+        got = _ols_theta(*args)
+    assert _estimate_bits(got) == _estimate_bits(expected)

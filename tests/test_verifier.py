@@ -2,12 +2,13 @@ import json
 import math
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from civex import verifier
+from civex import estimation, verifier
 from civex.baselines import (
     CAUSAL_NO_EXPERIMENT,
     CIVEX_CERT_ONLY,
@@ -170,6 +171,22 @@ class TestRuleThree:
         v = triage(worked_frame(), [worked_graph()], one_arm, CFG)
         assert v.decision is Decision.ABSTAIN
         assert "estimation failure" in v.refusal_reason
+
+    def test_nan_from_lapack_abstains(self, monkeypatch):
+        # A least-squares solve that fails comes back from LAPACK as NaN,
+        # not as an exception; ``certify`` refuses it as non-finite.
+        lapack = estimation._lapack
+
+        def nan_lstsq(*args, **kwargs):
+            x, *rest = lapack.lstsq(*args, **kwargs)
+            return (np.full_like(x, np.nan), *rest)
+
+        monkeypatch.setattr(estimation, "_lapack", SimpleNamespace(
+            cholesky_lo=lapack.cholesky_lo, inv=lapack.inv, lstsq=nan_lstsq))
+        v = triage(worked_frame(), [worked_graph()], worked_data(), CFG)
+        assert v.decision is Decision.ABSTAIN
+        assert v.rule_fired == 3
+        assert v.refusal_reason == "estimation failure: non-finite estimate or bound"
 
     def test_missing_adjustment_column_abstains(self):
         data = worked_data()
@@ -449,6 +466,21 @@ class TestWholeCertificateReplay:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("Error: cannot parse certificate")
+
+    @pytest.mark.parametrize("risk", ["lots", None, True, -1.0, math.inf],
+                             ids=["string", "null", "bool", "negative", "infinity"])
+    def test_risk_that_is_not_a_finite_number_is_refused(self, tmp_path, risk):
+        # Replay cannot reproduce the declared risk, so the reader checks it.
+        obj, blob = self._stored()
+        obj["risk"] = risk
+        cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+        cert_path.write_text(json.dumps(obj), encoding="utf-8")
+        data_path.write_bytes(blob)
+        result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(
+            f"Error: cannot parse certificate: risk {risk!r} is not a finite number >= 0")
 
     @pytest.mark.parametrize("role", ["treatment", "outcome"])
     def test_list_valued_graph_role_is_a_clean_error(self, tmp_path, role):
