@@ -72,7 +72,7 @@ def replay_tag(method: str) -> str:
     return method[len(_REPLAY_PREFIX):-1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProviderContext:
     """Side tables a provider may need beyond the redacted view."""
 
@@ -107,12 +107,25 @@ def build_context(instances: Sequence[ScmInstance]) -> ProviderContext:
     )
 
 
+# A provider's verdicts whose every field is fixed are made once, here or in
+# its factory, and shared by every call that returns them.
+_ORACLE_EXECUTE = Verdict(Decision.EXECUTE, rationale="planted effect is positive")
+_ORACLE_REJECT = Verdict(Decision.REJECT, refusal_reason="planted effect is not positive")
+_ADJUSTED_EXECUTE = Verdict(Decision.EXECUTE,
+                            rationale="covariate-adjusted bound clears the threshold")
+_ADJUSTED_REJECT = Verdict(Decision.REJECT,
+                           refusal_reason="covariate-adjusted bound below the threshold")
+_NO_POOLED_ASSOCIATION = Verdict(Decision.ABSTAIN,
+                                 refusal_reason="no pooled association available")
+_ABSTAIN_ALWAYS = Verdict(Decision.ABSTAIN,
+                          refusal_reason="refuses every state-changing action")
+_POLICY_EXECUTE = Verdict(Decision.EXECUTE, rationale="observed association is positive")
+_POLICY_REJECT = Verdict(Decision.REJECT, refusal_reason="observed association is not positive")
+
+
 def _oracle(ctx: ProviderContext) -> Callable[[InstanceView], Verdict]:
     def provider(view: InstanceView) -> Verdict:
-        theta = ctx.theta_by_id[view.id]
-        if theta > 0:
-            return Verdict(Decision.EXECUTE, rationale="planted effect is positive")
-        return Verdict(Decision.REJECT, refusal_reason="planted effect is not positive")
+        return _ORACLE_EXECUTE if ctx.theta_by_id[view.id] > 0 else _ORACLE_REJECT
 
     return provider
 
@@ -126,12 +139,11 @@ def _civex(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
 
 def _without_experiments(cfg: VerifierConfig, refusal: str) -> Callable[[InstanceView], Verdict]:
     """CIVeX with experimentation disabled: rule 4's EXPERIMENT becomes ABSTAIN."""
+    abstain = Verdict(Decision.ABSTAIN, rule_fired=4, refusal_reason=refusal)
 
     def provider(view: InstanceView) -> Verdict:
         v = triage(view.frame, view.graphs, view.data, cfg)
-        if v.decision is Decision.EXPERIMENT:
-            return Verdict(Decision.ABSTAIN, rule_fired=4, refusal_reason=refusal)
-        return v
+        return abstain if v.decision is Decision.EXPERIMENT else v
 
     return provider
 
@@ -149,11 +161,7 @@ def _context_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
                                   treatment_col=t_col, outcome_col=y_col)
         except (EstimationError, FrameError) as exc:
             return Verdict(Decision.REJECT, refusal_reason=f"estimation failure: {exc}")
-        if est.lcb >= cfg.tau_u:
-            return Verdict(Decision.EXECUTE,
-                           rationale="covariate-adjusted bound clears the threshold")
-        return Verdict(Decision.REJECT,
-                       refusal_reason="covariate-adjusted bound below the threshold")
+        return _ADJUSTED_EXECUTE if est.lcb >= cfg.tau_u else _ADJUSTED_REJECT
 
     return provider
 
@@ -168,26 +176,24 @@ def _observational_association(ctx: ProviderContext,
             estimates[key] = unadjusted_difference(frame, cfg.alpha)
         except EstimationError:
             continue
+    execute = Verdict(Decision.EXECUTE,
+                      rationale=f"positive association with a bound at or above "
+                                f"the utility threshold {cfg.tau_u:.6g}")
+    abstain = Verdict(Decision.ABSTAIN,
+                      refusal_reason=f"association is not positive or its bound is "
+                                     f"below the utility threshold {cfg.tau_u:.6g}")
 
     def provider(view: InstanceView) -> Verdict:
         est = estimates.get((view.id.seed, view.id.regime, view.id.family))
         if est is None:
-            return Verdict(Decision.ABSTAIN,
-                           refusal_reason="no pooled association available")
-        if est.theta_hat > 0 and est.lcb >= cfg.tau_u:
-            return Verdict(Decision.EXECUTE,
-                           rationale=f"positive association with a bound at or above "
-                                     f"the utility threshold {cfg.tau_u:.6g}")
-        return Verdict(Decision.ABSTAIN,
-                       refusal_reason=f"association is not positive or its bound is "
-                                      f"below the utility threshold {cfg.tau_u:.6g}")
+            return _NO_POOLED_ASSOCIATION
+        return execute if est.theta_hat > 0 and est.lcb >= cfg.tau_u else abstain
 
     return provider
 
 
 def _always_abstain(view: InstanceView) -> Verdict:
-    return Verdict(Decision.ABSTAIN,
-                   refusal_reason="refuses every state-changing action")
+    return _ABSTAIN_ALWAYS
 
 
 def _policy_gate(view: InstanceView) -> Verdict:
@@ -197,17 +203,17 @@ def _policy_gate(view: InstanceView) -> Verdict:
                                     outcome_col=view.frame.utility_variable)
     except (EstimationError, FrameError) as exc:
         return Verdict(Decision.REJECT, refusal_reason=f"estimation failure: {exc}")
-    if est.theta_hat > 0:
-        return Verdict(Decision.EXECUTE, rationale="observed association is positive")
-    return Verdict(Decision.REJECT, refusal_reason="observed association is not positive")
+    return _POLICY_EXECUTE if est.theta_hat > 0 else _POLICY_REJECT
 
 
 def _forbidden_list_gate(rationale: str, cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
+    allow = Verdict(Decision.EXECUTE, rationale=rationale)
+
     def provider(view: InstanceView) -> Verdict:
         if view.frame.tool in cfg.forbidden_tools:
             return Verdict(Decision.REJECT,
                            refusal_reason=f"tool '{view.frame.tool}' is on the forbidden list")
-        return Verdict(Decision.EXECUTE, rationale=rationale)
+        return allow
 
     return provider
 

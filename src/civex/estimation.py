@@ -22,10 +22,10 @@ entries that the column stays, and ``np.var`` runs only when that proof
 fails: the decision is the one ``np.var`` gives.  The entries are Python
 floats, so an overflowing difference is ``inf`` and not a numpy warning
 (the column stays, as it does when ``np.var`` overflows to inf or NaN), and
-a NaN fails the proof.  The rank test compares the squared diagonal of the
-Cholesky factor with the largest diagonal of X'X as Python floats: numpy's
-``x ** 2`` is ``x * x``, and a diagonal of sums of squares of finite data
-holds no NaN, so the comparison is the same.
+a NaN fails the proof.  The rank test compares each squared diagonal entry
+of the Cholesky factor with the same column's diagonal entry of X'X as
+Python floats, which is the comparison numpy makes (``x ** 2`` is
+``x * x``).
 
 The fit calls LAPACK through numpy's own gufuncs (``cholesky_lo`` for the
 rank test, ``lstsq`` and ``inv`` from ``numpy.linalg._umath_linalg``) with
@@ -61,8 +61,10 @@ __all__ = [
     "one_sided_z",
 ]
 
-# Rank detection: an elimination pivot below this multiple of the largest
-# diagonal of X'X marks the design singular.
+# Rank detection: an elimination pivot below this multiple of its own
+# column's diagonal of X'X marks the design singular.  Their ratio is
+# 1 - R**2 of that column on the columns before it, which no column's scale
+# changes.
 _PIVOT_RTOL = 1e-10
 _ZERO_VARIANCE_ATOL = 1e-24
 _EPS = float(np.finfo(np.float64).eps)
@@ -149,7 +151,7 @@ def one_sided_z(alpha: float) -> float:
     return _ndtri(1.0 - alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EffectEstimate:
     theta_hat: float
     std_err: float
@@ -176,12 +178,11 @@ def _pivot_rank_ok(xtx: np.ndarray) -> bool:
     # normal matrix are the squared diagonal of its Cholesky factor; a
     # failed factorization is all NaN, so no pivot clears the tolerance.
     # The diagonals are compared as Python floats: ``p * p`` is the
-    # ``p ** 2`` numpy computes, and the diagonal of X'X, a sum of squares,
-    # holds no NaN for ``max`` to order differently from ``ndarray.max``.
-    tol = _PIVOT_RTOL * max(xtx.diagonal().tolist())
+    # ``p ** 2`` numpy computes.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         chol = _lapack.cholesky_lo(xtx, signature="d->d")
-    return all(p * p > tol for p in chol.diagonal().tolist())
+    return all(p * p > _PIVOT_RTOL * d
+               for p, d in zip(chol.diagonal().tolist(), xtx.diagonal().tolist()))
 
 
 def _zero_variance(col: np.ndarray) -> bool:
@@ -199,11 +200,16 @@ def _zero_variance(col: np.ndarray) -> bool:
 def _fits(d: Frame) -> dict:
     """Successful fits on ``d``, keyed by the kind and the arguments of the fit.
 
-    Kept on the frame, like its digest, because the frame is immutable.  Only
-    a fit that raised nothing and dropped no column is kept, so an error is
-    raised, and a dropped column warned about, on every call.
+    Kept in the frame's declared ``_fits`` field, made on the first fit, like
+    its digest, because the frame is immutable.  Only a fit that raised
+    nothing and dropped no column is kept, so an error is raised, and a
+    dropped column warned about, on every call.
     """
-    return d.__dict__.setdefault("_fits", {})
+    fits = d._fits
+    if fits is None:
+        fits = {}
+        object.__setattr__(d, "_fits", fits)
+    return fits
 
 
 def _design(n: int, *cols: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ MISSED_OPPORTUNITY = "missed_opportunity"
 _TERMINAL = (Decision.EXECUTE, Decision.REJECT, Decision.ABSTAIN)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreWeights:
     w_miss: float = setting(0.3, NUMBER, "a finite number >= 0", lambda x: 0 <= x < math.inf)
     c_exp: float = setting(0.05, NUMBER, "a finite number >= 0", lambda x: 0 <= x < math.inf)
@@ -63,7 +63,7 @@ class ScoreWeights:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreRecord:
     instance_id: InstanceId
     method: str
@@ -116,7 +116,7 @@ def bootstrap_ci(values: Sequence[float]) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegimeDiagnostics:
     """Observational association statistics recorded per regime."""
 
@@ -154,7 +154,7 @@ def observational_diagnostics(instances: Sequence[ScmInstance]) -> RegimeDiagnos
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodSummary:
     method: str
     regime: str

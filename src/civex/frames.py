@@ -80,10 +80,15 @@ def _str_cast(fields: list[str]) -> np.ndarray:
         raise FrameError(f"unparseable value: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     columns: tuple[str, ...]
     data: np.ndarray = field(compare=False)
+    # Facts computed once, on first use: the digest (``sha256``) and the
+    # fits (``estimation._fits``).  They follow from the bits, so they are
+    # no part of equality, the hash or the repr.
+    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
+    _fits: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # The caller keeps its array and may change it, so the frame holds a copy.
@@ -100,8 +105,16 @@ class Frame:
         """
         frame = object.__new__(cls)
         object.__setattr__(frame, "columns", columns)
+        object.__setattr__(frame, "_sha256", None)
+        object.__setattr__(frame, "_fits", None)
         frame._own(data, finite=finite)
         return frame
+
+    def __reduce__(self):
+        # A copy or an unpickled frame is built by the constructor, so its
+        # checks run again and its array is read-only: numpy unpickles a
+        # writeable array, which would no longer match a digest kept with it.
+        return type(self), (self.columns, self.data)
 
     def _own(self, arr: np.ndarray, *, finite: bool) -> None:
         if arr.ndim != 2:
@@ -183,11 +196,12 @@ class Frame:
     def sha256(self) -> str:
         """SHA-256 of ``canonical_bytes()``, lowercase hex.
 
-        Computed on first use and kept on the frame.  Only the digest is
-        kept, never the bytes: a run certifies hundreds of frames, and their
-        text would dominate the process's memory.
+        Computed on first use and kept in the frame's declared ``_sha256``
+        field.  Only the digest is kept, never the bytes: a run certifies
+        hundreds of frames, and their text would dominate the process's
+        memory.
         """
-        digest = self.__dict__.get("_sha256")
+        digest = self._sha256
         if digest is None:
             digest = hashlib.sha256(self.canonical_bytes()).hexdigest()
             object.__setattr__(self, "_sha256", digest)

@@ -53,7 +53,7 @@ def _normalize_pair(pair: Iterable[str]) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CausalGraph:
     """Directed acyclic graph with bidirected latent-confounding edges."""
 
@@ -109,7 +109,7 @@ class IdentificationKind(str, Enum):
     NOT_IDENTIFIED = "not_identified"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentificationResult:
     """Outcome of an identification query, with a short machine-checkable note."""
 

@@ -69,6 +69,7 @@ from .verifier import (
     TwoStageResult,
     VerifierConfig,
     certificate_to_json_dict,
+    record_fields,
     run_two_stage,
 )
 
@@ -108,7 +109,7 @@ def _method_ids(methods: tuple[str, ...]) -> bool:
     return distinct(methods) and all(m in ALL_METHODS or is_replay(m) for m in methods)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunConfig:
     """A run's settings; the keys of ``RunConfig().to_json_dict()`` are its
     document's keys, in document order."""
@@ -179,7 +180,7 @@ def evaluate_instances(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     config: RunConfig
     instances: list[ScmInstance]
@@ -259,7 +260,7 @@ def run_benchmark(config: RunConfig) -> RunResult:
 # ---------------------------------------------------------------- sweeps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One method's summary for one regime at one grid point."""
 
@@ -468,7 +469,7 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
         # fields, which tells -0.0 from 0.0 where ``==`` does not.
         encoded: dict[str, str] = {}
         for method, cert in certs:
-            key = repr({**vars(cert), "graph": graph_digest(cert.graph)})
+            key = repr({**record_fields(cert), "graph": graph_digest(cert.graph)})
             text = encoded.get(key)
             if text is None:
                 text = json.dumps(certificate_to_json_dict(cert), sort_keys=True, indent=1)

@@ -139,7 +139,7 @@ OUTCOME_NODE = "Y"
 _SHAPE_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConfounderSpec:
     name: str
     mean: float
@@ -149,7 +149,7 @@ class ConfounderSpec:
     hidden: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScmSpec:
     family: str
     theta: float
@@ -177,7 +177,7 @@ class ScmSpec:
         return tuple(c for c in self.confounders if c.hidden)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ActionFrame:
     tool: str
     target_variable: str
@@ -217,7 +217,7 @@ class ActionFrame:
         return None
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class InstanceId:
     seed: int
     regime: str
@@ -228,7 +228,7 @@ class InstanceId:
         return f"s{self.seed}-{self.regime}-{self.family}-{self.index:04d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScmInstance:
     id: InstanceId
     frame: ActionFrame
@@ -239,7 +239,7 @@ class ScmInstance:
     safe_experiment_available: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkSpec:
     seeds: tuple[int, ...] = setting((42, 43, 44, 45, 46, 47, 48), INTS,
                                      "a non-empty list of distinct integers", distinct)
@@ -564,7 +564,7 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CounterbalanceReport:
     """Realized harmful fractions, aggregated and per seed."""
 

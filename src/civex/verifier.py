@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Callable, Mapping, Sequence
 
@@ -69,6 +69,7 @@ __all__ = [
     "certificate_to_json_dict",
     "certificate_from_json_dict",
     "verify_certificate",
+    "record_fields",
 ]
 
 ASSUMPTION_LABELS = ("A1", "A2", "A3", "A4")
@@ -81,7 +82,7 @@ class Decision(str, Enum):
     ABSTAIN = "ABSTAIN"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifierConfig:
     alpha: float = setting(0.05, NUMBER, "a number in (0, 1)", lambda x: 0 < x < 1)
     tau_u: float = setting(0.0, NUMBER, "a non-NaN number", lambda x: -math.inf <= x <= math.inf)
@@ -92,7 +93,7 @@ class VerifierConfig:
     __post_init__ = check_fields
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     graph: CausalGraph
     graph_sha256: str
@@ -107,7 +108,7 @@ class Certificate:
     risk: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     decision: Decision
     rule_fired: int | None = None
@@ -120,7 +121,7 @@ class Verdict:
             object.__setattr__(self, "refusal_reason", "unspecified refusal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceView:
     """What a verdict provider is allowed to see.
 
@@ -136,6 +137,24 @@ class InstanceView:
 
 
 VerdictProvider = Callable[[InstanceView], Verdict]
+
+# Verdicts whose every field is fixed are made once and shared by every call
+# that returns them; a verdict with per-call text or a certificate is made
+# per call.
+_PASS_THROUGH = Verdict(Decision.EXECUTE, rule_fired=1,
+                        rationale="non-interventional action; no causal claim to certify")
+_EXPERIMENT = Verdict(Decision.EXPERIMENT, rule_fired=4,
+                      refusal_reason="effect not identifiable under the committed graph; "
+                                     "reversible action within the risk budget")
+_NO_SAFE_EXPERIMENT = Verdict(
+    Decision.ABSTAIN, rule_fired=4,
+    refusal_reason="effect not identifiable and no safe experiment is admissible")
+_EXPERIMENT_UNAVAILABLE = Verdict(
+    Decision.ABSTAIN, rule_fired=4,
+    refusal_reason="experiment requested but no safe experiment is available")
+_EXPERIMENT_LOOP = Verdict(
+    Decision.ABSTAIN, rule_fired=4,
+    refusal_reason="experiment loop did not terminate after one stage")
 
 
 def make_view(inst: ScmInstance) -> InstanceView:
@@ -291,8 +310,7 @@ def triage(
         return Verdict(Decision.REJECT, rule_fired=1,
                        refusal_reason=f"tool '{frame.tool}' is in a forbidden risk class")
     if not frame.interventional:
-        return Verdict(Decision.EXECUTE, rule_fired=1,
-                       rationale="non-interventional action; no causal claim to certify")
+        return _PASS_THROUGH
 
     # Rule 2: identification.
     proofs = [identify(g) for g in graphs]
@@ -301,18 +319,13 @@ def triage(
     # Rule 4: any unidentified graph dominates.
     if not_identified:
         if frame.cost <= cfg.tau_r and frame.reversible:
-            return Verdict(
-                Decision.EXPERIMENT, rule_fired=4,
-                refusal_reason="effect not identifiable under the committed graph; "
-                               "reversible action within the risk budget")
-        return Verdict(
-            Decision.ABSTAIN, rule_fired=4,
-            refusal_reason="effect not identifiable and no safe experiment is admissible")
+            return _EXPERIMENT
+        return _NO_SAFE_EXPERIMENT
 
     return certify(frame, graphs, proofs, d, cfg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoStageResult:
     trace: tuple[Verdict, ...]
 
@@ -343,9 +356,7 @@ def run_two_stage(
     if v1.decision is not Decision.EXPERIMENT:
         return TwoStageResult((v1,))
     if not inst.safe_experiment_available:
-        vt = Verdict(Decision.ABSTAIN, rule_fired=4,
-                     refusal_reason="experiment requested but no safe experiment is available")
-        return TwoStageResult((v1, vt))
+        return TwoStageResult((v1, _EXPERIMENT_UNAVAILABLE))
     view2 = InstanceView(
         id=inst.id,
         frame=inst.frame,
@@ -354,17 +365,21 @@ def run_two_stage(
     )
     v2 = decide(view2)
     if v2.decision is Decision.EXPERIMENT:
-        v2 = Verdict(Decision.ABSTAIN, rule_fired=4,
-                     refusal_reason="experiment loop did not terminate after one stage")
+        v2 = _EXPERIMENT_LOOP
     return TwoStageResult((v1, v2))
+
+
+def record_fields(record) -> dict:
+    """A dataclass record's fields by name, in declaration order."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:
     """The certificate's and its proof's own fields, in JSON form."""
     proof = cert.proof
-    return {**vars(cert), "graph": graph_to_json_dict(cert.graph),
+    return {**record_fields(cert), "graph": graph_to_json_dict(cert.graph),
             "assumptions": list(cert.assumptions),
-            "proof": {**vars(proof), "kind": proof.kind.value,
+            "proof": {**record_fields(proof), "kind": proof.kind.value,
                       "adjustment_set": list(proof.adjustment_set),
                       "mediator_set": list(proof.mediator_set)}}
 

@@ -199,28 +199,27 @@ def normal_equations_ols(design: np.ndarray, y: np.ndarray):
 
 def elimination_rank_ok(xtx: np.ndarray, rtol: float) -> bool:
     """Gaussian elimination without pivoting on the normal matrix: every
-    pivot must exceed ``rtol`` times the largest diagonal entry."""
+    pivot must exceed ``rtol`` times its own column's diagonal entry."""
     a = xtx.astype(np.float64).copy()
-    tol = rtol * float(np.max(np.diag(xtx)))
     k = a.shape[0]
     for i in range(k):
         pivot = a[i, i]
-        if pivot <= tol:
+        if not pivot > rtol * xtx[i, i]:  # a NaN pivot fails too
             return False
-        a[i + 1 :, i:] -= np.outer(a[i + 1 :, i] / pivot, a[i, i:])
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf entry ends in NaN
+            a[i + 1 :, i:] -= np.outer(a[i + 1 :, i] / pivot, a[i, i:])
     return True
 
 
 def numpy_pivot_rank_ok(xtx: np.ndarray, rtol: float) -> bool:
     """The Cholesky rank test as numpy array operations: every squared
-    diagonal entry of the factor must exceed ``rtol`` times the largest
-    diagonal entry of ``xtx``."""
-    tol = rtol * float(xtx.diagonal().max())
+    diagonal entry of the factor must exceed ``rtol`` times the same
+    column's diagonal entry of ``xtx``."""
     try:
         chol = np.linalg.cholesky(xtx)
     except np.linalg.LinAlgError:
         return False
-    return bool((chol.diagonal() ** 2 > tol).all())
+    return bool((chol.diagonal() ** 2 > rtol * xtx.diagonal()).all())
 
 
 def linalg_ols_theta(y: np.ndarray, design: np.ndarray, coef_index: int, alpha: float,

@@ -119,6 +119,24 @@ class TestAdjustedEffect:
         with pytest.raises(EstimationError, match="singular"):
             adjusted_effect(frame, ["x1", "x2"])
 
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6])
+    def test_rank_test_does_not_depend_on_a_columns_units(self, scale):
+        # Each pivot is compared with its own column's diagonal of X'X, so a
+        # full-rank covariate fits whatever its units, though its diagonal
+        # is about 1e-10 and 1e-12 of the intercept's at these scales.
+        rng = np.random.default_rng(3)
+        t = (rng.random(400) < 0.5).astype(float)
+        x = rng.normal(size=400)
+        y = 2.0 * t + x + rng.normal(size=400)
+        unit = adjusted_effect(make_frame(t, y, [("x", x)]), ["x"])
+        small = adjusted_effect(make_frame(t, y, [("x", x * scale)]), ["x"])
+        assert small.adjustment_set == ("x",)
+        assert small.theta_hat == pytest.approx(unit.theta_hat, rel=1e-9)
+        assert small.std_err == pytest.approx(unit.std_err, rel=1e-9)
+        frame = make_frame(t, y, [("x", x * scale), ("twin", x * (2.0 * scale))])
+        with pytest.raises(EstimationError, match="singular design matrix"):
+            adjusted_effect(frame, ["x", "twin"])
+
     def test_too_few_rows(self):
         frame = make_frame(np.array([1.0, 0.0, 1.0]), np.zeros(3),
                            [("x1", np.arange(3.0))])
