@@ -209,18 +209,24 @@ def report(run_dir) -> None:
     click.echo(f"wrote {path}")
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise click.ClickException(f"cannot read {path}: {exc}")
+
+
 @main.command("verify-cert")
 @click.argument("cert_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data_path", type=click.Path(exists=True, dir_okay=False))
 def verify_cert(cert_path, data_path) -> None:
     """Replay a stored certificate against stored data; exit 0 on exact match."""
+    blob, data = _read_bytes(cert_path), _read_bytes(data_path)
     try:
-        cert = certificate_from_json_dict(
-            json.loads(Path(cert_path).read_text(encoding="utf-8"))
-        )
+        cert = certificate_from_json_dict(json.loads(blob.decode("utf-8")))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(f"cannot parse certificate: {exc}")
-    mismatches = verify_certificate(cert, Path(data_path).read_bytes())
+    mismatches = verify_certificate(cert, data)
     if mismatches:
         click.echo(f"certificate mismatch: {', '.join(mismatches)}")
         sys.exit(1)

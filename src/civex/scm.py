@@ -9,7 +9,10 @@ over standardized confounders u~_i, plants a signed effect theta, and emits
 a committed graph, an observational frame, and a paired frame with randomly
 assigned treatment.  Hidden confounders drive T and Y but are never emitted
 as columns; their presence surfaces only as a bidirected treatment-outcome
-edge in the committed graph.
+edge in the committed graph.  The paired frame is drawn with the instance
+only when its action is reversible, the one case in which the gate can run
+the experiment; any other instance draws it on first use, from the same
+stream (``ScmInstance.experimental``).
 
 Two regimes:
 
@@ -27,8 +30,11 @@ keyed by a 64-bit hash of (seed, regime, family, index), so generation order
 cannot change results.  A build re-keys one generator of its own per
 instance, to the state a fresh ``instance_rng`` stream starts in, and draws
 each fixed-length run of uniforms with one call; the numbers and their order
-are those of one scalar call per value.  Instances of one shape share their
-committed graph and action frame, which are immutable.
+are those of one scalar call per value.  The paired frame is the last draw
+on the stream, so an instance that defers it replays the stream under the
+``BenchmarkSpec`` it was built with and draws the same bits.  Instances of
+one shape share their committed graph and action frame, which are
+immutable.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -230,13 +236,38 @@ class InstanceId:
 
 @dataclass(frozen=True, slots=True)
 class ScmInstance:
+    """One benchmark instance: the action, its committed graph, the SCM and
+    its data.
+
+    ``experimental``, the paired randomized frame, is drawn with the
+    instance only where a safe experiment is available: elsewhere the gate
+    abstains without reading it.  An instance without one draws it on first
+    use by replaying its keyed stream under ``_bspec``, the ``BenchmarkSpec``
+    it was drawn with; the frame is the stream's last draw, so the replay
+    gives the bits an eager draw would.  Like a frame's digest, it follows from the
+    other fields, so neither it nor ``_bspec`` is part of equality, the hash
+    or the repr.
+    """
+
     id: InstanceId
     frame: ActionFrame
     graph: CausalGraph
     spec: ScmSpec
     observational: Frame
-    experimental: Frame
     safe_experiment_available: bool
+    _bspec: BenchmarkSpec = field(repr=False, compare=False)
+    _experimental: Frame | None = field(repr=False, compare=False)
+
+    @property
+    def experimental(self) -> Frame:
+        frame = self._experimental
+        if frame is None:
+            i = self.id
+            rng = instance_rng(i.seed, i.regime, i.family, i.index)
+            replay = _sample(i, self._bspec, rng)
+            frame = _trial_frame(replay.spec, self._bspec, rng)
+            object.__setattr__(self, "_experimental", frame)
+        return frame
 
 
 @dataclass(frozen=True, slots=True)
@@ -551,7 +582,6 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
 
     reversible = bool(rng.random() < bspec.reversible_fraction)
     observational = generate_frame(spec, bspec.n_rows, randomize_treatment=False, rng=rng)
-    experimental = generate_frame(spec, bspec.n_rows, randomize_treatment=True, rng=rng)
     return ScmInstance(
         id=inst_id,
         frame=_action_frame(family, bspec.action_cost, reversible),
@@ -559,9 +589,17 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
                                bool(spec.hidden_confounders)),
         spec=spec,
         observational=observational,
-        experimental=experimental,
         safe_experiment_available=reversible,
+        _bspec=bspec,
+        # Only a reversible action can run the trial; the others draw it on
+        # first use (``ScmInstance.experimental``).
+        _experimental=_trial_frame(spec, bspec, rng) if reversible else None,
     )
+
+
+def _trial_frame(spec: ScmSpec, bspec: BenchmarkSpec, rng: np.random.Generator) -> Frame:
+    """The randomized trial frame, the last draw on an instance's stream."""
+    return generate_frame(spec, bspec.n_rows, randomize_treatment=True, rng=rng)
 
 
 @dataclass(frozen=True, slots=True)

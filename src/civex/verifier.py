@@ -11,9 +11,9 @@ Rules, in order:
    not-identified.
 3. Certified execution - when every graph is identified, estimate the effect
    under each graph, take the minimum (worst-case) lower confidence bound,
-   and execute only if every estimate is finite, the bound clears the utility
-   threshold and the action cost stays inside the risk budget.  Execution
-   carries a certificate.
+   and execute only if every estimate is finite and rests on enough residual
+   degrees of freedom, the bound clears the utility threshold and the action
+   cost stays inside the risk budget.  Execution carries a certificate.
 4. Bounded-risk experimentation - any not-identified graph routes to
    EXPERIMENT when the action is reversible and affordable, else ABSTAIN.
 
@@ -73,6 +73,12 @@ __all__ = [
 ]
 
 ASSUMPTION_LABELS = ("A1", "A2", "A3", "A4")
+
+# The bound takes the normal quantile, but an estimate's error has a t
+# distribution's heavier tail, which at few residual degrees of freedom
+# misses the effect more often than alpha allows.  32 is the least dof at
+# which P(t_dof >= z_0.05) stays within 1.1 * 0.05; rule 3 abstains below it.
+MIN_RESIDUAL_DOF = 32
 
 
 class Decision(str, Enum):
@@ -261,8 +267,9 @@ def certify(
     ``proofs`` holds one identification result per graph; an unidentified one
     ends in ABSTAIN.  The effect is estimated under each graph, and the action
     executes, with a certificate for the graph whose lower bound is smallest
-    (the first on ties), only when every estimate is finite, that bound clears
-    ``tau_u`` and the cost stays within ``tau_r``.
+    (the first on ties), only when every estimate has at least
+    ``MIN_RESIDUAL_DOF`` residual degrees of freedom and is finite, that
+    bound clears ``tau_u`` and the cost stays within ``tau_r``.
     """
     estimates: list[EffectEstimate] = []
     try:
@@ -272,6 +279,14 @@ def certify(
     except (EstimationError, FrameError) as exc:
         return Verdict(Decision.ABSTAIN, rule_fired=3,
                        refusal_reason=f"estimation failure: {exc}")
+    # Rows less the intercept, the treatment and the adjustment columns (the
+    # mediator, for a frontdoor fit's outcome stage).
+    dof = min(e.n - 2 - len(e.adjustment_set) for e in estimates)
+    if dof < MIN_RESIDUAL_DOF:
+        return Verdict(Decision.ABSTAIN, rule_fired=3,
+                       refusal_reason=f"too few residual degrees of freedom: {dof} is below "
+                                      f"{MIN_RESIDUAL_DOF}, the least a normal-quantile "
+                                      f"bound is trusted at")
     if not all(math.isfinite(x) for e in estimates
                for x in (e.theta_hat, e.std_err, e.lcb)):
         return Verdict(Decision.ABSTAIN, rule_fired=3,

@@ -195,21 +195,28 @@ class TestRunCommand:
     @pytest.mark.parametrize("n_rows", [2, 3])
     def test_smallest_frames_run_to_the_end(self, tmp_path, n_rows):
         # A pooled-variance difference needs three rows, so at two no instance
-        # has one: the regime diagnostics are NaN rather than a traceback, and
-        # no estimate can certify an execution.
+        # has one: the regime diagnostics are NaN rather than a traceback.  At
+        # either size no estimate has the residual degrees of freedom to
+        # certify an execution, so the run passes its safety gate.
         cfg = write_config(tmp_path, "small", n_rows=n_rows)
         result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 0, result.output
         assert "verifier false executions" in result.output
         manifest = json.loads((tmp_path / "small" / "manifest.json").read_text(encoding="utf-8"))
         summary = (tmp_path / "small" / "summary_moderate.csv").read_text(encoding="utf-8")
+        assert manifest["civex_false_executions"] == 0
         if n_rows == 2:
-            assert result.exit_code == 0, result.output
-            assert manifest["civex_false_executions"] == 0
             assert all(math.isnan(v) for v in manifest["diagnostics"]["moderate"].values())
             assert summary.splitlines()[1].endswith(",nan,nan,nan")
         else:
             assert all(math.isfinite(v) for v in manifest["diagnostics"]["moderate"].values())
+
+    @pytest.mark.parametrize("n_rows", [3, 4, 5, 6, 8])
+    def test_civex_never_executes_falsely_on_few_rows(self, n_rows):
+        # A normal-quantile bound on a handful of rows misses far more often
+        # than alpha allows, so rule 3 must abstain rather than certify.
+        run = run_benchmark(RunConfig(bench=BenchmarkSpec(n_rows=n_rows), methods=("CIVeX",)))
+        assert run.false_executions("CIVeX") == 0
 
     @pytest.mark.parametrize("command, base", [
         (["generate"], ONE_PER_FAMILY),
@@ -457,6 +464,27 @@ class TestVerifyCertCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "cannot parse certificate" in result.output
+
+    @pytest.mark.parametrize("unreadable", ["cert", "data"])
+    def test_unreadable_file_is_a_clean_error(self, tmp_path, monkeypatch, unreadable):
+        # Root reads a file whatever its mode, so the read itself is refused.
+        paths = {"cert": tmp_path / "c.cert.json", "data": tmp_path / "c.data.txt"}
+        for path in paths.values():
+            path.write_bytes(b"{}")
+        read_bytes = Path.read_bytes
+
+        def refuse(path):
+            if path == paths[unreadable]:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", refuse)
+        result = CliRunner().invoke(main, ["verify-cert", str(paths["cert"]),
+                                           str(paths["data"])])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"cannot read {paths[unreadable]}" in result.output
+        assert "Permission denied" in result.output
 
 
 SHARD = ("seed,regime,family,index,stage1,terminal\n"

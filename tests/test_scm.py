@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import pickle
 import sys
 import threading
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 
 from civex.estimation import adjusted_effect, unadjusted_difference
 from civex.frames import FrameError
+from civex.runner import misspecify_instance
 from civex.scm import (
     ADVERSARIAL,
     FAMILIES,
@@ -450,3 +452,96 @@ class TestConcurrentBuilds:
         for inst in built[0]:
             assert inst == sample_instance(inst.id.family, inst.id.regime, inst.id.index,
                                            seed=inst.id.seed, bspec=spec)
+
+
+class TestTrialFrameOnDemand:
+    """An instance without a safe experiment draws its trial frame on first use."""
+
+    @staticmethod
+    def _undrawn(spec=SMALL):
+        instances, _ = build_benchmark(spec)
+        assert all((i._experimental is None) != i.safe_experiment_available
+                   for i in instances)
+        inst = next(i for i in instances if not i.safe_experiment_available)
+        assert inst._experimental is None
+        return inst
+
+    @staticmethod
+    def _eager(inst, spec=SMALL):
+        """The same instance drawn where every action is reversible: only that
+        comparison differs, so every draw is the same, and the trial frame is
+        drawn with the instance."""
+        eager = sample_instance(inst.id.family, inst.id.regime, inst.id.index,
+                                seed=inst.id.seed, bspec=replace(spec, reversible_fraction=1.0))
+        assert eager._experimental is not None
+        assert eager.observational == inst.observational
+        return eager._experimental
+
+    def test_only_safe_experiments_hold_a_drawn_frame(self):
+        self._undrawn()
+        for reversible_fraction in (0.0, 1.0):
+            inst = sample_instance("cache_operation", MODERATE, 3, seed=42,
+                                   bspec=replace(SMALL, reversible_fraction=reversible_fraction))
+            assert (inst._experimental is None) == (reversible_fraction == 0.0)
+
+    def test_first_use_draws_the_eager_frame(self):
+        inst = self._undrawn()
+        eager = self._eager(inst)
+        frame = inst.experimental
+        assert frame == eager
+        assert frame.canonical_bytes() == eager.canonical_bytes()
+        assert inst._experimental is frame
+        assert inst.experimental is frame
+
+    def test_equality_hash_and_repr_do_not_change_on_first_use(self):
+        inst = self._undrawn()
+        twin = sample_instance(inst.id.family, inst.id.regime, inst.id.index,
+                               seed=inst.id.seed, bspec=SMALL)
+        before = hash(inst), repr(inst)
+        inst.experimental
+        assert twin._experimental is None
+        assert inst == twin
+        assert (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
+
+    def test_pickle_round_trip_before_and_after_first_use(self):
+        inst = self._undrawn()
+        eager = self._eager(inst)
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy._experimental is None
+        assert copy == inst
+        assert copy.experimental == eager
+        inst.experimental
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy._experimental is not None
+        assert copy._experimental.canonical_bytes() == eager.canonical_bytes()
+
+    def test_concurrent_first_uses_agree(self):
+        inst = self._undrawn()
+        expected = self._eager(inst).canonical_bytes()
+        start = threading.Barrier(4)
+        drawn = [None] * 4
+
+        def draw(slot):
+            start.wait(timeout=30)
+            drawn[slot] = inst.experimental.canonical_bytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert drawn == [expected] * 4
+
+    def test_misspecified_instance_keeps_what_redraws_the_frame(self):
+        spec = replace(SMALL, latent_fraction_moderate=0.0)
+        inst = self._undrawn(spec)
+        relabeled = misspecify_instance(inst, 1.0)
+        assert relabeled.graph != inst.graph
+        assert relabeled._experimental is None
+        assert relabeled.experimental == self._eager(inst, spec)

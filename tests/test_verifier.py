@@ -195,6 +195,47 @@ class TestRuleThree:
         v = triage(worked_frame(), [worked_graph()], no_wv, CFG)
         assert v.decision is Decision.ABSTAIN
 
+    def test_least_residual_dof_is_where_the_t_tail_nears_alpha(self):
+        from scipy import stats
+
+        z = stats.norm.isf(0.05)
+        least = next(dof for dof in range(1, 1000) if stats.t.sf(z, dof) <= 1.1 * 0.05)
+        assert verifier.MIN_RESIDUAL_DOF == least
+
+    @staticmethod
+    def _assert_needs_least_dof(v, spare):
+        if spare < 0:
+            assert v.decision is Decision.ABSTAIN
+            assert v.rule_fired == 3
+            assert v.refusal_reason.startswith(
+                f"too few residual degrees of freedom: {verifier.MIN_RESIDUAL_DOF - 1} ")
+        else:
+            assert v.decision is Decision.EXECUTE, v.refusal_reason
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_backdoor_bound_needs_enough_residual_dof(self, spare):
+        # The intercept, the treatment and two adjustment columns leave n - 4.
+        data = worked_data(theta=6.0, n=verifier.MIN_RESIDUAL_DOF + 4 + spare)
+        self._assert_needs_least_dof(triage(worked_frame(), [worked_graph()], data, CFG),
+                                     spare)
+
+    @pytest.mark.parametrize("spare", [-1, 0])
+    def test_frontdoor_bound_needs_enough_residual_dof(self, spare):
+        # The outcome stage's intercept, mediator and treatment leave n - 3.
+        n = verifier.MIN_RESIDUAL_DOF + 3 + spare
+        g = CausalGraph.create(["T", "M", "Y"], [("T", "M"), ("M", "Y")],
+                               bidirected=[("T", "Y")])
+        assert identify(g).kind is IdentificationKind.FRONTDOOR
+        rng = np.random.default_rng(4)
+        u = rng.normal(size=n)
+        t = (rng.random(n) < 1 / (1 + np.exp(-u))).astype(float)
+        m = 2.0 * t + 0.3 * rng.normal(size=n)
+        y = 2.0 * m + u + 0.3 * rng.normal(size=n)
+        data = Frame.from_columns([("T", t), ("Y", y), ("M", m)])
+        frame = ActionFrame(tool="x", target_variable="T", target_value=1.0,
+                            utility_variable="Y", cost=0.05, reversible=True)
+        self._assert_needs_least_dof(triage(frame, [g], data, CFG), spare)
+
 
 class TestRuleFour:
     def _latent_graph(self):
