@@ -223,17 +223,20 @@ def _design(n: int, *cols: np.ndarray) -> np.ndarray:
 
 def _ols_theta(y: np.ndarray, design: np.ndarray, coef_index: int, alpha: float,
                n: int, adjustment_set: tuple[str, ...]) -> EffectEstimate:
-    xtx = design.T @ design
-    if not _pivot_rank_ok(xtx):
-        raise EstimationError("singular design matrix")
     p = design.shape[1]
+    # Data near the float maximum overflow the products; the estimate is then
+    # not finite, and the gate refuses it.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        xtx = design.T @ design
+        if not _pivot_rank_ok(xtx):
+            raise EstimationError("singular design matrix")
         solution = _lapack.lstsq(design, y[:, None], _EPS * max(n, p),
                                  signature="ddd->ddid")[0]
         xtx_inv = _lapack.inv(xtx, signature="d->d")
-    beta = solution[:, 0]
-    resid = y - design @ beta
-    sigma2 = max(float(resid @ resid), 0.0) / (n - p)
+        beta = solution[:, 0]
+        resid = y - design @ beta
+        rss = float(resid @ resid)
+    sigma2 = max(rss, 0.0) / (n - p)
     # Only one entry of the covariance sigma2 * inv(X'X) is needed.
     var = max(sigma2 * float(xtx_inv[coef_index, coef_index]), 0.0)
     se = math.sqrt(var)
@@ -309,7 +312,8 @@ def unadjusted_difference(d: Frame, alpha: float = 0.05, *,
         raise EstimationError("need at least 3 rows for a pooled-variance difference")
     mean1, mean0 = y1.mean(), y0.mean()
     delta = float(mean1 - mean0)
-    rss = float(((y1 - mean1) ** 2).sum() + ((y0 - mean0) ** 2).sum())
+    with np.errstate(invalid="ignore", over="ignore"):  # as in ``_ols_theta``
+        rss = float(((y1 - mean1) ** 2).sum() + ((y0 - mean0) ** 2).sum())
     sigma2 = max(rss, 0.0) / (n1 + n0 - 2)
     se = float(np.sqrt(sigma2 * (1.0 / n1 + 1.0 / n0)))
     lcb = delta - one_sided_z(alpha) * se

@@ -39,6 +39,7 @@ __all__ = [
     "graph_to_json_dict",
     "graph_from_json_dict",
     "graph_digest",
+    "string_list",
 ]
 
 _LATENT_PREFIX = "__latent__"
@@ -48,14 +49,15 @@ class GraphError(ValueError):
     """Raised for malformed graphs or unknown node names."""
 
 
-def _normalize_pair(pair: Iterable[str]) -> tuple[str, str]:
-    a, b = pair
-    return (a, b) if a <= b else (b, a)
-
-
 @dataclass(frozen=True, slots=True)
 class CausalGraph:
-    """Directed acyclic graph with bidirected latent-confounding edges."""
+    """Directed acyclic graph with bidirected latent-confounding edges.
+
+    Nodes and edges may be given as any iterables; the constructor freezes
+    them, with each bidirected pair in name order, so every construction of
+    one graph (``create``, ``replace``, ``graph_from_json_dict``) gives one
+    record and one digest.
+    """
 
     nodes: frozenset[str]
     directed_edges: frozenset[tuple[str, str]]
@@ -63,22 +65,20 @@ class CausalGraph:
     treatment: str
     outcome: str
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        object.__setattr__(self, "directed_edges",
+                           frozenset((a, b) for a, b in self.directed_edges))
+        # Pairs are ordered by ``str``, which leaves a name as it is and still
+        # orders a non-string one; ``validate_graph`` then refuses it.
+        object.__setattr__(self, "bidirected_edges", frozenset(
+            (a, b) if str(a) <= str(b) else (b, a) for a, b in self.bidirected_edges))
+
     @classmethod
-    def create(
-        cls,
-        nodes: Iterable[str],
-        directed: Iterable[tuple[str, str]] = (),
-        bidirected: Iterable[tuple[str, str]] = (),
-        treatment: str = "T",
-        outcome: str = "Y",
-    ) -> "CausalGraph":
-        return cls(
-            nodes=frozenset(nodes),
-            directed_edges=frozenset((a, b) for a, b in directed),
-            bidirected_edges=frozenset(_normalize_pair(p) for p in bidirected),
-            treatment=treatment,
-            outcome=outcome,
-        )
+    def create(cls, nodes: Iterable[str], directed: Iterable[tuple[str, str]] = (),
+               bidirected: Iterable[tuple[str, str]] = (), treatment: str = "T",
+               outcome: str = "Y") -> "CausalGraph":
+        return cls(nodes, directed, bidirected, treatment, outcome)
 
     def parents(self, node: str) -> set[str]:
         return {a for a, b in self.directed_edges if b == node}
@@ -99,8 +99,8 @@ class CausalGraph:
 
     def without_directed_out_of(self, nodes: Iterable[str]) -> "CausalGraph":
         drop = set(nodes)
-        return replace(self, directed_edges=frozenset(
-            e for e in self.directed_edges if e[0] not in drop))
+        return replace(self, directed_edges=[e for e in self.directed_edges
+                                             if e[0] not in drop])
 
 
 class IdentificationKind(str, Enum):
@@ -133,6 +133,10 @@ def validate_graph(g: CausalGraph) -> str | None:
 
 
 def _violation(g: CausalGraph) -> str | None:
+    # The canonical JSON sorts node names, so each must be a string.
+    odd = sorted(repr(n) for n in g.nodes if not isinstance(n, str))
+    if odd:
+        return f"node name {odd[0]} is not a string"
     for a, b in g.directed_edges:
         if a not in g.nodes or b not in g.nodes:
             return f"directed edge ({a}, {b}) references an unknown node"
@@ -352,14 +356,11 @@ def relabel_latent(
         return g
     removed = set(rng.choice(listed, size=k, replace=False).tolist())
     return CausalGraph(
-        nodes=frozenset(g.nodes - removed),
-        directed_edges=frozenset(
-            e for e in g.directed_edges if e[0] not in removed and e[1] not in removed
-        ),
-        bidirected_edges=frozenset(
-            {*(p for p in g.bidirected_edges if not set(p) & removed),
-             _normalize_pair((g.treatment, g.outcome))}
-        ),
+        nodes=g.nodes - removed,
+        directed_edges=[e for e in g.directed_edges
+                        if e[0] not in removed and e[1] not in removed],
+        bidirected_edges=[*(p for p in g.bidirected_edges if not set(p) & removed),
+                          (g.treatment, g.outcome)],
         treatment=g.treatment,
         outcome=g.outcome,
     )
@@ -380,17 +381,18 @@ def graph_to_json_dict(g: CausalGraph) -> dict:
     }
 
 
-def _strings(value: object, what: str) -> list[str]:
+def string_list(value: object, what: str) -> list[str]:
+    """``value`` if it is a JSON array of strings, else a GraphError naming ``what``."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise GraphError(f"{what} must be a list of strings")
     return value
 
 
-def _edges(value: object, kind: str) -> list[tuple[str, ...]]:
+def _edges(value: object, kind: str) -> list[list[str]]:
     if not isinstance(value, list) or not all(isinstance(e, list) and len(e) == 2
                                               for e in value):
         raise GraphError(f"{kind} edges must be a list of node pairs")
-    return [tuple(_strings(e, f"each {kind} edge")) for e in value]
+    return [string_list(e, f"each {kind} edge") for e in value]
 
 
 def graph_from_json_dict(obj: Mapping) -> CausalGraph:
@@ -401,10 +403,10 @@ def graph_from_json_dict(obj: Mapping) -> CausalGraph:
     for role in ("treatment", "outcome"):
         if not isinstance(obj[role], str):
             raise GraphError(f"graph {role} must be a string")
-    return CausalGraph.create(
-        nodes=_strings(obj["nodes"], "graph nodes"),
-        directed=_edges(obj["directed"], "directed"),
-        bidirected=_edges(obj["bidirected"], "bidirected"),
+    return CausalGraph(
+        nodes=string_list(obj["nodes"], "graph nodes"),
+        directed_edges=_edges(obj["directed"], "directed"),
+        bidirected_edges=_edges(obj["bidirected"], "bidirected"),
         treatment=obj["treatment"],
         outcome=obj["outcome"],
     )

@@ -189,7 +189,8 @@ class RunResult:
     decisions: dict[tuple[str, object], TwoStageResult]
     records: list[ScoreRecord]
     summaries: dict[tuple[str, str], MethodSummary]
-    replay_coverage: dict[str, int] = field(default_factory=dict)
+    # Per replay tag and regime: the run's seeds with an instance the shard recorded.
+    replay_coverage: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def false_executions(self, method: str) -> int:
         return sum(
@@ -237,9 +238,10 @@ def run_benchmark(config: RunConfig) -> RunResult:
         regime: observational_diagnostics([i for i in instances if i.id.regime == regime])
         for regime in REGIMES
     }
-    seeds = set(config.bench.seeds)
     replay_coverage = {
-        tag: len({key.seed for key in table} & seeds)
+        tag: {regime: len({i.id.seed for i in instances
+                           if i.id.regime == regime and i.id in table})
+              for regime in REGIMES}
         for tag, table in replay_tables.items()
     }
     decisions = evaluate_instances(instances, config.methods, config.verifier,
@@ -375,8 +377,8 @@ def summary_csv_rows(run: RunResult, regime: str) -> list[dict]:
     diagnostics = {k: _fmt(v) for k, v in asdict(run.diagnostics[regime]).items()}
     return [{
         **_summary_cells(s),
-        "seeds_covered": (run.replay_coverage[replay_tag(s.method)] if is_replay(s.method)
-                          else len(s.per_seed_means)),
+        "seeds_covered": (run.replay_coverage[replay_tag(s.method)][regime]
+                          if is_replay(s.method) else len(s.per_seed_means)),
         **diagnostics,
     } for s in summaries]
 
@@ -523,7 +525,7 @@ def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
         "n_instances": len(run.instances),
         "n_certificates": n_certs,
         "civex_false_executions": civex_false,
-        "replay_coverage": dict(run.replay_coverage),
+        "replay_coverage": run.replay_coverage,
         "diagnostics": {regime: asdict(diag) for regime, diag in run.diagnostics.items()},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1),

@@ -33,8 +33,8 @@ each fixed-length run of uniforms with one call; the numbers and their order
 are those of one scalar call per value.  The paired frame is the last draw
 on the stream, so an instance that defers it replays the stream under the
 ``BenchmarkSpec`` it was built with and draws the same bits.  Instances of
-one shape share their committed graph and action frame, which are
-immutable.
+one shape share their committed graph, which is immutable, so graph-keyed
+caches hit by identity; each instance builds its own action frame.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ CONFOUNDER_SD_RANGE = (0.5, 2.0)
 TREATMENT_NODE = "T"
 OUTCOME_NODE = "Y"
 
-# Distinct committed graphs and action frames a process keeps; a benchmark
-# build has a few dozen shapes.
+# Distinct committed graphs a process keeps; a benchmark build has a few
+# dozen shapes.
 _SHAPE_CACHE_SIZE = 1024
 
 
@@ -420,33 +420,8 @@ def _committed_graph(observed: tuple[str, ...], latent: bool) -> CausalGraph:
         directed.append((name, TREATMENT_NODE))
         directed.append((name, OUTCOME_NODE))
     bidirected = [(TREATMENT_NODE, OUTCOME_NODE)] if latent else []
-    return CausalGraph.create(
-        nodes=[TREATMENT_NODE, OUTCOME_NODE, *observed],
-        directed=directed,
-        bidirected=bidirected,
-        treatment=TREATMENT_NODE,
-        outcome=OUTCOME_NODE,
-    )
-
-
-def _action_frame(family: str, cost: float, reversible: bool) -> ActionFrame:
-    # The cache compares keys with ``==``: its ``typed`` keeps an integer cost
-    # apart from the float, and the sign keeps 0.0 apart from -0.0.
-    return _action_frame_of_shape(FAMILY_TOOLS[family], cost, math.copysign(1.0, cost),
-                                  reversible)
-
-
-@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE, typed=True)
-def _action_frame_of_shape(tool: str, cost: float, cost_sign: float,
-                           reversible: bool) -> ActionFrame:
-    return ActionFrame(
-        tool=tool,
-        target_variable=TREATMENT_NODE,
-        target_value=1.0,
-        utility_variable=OUTCOME_NODE,
-        cost=cost,
-        reversible=reversible,
-    )
+    return CausalGraph([TREATMENT_NODE, OUTCOME_NODE, *observed], directed, bidirected,
+                       TREATMENT_NODE, OUTCOME_NODE)
 
 
 def _uniform(lo: float, hi: float, u: float) -> float:
@@ -584,7 +559,9 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
     observational = generate_frame(spec, bspec.n_rows, randomize_treatment=False, rng=rng)
     return ScmInstance(
         id=inst_id,
-        frame=_action_frame(family, bspec.action_cost, reversible),
+        frame=ActionFrame(tool=FAMILY_TOOLS[family], target_variable=TREATMENT_NODE,
+                          target_value=1.0, utility_variable=OUTCOME_NODE,
+                          cost=bspec.action_cost, reversible=reversible),
         graph=_committed_graph(tuple(c.name for c in spec.observed),
                                bool(spec.hidden_confounders)),
         spec=spec,

@@ -49,6 +49,7 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     identify,
+    string_list,
     validate_graph,
 )
 from .scm import ActionFrame, InstanceId, ScmInstance
@@ -187,11 +188,8 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
     committed graph object resolves to one object, whose ``identify`` result
     is then found by identity.
     """
-    return replace(
-        g,
-        directed_edges=frozenset(e for e in g.directed_edges if e[1] != g.treatment),
-        bidirected_edges=frozenset(),
-    )
+    return replace(g, directed_edges=[e for e in g.directed_edges if e[1] != g.treatment],
+                   bidirected_edges=())
 
 
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
@@ -401,19 +399,22 @@ def certificate_to_json_dict(cert: Certificate) -> dict:
 
 def certificate_from_json_dict(obj: Mapping) -> Certificate:
     """The mirror of ``certificate_to_json_dict``: a missing or extra key in the
-    certificate, its proof or its graph raises a KeyError, TypeError or GraphError.
-    Replay cannot check the declared ``risk``, so one that is not a finite
-    number >= 0 raises a ValueError here."""
+    certificate, its proof or its graph raises a KeyError, TypeError or GraphError,
+    and so does a name set that is not a list of strings.  Replay cannot check
+    the declared ``risk``, so one that is not a finite number >= 0 raises a
+    ValueError here."""
     risk = obj["risk"]
     if (isinstance(risk, bool) or not isinstance(risk, (int, float))
             or not 0.0 <= risk < math.inf):
         raise ValueError(f"risk {risk!r} is not a finite number >= 0")
     proof = obj["proof"]
-    proof = IdentificationResult(**{**proof, "kind": IdentificationKind(proof["kind"]),
-                                    "adjustment_set": tuple(proof["adjustment_set"]),
-                                    "mediator_set": tuple(proof["mediator_set"])})
+    proof = IdentificationResult(**{
+        **proof, "kind": IdentificationKind(proof["kind"]),
+        "adjustment_set": tuple(string_list(proof["adjustment_set"], "adjustment_set")),
+        "mediator_set": tuple(string_list(proof["mediator_set"], "mediator_set"))})
     return Certificate(**{**obj, "graph": graph_from_json_dict(obj["graph"]),
-                          "assumptions": tuple(obj["assumptions"]), "proof": proof})
+                          "assumptions": tuple(string_list(obj["assumptions"], "assumptions")),
+                          "proof": proof})
 
 
 def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,43 @@ class TestValidate:
     def test_bidirected_self_edge(self):
         g = CausalGraph.create(["T", "Y"], [("T", "Y")], bidirected=[("T", "T")])
         assert "bidirected self-edge" in validate_graph(g)
+
+    def test_non_string_node_name(self):
+        # The canonical JSON sorts node names, which only strings allow.
+        g = CausalGraph.create(nodes=["T", "Y", 1], directed=[("T", "Y")])
+        assert validate_graph(g) == "node name 1 is not a string"
+        with pytest.raises(GraphError, match="node name 1 is not a string"):
+            identify(g)
+
+
+class TestConstruction:
+    """Every way of building a graph gives the one canonical record."""
+
+    def test_constructor_from_lists_equals_create(self):
+        g = worked_graph()
+        latent = CausalGraph.create(g.nodes, g.directed_edges,
+                                    bidirected=[("add_index", "query_volume")],
+                                    treatment=g.treatment, outcome=g.outcome)
+        built = CausalGraph(nodes=sorted(g.nodes, reverse=True),
+                            directed_edges=[list(e) for e in sorted(g.directed_edges)],
+                            bidirected_edges=[["query_volume", "add_index"]],
+                            treatment=g.treatment, outcome=g.outcome)
+        assert built == latent
+        assert hash(built) == hash(latent)
+        # Unmemoized, since equal graphs share the memoized digest.
+        assert graph_digest.__wrapped__(built) == graph_digest.__wrapped__(latent)
+        assert built.bidirected_edges == frozenset({("add_index", "query_volume")})
+        assert all(type(e) is tuple for e in built.directed_edges)
+
+    def test_replace_normalizes_its_fields(self):
+        g = worked_graph()
+        swapped = replace(g, bidirected_edges={("latency_savings_ms", "add_index")})
+        expected = CausalGraph.create(g.nodes, g.directed_edges,
+                                      bidirected=[(g.treatment, g.outcome)],
+                                      treatment=g.treatment, outcome=g.outcome)
+        assert swapped == expected
+        assert graph_digest.__wrapped__(swapped) == graph_digest.__wrapped__(expected)
+        assert graph_from_json_dict(graph_to_json_dict(swapped)) == swapped
 
 
 class TestDSeparation:

@@ -227,6 +227,21 @@ def test_memoized_identification_of_equal_graphs(seed, cyclic):
     assert identify(twin) == identify(g) == fresh[1]
 
 
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_constructor_keeps_the_canonical_graph(seed):
+    # The constructor, from lists with every latent pair reversed, builds the
+    # record ``create`` does, with its digest.
+    g = random_graph(np.random.default_rng(seed))
+    built = CausalGraph(nodes=list(g.nodes),
+                        directed_edges=[[a, b] for a, b in g.directed_edges],
+                        bidirected_edges=[[b, a] for a, b in g.bidirected_edges],
+                        treatment=g.treatment, outcome=g.outcome)
+    assert built == g and hash(built) == hash(g)
+    # Unmemoized, since equal graphs share the memoized digest.
+    assert graphs.graph_digest.__wrapped__(built) == graphs.graph_digest.__wrapped__(g)
+
+
 # ------------------------------------------------------------ civex verify-cert
 
 # Where a mutation lands in the certificate document: () is the whole

@@ -509,13 +509,30 @@ class TestReplayShards:
         assert run.exit_code == 0, run.output
         summary = (tmp_path / "rp" / "summary_moderate.csv").read_text(encoding="utf-8")
         manifest = json.loads((tmp_path / "rp" / "manifest.json").read_text())
-        assert manifest["replay_coverage"]["demo"] == 2
+        assert manifest["replay_coverage"]["demo"] == {"moderate": 2, "adversarial": 0}
         # Shard covers one instance per seed; everything else abstains.
         header, *rows = summary.splitlines()
         row = dict(zip(header.split(","),
                        next(r for r in rows if r.startswith("Replay(demo),")).split(",")))
         assert row["seeds_covered"] == "2"
         assert row["n_executes"] == "1"
+
+    def test_seeds_covered_counts_each_regime_apart(self, tmp_path):
+        # One moderate row: no adversarial instance was recorded, and the
+        # instance past the run's index range covers nothing.
+        shard = ("seed,regime,family,index,stage1,terminal\n"
+                 "42,moderate,db_index_operation,0,EXECUTE,EXECUTE\n"
+                 "43,adversarial,db_index_operation,999,REJECT,REJECT\n")
+        cfg = self._config(tmp_path, "cov", shard)
+        run = CliRunner().invoke(main, ["run", "--config", str(cfg),
+                                        "--seed-list", "42,43"])
+        assert run.exit_code == 0, run.output
+        for regime, covered in (("moderate", "1"), ("adversarial", "0")):
+            text = (tmp_path / "cov" / f"summary_{regime}.csv").read_text(encoding="utf-8")
+            header, *rows = text.splitlines()
+            row = dict(zip(header.split(","),
+                           next(r for r in rows if r.startswith("Replay(demo),")).split(",")))
+            assert row["seeds_covered"] == covered, regime
 
     def test_rerun_from_the_manifest_reproduces_the_run(self, tmp_path):
         cfg = self._config(tmp_path, "first")
@@ -779,6 +796,11 @@ class TestConfigSurface:
         result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
         assert result.exit_code == 0, result.output
         assert generated_instance_count(tmp_path / "large") == 12
+        # At 1e160 the data stay finite but the fits' sums of squares
+        # overflow; the estimates fail closed, without a warning.
+        cfg = write_config(tmp_path, "overflowing", **small, adversarial_strength=1e160)
+        result = CliRunner().invoke(main, [*command, "--config", str(cfg)])
+        assert result.exit_code == 0, result.output
 
     @pytest.mark.parametrize("document", [[], "run", 3])
     def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):

@@ -170,9 +170,8 @@ class TestSampleInstance:
             assert inst.frame.interventional
             assert inst.frame.cost == 0.05
 
-    def test_shared_action_frames_keep_the_cost_as_given(self):
-        # Equal costs of another type or sign must not share an action frame:
-        # the instance lines write 0, 0.0 and -0.0 differently.
+    def test_action_frames_keep_the_cost_as_given(self):
+        # The instance lines write 0, 0.0 and -0.0 differently.
         for cost in (0.0, 0, -0.0, 0.0):
             bspec = BenchmarkSpec(seeds=(42,), moderate_per_family=1,
                                   adversarial_per_family=1, action_cost=cost)
@@ -181,15 +180,13 @@ class TestSampleInstance:
             assert repr(sample_instance("cache_operation", MODERATE, 0, seed=42,
                                         bspec=bspec).frame.cost) == repr(cost)
 
-    def test_instances_of_one_shape_share_graph_and_action_frame(self):
+    def test_instances_of_one_shape_share_graph(self):
         insts, _ = build_benchmark(SMALL)
         graphs = {id(i.graph): i.graph for i in insts}
-        frames = {id(i.frame): i.frame for i in insts}
         assert len(graphs) == len(set(graphs.values()))
-        assert len(frames) == len(set(frames.values())) <= len(FAMILIES) * 2
         again = sample_instance(insts[0].id.family, insts[0].id.regime, insts[0].id.index,
                                 seed=insts[0].id.seed, bspec=SMALL)
-        assert again.graph is insts[0].graph and again.frame is insts[0].frame
+        assert again.graph is insts[0].graph and again.frame == insts[0].frame
 
     def test_safe_flag_tracks_theta_sign(self):
         insts, _ = build_benchmark(SMALL)

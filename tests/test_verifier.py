@@ -449,6 +449,24 @@ class TestCertificates:
         assert again == cert
         assert verify_certificate(again, data.canonical_bytes()) == []
 
+    def test_graph_built_from_lists_certifies_and_replays(self):
+        # Lists, and a latent pair out of name order: the committed graph's
+        # digest must survive the certificate's JSON round trip.
+        g = worked_graph()
+        built = CausalGraph(nodes=sorted(g.nodes),
+                            directed_edges=[list(e) for e in sorted(g.directed_edges)],
+                            bidirected_edges=[["write_volume", "query_volume"]],
+                            treatment=g.treatment, outcome=g.outcome)
+        data = worked_data()
+        v = triage(worked_frame(), [built], data, CFG)
+        assert v.decision is Decision.EXECUTE
+        assert v.certificate.proof.adjustment_set == ("query_volume", "write_volume")
+        obj = json.loads(json.dumps(certificate_to_json_dict(v.certificate)))
+        assert obj["graph"]["bidirected"] == [["query_volume", "write_volume"]]
+        again = certificate_from_json_dict(obj)
+        assert again == v.certificate
+        assert verify_certificate(again, data.canonical_bytes()) == []
+
     def test_graph_digest_mismatch_detected(self):
         cert, data = self._executed()
         tampered = replace(cert, graph_sha256="0" * 64)
@@ -523,6 +541,29 @@ class TestWholeCertificateReplay:
         assert result.output.startswith(
             f"Error: cannot parse certificate: risk {risk!r} is not a finite number >= 0")
 
+    @pytest.mark.parametrize("edit, what", [
+        (lambda obj: obj["proof"].update(adjustment_set="", mediator_set={}),
+         "adjustment_set"),
+        (lambda obj: obj["proof"].update(mediator_set={}), "mediator_set"),
+        (lambda obj: obj["proof"].update(adjustment_set="query_volume"), "adjustment_set"),
+        (lambda obj: obj.update(assumptions={"A1": 0, "A2": 0, "A3": 0, "A4": 0}),
+         "assumptions"),
+        (lambda obj: obj.update(assumptions=["A1", "A2", "A3", 4]), "assumptions"),
+    ], ids=["empty-string-and-object", "object-mediators", "string-adjustment",
+            "object-assumptions", "non-string-assumption"])
+    def test_name_set_that_is_not_a_list_of_strings_is_refused(self, tmp_path, edit, what):
+        # A string would be read by its characters and an object by its keys.
+        obj, blob = self._stored()
+        edit(obj)
+        cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+        cert_path.write_text(json.dumps(obj), encoding="utf-8")
+        data_path.write_bytes(blob)
+        result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(
+            f"Error: cannot parse certificate: {what} must be a list of strings")
+
     @pytest.mark.parametrize("role", ["treatment", "outcome"])
     def test_list_valued_graph_role_is_a_clean_error(self, tmp_path, role):
         obj, blob = self._stored()
@@ -580,6 +621,17 @@ class TestFailClosed:
         assert v.rule_fired == 1
         assert "cycle" in v.refusal_reason
         assert causal_no_experiment(worked_frame(), cyclic, worked_data()) == v
+
+    def test_non_string_node_rejected_under_rule_one(self):
+        # Identified, but no certificate could write its canonical JSON.
+        g = worked_graph()
+        odd = CausalGraph(nodes=[*g.nodes, 1], directed_edges=g.directed_edges,
+                          bidirected_edges=(), treatment=g.treatment, outcome=g.outcome)
+        v = triage(worked_frame(), [odd], worked_data(), CFG)
+        assert v.decision is Decision.REJECT
+        assert v.rule_fired == 1
+        assert v.refusal_reason == "malformed committed graph: node name 1 is not a string"
+        assert causal_no_experiment(worked_frame(), odd, worked_data()) == v
 
     def test_tool_less_frame_rejected_by_causal_no_experiment(self):
         frame = unchecked(worked_frame(), tool="")
