@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
+import queue
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .baselines import (
@@ -446,13 +449,81 @@ def _record_rows(run: RunResult) -> Iterator[tuple]:
                r.outcome, _fmt(r.utility), _fmt(r.theta), str(r.safe))
 
 
+# Batches of files handed to the writer thread and not yet written.  Two keep
+# the thread busy; a deeper queue only holds more encoded files in memory.
+_WRITE_QUEUE_DEPTH = 2
+
+_Files = Sequence[tuple[Path, bytes]]
+
+
+def _write_file(path: Path, data: bytes) -> None:
+    path.write_bytes(data)
+
+
+@contextmanager
+def _file_writer() -> Iterator[Callable[[_Files], None]]:
+    """Yield ``put(files)``; one thread writes each (path, bytes) pair of
+    ``files``, in the order they were put, while the caller encodes the next.
+
+    Creating a file is mostly kernel time, which the thread spends outside
+    the GIL.  The thread is joined before the block ends.  Its first error
+    stops its writes and is raised on the caller's thread, by a later
+    ``put`` or at the end of the block.
+    """
+    batches: queue.Queue = queue.Queue(_WRITE_QUEUE_DEPTH)
+    failed: list[BaseException] = []
+
+    def drain() -> None:
+        # After an error, keep taking batches so that ``put`` never blocks.
+        while (files := batches.get()) is not None:
+            if not failed:
+                try:
+                    for path, data in files:
+                        _write_file(path, data)
+                except BaseException as exc:
+                    failed.append(exc)
+
+    def put(files: _Files) -> None:
+        if failed:
+            raise failed[0]
+        batches.put(files)
+
+    thread = threading.Thread(target=drain, name="civex-file-writer")
+    thread.start()
+    try:
+        yield put
+    finally:
+        batches.put(None)
+        thread.join()
+    if failed:
+        raise failed[0]
+
+
+def _remove_stale_certificates(cert_root: Path, kept: set[tuple[str, str]]) -> None:
+    """Delete each ``<method>/<stem>.cert.json`` and ``.data.txt`` under
+    ``cert_root`` whose (method, stem) is not in ``kept``, then each directory
+    that this leaves empty.  Files the writer does not make stay."""
+    emptied = set()
+    for suffix in (".cert.json", ".data.txt"):
+        for path in cert_root.glob(f"*/*{suffix}"):
+            if (path.parent.name, path.name[:-len(suffix)]) not in kept:
+                path.unlink()
+                emptied.add(path.parent)
+    for directory in emptied:
+        if not any(directory.iterdir()):
+            directory.rmdir()
+
+
 def _write_certificates(out_dir: Path, run: RunResult) -> int:
-    """Write each certificate with a copy of the data it certifies.
+    """Write each certificate with a copy of the data it certifies, and
+    delete the certificates and data copies of earlier runs that it does not
+    rewrite.
 
     Methods that certify the same (instance, stage) share one data frame, so
     each frame is serialized once and its bytes go to every method's copy;
     their certificates are often equal too, and each distinct one is encoded
-    once.
+    once.  Serializing and encoding stay on this thread; ``_file_writer``
+    creates the files on another, one batch per frame.
     """
     by_id = {inst.id: inst for inst in run.instances}
     by_frame: dict[tuple[object, int], list[tuple[str, Certificate]]] = {}
@@ -461,23 +532,33 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
         if cert is not None:
             by_frame.setdefault((inst_id, len(result.trace)), []).append((method, cert))
     cert_root = out_dir / "certificates"
-    for method in {method for certs in by_frame.values() for method, _ in certs}:
-        (cert_root / method).mkdir(parents=True, exist_ok=True)
-    for (inst_id, stage), certs in by_frame.items():
-        inst = by_id[inst_id]
-        data = (inst.experimental if stage == 2 else inst.observational).canonical_bytes()
-        stem = str(inst_id)
-        # Keyed by the graph's memoized digest and the ``repr`` of the other
-        # fields, which tells -0.0 from 0.0 where ``==`` does not.
-        encoded: dict[str, str] = {}
-        for method, cert in certs:
-            key = repr({**record_fields(cert), "graph": graph_digest(cert.graph)})
-            text = encoded.get(key)
-            if text is None:
-                text = json.dumps(certificate_to_json_dict(cert), sort_keys=True, indent=1)
-                encoded[key] = text
-            (cert_root / method / f"{stem}.cert.json").write_text(text, encoding="utf-8")
-            (cert_root / method / f"{stem}.data.txt").write_bytes(data)
+    # A previous run's certificates must not pass for this run's.
+    _remove_stale_certificates(cert_root, {(method, str(inst_id))
+                                           for (inst_id, _), certs in by_frame.items()
+                                           for method, _ in certs})
+    method_dirs = {method: cert_root / method
+                   for certs in by_frame.values() for method, _ in certs}
+    for method_dir in method_dirs.values():
+        method_dir.mkdir(parents=True, exist_ok=True)
+    with _file_writer() as put:
+        for (inst_id, stage), certs in by_frame.items():
+            inst = by_id[inst_id]
+            data = (inst.experimental if stage == 2 else inst.observational).canonical_bytes()
+            stem = str(inst_id)
+            # Keyed by the graph's memoized digest and the ``repr`` of the other
+            # fields, which tells -0.0 from 0.0 where ``==`` does not.
+            encoded: dict[str, bytes] = {}
+            files = []
+            for method, cert in certs:
+                key = repr({**record_fields(cert), "graph": graph_digest(cert.graph)})
+                text = encoded.get(key)
+                if text is None:
+                    text = json.dumps(certificate_to_json_dict(cert), sort_keys=True,
+                                      indent=1).encode("utf-8")
+                    encoded[key] = text
+                files += ((method_dirs[method] / f"{stem}.cert.json", text),
+                          (method_dirs[method] / f"{stem}.data.txt", data))
+            put(files)
     return sum(len(certs) for certs in by_frame.values())
 
 
@@ -509,9 +590,16 @@ def _pairwise_rows(run: RunResult) -> list[dict]:
 
 
 def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
-    """Write summary/record/counterbalance CSVs, certificates, and the manifest."""
+    """Write summary/record/counterbalance CSVs, certificates, and the manifest.
+
+    Earlier runs' certificates and data copies are deleted unless this run
+    rewrites them; any other file stays.  A previous manifest is deleted
+    first and the new one is written last, once every other file is, so a
+    manifest is there only when all of its run's files are.
+    """
     out = out_dir or Path(run.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     for regime in REGIMES:
         _write_dict_csv(out / f"summary_{regime}.csv", summary_csv_rows(run, regime))
     _write_csv(out / "records.csv", _RECORD_HEADER, _record_rows(run))

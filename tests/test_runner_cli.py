@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -319,6 +321,98 @@ class TestCertificateWriter:
         for method, risk in zip(methods[:2], (0.0, -0.0)):
             path = tmp_path / "run" / "certificates" / method / f"{inst_id}.cert.json"
             assert repr(json.loads(path.read_text(encoding="utf-8"))["risk"]) == repr(risk)
+
+    def test_rerun_replaces_the_previous_certificates(self, tmp_path):
+        out = tmp_path / "reuse"
+        keys = out / "certificates" / "keys"
+        keys.mkdir(parents=True)
+        (keys / "server.pem").write_text("not civex's", encoding="utf-8")
+        cfg = write_config(tmp_path, "reuse")
+
+        def run(methods):
+            result = CliRunner().invoke(main, ["run", "--config", str(cfg), "--methods", methods])
+            assert result.exit_code == 0, result.output
+
+        run("CIVeX,CIVeXCertOnly")
+        notes = out / "certificates" / "CIVeXCertOnly" / "notes.txt"
+        notes.touch()
+        run("CIVeX")
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["methods"] == ["CIVeX"]
+        certs = list(out.glob("certificates/*/*.cert.json"))
+        assert len(certs) == manifest["n_certificates"]
+        assert {p.parent.name for p in certs} == {"CIVeX"}
+        # Files the writer does not make stay, and so do their directories.
+        assert sorted(p.name for p in (out / "certificates").iterdir()) == [
+            "CIVeX", "CIVeXCertOnly", "keys"]
+        assert (keys / "server.pem").read_text(encoding="utf-8") == "not civex's"
+        assert [p.name for p in notes.parent.iterdir()] == ["notes.txt"]
+        # Without them the directory holds a fresh run's bytes.
+        notes.unlink()
+        notes.parent.rmdir()
+        (keys / "server.pem").unlink()
+        keys.rmdir()
+        result = CliRunner().invoke(main, ["run", "--config", str(write_config(tmp_path, "fresh")),
+                                           "--methods", "CIVeX"])
+        assert result.exit_code == 0, result.output
+        assert run_digests(out) == run_digests(tmp_path / "fresh")
+
+    def test_failed_write_is_a_clean_error(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, "full")
+        assert CliRunner().invoke(main, ["run", "--config", str(cfg)]).exit_code == 0
+        original = runner._write_file
+        calls = []
+
+        def fail_fifth(path, data):
+            calls.append(path)
+            if len(calls) == 5:
+                raise OSError(28, "No space left on device")
+            original(path, data)
+
+        monkeypatch.setattr(runner, "_write_file", fail_fifth)
+        threads = threading.active_count()
+        result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
+        assert threading.active_count() == threads
+        assert result.exit_code == 1
+        assert result.output.startswith(
+            f"Error: cannot write outputs to {tmp_path / 'full'}: [Errno 28] No space left")
+        # No file is written after the error, and the previous run's manifest
+        # does not describe what is left.
+        assert len(calls) == 5
+        assert not (tmp_path / "full" / "manifest.json").exists()
+
+    def test_encoding_stays_on_the_calling_thread(self, tmp_path, monkeypatch):
+        run = run_benchmark(RunConfig.from_json_dict(TINY))
+        encoders, writers = set(), set()
+
+        def on_thread(record, fn):
+            def wrapped(*args):
+                record.add(threading.get_ident())
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(Frame, "canonical_bytes",
+                            on_thread(encoders, Frame.canonical_bytes))
+        monkeypatch.setattr(runner, "certificate_to_json_dict",
+                            on_thread(encoders, runner.certificate_to_json_dict))
+        monkeypatch.setattr(runner, "_write_file", on_thread(writers, runner._write_file))
+        threads = threading.active_count()
+        write_run_outputs(run, tmp_path / "run")
+        assert threading.active_count() == threads
+        assert encoders == {threading.get_ident()}
+        # One other thread writes every file.
+        assert len(writers) == 1 and not writers & encoders
+
+    def test_frequent_thread_switches_keep_the_pinned_bytes(self, tmp_path):
+        run = run_benchmark(RunConfig(bench=BenchmarkSpec(seeds=(42,))))
+        interval = sys.getswitchinterval()
+        # Switch threads as often as the interpreter allows.
+        sys.setswitchinterval(1e-6)
+        try:
+            write_run_outputs(run, tmp_path / "run")
+        finally:
+            sys.setswitchinterval(interval)
+        assert run_digests(tmp_path / "run") == RUN_SHA256
 
 
 class TestSweepCommands:
