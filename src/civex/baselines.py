@@ -77,21 +77,23 @@ class ProviderContext:
     """Side tables a provider may need beyond the redacted view."""
 
     theta_by_id: Mapping[InstanceId, float] = field(default_factory=dict)
-    # Each (seed, regime, family) pool's frame of instance-level arm means.
-    pooled_association: Mapping[tuple[int, str, str], Frame] = field(default_factory=dict)
+    # Each instance's observational frame, in instance order: the data its
+    # view already shows.
+    observational: Mapping[InstanceId, Frame] = field(default_factory=dict)
 
 
-def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str, str], Frame]:
+def _pooled_association(
+        observational: Mapping[InstanceId, Frame]) -> dict[tuple[int, str, str], Frame]:
     """Family-pooled arm means per seed: one (T, Y) frame of the treated and
     control means of each instance in the pool that has both arms."""
     groups: dict[tuple[int, str, str], list[tuple[float, float]]] = {}
-    for inst in instances:
-        t = inst.observational.column("T")
-        y = inst.observational.column("Y")
+    for inst_id, data in observational.items():
+        t = data.column("T")
+        y = data.column("Y")
         treated, control = t == 1.0, t == 0.0
         if not treated.any() or not control.any():
             continue
-        key = (inst.id.seed, inst.id.regime, inst.id.family)
+        key = (inst_id.seed, inst_id.regime, inst_id.family)
         groups.setdefault(key, []).append(
             (float(y[treated].mean()), float(y[control].mean()))
         )
@@ -103,7 +105,7 @@ def _pooled_association(instances: Sequence[ScmInstance]) -> dict[tuple[int, str
 def build_context(instances: Sequence[ScmInstance]) -> ProviderContext:
     return ProviderContext(
         theta_by_id={inst.id: inst.spec.theta for inst in instances},
-        pooled_association=_pooled_association(instances),
+        observational={inst.id: inst.observational for inst in instances},
     )
 
 
@@ -169,9 +171,10 @@ def _context_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
 def _observational_association(ctx: ProviderContext,
                                 cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     """One association estimate per pool, at ``cfg.alpha``, shared by the
-    pool's instances; its bound is compared with ``cfg.tau_u``."""
+    pool's instances; its bound is compared with ``cfg.tau_u``.  The pools
+    are built here, so only this method pays for them."""
     estimates = {}
-    for key, frame in ctx.pooled_association.items():
+    for key, frame in _pooled_association(ctx.observational).items():
         try:
             estimates[key] = unadjusted_difference(frame, cfg.alpha)
         except EstimationError:

@@ -15,7 +15,8 @@ slower and dumber to agree with.  ``wilcoxon_rankdata_oracle`` is the
 signed-rank test as it was when it ranked with ``scipy.stats.rankdata``,
 which the library no longer imports.  ``unchecked`` sets an action frame's
 fields past its constructor's checks, as a frame set by hand or unpickled
-holds them.
+holds them.  ``pooled_association_oracle`` is the observational-association
+pooling as it was when it read the instances themselves.
 """
 
 from __future__ import annotations
@@ -418,3 +419,23 @@ def unchecked(frame, **fields):
     for name, value in fields.items():
         object.__setattr__(frame, name, value)
     return frame
+
+
+def pooled_association_oracle(instances):
+    """Family-pooled arm means per seed, read from the instances: one (T, Y)
+    frame of the treated and control means of each instance in the pool that
+    has both arms."""
+    groups = {}
+    for inst in instances:
+        t = inst.observational.column("T")
+        y = inst.observational.column("Y")
+        treated, control = t == 1.0, t == 0.0
+        if not treated.any() or not control.any():
+            continue
+        key = (inst.id.seed, inst.id.regime, inst.id.family)
+        groups.setdefault(key, []).append(
+            (float(y[treated].mean()), float(y[control].mean()))
+        )
+    return {key: Frame(columns=("T", "Y"), data=np.array(
+                [(1.0, m1) for m1, _ in pairs] + [(0.0, m0) for _, m0 in pairs]))
+            for key, pairs in groups.items()}

@@ -1,7 +1,9 @@
+import dataclasses
 import warnings
 
 import pytest
 
+from civex import baselines
 from civex.baselines import (
     ALL_METHODS,
     ALWAYS_ABSTAIN,
@@ -29,6 +31,8 @@ from civex.estimation import unadjusted_difference
 from civex.runner import evaluate_instances
 from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, InstanceId, build_benchmark
 from civex.verifier import Decision, VerifierConfig, make_view, run_two_stage
+
+from oracles import pooled_association_oracle
 
 CFG = VerifierConfig()
 SMALL = BenchmarkSpec(seeds=(42,), moderate_per_family=6, adversarial_per_family=6)
@@ -158,6 +162,42 @@ class TestObservationalAssociation:
                     is Decision.ABSTAIN
 
 
+class TestPooledAssociation:
+    @pytest.fixture(scope="class")
+    def few_rows(self):
+        # At 3 rows some observational frames have one arm only; their
+        # instances join no pool.
+        spec = BenchmarkSpec(seeds=(42, 43), moderate_per_family=3,
+                             adversarial_per_family=3, n_rows=3)
+        instances, _ = build_benchmark(spec)
+        assert any(len(set(i.observational.column("T"))) < 2 for i in instances)
+        return instances
+
+    def test_pools_equal_the_oracle_bit_for_bit(self, bench, few_rows):
+        for instances in (bench, few_rows):
+            pooled = baselines._pooled_association(build_context(instances).observational)
+            expected = pooled_association_oracle(instances)
+            assert list(pooled) == list(expected)
+            assert all(pooled[key] == expected[key] for key in expected)
+
+    def test_only_the_association_provider_pools(self, bench, monkeypatch):
+        calls = []
+        pool = baselines._pooled_association
+
+        def counted(observational):
+            calls.append(len(observational))
+            return pool(observational)
+
+        monkeypatch.setattr(baselines, "_pooled_association", counted)
+        ctx = build_context(bench)
+        for method in ALL_METHODS:
+            if method != OBSERVATIONAL_ASSOCIATION:
+                make_provider(method, ctx, CFG)
+        assert calls == []
+        make_provider(OBSERVATIONAL_ASSOCIATION, ctx, CFG)
+        assert calls == [len(bench)]
+
+
 class TestCausalBaselines:
     def test_cert_only_equals_causal_no_experiment_everywhere(self, bench, ctx):
         for inst in bench:
@@ -194,16 +234,19 @@ class TestInputParity:
     def test_non_oracle_methods_run_without_ground_truth_tables(self, bench):
         # An empty theta table starves the oracle but must not affect anyone
         # else; ground-truth access outside the oracle would raise KeyError.
-        starved = ProviderContext(
-            theta_by_id={},
-            pooled_association=build_context(bench).pooled_association,
-        )
+        full = build_context(bench)
+        starved = dataclasses.replace(full, theta_by_id={})
         for method in ALL_METHODS:
             if method == ORACLE_SCM:
                 continue
             provider = make_provider(method, starved, CFG)
             for inst in bench[:6]:
                 provider(make_view(inst))
+        # Every other table holds only the observational frames the views show.
+        shown = {id(inst.observational) for inst in bench}
+        for f in dataclasses.fields(ProviderContext):
+            if f.name != "theta_by_id":
+                assert {id(v) for v in getattr(full, f.name).values()} <= shown, f.name
 
     def test_oracle_requires_the_table(self, bench):
         starved = ProviderContext(theta_by_id={})
