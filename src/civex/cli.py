@@ -18,12 +18,12 @@ import click
 from .baselines import ReplayError
 from .frames import FrameError
 from .runner import (
+    REGENERATING_SWEEPS,
     SWEEP_METHODS,
     SWEEP_SEEDS,
     RunConfig,
     run_benchmark,
-    run_misspec_sweep,
-    run_strength_sweep,
+    run_regenerating_sweep,
     run_weight_sweep,
     write_generated_instances,
     write_report,
@@ -45,16 +45,6 @@ def _seed(text: str) -> int | str:
         return text  # the seeds check refuses it by name
 
 
-# The keys each regenerating sweep sets itself, and those of the regime slice
-# it never builds: the strength sweep builds only the adversarial slice, the
-# misspec sweep only the moderate one.
-_FIXED_BY_SWEEP = {
-    "strength": ("seeds", "adversarial_strength", "moderate_per_family",
-                 "latent_fraction_moderate"),
-    "misspec": ("seeds", "adversarial_strength", "adversarial_per_family"),
-}
-
-
 def _fixed_grid(kind: str, what: str) -> str:
     return (f"sweep {kind} uses seeds {SWEEP_SEEDS[0]}-{SWEEP_SEEDS[-1]} and its own grid, "
             f"so it takes no {what}")
@@ -63,24 +53,18 @@ def _fixed_grid(kind: str, what: str) -> str:
 def _load_config(config_path: str | None = None, seed_list: str | None = None,
                  methods: str | None = None, n_rows: int | None = None,
                  strength: float | None = None, out: str | None = None,
-                 default_methods: tuple[str, ...] | None = None,
                  fixed_sweep: str | None = None) -> RunConfig:
-    """The run config from the document and the flags; ``default_methods``
-    replaces the config's default when neither names any methods.  The
-    ``fixed_sweep`` kind sets the seeds and strength itself and reads one
-    regime's keys, so a document that sets the others is refused rather than
-    ignored."""
+    """The run config from the document and the flags.  A ``fixed_sweep`` kind
+    runs the sweep methods unless the document or a flag names others, and
+    refuses the seed and strength flags and each key its row refuses."""
+    if fixed_sweep is not None and (seed_list is not None or strength is not None):
+        raise click.UsageError(_fixed_grid(fixed_sweep, "--seed-list or --strength"))
     obj = {}
     if config_path:
         try:
             obj = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise click.ClickException(f"cannot read config {config_path}: {exc}")
-    if fixed_sweep is not None and isinstance(obj, dict):
-        for key in _FIXED_BY_SWEEP[fixed_sweep]:
-            if key in obj:
-                refusal = _fixed_grid(fixed_sweep, f"'{key}' key")
-                raise click.ClickException(f"invalid configuration: {refusal}")
     flags = {
         "seeds": None if seed_list is None else [_seed(s) for s in _items(seed_list)],
         "methods": None if methods is None else _items(methods),
@@ -89,9 +73,13 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
         "output_dir": out,
     }
     if isinstance(obj, dict):
+        if fixed_sweep is not None:
+            for key in REGENERATING_SWEEPS[fixed_sweep].refused:
+                if key in obj:
+                    refusal = _fixed_grid(fixed_sweep, f"'{key}' key")
+                    raise click.ClickException(f"invalid configuration: {refusal}")
+            obj.setdefault("methods", list(SWEEP_METHODS))
         obj.update((key, value) for key, value in flags.items() if value is not None)
-        if default_methods is not None:
-            obj.setdefault("methods", list(default_methods))
     try:
         return RunConfig.from_json_dict(obj)
     except ValueError as exc:
@@ -177,17 +165,12 @@ def run(**flags) -> None:
 @_methods_option
 def sweep(kind, **flags) -> None:
     """Run one sensitivity sweep and write its table."""
-    fixed = kind != "weights"
-    if fixed and (flags["seed_list"] is not None or flags["strength"] is not None):
-        raise click.UsageError(_fixed_grid(kind, "--seed-list or --strength"))
-    config = _load_config(**flags, default_methods=SWEEP_METHODS if fixed else None,
-                          fixed_sweep=kind if fixed else None)
+    fixed = kind in REGENERATING_SWEEPS
+    config = _load_config(**flags, fixed_sweep=kind if fixed else None)
     out_dir = Path(config.output_dir)
     with _clean_errors(config):
-        if kind == "strength":
-            rows = run_strength_sweep(config, methods=config.methods)
-        elif kind == "misspec":
-            rows = run_misspec_sweep(config, methods=config.methods)
+        if fixed:
+            rows = run_regenerating_sweep(kind, config)
         else:
             result = run_benchmark(config)
             write_run_outputs(result)

@@ -129,7 +129,7 @@ def validate_graph(g: CausalGraph) -> str | None:
     Shares the memoized analysis of ``identify``, so a graph is validated
     once however often either function sees it.
     """
-    return _analyse(g)[0]
+    return _analysis(g)[0]
 
 
 def _violation(g: CausalGraph) -> str | None:
@@ -137,12 +137,13 @@ def _violation(g: CausalGraph) -> str | None:
     odd = sorted(repr(n) for n in g.nodes if not isinstance(n, str))
     if odd:
         return f"node name {odd[0]} is not a string"
-    for a, b in g.directed_edges:
+    # In ``repr`` order, which orders any endpoint and no string hash changes.
+    for a, b in sorted(g.directed_edges, key=repr):
         if a not in g.nodes or b not in g.nodes:
             return f"directed edge ({a}, {b}) references an unknown node"
         if a == b:
             return f"self-loop on '{a}'"
-    for a, b in g.bidirected_edges:
+    for a, b in sorted(g.bidirected_edges, key=repr):
         if a not in g.nodes or b not in g.nodes:
             return f"bidirected edge ({a}, {b}) references an unknown node"
         if a == b:
@@ -281,10 +282,19 @@ def identify(g: CausalGraph) -> IdentificationResult:
     for a malformed graph.  The result is memoized per distinct graph; it is
     immutable, so every caller may share it.
     """
-    violation, result = _analyse(g)
+    violation, result = _analysis(g)
     if violation is not None:
         raise GraphError(violation)
     return result
+
+
+def _analysis(g: CausalGraph) -> tuple[str | None, IdentificationResult | None]:
+    """``_analyse(g)``, after refusing a treatment or outcome that is not a
+    string: such a value may not hash, and the memo hashes the graph."""
+    for role, value in (("treatment", g.treatment), ("outcome", g.outcome)):
+        if not isinstance(value, str):
+            return f"{role} {value!r} is not a string", None
+    return _analyse(g)
 
 
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)

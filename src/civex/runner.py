@@ -57,6 +57,7 @@ from .graphs import graph_digest, relabel_latent
 from .scm import (
     ADVERSARIAL,
     MODERATE,
+    REGIME_KEYS,
     REGIMES,
     BenchmarkSpec,
     CounterbalanceReport,
@@ -87,11 +88,11 @@ __all__ = [
     "W_MISS_GRID",
     "C_EXP_GRID",
     "MISSPEC_FRACTIONS",
+    "REGENERATING_SWEEPS",
     "evaluate_instances",
     "run_benchmark",
-    "run_strength_sweep",
+    "run_regenerating_sweep",
     "run_weight_sweep",
-    "run_misspec_sweep",
     "write_run_outputs",
     "write_generated_instances",
     "write_sweep_csv",
@@ -143,14 +144,6 @@ def _load_replay_tables(config: RunConfig) -> dict[str, Mapping]:
         for path in config.replay[tag]:
             load_replay_shard(path, tables[tag])
     return tables
-
-
-def _refuse_replay(kind: str, methods: Sequence[str]) -> None:
-    """A sweep that builds its own instances has no recorded verdicts for them."""
-    method = next(filter(is_replay, methods), None)
-    if method is not None:
-        raise ReplayError(f"replay method {method} cannot run in the {kind} sweep: "
-                          f"it regenerates its instances, and no shard recorded them")
 
 
 def evaluate_instances(
@@ -273,31 +266,6 @@ class SweepRow:
     summary: MethodSummary
 
 
-def _sweep_rows_from(
-    point: dict,
-    instances: Sequence[ScmInstance],
-    methods: Sequence[str],
-    config: RunConfig,
-) -> list[SweepRow]:
-    decisions = evaluate_instances(instances, methods, config.verifier)
-    records = _score_all(instances, methods, decisions, config.weights)
-    return [SweepRow(point, summary) for summary in _summaries(records).values()]
-
-
-def run_strength_sweep(
-    config: RunConfig,
-    methods: Sequence[str] = SWEEP_METHODS,
-) -> list[SweepRow]:
-    """Re-generate the adversarial slice at each hidden-confounder strength."""
-    _refuse_replay("strength", methods)
-    rows = []
-    for s in STRENGTH_GRID:
-        bspec = replace(config.bench, seeds=SWEEP_SEEDS, adversarial_strength=s)
-        instances, _ = build_benchmark(bspec, regimes=(ADVERSARIAL,))
-        rows.extend(_sweep_rows_from({"strength": s}, instances, methods, config))
-    return rows
-
-
 def run_weight_sweep(run: RunResult) -> list[SweepRow]:
     """Re-score cached verdicts over the weight grid.  No verdict depends on
     the scoring weights, so each row is the run's summary with only the mean
@@ -326,18 +294,54 @@ def misspecify_instance(inst: ScmInstance, fraction: float) -> ScmInstance:
     return replace(inst, graph=graph)
 
 
-def run_misspec_sweep(
-    config: RunConfig,
-    methods: Sequence[str] = SWEEP_METHODS,
-) -> list[SweepRow]:
-    """Moderate-regime slice with the committed graphs progressively broken."""
-    _refuse_replay("misspec", methods)
-    bspec = replace(config.bench, seeds=SWEEP_SEEDS)
-    base, _ = build_benchmark(bspec, regimes=(MODERATE,))
+@dataclass(frozen=True, slots=True)
+class RegeneratingSweep:
+    """A sweep that builds its own instances: the ``regime`` slice on ``SWEEP_SEEDS``
+    with the ``BenchmarkSpec`` keys ``sets`` set to each ``grid`` value (the CSV's
+    ``column``), then passed through ``perturb``."""
+
+    regime: str
+    column: str
+    grid: tuple[float, ...]
+    sets: tuple[str, ...]
+    perturb: Callable[[ScmInstance, float], ScmInstance]
+
+    @property
+    def refused(self) -> tuple[str, ...]:
+        """The config keys the sweep sets itself or never reads, in check order."""
+        unread = (key for r in REGIMES if r != self.regime for key in REGIME_KEYS[r])
+        return tuple(dict.fromkeys(("seeds", *self.sets, *unread)))
+
+    def points(self, bench: BenchmarkSpec) -> Iterator[tuple[dict, list[ScmInstance]]]:
+        """Each grid point, with the instances the sweep builds there from ``bench``."""
+        bench, built = replace(bench, seeds=SWEEP_SEEDS), {}
+        for value in self.grid:
+            bspec = replace(bench, **dict.fromkeys(self.sets, value))
+            if bspec not in built:  # a grid that sets no key builds its slice once
+                built = {bspec: build_benchmark(bspec, regimes=(self.regime,))[0]}
+            yield {self.column: value}, [self.perturb(inst, value) for inst in built[bspec]]
+
+
+# Each kind of sweep that builds its own instances; ``civex sweep <kind>``
+# runs it, and refuses a config document that sets a key its row refuses.
+REGENERATING_SWEEPS = {
+    "strength": RegeneratingSweep(ADVERSARIAL, "strength", STRENGTH_GRID,
+                                  ("adversarial_strength",), lambda inst, _: inst),
+    "misspec": RegeneratingSweep(MODERATE, "fraction", MISSPEC_FRACTIONS, (),
+                                 misspecify_instance),
+}
+
+
+def run_regenerating_sweep(kind: str, config: RunConfig) -> list[SweepRow]:
+    """Evaluate ``config.methods`` at each grid point of ``REGENERATING_SWEEPS[kind]``."""
+    if (method := next(filter(is_replay, config.methods), None)) is not None:
+        raise ReplayError(f"replay method {method} cannot run in the {kind} sweep: "
+                          f"it regenerates its instances, and no shard recorded them")
     rows = []
-    for fraction in MISSPEC_FRACTIONS:
-        instances = [misspecify_instance(inst, fraction) for inst in base]
-        rows.extend(_sweep_rows_from({"fraction": fraction}, instances, methods, config))
+    for point, instances in REGENERATING_SWEEPS[kind].points(config.bench):
+        decisions = evaluate_instances(instances, config.methods, config.verifier)
+        records = _score_all(instances, config.methods, decisions, config.weights)
+        rows += [SweepRow(point, summary) for summary in _summaries(records).values()]
     return rows
 
 

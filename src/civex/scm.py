@@ -223,7 +223,7 @@ class ActionFrame:
         return None
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class InstanceId:
     seed: int
     regime: str
@@ -287,6 +287,11 @@ class BenchmarkSpec:
                                  lambda x: 0 <= x < math.inf)
 
     __post_init__ = check_fields
+
+
+# The ``BenchmarkSpec`` keys that only one regime's instances read.
+REGIME_KEYS = {MODERATE: ("moderate_per_family", "latent_fraction_moderate"),
+               ADVERSARIAL: ("adversarial_strength", "adversarial_per_family")}
 
 
 def _instance_key(seed: int, regime: str, family: str, index: int) -> int:

@@ -8,6 +8,7 @@ misspecification sweep) are built once per module and shared.
 import hashlib
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,10 +32,10 @@ from civex.graphs import CausalGraph, IdentificationKind, d_separated, identify
 from civex.runner import (
     MISSPEC_FRACTIONS,
     STRENGTH_GRID,
+    SWEEP_METHODS,
     RunConfig,
     run_benchmark,
-    run_misspec_sweep,
-    run_strength_sweep,
+    run_regenerating_sweep,
     run_weight_sweep,
     write_run_outputs,
 )
@@ -110,7 +111,8 @@ def default_run(run_dir):
 @pytest.fixture(scope="module")
 def strength_rows(default_run):
     t0 = time.monotonic()
-    rows = run_strength_sweep(default_run.config)
+    rows = run_regenerating_sweep("strength", replace(default_run.config,
+                                                      methods=SWEEP_METHODS))
     _timings["strength_sweep"] = time.monotonic() - t0
     return rows
 
@@ -118,7 +120,8 @@ def strength_rows(default_run):
 @pytest.fixture(scope="module")
 def misspec_rows(default_run):
     t0 = time.monotonic()
-    rows = run_misspec_sweep(default_run.config)
+    rows = run_regenerating_sweep("misspec", replace(default_run.config,
+                                                     methods=SWEEP_METHODS))
     _timings["misspec_sweep"] = time.monotonic() - t0
     return rows
 

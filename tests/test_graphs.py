@@ -1,5 +1,10 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +82,49 @@ class TestValidate:
         assert validate_graph(g) == "node name 1 is not a string"
         with pytest.raises(GraphError, match="node name 1 is not a string"):
             identify(g)
+
+    @pytest.mark.parametrize("role", ["treatment", "outcome"])
+    @pytest.mark.parametrize("value", [["T"], 1])
+    def test_role_that_is_not_a_string(self, role, value):
+        # A list does not hash; the check must come before the memo hashes the graph.
+        g = CausalGraph(["T", "Y"], [("T", "Y")], [], **{"treatment": "T", "outcome": "Y",
+                                                         role: value})
+        assert validate_graph(g) == f"{role} {value!r} is not a string"
+        with pytest.raises(GraphError, match="is not a string"):
+            identify(g)
+
+    def test_violation_does_not_depend_on_string_hashing(self):
+        # Each malformed graph has several violations; one interpreter per
+        # hash seed must name the same one.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        seen = set()
+        for hash_seed in range(1, 7):
+            proc = subprocess.run([sys.executable, "-c", HASH_SCRIPT],
+                                  env={**env, "PYTHONHASHSEED": str(hash_seed)},
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            seen.add(proc.stdout)
+        assert len(seen) == 1
+        assert json.loads(seen.pop()) == [
+            "directed edge (a, T) references an unknown node",
+            "bidirected edge (T, a) references an unknown node",
+            # ``repr`` orders a non-string endpoint too.
+            "directed edge (d, T) references an unknown node",
+        ]
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+HASH_SCRIPT = """
+import json
+from civex.graphs import CausalGraph, validate_graph
+stray = [("a", "T"), ("b", "Y"), ("c", "Y"), ("d", "T")]
+graphs = [CausalGraph(["T", "Y"], [("T", "Y"), *stray], [], "T", "Y"),
+          CausalGraph(["T", "Y"], [("T", "Y")], stray, "T", "Y"),
+          CausalGraph(["T", "Y"], [("T", "Y"), (1, "T"), ("d", "T")], [], "T", "Y")]
+print(json.dumps([validate_graph(g) for g in graphs]))
+"""
 
 
 class TestConstruction:

@@ -23,7 +23,7 @@ import civex
 from civex.baselines import ALWAYS_ABSTAIN, CIVEX, ORACLE_SCM, build_context, make_provider
 from civex.estimation import adjusted_effect
 from civex.frames import Frame
-from civex.runner import RunConfig, SweepRow, run_benchmark
+from civex.runner import REGENERATING_SWEEPS, RunConfig, SweepRow, run_benchmark
 from civex.scm import MODERATE, BenchmarkSpec, sample_instance
 from civex.verifier import (
     Decision,
@@ -89,7 +89,7 @@ class TestLayout:
         inst = small_run.instances[0]
         summary = next(iter(small_run.summaries.values()))
         records = _records(small_run, make_view(inst), build_context(small_run.instances),
-                           SweepRow({"strength": 1.0}, summary))
+                           SweepRow({"strength": 1.0}, summary), REGENERATING_SWEEPS)
         assert set(records) == _civex_dataclasses()
         for cls, record in records.items():
             assert not hasattr(record, "__dict__"), cls

@@ -3,7 +3,7 @@ import json
 import math
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -15,12 +15,13 @@ from civex.cli import main
 from civex.frames import Frame
 from civex import runner
 from civex.runner import (
+    REGENERATING_SWEEPS,
     RunConfig,
     run_benchmark,
     run_weight_sweep,
     write_run_outputs,
 )
-from civex.scm import BenchmarkSpec
+from civex.scm import BenchmarkSpec, write_instances_jsonl
 from civex.verifier import VerifierConfig, certificate_to_json_dict
 
 TINY = {
@@ -491,6 +492,62 @@ class TestSweepCommands:
             encoding="utf-8").splitlines()
         method = header.split(",").index("method")
         assert [line.split(",")[method] for line in body] == ["CIVeX"] * 4
+
+
+# A valid value for each ``BenchmarkSpec`` key, unlike ``SWEEP_BASE``'s.
+OTHER_BENCH_VALUES = {
+    "seeds": (7,),
+    "moderate_per_family": 2,
+    "adversarial_per_family": 2,
+    "n_rows": 61,
+    "adversarial_strength": 1.75,
+    "latent_fraction_moderate": 0.9,
+    "reversible_fraction": 0.2,
+    "action_cost": 0.3,
+}
+SWEEP_BASE = BenchmarkSpec(moderate_per_family=1, adversarial_per_family=1, n_rows=60)
+
+
+def sweep_instance_digests(tmp_path: Path, kind: str, bench: BenchmarkSpec) -> list[str]:
+    """Each grid point, with the SHA-256 of the instance file the sweep builds there."""
+    digests = []
+    for point, instances in REGENERATING_SWEEPS[kind].points(bench):
+        path = tmp_path / f"{kind}.jsonl"
+        write_instances_jsonl(path, instances)
+        digests.append(f"{point}:{sha256_hex(path.read_text(encoding='utf-8'))}")
+    return digests
+
+
+class TestRegeneratingSweepTable:
+    def test_refused_keys_keep_their_order(self):
+        # A document that sets several refused keys is refused by the first.
+        assert REGENERATING_SWEEPS["strength"].refused == (
+            "seeds", "adversarial_strength", "moderate_per_family", "latent_fraction_moderate")
+        assert REGENERATING_SWEEPS["misspec"].refused == (
+            "seeds", "adversarial_strength", "adversarial_per_family")
+
+    @pytest.mark.parametrize("kind", sorted(REGENERATING_SWEEPS))
+    def test_a_sweep_refuses_exactly_the_keys_it_ignores(self, tmp_path, kind):
+        assert set(OTHER_BENCH_VALUES) == {f.name for f in fields(BenchmarkSpec)}
+        refused = REGENERATING_SWEEPS[kind].refused
+        base = sweep_instance_digests(tmp_path, kind, SWEEP_BASE)
+        assert len(base) == len(REGENERATING_SWEEPS[kind].grid)
+        for key, value in OTHER_BENCH_VALUES.items():
+            assert getattr(SWEEP_BASE, key) != value
+            got = sweep_instance_digests(tmp_path, kind, replace(SWEEP_BASE, **{key: value}))
+            if key in refused:
+                assert got == base, key
+            else:
+                assert all(g != b for g, b in zip(got, base)), key
+
+    def test_a_document_with_several_refused_keys_names_the_first(self, tmp_path):
+        cfg = write_config(tmp_path, "several", SWEEP_TINY["strength"],
+                           latent_fraction_moderate=0.5, moderate_per_family=3)
+        result = CliRunner().invoke(main, ["sweep", "strength", "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert result.output == ("Error: invalid configuration: sweep strength uses seeds "
+                                 "42-46 and its own grid, so it takes no "
+                                 "'moderate_per_family' key\n")
 
 
 class TestReportCommand:

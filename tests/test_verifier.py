@@ -633,6 +633,18 @@ class TestFailClosed:
         assert v.refusal_reason == "malformed committed graph: node name 1 is not a string"
         assert causal_no_experiment(worked_frame(), odd, worked_data()) == v
 
+    @pytest.mark.parametrize("role", ["treatment", "outcome"])
+    @pytest.mark.parametrize("value", [["add_index"], 1])
+    def test_role_that_is_not_a_string_rejected_under_rule_one(self, role, value):
+        # A list does not hash, so rule 1 must refuse it before a memo sees the graph.
+        odd = replace(worked_graph(), **{role: value})
+        v = triage(worked_frame(), [odd], worked_data(), CFG)
+        assert v.decision is Decision.REJECT
+        assert v.rule_fired == 1
+        assert v.refusal_reason == (f"malformed committed graph: {role} {value!r} "
+                                    f"is not a string")
+        assert causal_no_experiment(worked_frame(), odd, worked_data()) == v
+
     def test_tool_less_frame_rejected_by_causal_no_experiment(self):
         frame = unchecked(worked_frame(), tool="")
         v = causal_no_experiment(frame, worked_graph(), worked_data())
