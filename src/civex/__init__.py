@@ -1,99 +1,8 @@
-"""Causal intervention verifier, synthetic tool-call benchmark, and harness."""
+"""Causal intervention verifier, synthetic tool-call benchmark, and harness.
+
+The package root exports only ``__version__``; every other name is imported
+from its own module, so ``import civex.verifier`` loads the gate and the
+certificate replay without the benchmark.
+"""
 
 __version__ = "0.1.0"
-
-from .frames import Frame, FrameError
-from .graphs import (
-    CausalGraph,
-    GraphError,
-    IdentificationKind,
-    IdentificationResult,
-    d_separated,
-    identify,
-    relabel_latent,
-    validate_graph,
-)
-from .estimation import (
-    EffectEstimate,
-    EstimationError,
-    adjusted_effect,
-    frontdoor_effect,
-    provenance_hash,
-    unadjusted_difference,
-)
-from .scm import (
-    ActionFrame,
-    BenchmarkSpec,
-    InstanceId,
-    ScmInstance,
-    ScmSpec,
-    build_benchmark,
-    generate_frame,
-    sample_instance,
-)
-from .verifier import (
-    Certificate,
-    Decision,
-    InstanceView,
-    TwoStageResult,
-    Verdict,
-    VerifierConfig,
-    run_two_stage,
-    triage,
-    verify_certificate,
-)
-from .evaluation import (
-    MethodSummary,
-    ScoreRecord,
-    ScoreWeights,
-    bootstrap_ci,
-    rule_of_three,
-    score,
-    summarize,
-    wilcoxon_exact,
-)
-
-__all__ = [
-    "__version__",
-    "Frame",
-    "FrameError",
-    "CausalGraph",
-    "GraphError",
-    "IdentificationKind",
-    "IdentificationResult",
-    "d_separated",
-    "identify",
-    "relabel_latent",
-    "validate_graph",
-    "EffectEstimate",
-    "EstimationError",
-    "adjusted_effect",
-    "frontdoor_effect",
-    "provenance_hash",
-    "unadjusted_difference",
-    "ActionFrame",
-    "BenchmarkSpec",
-    "InstanceId",
-    "ScmInstance",
-    "ScmSpec",
-    "build_benchmark",
-    "generate_frame",
-    "sample_instance",
-    "Certificate",
-    "Decision",
-    "InstanceView",
-    "TwoStageResult",
-    "Verdict",
-    "VerifierConfig",
-    "run_two_stage",
-    "triage",
-    "verify_certificate",
-    "MethodSummary",
-    "ScoreRecord",
-    "ScoreWeights",
-    "bootstrap_ci",
-    "rule_of_three",
-    "score",
-    "summarize",
-    "wilcoxon_exact",
-]

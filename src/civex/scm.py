@@ -53,6 +53,7 @@ import numpy as np
 from .config import INT, INTS, NUMBER, check_fields, distinct, setting
 from .frames import Frame
 from .graphs import CausalGraph, graph_to_json_dict
+from .verifier import ActionFrame
 
 __all__ = [
     "MODERATE",
@@ -61,7 +62,6 @@ __all__ = [
     "FAMILY_TOOLS",
     "ConfounderSpec",
     "ScmSpec",
-    "ActionFrame",
     "InstanceId",
     "ScmInstance",
     "BenchmarkSpec",
@@ -181,46 +181,6 @@ class ScmSpec:
     @property
     def hidden_confounders(self) -> tuple[ConfounderSpec, ...]:
         return tuple(c for c in self.confounders if c.hidden)
-
-
-@dataclass(frozen=True, slots=True)
-class ActionFrame:
-    tool: str
-    target_variable: str
-    target_value: float
-    utility_variable: str
-    cost: float
-    reversible: bool
-    interventional: bool = True
-
-    def __post_init__(self) -> None:
-        violation = self.violation()
-        if violation is not None:
-            raise ValueError(f"malformed action frame: {violation}")
-
-    def violation(self) -> str | None:
-        """The first field of the wrong type or value, if any.
-
-        The check runs again at the gate, for a frame that skipped the
-        constructor (set by hand, or unpickled).
-        """
-        if not isinstance(self.tool, str):
-            return "tool name is not a string"
-        if not self.tool:
-            return "missing tool name"
-        for name in ("cost", "target_value"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"{name.replace('_', ' ')} is not a number"
-        if not self.cost >= 0:
-            return "negative or NaN cost"
-        for name in ("reversible", "interventional"):
-            if not isinstance(getattr(self, name), bool):
-                return f"{name} flag is not a boolean"
-        if self.target_value != 1.0:
-            return (f"target value {self.target_value!r} is not 1.0, "
-                    f"the only treatment level civex certifies")
-        return None
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,6 +20,10 @@ Rules, in order:
 Every EXECUTE issued by rule 3 carries a certificate binding the committed
 graph, the assumption labels, the identification proof, the estimate with
 its one-sided bound, the provenance hash of the data, and the declared risk.
+
+The gate's input, ``ActionFrame``, is defined here.  The benchmark
+(``civex.scm``) is a client of this module, which imports the benchmark for
+annotations only, so the gate and certificate replay load without it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .config import NUMBER, STR_SET, check_fields, setting
 from .estimation import (
@@ -52,11 +56,14 @@ from .graphs import (
     string_list,
     validate_graph,
 )
-from .scm import ActionFrame, InstanceId, ScmInstance
+
+if TYPE_CHECKING:
+    from .scm import InstanceId, ScmInstance
 
 __all__ = [
     "Decision",
     "VerifierConfig",
+    "ActionFrame",
     "Certificate",
     "Verdict",
     "InstanceView",
@@ -98,6 +105,46 @@ class VerifierConfig:
                                               "a list of tool names (strings)")
 
     __post_init__ = check_fields
+
+
+@dataclass(frozen=True, slots=True)
+class ActionFrame:
+    tool: str
+    target_variable: str
+    target_value: float
+    utility_variable: str
+    cost: float
+    reversible: bool
+    interventional: bool = True
+
+    def __post_init__(self) -> None:
+        violation = self.violation()
+        if violation is not None:
+            raise ValueError(f"malformed action frame: {violation}")
+
+    def violation(self) -> str | None:
+        """The first field of the wrong type or value, if any.
+
+        The check runs again at the gate, for a frame that skipped the
+        constructor (set by hand, or unpickled).
+        """
+        if not isinstance(self.tool, str):
+            return "tool name is not a string"
+        if not self.tool:
+            return "missing tool name"
+        for name in ("cost", "target_value"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return f"{name.replace('_', ' ')} is not a number"
+        if not self.cost >= 0:
+            return "negative or NaN cost"
+        for name in ("reversible", "interventional"):
+            if not isinstance(getattr(self, name), bool):
+                return f"{name} flag is not a boolean"
+        if self.target_value != 1.0:
+            return (f"target value {self.target_value!r} is not 1.0, "
+                    f"the only treatment level civex certifies")
+        return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -402,7 +449,10 @@ def certificate_from_json_dict(obj: Mapping) -> Certificate:
     certificate, its proof or its graph raises a KeyError, TypeError or GraphError,
     and so does a name set that is not a list of strings.  Replay cannot check
     the declared ``risk``, so one that is not a finite number >= 0 raises a
-    ValueError here."""
+    ValueError here, and so does a row count ``n`` that is not an int, or an
+    ``alpha``, ``theta_hat``, ``std_err`` or ``lcb_alpha`` that is not a float:
+    the writer writes no other type, and replay would compare ``400.0`` equal
+    to ``400``."""
     risk = obj["risk"]
     if (isinstance(risk, bool) or not isinstance(risk, (int, float))
             or not 0.0 <= risk < math.inf):
@@ -412,9 +462,15 @@ def certificate_from_json_dict(obj: Mapping) -> Certificate:
         **proof, "kind": IdentificationKind(proof["kind"]),
         "adjustment_set": tuple(string_list(proof["adjustment_set"], "adjustment_set")),
         "mediator_set": tuple(string_list(proof["mediator_set"], "mediator_set"))})
-    return Certificate(**{**obj, "graph": graph_from_json_dict(obj["graph"]),
+    cert = Certificate(**{**obj, "graph": graph_from_json_dict(obj["graph"]),
                           "assumptions": tuple(string_list(obj["assumptions"], "assumptions")),
                           "proof": proof})
+    if isinstance(cert.n, bool) or not isinstance(cert.n, int):
+        raise ValueError(f"n {cert.n!r} is not an integer")
+    for name in ("alpha", "theta_hat", "std_err", "lcb_alpha"):
+        if not isinstance(getattr(cert, name), float):
+            raise ValueError(f"{name} {getattr(cert, name)!r} is not a float")
+    return cert
 
 
 def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:

@@ -1,9 +1,10 @@
-"""What a civex process loads: no scipy at all; and what each module exports.
+"""What a civex process loads: no scipy at all, and the gate without the
+benchmark; and what each module exports.
 
 The normal quantile is a port of Cephes ``ndtri`` and the signed-rank test
 ranks with numpy, so scipy is a test oracle, not a runtime dependency.  The
-check runs in a fresh interpreter, because this test process imports scipy
-itself (as an oracle).
+checks run in a fresh interpreter, because this test process imports scipy
+itself (as an oracle) and every civex module.
 """
 
 import importlib
@@ -51,18 +52,45 @@ print(json.dumps({"verify_exit": code, "modules": loaded}))
 """
 
 
-def test_no_scipy_module_is_loaded(tmp_path):
+# The package root, then the gate and certificate replay on their own.
+GATE_SCRIPT = """
+import json, sys
+import civex
+root = sorted(name for name in sys.modules if name.startswith("civex."))
+import civex.verifier
+print(json.dumps({"root": root, "verifier": sorted(sys.modules)}))
+"""
+
+
+def _fresh(script: str, *args: str) -> dict:
+    """The JSON line the script prints last, run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "run")],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_no_scipy_module_is_loaded(tmp_path):
+    result = _fresh(SCRIPT, str(tmp_path / "run"))
     assert result["verify_exit"] == 0
     assert "civex.cli" in result["modules"]
     loaded = [name for name in result["modules"]
               if name == "scipy" or name.startswith("scipy.")]
     assert loaded == []
+
+
+def test_gate_loads_without_the_benchmark():
+    # The package root re-exports nothing, and the verifier imports the
+    # benchmark's types for annotations only, so a process that gates or
+    # replays loads neither the benchmark nor the harness.
+    result = _fresh(GATE_SCRIPT)
+    assert result["root"] == []
+    benchmark = {"civex.scm", "civex.evaluation", "civex.baselines", "civex.runner",
+                 "civex.cli", "click"}
+    assert "civex.verifier" in result["verifier"]
+    assert benchmark.isdisjoint(result["verifier"])
 
 
 @pytest.mark.parametrize("name", ["civex"] + [

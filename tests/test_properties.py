@@ -42,8 +42,9 @@ from civex.graphs import (
     validate_graph,
 )
 from civex.runner import RunConfig
-from civex.scm import ActionFrame, BenchmarkSpec, build_benchmark
+from civex.scm import BenchmarkSpec, build_benchmark
 from civex.verifier import (
+    ActionFrame,
     Decision,
     Verdict,
     VerifierConfig,

@@ -27,12 +27,12 @@ from civex.graphs import (
 from civex.scm import (
     ADVERSARIAL,
     MODERATE,
-    ActionFrame,
     BenchmarkSpec,
     InstanceId,
     sample_instance,
 )
 from civex.verifier import (
+    ActionFrame,
     Decision,
     InstanceView,
     VerifierConfig,
@@ -475,7 +475,7 @@ class TestCertificates:
 
 TAMPERS = {
     "std_err": lambda obj: obj.update(std_err=obj["std_err"] * (1.0 + 1e-12)),
-    "n": lambda obj: obj.update(n="x"),
+    "n": lambda obj: obj.update(n=obj["n"] + 1),
     "assumptions": lambda obj: obj.update(assumptions=obj["assumptions"][:-1]),
     "proof": lambda obj: obj["proof"].update(proof_note="edited"),
     "theta_hat": lambda obj: obj.update(theta_hat=obj["theta_hat"] + 1.0),
@@ -540,6 +540,27 @@ class TestWholeCertificateReplay:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(
             f"Error: cannot parse certificate: risk {risk!r} is not a finite number >= 0")
+
+    @pytest.mark.parametrize("name, edit", [
+        ("n", float), ("n", lambda n: True), ("n", str), ("alpha", lambda a: [a]),
+        ("alpha", lambda a: 1), ("theta_hat", str), ("std_err", lambda s: None),
+        ("lcb_alpha", lambda b: False),
+    ], ids=["float-n", "bool-n", "string-n", "list-alpha", "int-alpha", "string-theta",
+            "null-std-err", "bool-lcb"])
+    def test_wrongly_typed_number_is_refused(self, tmp_path, name, edit):
+        # The writer writes n as an int and the others as floats; replay
+        # compares with ==, so 400.0 would pass for a row count of 400.
+        obj, blob = self._stored()
+        obj[name] = edit(obj[name])
+        cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+        cert_path.write_text(json.dumps(obj), encoding="utf-8")
+        data_path.write_bytes(blob)
+        result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        kind = "an integer" if name == "n" else "a float"
+        assert result.output.startswith(
+            f"Error: cannot parse certificate: {name} {obj[name]!r} is not {kind}")
 
     @pytest.mark.parametrize("edit, what", [
         (lambda obj: obj["proof"].update(adjustment_set="", mediator_set={}),
