@@ -285,9 +285,18 @@ def run_weight_sweep(run: RunResult) -> list[SweepRow]:
 
 def misspecify_instance(inst: ScmInstance, fraction: float) -> ScmInstance:
     """Relabel a fraction of the committed graph's observed confounders as
-    latent; the data frames are untouched (the variables persist in the SCM)."""
+    latent; the data frames are untouched (the variables persist in the SCM).
+
+    The relabelled graph may leave the effect unidentified where the
+    committed one identified it, so the gate may run a trial that ``inst``
+    deferred.  A reversible action's trial frame is therefore drawn on
+    ``inst`` first: every relabelled copy then shares that one frame, with
+    its digest and fits, rather than drawing its own on first use.
+    """
     if fraction == 0.0:
         return inst
+    if inst.safe_experiment_available:
+        inst.experimental
     observed = [c.name for c in inst.spec.observed]
     rng = instance_rng(inst.id.seed, f"relabel-{fraction}", inst.id.family, inst.id.index)
     graph = relabel_latent(inst.graph, observed, fraction, rng)

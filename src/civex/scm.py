@@ -10,9 +10,10 @@ a committed graph, an observational frame, and a paired frame with randomly
 assigned treatment.  Hidden confounders drive T and Y but are never emitted
 as columns; their presence surfaces only as a bidirected treatment-outcome
 edge in the committed graph.  The paired frame is drawn with the instance
-only when its action is reversible, the one case in which the gate can run
-the experiment; any other instance draws it on first use, from the same
-stream (``ScmInstance.experimental``).
+only when its action is reversible and the committed graph does not
+identify its effect, the one case in which the gate runs the experiment
+(rule 4); any other instance draws it on first use, from the same stream
+(``ScmInstance.experimental``).
 
 Two regimes:
 
@@ -31,10 +32,11 @@ cannot change results.  A build re-keys one generator of its own per
 instance, to the state a fresh ``instance_rng`` stream starts in, and draws
 each fixed-length run of uniforms with one call; the numbers and their order
 are those of one scalar call per value.  The paired frame is the last draw
-on the stream, so an instance that defers it replays the stream under the
-``BenchmarkSpec`` it was built with and draws the same bits.  Instances of
-one shape share their committed graph, which is immutable, so graph-keyed
-caches hit by identity; each instance builds its own action frame.
+on the stream, so an instance that defers it keeps the stream's position
+after the observational draw and resumes there, drawing the same bits.
+Instances of one shape share their committed graph, which is immutable, so
+graph-keyed caches hit by identity; each instance builds its own action
+frame.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import numpy as np
 
 from .config import INT, INTS, NUMBER, check_fields, distinct, setting
 from .frames import Frame
-from .graphs import CausalGraph, graph_to_json_dict
+from .graphs import CausalGraph, graph_to_json_dict, identify
 from .verifier import ActionFrame
 
 __all__ = [
@@ -200,13 +202,15 @@ class ScmInstance:
     its data.
 
     ``experimental``, the paired randomized frame, is drawn with the
-    instance only where a safe experiment is available: elsewhere the gate
-    abstains without reading it.  An instance without one draws it on first
-    use by replaying its keyed stream under ``_bspec``, the ``BenchmarkSpec``
-    it was drawn with; the frame is the stream's last draw, so the replay
-    gives the bits an eager draw would.  Like a frame's digest, it follows from the
-    other fields, so neither it nor ``_bspec`` is part of equality, the hash
-    or the repr.
+    instance only where the gate runs the trial: the action is reversible
+    and the committed graph does not identify its effect.  Elsewhere rule 3
+    decides on the observational frame, or the gate abstains, without
+    reading it.  Any other instance keeps ``_position``, where its keyed
+    stream stood after the observational draw, and draws the frame on first
+    use by resuming the stream there; the frame is the stream's last draw,
+    so the resumed stream gives the bits an eager draw would.  Like a
+    frame's digest, it follows from the other fields, so neither it nor
+    ``_position`` is part of equality, the hash or the repr.
     """
 
     id: InstanceId
@@ -215,17 +219,15 @@ class ScmInstance:
     spec: ScmSpec
     observational: Frame
     safe_experiment_available: bool
-    _bspec: BenchmarkSpec = field(repr=False, compare=False)
+    _position: _StreamPosition | None = field(repr=False, compare=False)
     _experimental: Frame | None = field(repr=False, compare=False)
 
     @property
     def experimental(self) -> Frame:
         frame = self._experimental
         if frame is None:
-            i = self.id
-            rng = instance_rng(i.seed, i.regime, i.family, i.index)
-            replay = _sample(i, self._bspec, rng)
-            frame = _trial_frame(replay.spec, self._bspec, rng)
+            frame = generate_frame(self.spec, self.observational.n_rows, randomize_treatment=True,
+                                   rng=_resume(self.id, self._position))
             object.__setattr__(self, "_experimental", frame)
         return frame
 
@@ -262,6 +264,29 @@ def _instance_key(seed: int, regime: str, family: str, index: int) -> int:
 def instance_rng(seed: int, regime: str, family: str, index: int) -> np.random.Generator:
     """Counter-based stream keyed by a 64-bit hash of the instance coordinates."""
     return np.random.Generator(np.random.Philox(key=_instance_key(seed, regime, family, index)))
+
+
+# A Philox stream's position without its key: the counter and the buffer as
+# bytes, the buffer position, and the cached 32-bit half and its flag.
+_StreamPosition = tuple[bytes, bytes, int, int, int]
+
+
+def _stream_position(rng: np.random.Generator) -> _StreamPosition:
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tobytes(), state["buffer"].tobytes(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+def _resume(inst_id: InstanceId, position: _StreamPosition) -> np.random.Generator:
+    """The instance's keyed stream, moved to ``position``."""
+    rng = instance_rng(inst_id.seed, inst_id.regime, inst_id.family, inst_id.index)
+    counter, buffer, buffer_pos, has_uint32, uinteger = position
+    state = rng.bit_generator.state
+    state["state"]["counter"] = np.frombuffer(counter, np.uint64)
+    state.update(buffer=np.frombuffer(buffer, np.uint64), buffer_pos=buffer_pos,
+                 has_uint32=has_uint32, uinteger=uinteger)
+    rng.bit_generator.state = state
+    return rng
 
 
 class _KeyedStreams:
@@ -522,26 +547,27 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
 
     reversible = bool(rng.random() < bspec.reversible_fraction)
     observational = generate_frame(spec, bspec.n_rows, randomize_treatment=False, rng=rng)
+    graph = _committed_graph(tuple(c.name for c in spec.observed), bool(spec.hidden_confounders))
+    # The gate runs the trial only for a reversible action whose effect the
+    # graph does not identify (rule 4); the other frames are drawn on first
+    # use (``ScmInstance.experimental``), from the stream's position here.
+    position = experimental = None
+    if reversible and not identify(graph).identified:
+        experimental = generate_frame(spec, bspec.n_rows, randomize_treatment=True, rng=rng)
+    else:
+        position = _stream_position(rng)
     return ScmInstance(
         id=inst_id,
         frame=ActionFrame(tool=FAMILY_TOOLS[family], target_variable=TREATMENT_NODE,
                           target_value=1.0, utility_variable=OUTCOME_NODE,
                           cost=bspec.action_cost, reversible=reversible),
-        graph=_committed_graph(tuple(c.name for c in spec.observed),
-                               bool(spec.hidden_confounders)),
+        graph=graph,
         spec=spec,
         observational=observational,
         safe_experiment_available=reversible,
-        _bspec=bspec,
-        # Only a reversible action can run the trial; the others draw it on
-        # first use (``ScmInstance.experimental``).
-        _experimental=_trial_frame(spec, bspec, rng) if reversible else None,
+        _position=position,
+        _experimental=experimental,
     )
-
-
-def _trial_frame(spec: ScmSpec, bspec: BenchmarkSpec, rng: np.random.Generator) -> Frame:
-    """The randomized trial frame, the last draw on an instance's stream."""
-    return generate_frame(spec, bspec.n_rows, randomize_treatment=True, rng=rng)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,11 +17,14 @@ which the library no longer imports.  ``unchecked`` sets an action frame's
 fields past its constructor's checks, as a frame set by hand or unpickled
 holds them.  ``pooled_association_oracle`` is the observational-association
 pooling as it was when it read the instances themselves.
+``trial_frame_oracle`` is a deferred trial frame as it was drawn before an
+instance kept its stream's position: by replaying the instance's whole stream.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 import warnings
@@ -38,6 +41,7 @@ from civex.estimation import (
 )
 from civex.frames import Frame, FrameError
 from civex.graphs import CausalGraph, IdentificationKind
+from civex.scm import BenchmarkSpec, InstanceId, _sample, generate_frame, instance_rng
 
 
 def expanded_adjacency(g: CausalGraph):
@@ -439,3 +443,13 @@ def pooled_association_oracle(instances):
     return {key: Frame(columns=("T", "Y"), data=np.array(
                 [(1.0, m1) for m1, _ in pairs] + [(0.0, m0) for _, m0 in pairs]))
             for key, pairs in groups.items()}
+
+
+def trial_frame_oracle(inst_id: InstanceId, bspec: BenchmarkSpec) -> Frame:
+    """The instance's randomized trial frame, drawn by replaying its keyed
+    stream from the start: every draw of the instance, with the action made
+    irreversible so that none of them is the trial frame, then the frame as
+    the stream's next draw."""
+    rng = instance_rng(inst_id.seed, inst_id.regime, inst_id.family, inst_id.index)
+    replay = _sample(inst_id, dataclasses.replace(bspec, reversible_fraction=0.0), rng)
+    return generate_frame(replay.spec, bspec.n_rows, randomize_treatment=True, rng=rng)

@@ -8,7 +8,7 @@ misspecification sweep) are built once per module and shared.
 import hashlib
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -28,7 +28,13 @@ from civex.baselines import (
 from civex.estimation import adjusted_effect, provenance_hash
 from civex.evaluation import ScoreWeights, rule_of_three, utility_value, wilcoxon_exact
 from civex.frames import Frame
-from civex.graphs import CausalGraph, IdentificationKind, d_separated, identify
+from civex.graphs import (
+    CausalGraph,
+    IdentificationKind,
+    d_separated,
+    graph_to_json_dict,
+    identify,
+)
 from civex.runner import (
     MISSPEC_FRACTIONS,
     STRENGTH_GRID,
@@ -47,7 +53,6 @@ from civex.scm import (
     ScmSpec,
     build_benchmark,
     generate_frame,
-    instance_to_json_dict,
     sample_instance,
 )
 from civex.verifier import (
@@ -77,11 +82,26 @@ def _report(num: int, text: str) -> None:
 
 
 def digest(instances) -> str:
-    """The SHA-256 of the instances' JSON lines.  Comparing digests fails at
-    once, where comparing the multi-MB texts makes pytest diff them."""
-    text = "\n".join(json.dumps(instance_to_json_dict(i), sort_keys=True)
-                      for i in instances)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """The SHA-256 of every instance's record and both its frames.
+
+    The record is the instance file's, without the frames.  Each frame enters
+    as its column names and shape, then its canonical bytes, whose shortest
+    round-trip text of each value keeps every float bit.  Comparing digests
+    fails at once, where comparing the instances makes pytest diff them.
+    """
+    h = hashlib.sha256()
+    for inst in instances:
+        record = {"id": asdict(inst.id), "frame": asdict(inst.frame),
+                  "graph": graph_to_json_dict(inst.graph),
+                  "spec": {**asdict(inst.spec), "safe": inst.spec.safe},
+                  "safe_experiment_available": inst.safe_experiment_available}
+        pieces = [json.dumps(record, sort_keys=True).encode()]
+        for frame in (inst.observational, inst.experimental):
+            pieces += [json.dumps([frame.columns, frame.data.shape]).encode(),
+                       frame.canonical_bytes()]
+        for piece in pieces:
+            h.update(hashlib.sha256(piece).digest())
+    return h.hexdigest()
 
 
 def ci_above(a, b) -> bool:
@@ -144,7 +164,8 @@ def test_criterion_01_benchmark_shape_and_determinism(default_run):
     reverse = [sample_instance(i.id.family, i.id.regime, i.id.index,
                                seed=i.id.seed, bspec=spec)
                for i in reversed(instances)]
-    # Each digest serializes every instance, so this build's is taken once.
+    # This build's digest is taken once.  Each digest reads every trial
+    # frame, so the deferred ones are drawn on first use and compared too.
     built = digest(instances)
     assert digest(reversed(reverse)) == built
     assert digest(default_run.instances) == built

@@ -11,7 +11,8 @@ import pytest
 
 from civex.estimation import adjusted_effect, unadjusted_difference
 from civex.frames import FrameError
-from civex.runner import misspecify_instance
+from civex.graphs import identify
+from civex.runner import DEFAULT_METHODS, evaluate_instances, misspecify_instance
 from civex.scm import (
     ADVERSARIAL,
     FAMILIES,
@@ -29,8 +30,14 @@ from civex.scm import (
     unadjusted_plim_bias,
     write_instances_jsonl,
 )
+from civex.verifier import VerifierConfig
+
+from oracles import trial_frame_oracle
 
 SMALL = BenchmarkSpec(seeds=(42, 43), moderate_per_family=6, adversarial_per_family=5)
+# Two rows, a latent confounder on every moderate draw (the most coefficient
+# redraws) and an extreme adversarial strength.
+CORNER = BenchmarkSpec(n_rows=2, latent_fraction_moderate=1.0, adversarial_strength=1e6)
 
 
 def digest(instances) -> str:
@@ -410,10 +417,7 @@ class TestGolden:
         )
 
     def test_corner_spec(self):
-        # Two rows, a latent confounder on every moderate draw (the most
-        # coefficient redraws) and an extreme adversarial strength.
-        insts, _ = build_benchmark(BenchmarkSpec(n_rows=2, latent_fraction_moderate=1.0,
-                                                 adversarial_strength=1e6))
+        insts, _ = build_benchmark(CORNER)
         assert len(insts) == 1890
         assert _digests(insts) == (
             "aff22a2a2a67dc20a3aace5db7a373c150e69444229b8c517aedd9c4f5a17150",
@@ -452,43 +456,50 @@ class TestConcurrentBuilds:
 
 
 class TestTrialFrameOnDemand:
-    """An instance without a safe experiment draws its trial frame on first use."""
+    """Only an instance whose trial the gate runs draws its trial frame with
+    the instance; any other draws it on first use, by resuming its stream."""
 
     @staticmethod
-    def _undrawn(spec=SMALL):
+    def _undrawn(spec=SMALL, reversible=False):
+        """A deferred instance of ``spec``'s build: a reversible one (so its
+        graph identifies the effect), or one whose action is not reversible."""
         instances, _ = build_benchmark(spec)
-        assert all((i._experimental is None) != i.safe_experiment_available
+        # Rule 4's case: the action is reversible and the graph does not
+        # identify its effect.
+        assert all((i._experimental is not None)
+                   == (i.safe_experiment_available and not identify(i.graph).identified)
                    for i in instances)
-        inst = next(i for i in instances if not i.safe_experiment_available)
+        assert all((i._position is None) == (i._experimental is not None) for i in instances)
+        inst = next(i for i in instances
+                    if i._experimental is None and i.safe_experiment_available == reversible)
         assert inst._experimental is None
         return inst
 
-    @staticmethod
-    def _eager(inst, spec=SMALL):
-        """The same instance drawn where every action is reversible: only that
-        comparison differs, so every draw is the same, and the trial frame is
-        drawn with the instance."""
-        eager = sample_instance(inst.id.family, inst.id.regime, inst.id.index,
-                                seed=inst.id.seed, bspec=replace(spec, reversible_fraction=1.0))
-        assert eager._experimental is not None
-        assert eager.observational == inst.observational
-        return eager._experimental
-
-    def test_only_safe_experiments_hold_a_drawn_frame(self):
+    def test_only_trials_the_gate_runs_hold_a_drawn_frame(self):
         self._undrawn()
-        for reversible_fraction in (0.0, 1.0):
-            inst = sample_instance("cache_operation", MODERATE, 3, seed=42,
-                                   bspec=replace(SMALL, reversible_fraction=reversible_fraction))
-            assert (inst._experimental is None) == (reversible_fraction == 0.0)
+        # No moderate draw with a latent confounder, or every one.
+        for latent in (0.0, 1.0):
+            for reversible_fraction in (0.0, 1.0):
+                bspec = replace(SMALL, latent_fraction_moderate=latent,
+                                reversible_fraction=reversible_fraction)
+                inst = sample_instance("db_index_operation", MODERATE, 0, seed=42, bspec=bspec)
+                assert identify(inst.graph).identified == (latent == 0.0)
+                drawn = reversible_fraction == 1.0 and latent == 1.0
+                assert (inst._experimental is not None) == drawn
+                assert (inst._position is None) == drawn
 
-    def test_first_use_draws_the_eager_frame(self):
-        inst = self._undrawn()
-        eager = self._eager(inst)
-        frame = inst.experimental
-        assert frame == eager
-        assert frame.canonical_bytes() == eager.canonical_bytes()
-        assert inst._experimental is frame
-        assert inst.experimental is frame
+    @pytest.mark.parametrize("spec", [SMALL, CORNER], ids=["small", "corner"])
+    def test_every_frame_is_the_replayed_one(self, spec):
+        # Deferred frames on first use, and the frames drawn at build, are
+        # the ones a replay of the whole stream draws, bit for bit.
+        instances, _ = build_benchmark(replace(spec, seeds=(42,)))
+        deferred = [i for i in instances if i._experimental is None]
+        kinds = {i.safe_experiment_available for i in deferred}
+        assert kinds == ({False} if spec is CORNER else {False, True})
+        for inst in instances:
+            expected = trial_frame_oracle(inst.id, spec).canonical_bytes()
+            assert inst.experimental.canonical_bytes() == expected
+            assert inst.experimental is inst._experimental
 
     def test_equality_hash_and_repr_do_not_change_on_first_use(self):
         inst = self._undrawn()
@@ -500,21 +511,23 @@ class TestTrialFrameOnDemand:
         assert inst == twin
         assert (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
 
-    def test_pickle_round_trip_before_and_after_first_use(self):
-        inst = self._undrawn()
-        eager = self._eager(inst)
+    @pytest.mark.parametrize("reversible", [False, True])
+    def test_pickle_round_trip_before_and_after_first_use(self, reversible):
+        inst = self._undrawn(reversible=reversible)
+        expected = trial_frame_oracle(inst.id, SMALL).canonical_bytes()
         copy = pickle.loads(pickle.dumps(inst))
         assert copy._experimental is None
+        assert copy._position == inst._position
         assert copy == inst
-        assert copy.experimental == eager
+        assert copy.experimental.canonical_bytes() == expected
         inst.experimental
         copy = pickle.loads(pickle.dumps(inst))
         assert copy._experimental is not None
-        assert copy._experimental.canonical_bytes() == eager.canonical_bytes()
+        assert copy._experimental.canonical_bytes() == expected
 
     def test_concurrent_first_uses_agree(self):
         inst = self._undrawn()
-        expected = self._eager(inst).canonical_bytes()
+        expected = trial_frame_oracle(inst.id, SMALL).canonical_bytes()
         start = threading.Barrier(4)
         drawn = [None] * 4
 
@@ -541,4 +554,32 @@ class TestTrialFrameOnDemand:
         relabeled = misspecify_instance(inst, 1.0)
         assert relabeled.graph != inst.graph
         assert relabeled._experimental is None
-        assert relabeled.experimental == self._eager(inst, spec)
+        assert relabeled._position == inst._position
+        expected = trial_frame_oracle(inst.id, spec).canonical_bytes()
+        assert relabeled.experimental.canonical_bytes() == expected
+
+    def test_misspecified_copies_share_one_trial_frame(self):
+        # Relabelling every observed confounder latent leaves the graph
+        # unidentified, so the gate runs a trial that the build deferred;
+        # each relabelled copy reads the frame drawn on the original.
+        spec = replace(SMALL, latent_fraction_moderate=0.0)
+        inst = self._undrawn(spec, reversible=True)
+        copies = [misspecify_instance(inst, fraction) for fraction in (0.5, 1.0)]
+        assert not identify(copies[1].graph).identified
+        expected = trial_frame_oracle(inst.id, spec).canonical_bytes()
+        assert inst._experimental.canonical_bytes() == expected
+        assert all(c._experimental is inst._experimental for c in copies)
+
+    def test_no_default_method_draws_a_frame_on_first_use(self):
+        # Every default method reads exactly the trial frames drawn at build:
+        # drawing more at build would hold frames that nothing reads, and
+        # drawing fewer would put a first use inside some verdict.
+        instances, _ = build_benchmark(SMALL)
+        at_build = {i.id for i in instances if i._experimental is not None}
+        results = evaluate_instances(instances, DEFAULT_METHODS, VerifierConfig())
+        assert len(DEFAULT_METHODS) == 12
+        by_id = {i.id: i for i in instances}
+        read = {inst_id for (_, inst_id), result in results.items()
+                if len(result.trace) == 2 and by_id[inst_id].safe_experiment_available}
+        assert read == at_build
+        assert {i.id for i in instances if i._experimental is not None} == at_build
