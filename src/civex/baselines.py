@@ -288,8 +288,8 @@ def replayed_result(table: Mapping[InstanceId, TwoStageResult],
 
 
 def load_replay_shard(path, table: dict | None = None) -> dict[InstanceId, TwoStageResult]:
-    """Add one recorded-verdict CSV's rows to ``table`` (a new one by default),
-    keyed by instance id as ``RunResult.decisions`` is.
+    """Add one recorded-verdict CSV's rows, keyed by instance id, to ``table``
+    (a new one by default).
 
     Each row becomes the two-stage result it records: stage 1, then, after an
     EXPERIMENT, the terminal verdict.  Refuses the whole shard on a missing

@@ -24,7 +24,7 @@ import numpy as np
 from .config import NUMBER, check_fields, setting
 from .estimation import EstimationError, unadjusted_difference
 from .scm import InstanceId, ScmInstance
-from .verifier import Decision
+from .verifier import Decision, TwoStageResult
 
 __all__ = [
     "ScoreWeights",
@@ -65,13 +65,19 @@ class ScoreWeights:
 
 @dataclass(frozen=True, slots=True)
 class ScoreRecord:
+    """One method's two-stage result on one instance, with its score."""
+
     instance_id: InstanceId
     method: str
-    decision: Decision
+    result: TwoStageResult
     utility: float
     outcome: str
     theta: float
     safe: bool
+
+    @property
+    def decision(self) -> Decision:
+        return self.result.terminal.decision
 
 
 def outcome_class(decision: Decision, safe: bool) -> str:
@@ -89,14 +95,16 @@ def utility_value(decision: Decision, theta: float, safe: bool, w: ScoreWeights)
     return mag
 
 
-def score(decision: Decision, inst: ScmInstance, w: ScoreWeights, method: str = "") -> ScoreRecord:
+def score(result: TwoStageResult, inst: ScmInstance, w: ScoreWeights,
+          method: str) -> ScoreRecord:
+    decision = result.terminal.decision
     if decision not in _TERMINAL:
         raise ValueError(f"decision {decision} is not terminal; resolve experiments first")
     safe = inst.spec.safe
     return ScoreRecord(
         instance_id=inst.id,
         method=method,
-        decision=decision,
+        result=result,
         utility=utility_value(decision, inst.spec.theta, safe, w),
         outcome=outcome_class(decision, safe),
         theta=inst.spec.theta,

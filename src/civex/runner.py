@@ -3,7 +3,8 @@ sweeps, and the delimited/markdown output files.
 
 Instances are evaluated one at a time in instance-id order; every verdict
 is computed independently (keyed generator streams, stateless providers), so
-identical configs produce byte-identical output.
+identical configs produce byte-identical output.  Each verdict is kept once,
+in the score record of its (method, instance), which every output reads.
 
 Runs and sweeps summarize alike: score records are grouped by (method,
 regime) in one pass and each group is summarized once.  A sweep row is a
@@ -150,13 +151,15 @@ def evaluate_instances(
     instances: Sequence[ScmInstance],
     methods: Sequence[str],
     vcfg: VerifierConfig,
+    weights: ScoreWeights,
     *,
     replay_tables: Mapping[str, Mapping] | None = None,
-) -> dict[tuple[str, object], TwoStageResult]:
-    """Two-stage verdicts for every (method, instance) pair, in stable order.
+) -> list[ScoreRecord]:
+    """Each method's scored results, method by method, in instance order.
 
-    A ``Replay(tag)`` method's results are the rows that ``replay_tables[tag]``
-    recorded; every other method's verdicts come from its provider.
+    Every method decides an instance before any method sees the next, and
+    scoring waits for the last verdict.  ``Replay(tag)`` methods replay the
+    rows of ``replay_tables[tag]``; the others ask their providers.
     """
     ctx = build_context(instances)
     providers = {m: make_provider(m, ctx, vcfg) for m in methods if not is_replay(m)}
@@ -166,14 +169,14 @@ def evaluate_instances(
         if tag not in (replay_tables or {}):
             raise ReplayError(f"replay has no recorded verdicts for tag '{tag}'")
         replayed[m] = replay_tables[tag]
-    out: dict[tuple[str, object], TwoStageResult] = {}
-    for inst in sorted(instances, key=lambda i: instance_sort_key(i.id)):
+    ordered = sorted(instances, key=lambda i: instance_sort_key(i.id))
+    results: dict[str, list[TwoStageResult]] = {m: [] for m in methods}
+    for inst in ordered:
         for m in methods:
-            if m in replayed:
-                out[(m, inst.id)] = replayed_result(replayed[m], inst.id)
-            else:
-                out[(m, inst.id)] = run_two_stage(inst, providers[m], vcfg)
-    return out
+            results[m].append(replayed_result(replayed[m], inst.id) if m in replayed
+                              else run_two_stage(inst, providers[m], vcfg))
+    return [score(result, inst, weights, m)
+            for m in methods for inst, result in zip(ordered, results[m])]
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +185,6 @@ class RunResult:
     instances: list[ScmInstance]
     counterbalance: CounterbalanceReport
     diagnostics: dict[str, RegimeDiagnostics]
-    decisions: dict[tuple[str, object], TwoStageResult]
     records: list[ScoreRecord]
     summaries: dict[tuple[str, str], MethodSummary]
     # Per replay tag and regime: the run's seeds with an instance the shard recorded.
@@ -192,21 +194,6 @@ class RunResult:
         return sum(
             s.false_exec_count for (m, _), s in self.summaries.items() if m == method
         )
-
-
-def _score_all(
-    instances: Sequence[ScmInstance],
-    methods: Sequence[str],
-    decisions: Mapping[tuple[str, object], TwoStageResult],
-    weights: ScoreWeights,
-) -> list[ScoreRecord]:
-    ordered = sorted(instances, key=lambda i: instance_sort_key(i.id))
-    records = []
-    for method in methods:
-        for inst in ordered:
-            terminal = decisions[(method, inst.id)].terminal
-            records.append(score(terminal.decision, inst, weights, method=method))
-    return records
 
 
 def _by_method_regime(records: Iterable[ScoreRecord]) -> dict[tuple[str, str],
@@ -226,33 +213,25 @@ def _summaries(records: Iterable[ScoreRecord]) -> dict[tuple[str, str], MethodSu
     }
 
 
-@collection_deferred()
 def run_benchmark(config: RunConfig) -> RunResult:
     replay_tables = _load_replay_tables(config)
-    instances, counterbalance = build_benchmark(config.bench)
-    diagnostics = {
-        regime: observational_diagnostics([i for i in instances if i.id.regime == regime])
-        for regime in REGIMES
-    }
-    replay_coverage = {
-        tag: {regime: len({i.id.seed for i in instances
-                           if i.id.regime == regime and i.id in table})
-              for regime in REGIMES}
-        for tag, table in replay_tables.items()
-    }
-    decisions = evaluate_instances(instances, config.methods, config.verifier,
-                                   replay_tables=replay_tables)
-    records = _score_all(instances, config.methods, decisions, config.weights)
-    return RunResult(
-        config=config,
-        instances=instances,
-        counterbalance=counterbalance,
-        diagnostics=diagnostics,
-        decisions=decisions,
-        records=records,
-        summaries=_summaries(records),
-        replay_coverage=replay_coverage,
-    )
+    with collection_deferred(config.bench.n_instances(REGIMES)):
+        instances, counterbalance = build_benchmark(config.bench)
+        diagnostics = {
+            regime: observational_diagnostics([i for i in instances if i.id.regime == regime])
+            for regime in REGIMES
+        }
+        replay_coverage = {
+            tag: {regime: len({i.id.seed for i in instances
+                               if i.id.regime == regime and i.id in table})
+                  for regime in REGIMES}
+            for tag, table in replay_tables.items()
+        }
+        records = evaluate_instances(instances, config.methods, config.verifier,
+                                     config.weights, replay_tables=replay_tables)
+        return RunResult(config=config, instances=instances, counterbalance=counterbalance,
+                         diagnostics=diagnostics, records=records,
+                         summaries=_summaries(records), replay_coverage=replay_coverage)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -348,8 +327,8 @@ def run_regenerating_sweep(kind: str, config: RunConfig) -> list[SweepRow]:
                           f"it regenerates its instances, and no shard recorded them")
     rows = []
     for point, instances in REGENERATING_SWEEPS[kind].points(config.bench):
-        decisions = evaluate_instances(instances, config.methods, config.verifier)
-        records = _score_all(instances, config.methods, decisions, config.weights)
+        records = evaluate_instances(instances, config.methods, config.verifier,
+                                     config.weights)
         rows += [SweepRow(point, summary) for summary in _summaries(records).values()]
     return rows
 
@@ -458,7 +437,7 @@ def _record_rows(run: RunResult) -> Iterator[tuple]:
     for r in run.records:
         inst_id = r.instance_id
         yield (r.method, inst_id.seed, inst_id.regime, inst_id.family, inst_id.index,
-               run.decisions[(r.method, inst_id)].stage1.decision.value, r.decision.value,
+               r.result.stage1.decision.value, r.decision.value,
                r.outcome, _fmt(r.utility), _fmt(r.theta), str(r.safe))
 
 
@@ -540,10 +519,10 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
     """
     by_id = {inst.id: inst for inst in run.instances}
     by_frame: dict[tuple[object, int], list[tuple[str, Certificate]]] = {}
-    for (method, inst_id), result in run.decisions.items():
-        cert = result.terminal.certificate
+    for r in run.records:
+        cert = r.result.terminal.certificate
         if cert is not None:
-            by_frame.setdefault((inst_id, len(result.trace)), []).append((method, cert))
+            by_frame.setdefault((r.instance_id, len(r.result.trace)), []).append((r.method, cert))
     cert_root = out_dir / "certificates"
     # A previous run's certificates must not pass for this run's.
     _remove_stale_certificates(cert_root, {(method, str(inst_id))

@@ -250,6 +250,14 @@ class BenchmarkSpec:
 
     __post_init__ = check_fields
 
+    def per_family(self, regime: str) -> int:
+        """The instances of each family that ``regime`` has at each seed."""
+        return self.moderate_per_family if regime == MODERATE else self.adversarial_per_family
+
+    def n_instances(self, regimes: tuple[str, ...]) -> int:
+        """How many instances ``build_benchmark`` generates for ``regimes``."""
+        return len(self.seeds) * len(FAMILIES) * sum(map(self.per_family, regimes))
+
 
 # The ``BenchmarkSpec`` keys that only one regime's instances read.
 REGIME_KEYS = {MODERATE: ("moderate_per_family", "latent_fraction_moderate"),
@@ -604,12 +612,18 @@ def instance_sort_key(inst_id: InstanceId) -> tuple:
     )
 
 
+# The smallest build that ends in a full collection: a smaller one leaves
+# too few objects (about 10 an instance) for a full pass to come due on them.
+FULL_COLLECTION_MIN_INSTANCES = 100
+
+
 @contextmanager
-def collection_deferred() -> Iterator[None]:
-    """Pause automatic garbage collection for a bulk build; collect once after.
+def collection_deferred(n_instances: int) -> Iterator[None]:
+    """Pause automatic garbage collection for a bulk build of ``n_instances``;
+    collect once after, unless it is below ``FULL_COLLECTION_MIN_INSTANCES``.
 
     Generation and evaluation make tens of thousands of acyclic objects that
-    live as long as the run (about 14 per generated instance).  With the
+    live as long as the run (about 10 per generated instance).  With the
     collector on, its full passes over them (about 20 ms per 120,000
     tracked objects) fall inside whichever later call first allocates past
     a threshold, such as one verdict of an agent's stream.  Collecting once
@@ -625,10 +639,10 @@ def collection_deferred() -> Iterator[None]:
         yield
     finally:
         gc.enable()
-        gc.collect()
+        if n_instances >= FULL_COLLECTION_MIN_INSTANCES:
+            gc.collect()
 
 
-@collection_deferred()
 def build_benchmark(
     bspec: BenchmarkSpec,
     *,
@@ -639,18 +653,14 @@ def build_benchmark(
     Instances are keyed streams, so the generation order does not matter; the
     output is sorted by (seed, regime, family, index).
     """
-    streams = _KeyedStreams()
-    instances = []
-    for seed in bspec.seeds:
-        for regime in regimes:
-            per_family = (bspec.moderate_per_family if regime == MODERATE
-                          else bspec.adversarial_per_family)
-            for family in FAMILIES:
-                for idx in range(per_family):
-                    rng = streams.rekey(seed, regime, family, idx)
-                    instances.append(_sample(InstanceId(seed, regime, family, idx), bspec, rng))
-    instances.sort(key=lambda inst: instance_sort_key(inst.id))
-    return instances, _counterbalance(instances)
+    with collection_deferred(bspec.n_instances(regimes)):
+        streams = _KeyedStreams()
+        instances = [_sample(InstanceId(seed, regime, family, idx), bspec,
+                             streams.rekey(seed, regime, family, idx))
+                     for seed in bspec.seeds for regime in regimes for family in FAMILIES
+                     for idx in range(bspec.per_family(regime))]
+        instances.sort(key=lambda inst: instance_sort_key(inst.id))
+        return instances, _counterbalance(instances)
 
 
 def instance_to_json_dict(inst: ScmInstance) -> dict:

@@ -229,14 +229,14 @@ _RESOLVED_CACHE_SIZE = 4096
 def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
     """Graph describing the randomized follow-up data.
 
-    Random assignment severs every influence on the treatment, so the latent
-    edge and all directed edges into the treatment are dropped; the empty
-    backdoor set then identifies the effect.  Memoized per graph, so each
-    committed graph object resolves to one object, whose ``identify`` result
-    is then found by identity.
+    Random assignment severs every influence on the treatment, so the edges
+    into it are dropped, directed and bidirected; latent edges between other
+    variables stay.  The empty backdoor set then identifies the effect.
+    Memoized per graph, so each committed graph object resolves to one
+    object, whose ``identify`` result is then found by identity.
     """
     return replace(g, directed_edges=[e for e in g.directed_edges if e[1] != g.treatment],
-                   bidirected_edges=())
+                   bidirected_edges=[p for p in g.bidirected_edges if g.treatment not in p])
 
 
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:

@@ -5,6 +5,7 @@ criterion.  The heavyweight artifacts (default benchmark run, strength sweep,
 misspecification sweep) are built once per module and shared.
 """
 
+import csv
 import hashlib
 import json
 import time
@@ -50,6 +51,7 @@ from civex.scm import (
     MODERATE,
     BenchmarkSpec,
     ConfounderSpec,
+    InstanceId,
     ScmSpec,
     build_benchmark,
     generate_frame,
@@ -200,11 +202,11 @@ def test_criterion_02_zero_false_executions_everywhere(default_run, strength_row
 
 
 def test_criterion_03_cert_only_equals_causal_no_experiment(default_run):
-    mismatches = [
-        inst.id for inst in default_run.instances
-        if default_run.decisions[(CIVEX_CERT_ONLY, inst.id)].terminal.decision
-        != default_run.decisions[(CAUSAL_NO_EXPERIMENT, inst.id)].terminal.decision
-    ]
+    cert_only, cne = ([r for r in default_run.records if r.method == m]
+                      for m in (CIVEX_CERT_ONLY, CAUSAL_NO_EXPERIMENT))
+    assert len(cert_only) == len(default_run.instances)
+    assert [r.instance_id for r in cert_only] == [r.instance_id for r in cne]
+    mismatches = [a.instance_id for a, b in zip(cert_only, cne) if a.decision != b.decision]
     assert mismatches == []
     _report(3, "certificate-only ablation matches the no-experiment baseline "
                "verdict-for-verdict on all 1,890 instances")
@@ -462,10 +464,21 @@ def test_criterion_15_numerical_oracles():
 def test_criterion_16_certificate_replay(default_run, run_dir):
     cert_paths = sorted((run_dir / "certificates").rglob("*.cert.json"))
     assert cert_paths, "the run stored no certificates"
-    executes_with_cert = sum(
-        1 for result in default_run.decisions.values()
-        if result.terminal.certificate is not None)
-    assert len(cert_paths) == executes_with_cert
+    # The certificate files and the certified EXECUTEs match one to one ...
+    files = {(p.parent.name, p.name.removesuffix(".cert.json")) for p in cert_paths}
+    certified = {(r.method, str(r.instance_id)) for r in default_run.records
+                 if r.decision is Decision.EXECUTE
+                 and r.result.terminal.certificate is not None}
+    assert files == certified
+    # ... and each certifying method's EXECUTE rows in records.csv name its files.
+    with open(run_dir / "records.csv", encoding="utf-8", newline="") as fh:
+        executes = {(row["method"], str(InstanceId(int(row["seed"]), row["regime"],
+                                                   row["family"], int(row["index"]))))
+                    for row in csv.DictReader(fh) if row["decision"] == "EXECUTE"}
+    certifying = {method for method, _ in files}
+    assert {(m, stem) for m, stem in executes if m in certifying} == files
+    assert {m: sum(method == m for method, _ in files) for m in certifying} == {
+        CIVEX: 802, CIVEX_CERT_ONLY: 295, CAUSAL_NO_EXPERIMENT: 295}
     for path in cert_paths:
         cert = certificate_from_json_dict(
             json.loads(path.read_text(encoding="utf-8")))

@@ -28,6 +28,7 @@ from civex.baselines import (
     replayed_result,
 )
 from civex.estimation import unadjusted_difference
+from civex.evaluation import ScoreWeights
 from civex.runner import evaluate_instances
 from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, InstanceId, build_benchmark
 from civex.verifier import Decision, VerifierConfig, make_view, run_two_stage
@@ -359,7 +360,8 @@ class TestReplay:
 
     def test_tag_without_a_table_is_refused(self, bench):
         with pytest.raises(ReplayError, match="no recorded verdicts for tag 'x'"):
-            evaluate_instances(bench[:1], ["Replay(x)"], CFG, replay_tables={"y": {}})
+            evaluate_instances(bench[:1], ["Replay(x)"], CFG, ScoreWeights(),
+                               replay_tables={"y": {}})
 
 
 class TestDecideHelper:

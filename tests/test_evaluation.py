@@ -23,11 +23,16 @@ from civex.evaluation import (
     wilcoxon_exact,
 )
 from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, build_benchmark, sample_instance
-from civex.verifier import Decision
+from civex.verifier import Decision, TwoStageResult, Verdict
 
 from oracles import bootstrap_oracle, wilcoxon_enumeration_oracle, wilcoxon_rankdata_oracle
 
 W = ScoreWeights()
+
+
+def decided(decision: Decision) -> TwoStageResult:
+    """A one-stage result that ends in ``decision``."""
+    return TwoStageResult((Verdict(decision),))
 
 
 class TestScore:
@@ -57,12 +62,13 @@ class TestScore:
     def test_experiment_is_not_terminal(self):
         inst = sample_instance("cache_operation", MODERATE, 0, seed=42)
         with pytest.raises(ValueError, match="terminal"):
-            score(Decision.EXPERIMENT, inst, W)
+            score(decided(Decision.EXPERIMENT), inst, W, "X")
 
     def test_score_record_fields(self):
         inst = sample_instance("cache_operation", MODERATE, 1, seed=42)
-        rec = score(Decision.ABSTAIN, inst, W, method="X")
+        rec = score(decided(Decision.ABSTAIN), inst, W, "X")
         assert rec.method == "X"
+        assert rec.decision is Decision.ABSTAIN
         assert rec.safe == (inst.spec.theta > 0)
         assert rec.theta == inst.spec.theta
 
@@ -173,8 +179,7 @@ def records():
                          adversarial_per_family=3)
     instances, _ = build_benchmark(spec)
     moderate = [i for i in instances if i.id.regime == MODERATE]
-    recs = [score(Decision.ABSTAIN, i, W, method="AlwaysAbstain")
-            for i in moderate]
+    recs = [score(decided(Decision.ABSTAIN), i, W, "AlwaysAbstain") for i in moderate]
     return moderate, recs
 
 
@@ -203,9 +208,8 @@ class TestSummarize:
     def test_single_false_execution_disqualifies(self, records):
         moderate, recs = records
         harmful = next(i for i in moderate if not i.spec.safe)
-        flipped = [score(Decision.EXECUTE, i, W, method="M")
-                   if i.id == harmful.id else
-                   score(Decision.ABSTAIN, i, W, method="M")
+        flipped = [score(decided(Decision.EXECUTE if i.id == harmful.id
+                                 else Decision.ABSTAIN), i, W, "M")
                    for i in moderate]
         s = summarize(flipped, method="M", regime=MODERATE)
         assert s.false_exec_count == 1
@@ -217,7 +221,7 @@ class TestSummarize:
         # weights must leave the outcome classes untouched.
         moderate, recs = records
         other = ScoreWeights(w_miss=1.0, c_exp=1.0)
-        again = [score(r.decision, i, other, method="AlwaysAbstain")
+        again = [score(r.result, i, other, "AlwaysAbstain")
                  for r, i in zip(recs, moderate)]
         assert [r.outcome for r in again] == [r.outcome for r in recs]
         assert [r.decision for r in again] == [r.decision for r in recs]
@@ -246,7 +250,7 @@ class TestDiagnostics:
                              adversarial_per_family=6)
         instances, cb = build_benchmark(spec)
         adv = [i for i in instances if i.id.regime == ADVERSARIAL]
-        recs = [score(Decision.ABSTAIN, i, W, method="AlwaysAbstain") for i in adv]
+        recs = [score(decided(Decision.ABSTAIN), i, W, "AlwaysAbstain") for i in adv]
         s = summarize(recs, method="AlwaysAbstain", regime=ADVERSARIAL)
         assert s.accuracy == pytest.approx(cb.per_regime[ADVERSARIAL], abs=1e-12)
 

@@ -154,10 +154,10 @@ class TestCopies:
 
     @pytest.mark.parametrize("duplicate", [_pickled, copy.copy], ids=["pickle", "copy"])
     def test_certificate_and_its_frame_round_trip(self, small_run, duplicate):
-        (_, inst_id), result = next(
-            (key, r) for key, r in small_run.decisions.items()
-            if r.terminal.certificate is not None)
-        inst = next(i for i in small_run.instances if i.id == inst_id)
+        record = next(r for r in small_run.records
+                      if r.result.terminal.certificate is not None)
+        inst = next(i for i in small_run.instances if i.id == record.instance_id)
+        result = record.result
         cert = result.terminal.certificate
         data = inst.experimental if len(result.trace) == 2 else inst.observational
         cert2, data2 = duplicate(cert), duplicate(data)

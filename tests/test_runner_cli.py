@@ -21,7 +21,7 @@ from civex.runner import (
     run_weight_sweep,
     write_run_outputs,
 )
-from civex.scm import BenchmarkSpec, write_instances_jsonl
+from civex.scm import BenchmarkSpec, build_benchmark, write_instances_jsonl
 from civex.verifier import VerifierConfig, certificate_to_json_dict
 
 TINY = {
@@ -248,15 +248,47 @@ class TestRunCommand:
         assert "AlwaysAbstain" in text and "OracleSCM" in text and "CIVeX" not in text
 
 
+class TestEvaluationLoop:
+    def test_verdicts_run_instance_major_and_scoring_waits_for_the_last(self, monkeypatch):
+        # An op of a timed run spans one instance's verdicts, every method's,
+        # so nothing but verdicts may run between them.
+        instances, _ = build_benchmark(BenchmarkSpec(seeds=(42,), moderate_per_family=1,
+                                                     adversarial_per_family=1))
+        methods = ("CIVeX", "AlwaysAbstain", "OracleSCM")
+        calls = []
+        two_stage, score = runner.run_two_stage, runner.score
+
+        def verdict(inst, decide, cfg):
+            calls.append(("verdict", inst.id, decide))
+            return two_stage(inst, decide, cfg)
+
+        def scoring(result, inst, w, method):
+            calls.append(("score", inst.id, method))
+            return score(result, inst, w, method)
+
+        monkeypatch.setattr(runner, "run_two_stage", verdict)
+        monkeypatch.setattr(runner, "score", scoring)
+        records = runner.evaluate_instances(instances[::-1], methods, VerifierConfig(),
+                                            ScoreWeights())
+        ids = [inst.id for inst in instances]
+        n = len(ids) * len(methods)
+        assert [kind for kind, *_ in calls] == ["verdict"] * n + ["score"] * n
+        assert [inst_id for _, inst_id, _ in calls[:n]] == [i for i in ids for _ in methods]
+        deciders = [decide for *_, decide in calls[:len(methods)]]
+        assert len(set(deciders)) == len(methods)
+        assert [decide for *_, decide in calls[:n]] == deciders * len(ids)
+        method_major = [(m, i) for m in methods for i in ids]
+        assert [(method, inst_id) for _, inst_id, method in calls[n:]] == method_major
+        assert [(r.method, r.instance_id) for r in records] == method_major
+
+
 class TestCertificateWriter:
     def test_each_certified_frame_is_serialized_once(self, tmp_path, monkeypatch):
         config = RunConfig.from_json_dict(TINY)
         run = run_benchmark(config)
-        frames = {(inst_id, len(result.trace))
-                  for (_, inst_id), result in run.decisions.items()
-                  if result.terminal.certificate is not None}
-        n_certs = sum(result.terminal.certificate is not None
-                      for result in run.decisions.values())
+        frames = {(r.instance_id, len(r.result.trace)) for r in run.records
+                  if r.result.terminal.certificate is not None}
+        n_certs = sum(r.result.terminal.certificate is not None for r in run.records)
         # Several methods certify the same frames, so sharing must matter.
         assert n_certs > len(frames) > 0
         calls = []
@@ -282,9 +314,8 @@ class TestCertificateWriter:
     @staticmethod
     def _certificates(run):
         """(method, frame, certificate) for every certificate of the run."""
-        return [(method, (inst_id, len(result.trace)), result.terminal.certificate)
-                for (method, inst_id), result in run.decisions.items()
-                if result.terminal.certificate is not None]
+        return [(r.method, (r.instance_id, len(r.result.trace)), r.result.terminal.certificate)
+                for r in run.records if r.result.terminal.certificate is not None]
 
     def test_each_distinct_certificate_is_encoded_once(self, tmp_path, monkeypatch):
         run = run_benchmark(RunConfig.from_json_dict(TINY))
@@ -313,11 +344,13 @@ class TestCertificateWriter:
         ((inst_id, _), _), methods = next(item for item in by_frame.items()
                                           if len(item[1]) > 1)
         # Still equal under ``==`` (0.0 == -0.0), but written differently.
+        position = {(r.method, r.instance_id): k for k, r in enumerate(run.records)}
         for method, risk in zip(methods[:2], (0.0, -0.0)):
-            result = run.decisions[(method, inst_id)]
+            k = position[(method, inst_id)]
+            result = run.records[k].result
             cert = replace(result.terminal.certificate, risk=risk)
-            run.decisions[(method, inst_id)] = replace(
-                result, trace=(*result.trace[:-1], replace(result.terminal, certificate=cert)))
+            run.records[k] = replace(run.records[k], result=replace(
+                result, trace=(*result.trace[:-1], replace(result.terminal, certificate=cert))))
         write_run_outputs(run, tmp_path / "run")
         for method, risk in zip(methods[:2], (0.0, -0.0)):
             path = tmp_path / "run" / "certificates" / method / f"{inst_id}.cert.json"

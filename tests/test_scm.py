@@ -10,14 +10,23 @@ import numpy as np
 import pytest
 
 from civex.estimation import adjusted_effect, unadjusted_difference
+from civex.evaluation import ScoreWeights
 from civex.frames import FrameError
 from civex.graphs import identify
-from civex.runner import DEFAULT_METHODS, evaluate_instances, misspecify_instance
+from civex.runner import (
+    DEFAULT_METHODS,
+    REGENERATING_SWEEPS,
+    SWEEP_SEEDS,
+    evaluate_instances,
+    misspecify_instance,
+)
 from civex.scm import (
     ADVERSARIAL,
     FAMILIES,
     FAMILY_TOOLS,
+    FULL_COLLECTION_MIN_INSTANCES,
     MODERATE,
+    REGIMES,
     BenchmarkSpec,
     ConfounderSpec,
     ScmSpec,
@@ -264,22 +273,44 @@ class TestBuildBenchmark:
         with pytest.raises(ValueError):
             BenchmarkSpec(seeds=())
 
-    def test_generation_ends_with_a_full_collection(self):
-        # The generated objects reach the oldest generation before the
-        # caller's first verdict, so no later call pays a full pass over them.
-        full_before = gc.get_stats()[2]["collections"]
-        build_benchmark(BenchmarkSpec(seeds=(42,), moderate_per_family=1,
-                                      adversarial_per_family=1))
-        assert gc.get_stats()[2]["collections"] > full_before
-        assert gc.get_count()[1:] == (0, 0)
+    def test_only_a_large_build_ends_with_a_full_collection(self):
+        # A default build's objects reach the oldest generation before the
+        # caller's first verdict, so no later call pays a full pass over
+        # them; a build of a few instances is not worth a full pass.
+        full_passes = []
+
+        def count(phase, info):
+            if phase == "stop" and info["generation"] == 2:
+                full_passes.append(info)
+
+        small = BenchmarkSpec(seeds=(42,), moderate_per_family=1, adversarial_per_family=1)
+        assert small.n_instances(REGIMES) == 12 < FULL_COLLECTION_MIN_INSTANCES
+        gc.callbacks.append(count)
+        try:
+            instances, _ = build_benchmark(BenchmarkSpec())
+            assert len(full_passes) == 1 and len(instances) == 1890
+            assert gc.get_count()[1:] == (0, 0)
+            build_benchmark(small)
+            assert len(full_passes) == 1
+        finally:
+            gc.callbacks.remove(count)
         assert gc.isenabled()
+        # The sweeps' default slices, the smallest default builds, collect too.
+        for sweep in REGENERATING_SWEEPS.values():
+            slice_size = BenchmarkSpec(seeds=SWEEP_SEEDS).n_instances((sweep.regime,))
+            assert slice_size >= FULL_COLLECTION_MIN_INSTANCES
+
+    def test_instance_counts_match_the_build(self):
+        for regimes in ((MODERATE,), (ADVERSARIAL,), REGIMES):
+            instances, _ = build_benchmark(SMALL, regimes=regimes)
+            assert SMALL.n_instances(regimes) == len(instances)
 
     def test_deferral_leaves_a_disabled_collector_alone(self):
         gc.disable()
         try:
             full_before = gc.get_stats()[2]["collections"]
-            with collection_deferred():
-                with collection_deferred():
+            with collection_deferred(FULL_COLLECTION_MIN_INSTANCES):
+                with collection_deferred(FULL_COLLECTION_MIN_INSTANCES):
                     pass
             assert not gc.isenabled()
             assert gc.get_stats()[2]["collections"] == full_before
@@ -288,7 +319,7 @@ class TestBuildBenchmark:
 
     def test_deferral_restores_the_collector_after_an_error(self):
         with pytest.raises(RuntimeError):
-            with collection_deferred():
+            with collection_deferred(FULL_COLLECTION_MIN_INSTANCES):
                 assert not gc.isenabled()
                 raise RuntimeError("inside the deferral")
         assert gc.isenabled()
@@ -576,10 +607,11 @@ class TestTrialFrameOnDemand:
         # drawing fewer would put a first use inside some verdict.
         instances, _ = build_benchmark(SMALL)
         at_build = {i.id for i in instances if i._experimental is not None}
-        results = evaluate_instances(instances, DEFAULT_METHODS, VerifierConfig())
+        records = evaluate_instances(instances, DEFAULT_METHODS, VerifierConfig(),
+                                     ScoreWeights())
         assert len(DEFAULT_METHODS) == 12
         by_id = {i.id: i for i in instances}
-        read = {inst_id for (_, inst_id), result in results.items()
-                if len(result.trace) == 2 and by_id[inst_id].safe_experiment_available}
+        read = {r.instance_id for r in records if len(r.result.trace) == 2
+                and by_id[r.instance_id].safe_experiment_available}
         assert read == at_build
         assert {i.id for i in instances if i._experimental is not None} == at_build

@@ -405,6 +405,14 @@ class TestTwoStage:
         resolved = resolve_for_experiment(g)
         assert resolved.bidirected_edges == frozenset()
         assert resolved.directed_edges == frozenset({("c", "Y"), ("T", "Y")})
+        # Randomizing T severs only the edges into T: a latent M<->Y stays.
+        g = CausalGraph.create(["T", "M", "Y"], [("T", "M"), ("M", "Y")],
+                               bidirected=[("T", "Y"), ("M", "Y")])
+        resolved = resolve_for_experiment(g)
+        assert resolved.bidirected_edges == frozenset({("M", "Y")})
+        assert resolved.directed_edges == g.directed_edges
+        result = identify(resolved)
+        assert (result.kind, result.adjustment_set) == (IdentificationKind.BACKDOOR, ())
 
 
 class TestCertificates:
