@@ -111,18 +111,14 @@ def build_context(instances: Sequence[ScmInstance]) -> ProviderContext:
 
 # A provider's verdicts whose every field is fixed are made once, here or in
 # its factory, and shared by every call that returns them.
-_ORACLE_EXECUTE = Verdict(Decision.EXECUTE, rationale="planted effect is positive")
-_ORACLE_REJECT = Verdict(Decision.REJECT, refusal_reason="planted effect is not positive")
-_ADJUSTED_EXECUTE = Verdict(Decision.EXECUTE,
-                            rationale="covariate-adjusted bound clears the threshold")
-_ADJUSTED_REJECT = Verdict(Decision.REJECT,
-                           refusal_reason="covariate-adjusted bound below the threshold")
-_NO_POOLED_ASSOCIATION = Verdict(Decision.ABSTAIN,
-                                 refusal_reason="no pooled association available")
-_ABSTAIN_ALWAYS = Verdict(Decision.ABSTAIN,
-                          refusal_reason="refuses every state-changing action")
-_POLICY_EXECUTE = Verdict(Decision.EXECUTE, rationale="observed association is positive")
-_POLICY_REJECT = Verdict(Decision.REJECT, refusal_reason="observed association is not positive")
+_ORACLE_EXECUTE = Verdict(Decision.EXECUTE, "planted effect is positive")
+_ORACLE_REJECT = Verdict(Decision.REJECT, "planted effect is not positive")
+_ADJUSTED_EXECUTE = Verdict(Decision.EXECUTE, "covariate-adjusted bound clears the threshold")
+_ADJUSTED_REJECT = Verdict(Decision.REJECT, "covariate-adjusted bound below the threshold")
+_NO_POOLED_ASSOCIATION = Verdict(Decision.ABSTAIN, "no pooled association available")
+_ABSTAIN_ALWAYS = Verdict(Decision.ABSTAIN, "refuses every state-changing action")
+_POLICY_EXECUTE = Verdict(Decision.EXECUTE, "observed association is positive")
+_POLICY_REJECT = Verdict(Decision.REJECT, "observed association is not positive")
 
 
 def _oracle(ctx: ProviderContext) -> Callable[[InstanceView], Verdict]:
@@ -139,9 +135,9 @@ def _civex(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     return provider
 
 
-def _without_experiments(cfg: VerifierConfig, refusal: str) -> Callable[[InstanceView], Verdict]:
+def _without_experiments(cfg: VerifierConfig, reason: str) -> Callable[[InstanceView], Verdict]:
     """CIVeX with experimentation disabled: rule 4's EXPERIMENT becomes ABSTAIN."""
-    abstain = Verdict(Decision.ABSTAIN, rule_fired=4, refusal_reason=refusal)
+    abstain = Verdict(Decision.ABSTAIN, reason, rule_fired=4)
 
     def provider(view: InstanceView) -> Verdict:
         v = triage(view.frame, view.graphs, view.data, cfg)
@@ -162,7 +158,7 @@ def _context_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
             est = adjusted_effect(view.data, covariates, cfg.alpha,
                                   treatment_col=t_col, outcome_col=y_col)
         except (EstimationError, FrameError) as exc:
-            return Verdict(Decision.REJECT, refusal_reason=f"estimation failure: {exc}")
+            return Verdict(Decision.REJECT, f"estimation failure: {exc}")
         return _ADJUSTED_EXECUTE if est.lcb >= cfg.tau_u else _ADJUSTED_REJECT
 
     return provider
@@ -179,12 +175,10 @@ def _observational_association(ctx: ProviderContext,
             estimates[key] = unadjusted_difference(frame, cfg.alpha)
         except EstimationError:
             continue
-    execute = Verdict(Decision.EXECUTE,
-                      rationale=f"positive association with a bound at or above "
-                                f"the utility threshold {cfg.tau_u:.6g}")
-    abstain = Verdict(Decision.ABSTAIN,
-                      refusal_reason=f"association is not positive or its bound is "
-                                     f"below the utility threshold {cfg.tau_u:.6g}")
+    execute = Verdict(Decision.EXECUTE, f"positive association with a bound at or above "
+                                        f"the utility threshold {cfg.tau_u:.6g}")
+    abstain = Verdict(Decision.ABSTAIN, f"association is not positive or its bound is "
+                                        f"below the utility threshold {cfg.tau_u:.6g}")
 
     def provider(view: InstanceView) -> Verdict:
         est = estimates.get((view.id.seed, view.id.regime, view.id.family))
@@ -205,17 +199,16 @@ def _policy_gate(view: InstanceView) -> Verdict:
                                     treatment_col=view.frame.target_variable,
                                     outcome_col=view.frame.utility_variable)
     except (EstimationError, FrameError) as exc:
-        return Verdict(Decision.REJECT, refusal_reason=f"estimation failure: {exc}")
+        return Verdict(Decision.REJECT, f"estimation failure: {exc}")
     return _POLICY_EXECUTE if est.theta_hat > 0 else _POLICY_REJECT
 
 
-def _forbidden_list_gate(rationale: str, cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
-    allow = Verdict(Decision.EXECUTE, rationale=rationale)
+def _forbidden_list_gate(reason: str, cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
+    allow = Verdict(Decision.EXECUTE, reason)
 
     def provider(view: InstanceView) -> Verdict:
         if view.frame.tool in cfg.forbidden_tools:
-            return Verdict(Decision.REJECT,
-                           refusal_reason=f"tool '{view.frame.tool}' is on the forbidden list")
+            return Verdict(Decision.REJECT, f"tool '{view.frame.tool}' is on the forbidden list")
         return allow
 
     return provider
@@ -223,10 +216,8 @@ def _forbidden_list_gate(rationale: str, cfg: VerifierConfig) -> Callable[[Insta
 
 def _name_only(view: InstanceView) -> Verdict:
     if view.frame.tool in NAME_ONLY_EXECUTE_TOOLS:
-        return Verdict(Decision.EXECUTE,
-                       rationale=f"action name '{view.frame.tool}' is on the benign list")
-    return Verdict(Decision.ABSTAIN,
-                   refusal_reason=f"action name '{view.frame.tool}' is not on the benign list")
+        return Verdict(Decision.EXECUTE, f"action name '{view.frame.tool}' is on the benign list")
+    return Verdict(Decision.ABSTAIN, f"action name '{view.frame.tool}' is not on the benign list")
 
 
 ProviderFactory = Callable[[ProviderContext, VerifierConfig], Callable[[InstanceView], Verdict]]
@@ -269,11 +260,9 @@ def make_provider(
     return factory(ctx, cfg)
 
 
-# A recorded terminal verdict; EXPERIMENT is only ever a stage-1 answer.
-_TERMINAL_VERDICTS = {d.value for d in Decision if d is not Decision.EXPERIMENT}
 _SHARD_COLUMNS = ("seed", "regime", "family", "index", "stage1", "terminal")
 
-_NO_RECORD = Verdict(Decision.ABSTAIN, refusal_reason="no recorded verdict")
+_NO_RECORD = Verdict(Decision.ABSTAIN, "no recorded verdict")
 _NOT_RECORDED = TwoStageResult((_NO_RECORD,))
 
 
@@ -318,15 +307,16 @@ def load_replay_shard(path, table: dict | None = None) -> dict[InstanceId, TwoSt
                 if key in table:
                     raise ValueError(f"line {reader.line_num} records instance {key} a "
                                      f"second time")
-                if terminal not in _TERMINAL_VERDICTS:
+                decision = Decision.__members__.get(terminal)
+                if decision is None or not decision.terminal:
                     raise ValueError(f"line {reader.line_num} has invalid verdict '{terminal}'")
                 if stage1 not in (Decision.EXPERIMENT.value, terminal):
                     raise ValueError(f"line {reader.line_num} has stage 1 '{stage1}', which is "
                                      f"neither EXPERIMENT nor its terminal verdict {terminal}")
-                note = f"replayed from {path}"
-                last = Verdict(Decision(terminal), rationale=note)
+                reason = f"replayed from {path}"
+                last = Verdict(decision, reason)
                 trace = (last,) if stage1 == terminal else (
-                    Verdict(Decision.EXPERIMENT, rationale=note), last)
+                    Verdict(Decision.EXPERIMENT, reason), last)
                 table[key] = TwoStageResult(trace)
     except (OSError, ValueError, csv.Error) as exc:
         raise ReplayError(f"replay shard {path}: {exc}") from None

@@ -52,8 +52,6 @@ FALSE_EXEC = "false_exec"
 CORRECT_REFUSAL = "correct_refusal"
 MISSED_OPPORTUNITY = "missed_opportunity"
 
-_TERMINAL = (Decision.EXECUTE, Decision.REJECT, Decision.ABSTAIN)
-
 
 @dataclass(frozen=True, slots=True)
 class ScoreWeights:
@@ -98,7 +96,7 @@ def utility_value(decision: Decision, theta: float, safe: bool, w: ScoreWeights)
 def score(result: TwoStageResult, inst: ScmInstance, w: ScoreWeights,
           method: str) -> ScoreRecord:
     decision = result.terminal.decision
-    if decision not in _TERMINAL:
+    if not decision.terminal:
         raise ValueError(f"decision {decision} is not terminal; resolve experiments first")
     safe = inst.spec.safe
     return ScoreRecord(

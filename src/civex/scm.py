@@ -218,7 +218,6 @@ class ScmInstance:
     graph: CausalGraph
     spec: ScmSpec
     observational: Frame
-    safe_experiment_available: bool
     _position: _StreamPosition | None = field(repr=False, compare=False)
     _experimental: Frame | None = field(repr=False, compare=False)
 
@@ -230,6 +229,11 @@ class ScmInstance:
                                    rng=_resume(self.id, self._position))
             object.__setattr__(self, "_experimental", frame)
         return frame
+
+    @property
+    def safe_experiment_available(self) -> bool:
+        """A trial may be run on a reversible action: the frame's own flag."""
+        return self.frame.reversible
 
 
 @dataclass(frozen=True, slots=True)
@@ -572,7 +576,6 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
         graph=graph,
         spec=spec,
         observational=observational,
-        safe_experiment_available=reversible,
         _position=position,
         _experimental=experimental,
     )

@@ -33,7 +33,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from .config import NUMBER, STR_SET, check_fields, setting
 from .estimation import (
@@ -94,6 +94,11 @@ class Decision(str, Enum):
     REJECT = "REJECT"
     EXPERIMENT = "EXPERIMENT"
     ABSTAIN = "ABSTAIN"
+
+    @property
+    def terminal(self) -> bool:
+        """Whether the decision ends a trace: EXPERIMENT asks for a second stage."""
+        return self is not Decision.EXPERIMENT
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,15 +169,12 @@ class Certificate:
 
 @dataclass(frozen=True, slots=True)
 class Verdict:
+    """A decision and the one text that explains it, whatever the decision."""
+
     decision: Decision
+    reason: str
     rule_fired: int | None = None
     certificate: Certificate | None = None
-    refusal_reason: str | None = None
-    rationale: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.decision is not Decision.EXECUTE and self.refusal_reason is None:
-            object.__setattr__(self, "refusal_reason", "unspecified refusal")
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,20 +197,17 @@ VerdictProvider = Callable[[InstanceView], Verdict]
 # Verdicts whose every field is fixed are made once and shared by every call
 # that returns them; a verdict with per-call text or a certificate is made
 # per call.
-_PASS_THROUGH = Verdict(Decision.EXECUTE, rule_fired=1,
-                        rationale="non-interventional action; no causal claim to certify")
-_EXPERIMENT = Verdict(Decision.EXPERIMENT, rule_fired=4,
-                      refusal_reason="effect not identifiable under the committed graph; "
-                                     "reversible action within the risk budget")
+_PASS_THROUGH = Verdict(Decision.EXECUTE, "non-interventional action; no causal claim to certify",
+                        rule_fired=1)
+_EXPERIMENT = Verdict(Decision.EXPERIMENT, "effect not identifiable under the committed graph; "
+                                           "reversible action within the risk budget",
+                      rule_fired=4)
 _NO_SAFE_EXPERIMENT = Verdict(
-    Decision.ABSTAIN, rule_fired=4,
-    refusal_reason="effect not identifiable and no safe experiment is admissible")
+    Decision.ABSTAIN, "effect not identifiable and no safe experiment is admissible", rule_fired=4)
 _EXPERIMENT_UNAVAILABLE = Verdict(
-    Decision.ABSTAIN, rule_fired=4,
-    refusal_reason="experiment requested but no safe experiment is available")
+    Decision.ABSTAIN, "experiment requested but no safe experiment is available", rule_fired=4)
 _EXPERIMENT_LOOP = Verdict(
-    Decision.ABSTAIN, rule_fired=4,
-    refusal_reason="experiment loop did not terminate after one stage")
+    Decision.ABSTAIN, "experiment loop did not terminate after one stage", rule_fired=4)
 
 
 def make_view(inst: ScmInstance) -> InstanceView:
@@ -245,13 +244,16 @@ def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str 
     The frame must pass its own check, ``ActionFrame.violation``: each field
     of its declared type, and a target value of 1.0, the treatment level a
     certificate's estimate compares with 0.
-    Each committed graph must be well formed, and its treatment and outcome
-    must be the action's target and utility variables: a certificate for
-    another (treatment, outcome) pair says nothing about this action.
+    At least one graph must be committed.  Each must be well formed, and its
+    treatment and outcome must be the action's target and utility variables:
+    a certificate for another (treatment, outcome) pair says nothing about
+    this action.
     """
     violation = frame.violation()
     if violation is not None:
         return f"malformed action frame: {violation}"
+    if not graphs:
+        return "malformed committed graph set: no graph is committed"
     for g in graphs:
         violation = validate_graph(g)
         if violation is not None:
@@ -322,53 +324,48 @@ def certify(
             estimates.append(_estimate_for(proof, d, cfg.alpha,
                                            g.treatment, g.outcome))
     except (EstimationError, FrameError) as exc:
-        return Verdict(Decision.ABSTAIN, rule_fired=3,
-                       refusal_reason=f"estimation failure: {exc}")
+        return Verdict(Decision.ABSTAIN, f"estimation failure: {exc}", rule_fired=3)
     # Rows less the intercept, the treatment and the adjustment columns (the
     # mediator, for a frontdoor fit's outcome stage).
     dof = min(e.n - 2 - len(e.adjustment_set) for e in estimates)
     if dof < MIN_RESIDUAL_DOF:
-        return Verdict(Decision.ABSTAIN, rule_fired=3,
-                       refusal_reason=f"too few residual degrees of freedom: {dof} is below "
-                                      f"{MIN_RESIDUAL_DOF}, the least a normal-quantile "
-                                      f"bound is trusted at")
+        return Verdict(Decision.ABSTAIN, f"too few residual degrees of freedom: {dof} is below "
+                                         f"{MIN_RESIDUAL_DOF}, the least a normal-quantile "
+                                         f"bound is trusted at", rule_fired=3)
     if not all(math.isfinite(x) for e in estimates
                for x in (e.theta_hat, e.std_err, e.lcb)):
-        return Verdict(Decision.ABSTAIN, rule_fired=3,
-                       refusal_reason="estimation failure: non-finite estimate or bound")
+        return Verdict(Decision.ABSTAIN, "estimation failure: non-finite estimate or bound",
+                       rule_fired=3)
     worst = min(range(len(estimates)), key=lambda i: estimates[i].lcb)
     min_lcb = estimates[worst].lcb
     if min_lcb < cfg.tau_u:
-        return Verdict(
-            Decision.REJECT, rule_fired=3,
-            refusal_reason=f"worst-case lower confidence bound {min_lcb:.6g} "
-                           f"is below the utility threshold {cfg.tau_u:.6g}")
+        return Verdict(Decision.REJECT, f"worst-case lower confidence bound {min_lcb:.6g} "
+                                        f"is below the utility threshold {cfg.tau_u:.6g}",
+                       rule_fired=3)
     if not frame.cost <= cfg.tau_r:  # a NaN cost overruns too
-        return Verdict(
-            Decision.REJECT, rule_fired=3,
-            refusal_reason=f"cost {frame.cost:.6g} overruns the risk threshold {cfg.tau_r:.6g}")
+        return Verdict(Decision.REJECT,
+                       f"cost {frame.cost:.6g} overruns the risk threshold {cfg.tau_r:.6g}",
+                       rule_fired=3)
     cert = build_execution_certificate(graphs[worst], proofs[worst], estimates[worst], d, frame)
-    return Verdict(Decision.EXECUTE, rule_fired=3, certificate=cert,
-                   rationale=proofs[worst].proof_note)
+    return Verdict(Decision.EXECUTE, proofs[worst].proof_note, rule_fired=3, certificate=cert)
 
 
 def triage(
     frame: ActionFrame,
-    graphs: Sequence[CausalGraph],
+    graphs: Iterable[CausalGraph],
     d: Frame,
     cfg: VerifierConfig,
 ) -> Verdict:
     """Route one proposed action to EXECUTE, REJECT, EXPERIMENT, or ABSTAIN."""
-    if not graphs:
-        raise ValueError("at least one committed graph is required")
+    graphs = tuple(graphs)
 
     # Rule 1: tool gate.
     reason = _malformed_reason(frame, graphs)
     if reason is not None:
-        return Verdict(Decision.REJECT, rule_fired=1, refusal_reason=reason)
+        return Verdict(Decision.REJECT, reason, rule_fired=1)
     if frame.tool in cfg.forbidden_tools:
-        return Verdict(Decision.REJECT, rule_fired=1,
-                       refusal_reason=f"tool '{frame.tool}' is in a forbidden risk class")
+        return Verdict(Decision.REJECT, f"tool '{frame.tool}' is in a forbidden risk class",
+                       rule_fired=1)
     if not frame.interventional:
         return _PASS_THROUGH
 

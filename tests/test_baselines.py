@@ -148,7 +148,7 @@ class TestObservationalAssociation:
         texts = {}
         for inst in bench:
             v = provider(make_view(inst))
-            texts.setdefault(v.decision, set()).add(v.rationale or v.refusal_reason)
+            texts.setdefault(v.decision, set()).add(v.reason)
         assert texts == {
             Decision.EXECUTE: {"positive association with a bound at or above "
                                "the utility threshold 0.5"},
@@ -277,7 +277,7 @@ class TestReplay:
         for inst in bench[:10]:
             result = replayed_result({}, inst.id)
             assert [v.decision for v in result.trace] == [Decision.ABSTAIN]
-            assert result.terminal.refusal_reason == "no recorded verdict"
+            assert result.terminal.reason == "no recorded verdict"
 
     def test_recorded_verdicts_are_replayed(self, bench, tmp_path):
         i = bench[0].id
@@ -302,6 +302,18 @@ class TestReplay:
         assert [v.decision
                 for v in table[InstanceId(42, ADVERSARIAL, "cache_operation", 1)].trace] \
             == [Decision.ABSTAIN]
+
+    def test_replayed_verdicts_name_their_shard(self, tmp_path):
+        path = tmp_path / "shard.csv"
+        path.write_text(f"{SHARD_HEADER}\n42,moderate,cache_operation,0,REJECT,REJECT\n"
+                        f"42,moderate,cache_operation,1,EXPERIMENT,ABSTAIN\n", encoding="utf-8")
+        table = load_replay_shard(path)
+        rejected = table[InstanceId(42, MODERATE, "cache_operation", 0)].terminal
+        assert (rejected.decision, rejected.reason) == (Decision.REJECT, f"replayed from {path}")
+        assert [(v.decision, v.reason)
+                for v in table[InstanceId(42, MODERATE, "cache_operation", 1)].trace] \
+            == [(Decision.EXPERIMENT, f"replayed from {path}"),
+                (Decision.ABSTAIN, f"replayed from {path}")]
 
     def test_malformed_shard_is_refused(self, tmp_path):
         good = tmp_path / "good.csv"

@@ -32,7 +32,7 @@ W = ScoreWeights()
 
 def decided(decision: Decision) -> TwoStageResult:
     """A one-stage result that ends in ``decision``."""
-    return TwoStageResult((Verdict(decision),))
+    return TwoStageResult((Verdict(decision, "decided"),))
 
 
 class TestScore:

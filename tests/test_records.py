@@ -150,7 +150,7 @@ class TestCopies:
         assert frame.cost == "x"
         v = triage(frame, [inst.graph], inst.observational, CFG)
         assert (v.decision, v.rule_fired, v.certificate) == (Decision.REJECT, 1, None)
-        assert v.refusal_reason == "malformed action frame: cost is not a number"
+        assert v.reason == "malformed action frame: cost is not a number"
 
     @pytest.mark.parametrize("duplicate", [_pickled, copy.copy], ids=["pickle", "copy"])
     def test_certificate_and_its_frame_round_trip(self, small_run, duplicate):

@@ -80,6 +80,18 @@ RUN_SHA256 = {
 }
 
 
+# The SHA-256 of every verdict's text in the same run: one line
+# "method|instance id|stage|decision|reason" per verdict of each record's
+# trace, in record order, stages numbered from 1.
+VERDICT_TEXT_SHA256 = "695cc6fbfa1ed34171f634164a0af93f88d98c529bd855eed894082c1249558d"
+
+
+@pytest.fixture(scope="module")
+def seed42_run():
+    """The ``seeds=(42,)`` run that ``RUN_SHA256`` pins; no test changes it."""
+    return run_benchmark(RunConfig(bench=BenchmarkSpec(seeds=(42,))))
+
+
 def run_digests(out: Path) -> dict[str, str]:
     """``RUN_SHA256``'s digests of the run written to ``out``."""
     digests, certificates = {}, hashlib.sha256()
@@ -177,11 +189,18 @@ class TestRunCommand:
         a.pop("manifest.json"), b.pop("manifest.json")
         assert a == b
 
-    def test_run_bytes_are_pinned(self, tmp_path):
-        run = run_benchmark(RunConfig(bench=BenchmarkSpec(seeds=(42,))))
-        write_run_outputs(run, tmp_path / "run")
+    def test_run_bytes_are_pinned(self, tmp_path, seed42_run):
+        write_run_outputs(seed42_run, tmp_path / "run")
         assert len(list((tmp_path / "run").rglob("*.cert.json"))) == 202
         assert run_digests(tmp_path / "run") == RUN_SHA256
+
+    def test_verdict_texts_are_pinned(self, seed42_run):
+        digest = hashlib.sha256()
+        for r in seed42_run.records:
+            for stage, v in enumerate(r.result.trace, 1):
+                digest.update(f"{r.method}|{r.instance_id}|{stage}|{v.decision.value}|"
+                              f"{v.reason}\n".encode("utf-8"))
+        assert digest.hexdigest() == VERDICT_TEXT_SHA256
 
     def test_more_than_twenty_seeds_run(self, tmp_path):
         # The signed-rank test over 21 per-seed means used to raise after the
@@ -437,13 +456,12 @@ class TestCertificateWriter:
         # One other thread writes every file.
         assert len(writers) == 1 and not writers & encoders
 
-    def test_frequent_thread_switches_keep_the_pinned_bytes(self, tmp_path):
-        run = run_benchmark(RunConfig(bench=BenchmarkSpec(seeds=(42,))))
+    def test_frequent_thread_switches_keep_the_pinned_bytes(self, tmp_path, seed42_run):
         interval = sys.getswitchinterval()
         # Switch threads as often as the interpreter allows.
         sys.setswitchinterval(1e-6)
         try:
-            write_run_outputs(run, tmp_path / "run")
+            write_run_outputs(seed42_run, tmp_path / "run")
         finally:
             sys.setswitchinterval(interval)
         assert run_digests(tmp_path / "run") == RUN_SHA256

@@ -4,7 +4,7 @@ import json
 import pickle
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,6 +29,7 @@ from civex.scm import (
     REGIMES,
     BenchmarkSpec,
     ConfounderSpec,
+    ScmInstance,
     ScmSpec,
     build_benchmark,
     collection_deferred,
@@ -176,8 +177,13 @@ class TestSampleInstance:
         assert set(np.unique(inst.observational.column("T"))) <= {0.0, 1.0}
 
     def test_reversibility_matches_experiment_availability(self):
+        # The flag is read from the action frame, not stored beside it.
         insts, _ = build_benchmark(SMALL)
         assert all(i.frame.reversible == i.safe_experiment_available for i in insts)
+        assert "safe_experiment_available" not in {f.name for f in fields(ScmInstance)}
+        flipped = replace(insts[0], frame=replace(insts[0].frame,
+                                                  reversible=not insts[0].frame.reversible))
+        assert flipped.safe_experiment_available is not insts[0].safe_experiment_available
 
     def test_tool_names_per_family(self):
         for family in FAMILIES:

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -102,19 +102,19 @@ class TestRuleOne:
         v = triage(unchecked(worked_frame(), tool=""), [worked_graph()], worked_data(), CFG)
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert "malformed" in v.refusal_reason
+        assert "malformed" in v.reason
 
     def test_unknown_target_variable_rejected(self):
         frame = replace(worked_frame(), target_variable="nope")
         v = triage(frame, [worked_graph()], worked_data(), CFG)
         assert v.decision is Decision.REJECT
-        assert "target variable" in v.refusal_reason
+        assert "target variable" in v.reason
 
     def test_forbidden_tool_rejected(self):
         cfg = VerifierConfig(forbidden_tools=frozenset({"add_index"}))
         v = triage(worked_frame(), [worked_graph()], worked_data(), cfg)
         assert v.decision is Decision.REJECT
-        assert "forbidden" in v.refusal_reason
+        assert "forbidden" in v.reason
 
 
 class TestRuleThree:
@@ -147,7 +147,7 @@ class TestRuleThree:
     def test_cost_overrun_rejected_even_with_good_bound(self):
         v = triage(worked_frame(cost=0.9), [worked_graph()], worked_data(), CFG)
         assert v.decision is Decision.REJECT
-        assert "cost" in v.refusal_reason
+        assert "cost" in v.reason
 
     def test_bound_exactly_at_threshold_executes(self):
         from civex.estimation import adjusted_effect
@@ -170,7 +170,7 @@ class TestRuleThree:
         ])
         v = triage(worked_frame(), [worked_graph()], one_arm, CFG)
         assert v.decision is Decision.ABSTAIN
-        assert "estimation failure" in v.refusal_reason
+        assert "estimation failure" in v.reason
 
     def test_nan_from_lapack_abstains(self, monkeypatch):
         # A least-squares solve that fails comes back from LAPACK as NaN,
@@ -186,7 +186,7 @@ class TestRuleThree:
         v = triage(worked_frame(), [worked_graph()], worked_data(), CFG)
         assert v.decision is Decision.ABSTAIN
         assert v.rule_fired == 3
-        assert v.refusal_reason == "estimation failure: non-finite estimate or bound"
+        assert v.reason == "estimation failure: non-finite estimate or bound"
 
     def test_missing_adjustment_column_abstains(self):
         data = worked_data()
@@ -207,10 +207,10 @@ class TestRuleThree:
         if spare < 0:
             assert v.decision is Decision.ABSTAIN
             assert v.rule_fired == 3
-            assert v.refusal_reason.startswith(
+            assert v.reason.startswith(
                 f"too few residual degrees of freedom: {verifier.MIN_RESIDUAL_DOF - 1} ")
         else:
-            assert v.decision is Decision.EXECUTE, v.refusal_reason
+            assert v.decision is Decision.EXECUTE, v.reason
 
     @pytest.mark.parametrize("spare", [-1, 0])
     def test_backdoor_bound_needs_enough_residual_dof(self, spare):
@@ -238,7 +238,8 @@ class TestRuleThree:
 
 
 class TestRuleFour:
-    def _latent_graph(self):
+    @staticmethod
+    def _latent_graph():
         g = worked_graph()
         return CausalGraph.create(g.nodes, g.directed_edges,
                                   bidirected=[(g.treatment, g.outcome)],
@@ -263,7 +264,7 @@ class TestRuleFour:
                              worked_data())
         assert v.decision is Decision.ABSTAIN
         assert v.rule_fired == 4
-        assert "certificate-only" in v.refusal_reason
+        assert "certificate-only" in v.reason
 
     @pytest.mark.parametrize("frame, latent", [
         (worked_frame(), False),                  # rule 3 EXECUTE with a certificate
@@ -302,8 +303,8 @@ class TestRuleFour:
         for refused in (replace(frame, reversible=False), replace(frame, cost=0.9)):
             v = triage(refused, [g], data, CFG)
             assert (v.decision, v.rule_fired) == (Decision.ABSTAIN, 4)
-            assert v.refusal_reason == ("effect not identifiable and no safe "
-                                        "experiment is admissible")
+            assert v.reason == ("effect not identifiable and no safe "
+                                "experiment is admissible")
 
     def test_mixed_graph_set_routes_to_rule_four(self):
         v = triage(worked_frame(), [worked_graph(), self._latent_graph()],
@@ -397,6 +398,23 @@ class TestTwoStage:
                 assert res.terminal.decision is Decision.ABSTAIN
                 return
         pytest.fail("no irreversible adversarial instance drawn")
+
+    @pytest.mark.parametrize("reversible, reason", [
+        (False, "experiment requested but no safe experiment is available"),
+        (True, "experiment loop did not terminate after one stage"),
+    ])
+    def test_an_endless_experimenter_ends_in_abstain(self, reversible, reason):
+        # A provider that asks for a trial at every stage: without a
+        # reversible action there is no trial, and with one the second ask
+        # cannot start another.
+        ask = verifier.Verdict(Decision.EXPERIMENT, "always experiments")
+        inst = sample_instance("cache_operation", MODERATE, 0, seed=42,
+                               bspec=BenchmarkSpec(reversible_fraction=float(reversible)))
+        assert inst.safe_experiment_available is reversible
+        res = run_two_stage(inst, lambda view: ask, CFG)
+        assert [v.decision for v in res.trace] == [Decision.EXPERIMENT, Decision.ABSTAIN]
+        assert res.stage1 is ask
+        assert (res.terminal.rule_fired, res.terminal.reason) == (4, reason)
 
     def test_resolved_graph_drops_latent_edge_and_treatment_parents(self):
         g = CausalGraph.create(
@@ -638,7 +656,7 @@ class TestFailClosed:
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
         assert v.certificate is None
-        assert node in v.refusal_reason
+        assert node in v.reason
         assert causal_no_experiment(frame, worked_graph(), worked_data()) == v
 
     def test_cyclic_graph_rejected_under_rule_one(self):
@@ -648,7 +666,7 @@ class TestFailClosed:
         v = triage(worked_frame(), [cyclic], worked_data(), CFG)
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert "cycle" in v.refusal_reason
+        assert "cycle" in v.reason
         assert causal_no_experiment(worked_frame(), cyclic, worked_data()) == v
 
     def test_non_string_node_rejected_under_rule_one(self):
@@ -659,7 +677,7 @@ class TestFailClosed:
         v = triage(worked_frame(), [odd], worked_data(), CFG)
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert v.refusal_reason == "malformed committed graph: node name 1 is not a string"
+        assert v.reason == "malformed committed graph: node name 1 is not a string"
         assert causal_no_experiment(worked_frame(), odd, worked_data()) == v
 
     @pytest.mark.parametrize("role", ["treatment", "outcome"])
@@ -670,8 +688,8 @@ class TestFailClosed:
         v = triage(worked_frame(), [odd], worked_data(), CFG)
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert v.refusal_reason == (f"malformed committed graph: {role} {value!r} "
-                                    f"is not a string")
+        assert v.reason == (f"malformed committed graph: {role} {value!r} "
+                            f"is not a string")
         assert causal_no_experiment(worked_frame(), odd, worked_data()) == v
 
     def test_tool_less_frame_rejected_by_causal_no_experiment(self):
@@ -679,7 +697,7 @@ class TestFailClosed:
         v = causal_no_experiment(frame, worked_graph(), worked_data())
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert v.refusal_reason == "malformed action frame: missing tool name"
+        assert v.reason == "malformed action frame: missing tool name"
         assert v == triage(frame, [worked_graph()], worked_data(), CFG)
 
     def test_causal_no_experiment_ignores_forbidden_tools(self):
@@ -704,7 +722,7 @@ class TestFailClosed:
         for v in verdicts:
             assert v.decision is Decision.ABSTAIN
             assert v.rule_fired == 3
-            assert "non-finite" in v.refusal_reason
+            assert "non-finite" in v.reason
 
     def test_non_finite_bound_fails_certificate_validation(self, monkeypatch):
         # A finite estimate whose bound alone is not finite gets no certificate.
@@ -715,7 +733,7 @@ class TestFailClosed:
             v = triage(worked_frame(), [worked_graph()], worked_data(), CFG)
             assert v.decision is Decision.ABSTAIN and v.rule_fired == 3
             assert v.certificate is None
-            assert "non-finite" in v.refusal_reason
+            assert "non-finite" in v.reason
 
     @staticmethod
     def _nan_cost_frame() -> ActionFrame:
@@ -732,14 +750,14 @@ class TestFailClosed:
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
         assert v.certificate is None
-        assert v.refusal_reason == "malformed action frame: negative or NaN cost"
+        assert v.reason == "malformed action frame: negative or NaN cost"
 
     def test_nan_cost_rejected_by_causal_no_experiment(self):
         v = causal_no_experiment(self._nan_cost_frame(), worked_graph(), worked_data())
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
         assert v.certificate is None
-        assert v.refusal_reason == "malformed action frame: negative or NaN cost"
+        assert v.reason == "malformed action frame: negative or NaN cost"
 
     @staticmethod
     def _harmful_adversarial_instance():
@@ -773,7 +791,7 @@ class TestFailClosed:
         for v in verdicts:
             assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
             assert v.certificate is None
-            assert v.refusal_reason == f"malformed action frame: {reason}"
+            assert v.reason == f"malformed action frame: {reason}"
 
     @pytest.mark.parametrize("value", [0.0, 2.0, -1.0, math.nan])
     def test_target_value_other_than_one_rejected(self, value):
@@ -791,7 +809,7 @@ class TestFailClosed:
                   causal_no_experiment(frame, inst.graph, inst.observational)):
             assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
             assert v.certificate is None
-            assert v.refusal_reason.startswith(
+            assert v.reason.startswith(
                 f"malformed action frame: target value {value!r} is not 1.0")
 
     def test_wrongly_typed_alpha_is_a_replay_mismatch(self):
@@ -807,6 +825,17 @@ class TestFailClosed:
             VerifierConfig(tau_r=float("nan"))
 
 
+class TestVerdict:
+    def test_one_required_reason(self):
+        assert [f.name for f in fields(verifier.Verdict)] \
+            == ["decision", "reason", "rule_fired", "certificate"]
+        with pytest.raises(TypeError, match="reason"):
+            verifier.Verdict(Decision.REJECT)
+
+    def test_only_experiment_asks_for_another_stage(self):
+        assert [d for d in Decision if not d.terminal] == [Decision.EXPERIMENT]
+
+
 class TestViews:
     def test_view_is_redacted(self):
         inst = sample_instance("cache_operation", MODERATE, 0, seed=42)
@@ -817,5 +846,19 @@ class TestViews:
         assert view.data == inst.observational
 
     def test_empty_graph_set_rejected(self):
-        with pytest.raises(ValueError):
-            triage(worked_frame(), [], worked_data(), CFG)
+        v = triage(worked_frame(), (), worked_data(), CFG)
+        assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
+        assert v.reason == "malformed committed graph set: no graph is committed"
+        view = InstanceView(id=InstanceId(0, MODERATE, "db_index_operation", 0),
+                            frame=worked_frame(), graphs=(), data=worked_data())
+        assert make_provider(CAUSAL_NO_EXPERIMENT, ProviderContext(), CFG)(view) == v
+
+    @pytest.mark.parametrize("graph", [worked_graph(), TestRuleFour._latent_graph()],
+                             ids=["identified", "latent"])
+    def test_a_one_shot_graph_iterator_gives_the_list_verdict(self, graph):
+        v = triage(worked_frame(), [graph], worked_data(), CFG)
+        assert triage(worked_frame(), iter([graph]), worked_data(), CFG) == v
+        view = InstanceView(id=InstanceId(0, MODERATE, "db_index_operation", 0),
+                            frame=worked_frame(), graphs=iter([graph]), data=worked_data())
+        assert make_provider(CAUSAL_NO_EXPERIMENT, ProviderContext(), CFG)(view) \
+            == causal_no_experiment(worked_frame(), graph, worked_data())
