@@ -41,13 +41,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import orjson
 
-__all__ = ["Frame", "FrameError"]
+__all__ = ["DeferredFrame", "Frame", "FrameError"]
 
 # orjson keeps an 8 MiB parse buffer from its first ``loads`` on.  Take it
 # at import, while malloc still maps a block that large on its own.  Taken
@@ -62,6 +63,9 @@ _REPR_EXPONENT_FROM = 1e16
 # The characters of JSON numbers, but the decimal point.
 _NUMBER_BYTES_BUT_POINT = b"0123456789eE+-"
 _COMMA, _NEWLINE = b",\n"
+# Held only while a finished draw is checked and stored, so that threads that
+# draw one frame at once all return the first array stored.
+_STORE_LOCK = threading.Lock()
 
 
 class FrameError(ValueError):
@@ -262,3 +266,47 @@ class Frame:
         data = np.column_stack([np.asarray(vals, dtype=np.float64) for _, vals in named])
         return cls(columns=columns, data=data)
 
+
+class DeferredFrame(Frame):
+    """A frame whose data are drawn on the first read of ``data``.
+
+    ``draw`` is a picklable callable that returns the 2-D array, which the
+    frame then owns without a copy: no one else may hold it.  Every check of
+    the constructor runs at that read; one that fails raises ``FrameError``
+    and stores nothing.  Equality, the hash, the repr and the serialization
+    all read ``data``, so they draw first.  A copy or an unpickled frame keeps
+    the draw while the data are undrawn, and the data once they are drawn.
+    """
+
+    __slots__ = ("_draw",)
+
+    def __init__(self, columns: tuple[str, ...], draw: Callable[[], np.ndarray]) -> None:
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "_sha256", None)
+        object.__setattr__(self, "_fits", None)
+        object.__setattr__(self, "_draw", draw)
+
+    def __getattr__(self, name: str):
+        # Called only when the slot is empty: before the first draw, or after
+        # one that failed its checks.
+        if name != "data":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        arr = self._draw()
+        with _STORE_LOCK:
+            if not self.drawn:
+                self._own(arr, finite=False)
+        return object.__getattribute__(self, "data")
+
+    @property
+    def drawn(self) -> bool:
+        """Whether ``data`` holds the drawn array; reading this draws nothing."""
+        try:
+            object.__getattribute__(self, "data")
+        except AttributeError:
+            return False
+        return True
+
+    def __reduce__(self):
+        if self.drawn:
+            return Frame, (self.columns, self.data)
+        return DeferredFrame, (self.columns, self._draw)

@@ -268,14 +268,11 @@ def misspecify_instance(inst: ScmInstance, fraction: float) -> ScmInstance:
 
     The relabelled graph may leave the effect unidentified where the
     committed one identified it, so the gate may run a trial that ``inst``
-    deferred.  A reversible action's trial frame is therefore drawn on
-    ``inst`` first: every relabelled copy then shares that one frame, with
-    its digest and fits, rather than drawing its own on first use.
+    deferred.  The copy holds ``inst``'s frame objects, so every relabelled
+    copy shares one draw of that frame, with its digest and fits.
     """
     if fraction == 0.0:
         return inst
-    if inst.safe_experiment_available:
-        inst.experimental
     observed = [c.name for c in inst.spec.observed]
     rng = instance_rng(inst.id.seed, f"relabel-{fraction}", inst.id.family, inst.id.index)
     graph = relabel_latent(inst.graph, observed, fraction, rng)
@@ -400,7 +397,13 @@ def _write_dict_csv(path: Path, rows: Sequence[dict]) -> None:
 
 def write_generated_instances(out_dir: Path, instances: Sequence[ScmInstance],
                               counterbalance: CounterbalanceReport) -> list[Path]:
-    """One JSON-lines file per (seed, regime), plus the counterbalance table."""
+    """One JSON-lines file per (seed, regime), plus the counterbalance table.
+
+    Every frame is written, so the deferred ones are drawn before the
+    directory is made: a draw that fails its checks leaves no output.
+    """
+    for inst in instances:
+        inst.observational.data, inst.experimental.data
     out_dir.mkdir(parents=True, exist_ok=True)
     groups: dict[tuple[int, str], list[ScmInstance]] = {}
     for inst in sorted(instances, key=lambda i: instance_sort_key(i.id)):

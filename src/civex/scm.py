@@ -9,11 +9,14 @@ over standardized confounders u~_i, plants a signed effect theta, and emits
 a committed graph, an observational frame, and a paired frame with randomly
 assigned treatment.  Hidden confounders drive T and Y but are never emitted
 as columns; their presence surfaces only as a bidirected treatment-outcome
-edge in the committed graph.  The paired frame is drawn with the instance
-only when its action is reversible and the committed graph does not
-identify its effect, the one case in which the gate runs the experiment
-(rule 4); any other instance draws it on first use, from the same stream
-(``ScmInstance.experimental``).
+edge in the committed graph.  A build draws only the frames the gate reads,
+and any frame one of them follows on the stream: the observational frame
+when the committed graph identifies the effect (rule 3 certifies on it), and
+both frames when it does not and the action is reversible (rule 4 runs the
+trial, whose frame follows the observational one).  Every other frame, the
+trial frame of an identified effect and both frames of an irreversible
+action whose effect is unidentified (rule 4 abstains on the graph alone), is
+a ``DeferredFrame`` drawn on first read from the same stream.
 
 Two regimes:
 
@@ -31,9 +34,11 @@ keyed by a 64-bit hash of (seed, regime, family, index), so generation order
 cannot change results.  A build re-keys one generator of its own per
 instance, to the state a fresh ``instance_rng`` stream starts in, and draws
 each fixed-length run of uniforms with one call; the numbers and their order
-are those of one scalar call per value.  The paired frame is the last draw
-on the stream, so an instance that defers it keeps the stream's position
-after the observational draw and resumes there, drawing the same bits.
+are those of one scalar call per value.  The two frames are the stream's
+last draws, the paired one last, so a deferred frame keeps the stream's
+position where its draw starts, or where the observational draw starts when
+that frame is deferred too and the draw must pass over it, and resumes
+there, drawing the same bits.
 Instances of one shape share their committed graph, which is immutable, so
 graph-keyed caches hit by identity; each instance builds its own action
 frame.
@@ -46,14 +51,15 @@ import gc
 import hashlib
 import json
 import math
+import struct
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import INT, INTS, NUMBER, check_fields, distinct, setting
-from .frames import Frame
+from .frames import DeferredFrame, Frame
 from .graphs import CausalGraph, graph_to_json_dict, identify
 from .verifier import ActionFrame
 
@@ -201,16 +207,15 @@ class ScmInstance:
     """One benchmark instance: the action, its committed graph, the SCM and
     its data.
 
-    ``experimental``, the paired randomized frame, is drawn with the
-    instance only where the gate runs the trial: the action is reversible
-    and the committed graph does not identify its effect.  Elsewhere rule 3
-    decides on the observational frame, or the gate abstains, without
-    reading it.  Any other instance keeps ``_position``, where its keyed
-    stream stood after the observational draw, and draws the frame on first
-    use by resuming the stream there; the frame is the stream's last draw,
-    so the resumed stream gives the bits an eager draw would.  Like a
-    frame's digest, it follows from the other fields, so neither it nor
-    ``_position`` is part of equality, the hash or the repr.
+    ``observational`` is drawn with the instance unless the action is
+    irreversible and the committed graph does not identify its effect: rule
+    4 then abstains without reading data.  ``experimental``, the paired
+    randomized frame, is drawn with the instance only when the action is
+    reversible and the graph does not identify the effect, the one case in
+    which the gate runs the trial.  Every other frame is a ``DeferredFrame``
+    that resumes the instance's stream on its first read and draws the bits
+    an eager draw would.  Copies such as ``dataclasses.replace`` share the
+    frame objects, and with them each draw.
     """
 
     id: InstanceId
@@ -218,17 +223,7 @@ class ScmInstance:
     graph: CausalGraph
     spec: ScmSpec
     observational: Frame
-    _position: _StreamPosition | None = field(repr=False, compare=False)
-    _experimental: Frame | None = field(repr=False, compare=False)
-
-    @property
-    def experimental(self) -> Frame:
-        frame = self._experimental
-        if frame is None:
-            frame = generate_frame(self.spec, self.observational.n_rows, randomize_treatment=True,
-                                   rng=_resume(self.id, self._position))
-            object.__setattr__(self, "_experimental", frame)
-        return frame
+    experimental: Frame
 
     @property
     def safe_experiment_available(self) -> bool:
@@ -278,21 +273,23 @@ def instance_rng(seed: int, regime: str, family: str, index: int) -> np.random.G
     return np.random.Generator(np.random.Philox(key=_instance_key(seed, regime, family, index)))
 
 
-# A Philox stream's position without its key: the counter and the buffer as
-# bytes, the buffer position, and the cached 32-bit half and its flag.
-_StreamPosition = tuple[bytes, bytes, int, int, int]
+# A Philox stream's position without its key, in 88 bytes: the counter and
+# the buffer, then the buffer position and the cached 32-bit half's flag and
+# value.  One bytes object is less than half the size of a tuple of them,
+# and a build keeps one per deferred instance.
+_POSITION = struct.Struct("<32s32sqqq")
 
 
-def _stream_position(rng: np.random.Generator) -> _StreamPosition:
+def _stream_position(rng: np.random.Generator) -> bytes:
     state = rng.bit_generator.state
-    return (state["state"]["counter"].tobytes(), state["buffer"].tobytes(),
-            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+    return _POSITION.pack(state["state"]["counter"].tobytes(), state["buffer"].tobytes(),
+                          state["buffer_pos"], state["has_uint32"], state["uinteger"])
 
 
-def _resume(inst_id: InstanceId, position: _StreamPosition) -> np.random.Generator:
+def _resume(inst_id: InstanceId, position: bytes) -> np.random.Generator:
     """The instance's keyed stream, moved to ``position``."""
     rng = instance_rng(inst_id.seed, inst_id.regime, inst_id.family, inst_id.index)
-    counter, buffer, buffer_pos, has_uint32, uinteger = position
+    counter, buffer, buffer_pos, has_uint32, uinteger = _POSITION.unpack(position)
     state = rng.bit_generator.state
     state["state"]["counter"] = np.frombuffer(counter, np.uint64)
     state.update(buffer=np.frombuffer(buffer, np.uint64), buffer_pos=buffer_pos,
@@ -366,9 +363,6 @@ def _plim_bias(treat_coefs: Sequence[float], outcome_coefs: Sequence[float]) -> 
     return float(np.sum(betas * gammas) * slope / 0.25)
 
 
-# A coefficient near the float maximum overflows the logit and the outcome
-# sums (and inf - inf gives NaN); ``Frame`` then refuses the data.
-@np.errstate(over="ignore", invalid="ignore")
 def generate_frame(
     spec: ScmSpec,
     n_rows: int,
@@ -381,6 +375,24 @@ def generate_frame(
     are not emitted as columns.  With ``randomize_treatment`` the treatment is
     a fair coin instead of the confounded logistic draw.
     """
+    return Frame._adopt(_frame_columns(spec), _frame_data(spec, n_rows, randomize_treatment, rng))
+
+
+def _frame_columns(spec: ScmSpec) -> tuple[str, ...]:
+    """Columns T, Y, then the observed confounders."""
+    return (TREATMENT_NODE, OUTCOME_NODE, *(c.name for c in spec.observed))
+
+
+# A coefficient near the float maximum overflows the logit and the outcome
+# sums (and inf - inf gives NaN); the frame then refuses the data.
+@np.errstate(over="ignore", invalid="ignore")
+def _frame_data(
+    spec: ScmSpec,
+    n_rows: int,
+    randomize_treatment: bool,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The array of ``generate_frame``, in ``_frame_columns`` order."""
     if n_rows < 2:
         raise ValueError("n_rows must be >= 2")
     observed = spec.observed
@@ -407,7 +419,25 @@ def generate_frame(
     for c, z in zip(spec.confounders, standardized):
         y += c.outcome_coef * z
     data[:, 1] = y
-    return Frame._adopt((TREATMENT_NODE, OUTCOME_NODE, *(c.name for c in observed)), data)
+    return data
+
+
+class _ResumedDraw(NamedTuple):
+    """A deferred frame's draw: from ``position`` on the instance's stream,
+    the frames with the ``randomize_treatment`` flags ``randomized`` in turn,
+    of which the last is returned."""
+
+    inst_id: InstanceId
+    position: bytes
+    spec: ScmSpec
+    n_rows: int
+    randomized: tuple[bool, ...]
+
+    def __call__(self) -> np.ndarray:
+        rng = _resume(self.inst_id, self.position)
+        for randomize_treatment in self.randomized:
+            data = _frame_data(self.spec, self.n_rows, randomize_treatment, rng)
+        return data
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -558,16 +588,26 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
                                       bspec.adversarial_strength, rng)
 
     reversible = bool(rng.random() < bspec.reversible_fraction)
-    observational = generate_frame(spec, bspec.n_rows, randomize_treatment=False, rng=rng)
     graph = _committed_graph(tuple(c.name for c in spec.observed), bool(spec.hidden_confounders))
-    # The gate runs the trial only for a reversible action whose effect the
-    # graph does not identify (rule 4); the other frames are drawn on first
-    # use (``ScmInstance.experimental``), from the stream's position here.
-    position = experimental = None
-    if reversible and not identify(graph).identified:
-        experimental = generate_frame(spec, bspec.n_rows, randomize_treatment=True, rng=rng)
-    else:
+    columns, n_rows = _frame_columns(spec), bspec.n_rows
+
+    def deferred(position: bytes, randomized: tuple[bool, ...]) -> DeferredFrame:
+        return DeferredFrame(columns, _ResumedDraw(inst_id, position, spec, n_rows, randomized))
+
+    # Draw what the gate reads, and what that follows on the stream.
+    identified = identify(graph).identified
+    if not identified and not reversible:
+        # Rule 4 abstains on the graph alone, so both frames are deferred;
+        # the trial frame's draw passes over the observational one.
         position = _stream_position(rng)
+        observational = deferred(position, (False,))
+        experimental = deferred(position, (False, True))
+    else:
+        observational = Frame._adopt(columns, _frame_data(spec, n_rows, False, rng))
+        if identified:  # rule 3 reads the observational frame alone
+            experimental = deferred(_stream_position(rng), (True,))
+        else:  # rule 4 runs the trial
+            experimental = Frame._adopt(columns, _frame_data(spec, n_rows, True, rng))
     return ScmInstance(
         id=inst_id,
         frame=ActionFrame(tool=FAMILY_TOOLS[family], target_variable=TREATMENT_NODE,
@@ -576,8 +616,7 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
         graph=graph,
         spec=spec,
         observational=observational,
-        _position=position,
-        _experimental=experimental,
+        experimental=experimental,
     )
 
 

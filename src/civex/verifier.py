@@ -238,6 +238,10 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
                    bidirected_edges=[p for p in g.bidirected_edges if g.treatment not in p])
 
 
+# Rule 1's refusal of an empty graph set, in ``triage`` and ``certify`` alike.
+_NO_GRAPH = "malformed committed graph set: no graph is committed"
+
+
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
@@ -253,7 +257,7 @@ def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str 
     if violation is not None:
         return f"malformed action frame: {violation}"
     if not graphs:
-        return "malformed committed graph set: no graph is committed"
+        return _NO_GRAPH
     for g in graphs:
         violation = validate_graph(g)
         if violation is not None:
@@ -312,12 +316,19 @@ def certify(
     """Rule 3: certified execution on the worst-case bound.
 
     ``proofs`` holds one identification result per graph; an unidentified one
-    ends in ABSTAIN.  The effect is estimated under each graph, and the action
-    executes, with a certificate for the graph whose lower bound is smallest
-    (the first on ties), only when every estimate has at least
-    ``MIN_RESIDUAL_DOF`` residual degrees of freedom and is finite, that
-    bound clears ``tau_u`` and the cost stays within ``tau_r``.
+    ends in ABSTAIN, and an empty graph set, or a proof count other than the
+    graph count, in rule 1's REJECT.  The effect is estimated under each
+    graph, and the action executes, with a certificate for the graph whose
+    lower bound is smallest (the first on ties), only when every estimate
+    has at least ``MIN_RESIDUAL_DOF`` residual degrees of freedom and is
+    finite, that bound clears ``tau_u`` and the cost stays within ``tau_r``.
     """
+    if not graphs:
+        return Verdict(Decision.REJECT, _NO_GRAPH, rule_fired=1)
+    if len(proofs) != len(graphs):
+        return Verdict(Decision.REJECT, f"malformed proof set: {len(proofs)} identification "
+                                        f"results for {len(graphs)} committed graphs",
+                       rule_fired=1)
     estimates: list[EffectEstimate] = []
     try:
         for g, proof in zip(graphs, proofs):

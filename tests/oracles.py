@@ -17,14 +17,14 @@ which the library no longer imports.  ``unchecked`` sets an action frame's
 fields past its constructor's checks, as a frame set by hand or unpickled
 holds them.  ``pooled_association_oracle`` is the observational-association
 pooling as it was when it read the instances themselves.
-``trial_frame_oracle`` is a deferred trial frame as it was drawn before an
-instance kept its stream's position: by replaying the instance's whole stream.
+``observational_frame_oracle`` and ``trial_frame_oracle`` are an instance's
+two frames as they were drawn before a frame could be deferred: by replaying
+the instance's whole stream, every draw in order, without the build.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import itertools
 import math
 import warnings
@@ -41,7 +41,16 @@ from civex.estimation import (
 )
 from civex.frames import Frame, FrameError
 from civex.graphs import CausalGraph, IdentificationKind
-from civex.scm import BenchmarkSpec, InstanceId, _sample, generate_frame, instance_rng
+from civex.scm import (
+    MODERATE,
+    BenchmarkSpec,
+    InstanceId,
+    _draw_adversarial_spec,
+    _draw_effect,
+    _draw_moderate_spec,
+    generate_frame,
+    instance_rng,
+)
 
 
 def expanded_adjacency(g: CausalGraph):
@@ -445,11 +454,28 @@ def pooled_association_oracle(instances):
             for key, pairs in groups.items()}
 
 
-def trial_frame_oracle(inst_id: InstanceId, bspec: BenchmarkSpec) -> Frame:
-    """The instance's randomized trial frame, drawn by replaying its keyed
-    stream from the start: every draw of the instance, with the action made
-    irreversible so that none of them is the trial frame, then the frame as
-    the stream's next draw."""
+def _replayed_frames(inst_id: InstanceId, bspec: BenchmarkSpec) -> tuple[Frame, Frame]:
+    """The instance's observational and trial frames, drawn by replaying its
+    keyed stream from the start, every draw in order: the effect, the spec,
+    the reversibility coin, the observational frame, then the trial frame."""
     rng = instance_rng(inst_id.seed, inst_id.regime, inst_id.family, inst_id.index)
-    replay = _sample(inst_id, dataclasses.replace(bspec, reversible_fraction=0.0), rng)
-    return generate_frame(replay.spec, bspec.n_rows, randomize_treatment=True, rng=rng)
+    theta, intercept = _draw_effect(inst_id.regime, rng)
+    if inst_id.regime == MODERATE:
+        spec = _draw_moderate_spec(inst_id.family, theta, intercept, rng,
+                                   bspec.latent_fraction_moderate)
+    else:
+        spec = _draw_adversarial_spec(inst_id.family, theta, intercept,
+                                      bspec.adversarial_strength, rng)
+    rng.random()  # the reversibility coin
+    observational = generate_frame(spec, bspec.n_rows, randomize_treatment=False, rng=rng)
+    return observational, generate_frame(spec, bspec.n_rows, randomize_treatment=True, rng=rng)
+
+
+def observational_frame_oracle(inst_id: InstanceId, bspec: BenchmarkSpec) -> Frame:
+    """The instance's observational frame, from a replay of its whole stream."""
+    return _replayed_frames(inst_id, bspec)[0]
+
+
+def trial_frame_oracle(inst_id: InstanceId, bspec: BenchmarkSpec) -> Frame:
+    """The instance's randomized trial frame, from a replay of its whole stream."""
+    return _replayed_frames(inst_id, bspec)[1]

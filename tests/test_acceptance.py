@@ -166,8 +166,8 @@ def test_criterion_01_benchmark_shape_and_determinism(default_run):
     reverse = [sample_instance(i.id.family, i.id.regime, i.id.index,
                                seed=i.id.seed, bspec=spec)
                for i in reversed(instances)]
-    # This build's digest is taken once.  Each digest reads every trial
-    # frame, so the deferred ones are drawn on first use and compared too.
+    # This build's digest is taken once.  Each digest reads every frame,
+    # so the deferred ones are drawn on first read and compared too.
     built = digest(instances)
     assert digest(reversed(reverse)) == built
     assert digest(default_run.instances) == built

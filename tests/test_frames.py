@@ -1,6 +1,8 @@
 import functools
 import hashlib
 import itertools
+import math
+import pickle
 import re
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import civex.frames
 from civex.cli import main
 from civex.estimation import provenance_hash
-from civex.frames import Frame, FrameError
+from civex.frames import DeferredFrame, Frame, FrameError
 from civex.scm import BenchmarkSpec, build_benchmark
 
 from oracles import line_parse, per_value_encode, per_value_parse
@@ -248,6 +250,74 @@ def _parse(text: str | bytes) -> Frame:
 
 def _text(text: str | bytes) -> str:
     return text if isinstance(text, str) else text.decode("utf-8")
+
+
+class TestDeferredFrame:
+    """A frame drawn on the first read of its data, through every check of
+    the constructor."""
+
+    ROWS = [[1.0, 2.5], [0.0, -0.0]]
+
+    @staticmethod
+    def _counted(rows, columns=("T", "Y")):
+        """A deferred frame of ``rows`` and the list its draws append to."""
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return np.array(rows, dtype=np.float64)
+
+        return DeferredFrame(columns, draw), calls
+
+    def test_first_read_draws_once(self):
+        frame, calls = self._counted(self.ROWS)
+        assert not frame.drawn and not calls
+        eager = Frame(("T", "Y"), np.array(self.ROWS))
+        assert frame == eager and hash(frame) == hash(eager)
+        assert frame.drawn and len(calls) == 1
+        assert frame.canonical_bytes() == eager.canonical_bytes()
+        assert frame.sha256() == eager.sha256()
+        assert frame.data is frame.data and not frame.data.flags.writeable
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_draw_that_is_not_finite_is_refused_at_every_read(self, bad):
+        frame, calls = self._counted([[1.0, bad], [0.0, 1.0]])
+        for attempt in (1, 2):
+            with pytest.raises(FrameError, match="missing or infinite"):
+                frame.data
+            # Nothing of the failed draw is kept: the next read draws again.
+            assert not frame.drawn and len(calls) == attempt
+            assert frame._sha256 is None and frame._fits is None
+        with pytest.raises(FrameError):
+            frame.canonical_bytes()
+
+    @pytest.mark.parametrize("columns, rows, message", [
+        (("T",), ROWS, "1 columns declared but rows have 2 values"),
+        (("T", "T"), ROWS, "duplicate column names"),
+        (("T", "Y,Z"), ROWS, "holds a comma or a newline"),
+        (("T", "Y"), [1.0, 2.0], "expected 2-D data"),
+    ])
+    def test_the_constructor_checks_run_at_first_read(self, columns, rows, message):
+        frame, _ = self._counted(rows, columns)
+        with pytest.raises(FrameError, match=message):
+            frame.n_rows
+        assert not frame.drawn
+
+    def test_only_data_is_deferred(self):
+        frame, calls = self._counted(self.ROWS)
+        assert frame.columns == ("T", "Y")
+        assert not hasattr(frame, "rows")
+        assert not calls
+
+    def test_pickle_keeps_an_undrawn_frame_undrawn(self):
+        frame = DeferredFrame(("T", "Y"), functools.partial(np.array, self.ROWS))
+        copy = pickle.loads(pickle.dumps(frame))
+        assert type(copy) is DeferredFrame and not copy.drawn
+        assert not frame.drawn
+        assert copy.canonical_bytes() == frame.canonical_bytes() == b"T,Y\n1.0,2.5\n0.0,-0.0"
+        drawn = pickle.loads(pickle.dumps(frame))
+        assert type(drawn) is Frame and drawn == frame
 
 
 class TestCanonicalParser:

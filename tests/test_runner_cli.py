@@ -984,16 +984,20 @@ class TestConfigSurface:
         # Finite and > 0, so the config check passes, but the generated
         # outcome overflows to infinity; this used to end in a FrameError
         # traceback.  A large strength that stays finite still generates.
-        # Neither prints numpy's overflow warnings.
+        # Neither prints numpy's overflow warnings.  With no reversible
+        # action, every adversarial instance (all of them have a latent
+        # confounder) defers its observational frame, so the overflow is met
+        # at that frame's first read rather than in the build.
         small = {"seeds": [42], "moderate_per_family": 1, "adversarial_per_family": 1,
                  "n_rows": 50}
-        cfg = write_config(tmp_path, "huge", **small, adversarial_strength=1e308)
-        result = CliRunner().invoke(main, [*command, "--config", str(cfg)])
-        assert result.exit_code != 0
-        assert isinstance(result.exception, SystemExit)
-        assert "invalid configuration: adversarial_strength 1e+308" in result.output
-        assert "Traceback" not in result.output
-        assert not (tmp_path / "huge").exists()
+        for extra in ({}, {"reversible_fraction": 0.0}):
+            cfg = write_config(tmp_path, "huge", **small, **extra, adversarial_strength=1e308)
+            result = CliRunner().invoke(main, [*command, "--config", str(cfg)])
+            assert result.exit_code != 0
+            assert isinstance(result.exception, SystemExit)
+            assert "invalid configuration: adversarial_strength 1e+308" in result.output
+            assert "Traceback" not in result.output
+            assert not (tmp_path / "huge").exists()
         cfg = write_config(tmp_path, "large", **small, adversarial_strength=1e6)
         result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
         assert result.exit_code == 0, result.output

@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 
 from civex.estimation import adjusted_effect, unadjusted_difference
-from civex.evaluation import ScoreWeights
-from civex.frames import FrameError
+from civex.baselines import CIVEX, build_context, make_provider
+from civex.frames import DeferredFrame, Frame, FrameError
 from civex.graphs import identify
 from civex.runner import (
     DEFAULT_METHODS,
     REGENERATING_SWEEPS,
     SWEEP_SEEDS,
-    evaluate_instances,
+    RunConfig,
     misspecify_instance,
+    run_benchmark,
 )
 from civex.scm import (
     ADVERSARIAL,
@@ -40,9 +41,9 @@ from civex.scm import (
     unadjusted_plim_bias,
     write_instances_jsonl,
 )
-from civex.verifier import VerifierConfig
+from civex.verifier import VerifierConfig, run_two_stage
 
-from oracles import trial_frame_oracle
+from oracles import observational_frame_oracle, trial_frame_oracle
 
 SMALL = BenchmarkSpec(seeds=(42, 43), moderate_per_family=6, adversarial_per_family=5)
 # Two rows, a latent confounder on every moderate draw (the most coefficient
@@ -492,24 +493,36 @@ class TestConcurrentBuilds:
                                            seed=inst.id.seed, bspec=spec)
 
 
+def _undrawn(frame) -> bool:
+    return isinstance(frame, DeferredFrame) and not frame.drawn
+
+
+def _gate_reads(inst) -> tuple[bool, bool]:
+    """Whether the gate reads the instance's observational and trial frames."""
+    identified = identify(inst.graph).identified
+    return identified or inst.safe_experiment_available, (
+        inst.safe_experiment_available and not identified)
+
+
 class TestTrialFrameOnDemand:
-    """Only an instance whose trial the gate runs draws its trial frame with
-    the instance; any other draws it on first use, by resuming its stream."""
+    """A build draws only the frames the gate reads, and the frames they
+    follow on the stream; every other frame is a ``DeferredFrame`` that draws
+    itself on first read by resuming the instance's stream."""
 
     @staticmethod
     def _undrawn(spec=SMALL, reversible=False):
-        """A deferred instance of ``spec``'s build: a reversible one (so its
-        graph identifies the effect), or one whose action is not reversible."""
+        """An instance of ``spec``'s build with an undrawn trial frame: a
+        reversible one (so its graph identifies the effect), or one whose
+        action is not reversible and whose effect is unidentified, so that
+        its observational frame is undrawn too."""
         instances, _ = build_benchmark(spec)
-        # Rule 4's case: the action is reversible and the graph does not
-        # identify its effect.
-        assert all((i._experimental is not None)
-                   == (i.safe_experiment_available and not identify(i.graph).identified)
-                   for i in instances)
-        assert all((i._position is None) == (i._experimental is not None) for i in instances)
-        inst = next(i for i in instances
-                    if i._experimental is None and i.safe_experiment_available == reversible)
-        assert inst._experimental is None
+        for inst in instances:
+            reads = _gate_reads(inst)
+            assert (not _undrawn(inst.observational), not _undrawn(inst.experimental)) == reads
+        inst = next(i for i in instances if _undrawn(i.experimental)
+                    and i.safe_experiment_available == reversible
+                    and identify(i.graph).identified == reversible)
+        assert _undrawn(inst.observational) == (not reversible)
         return inst
 
     def test_only_trials_the_gate_runs_hold_a_drawn_frame(self):
@@ -520,57 +533,78 @@ class TestTrialFrameOnDemand:
                 bspec = replace(SMALL, latent_fraction_moderate=latent,
                                 reversible_fraction=reversible_fraction)
                 inst = sample_instance("db_index_operation", MODERATE, 0, seed=42, bspec=bspec)
-                assert identify(inst.graph).identified == (latent == 0.0)
-                drawn = reversible_fraction == 1.0 and latent == 1.0
-                assert (inst._experimental is not None) == drawn
-                assert (inst._position is None) == drawn
+                identified = latent == 0.0
+                assert identify(inst.graph).identified == identified
+                reversible = reversible_fraction == 1.0
+                assert not _undrawn(inst.observational) == (identified or reversible)
+                assert not _undrawn(inst.experimental) == (reversible and not identified)
+                for frame in (inst.observational, inst.experimental):
+                    assert type(frame) is (DeferredFrame if _undrawn(frame) else Frame)
 
-    @pytest.mark.parametrize("spec", [SMALL, CORNER], ids=["small", "corner"])
+    @pytest.mark.parametrize("spec", [
+        SMALL, CORNER, replace(SMALL, reversible_fraction=0.0),
+        replace(SMALL, reversible_fraction=1.0),
+    ], ids=["small", "corner", "irreversible", "reversible"])
     def test_every_frame_is_the_replayed_one(self, spec):
-        # Deferred frames on first use, and the frames drawn at build, are
+        # Deferred frames on first read, and the frames drawn at build, are
         # the ones a replay of the whole stream draws, bit for bit.
         instances, _ = build_benchmark(replace(spec, seeds=(42,)))
-        deferred = [i for i in instances if i._experimental is None]
-        kinds = {i.safe_experiment_available for i in deferred}
-        assert kinds == ({False} if spec is CORNER else {False, True})
+        deferred = {(_undrawn(i.observational), _undrawn(i.experimental)): i
+                    for i in instances}
+        kinds = {(False, True), (True, True), (False, False)}
+        if spec.reversible_fraction == 0.0:
+            kinds -= {(False, False)}
+        if spec.reversible_fraction == 1.0:
+            kinds -= {(True, True)}
+        if spec is CORNER:  # every moderate draw is latent, so nothing is identified
+            kinds -= {(False, True)}
+        assert set(deferred) == kinds
         for inst in instances:
-            expected = trial_frame_oracle(inst.id, spec).canonical_bytes()
-            assert inst.experimental.canonical_bytes() == expected
-            assert inst.experimental is inst._experimental
+            for frame, oracle in ((inst.observational, observational_frame_oracle),
+                                  (inst.experimental, trial_frame_oracle)):
+                was_undrawn = _undrawn(frame)
+                assert frame.canonical_bytes() == oracle(inst.id, spec).canonical_bytes()
+                if was_undrawn:
+                    assert frame.drawn
+                    assert frame.data is frame.data
 
     def test_equality_hash_and_repr_do_not_change_on_first_use(self):
         inst = self._undrawn()
         twin = sample_instance(inst.id.family, inst.id.regime, inst.id.index,
                                seed=inst.id.seed, bspec=SMALL)
-        before = hash(inst), repr(inst)
-        inst.experimental
-        assert twin._experimental is None
+        inst.observational.data, inst.experimental.data
+        assert _undrawn(twin.observational) and _undrawn(twin.experimental)
         assert inst == twin
-        assert (hash(inst), repr(inst)) == before == (hash(twin), repr(twin))
+        assert (hash(inst), repr(inst)) == (hash(twin), repr(twin))
+        eager = observational_frame_oracle(inst.id, SMALL)
+        assert type(eager) is Frame
+        assert inst.observational == eager and hash(inst.observational) == hash(eager)
 
     @pytest.mark.parametrize("reversible", [False, True])
     def test_pickle_round_trip_before_and_after_first_use(self, reversible):
         inst = self._undrawn(reversible=reversible)
         expected = trial_frame_oracle(inst.id, SMALL).canonical_bytes()
         copy = pickle.loads(pickle.dumps(inst))
-        assert copy._experimental is None
-        assert copy._position == inst._position
-        assert copy == inst
+        assert _undrawn(copy.experimental)
+        assert _undrawn(copy.observational) == (not reversible)
         assert copy.experimental.canonical_bytes() == expected
-        inst.experimental
+        assert _undrawn(inst.experimental)  # the copy drew its own
+        assert copy == inst
         copy = pickle.loads(pickle.dumps(inst))
-        assert copy._experimental is not None
-        assert copy._experimental.canonical_bytes() == expected
+        for frame in (copy.observational, copy.experimental):
+            assert type(frame) is Frame
+        assert copy.experimental.canonical_bytes() == expected
 
     def test_concurrent_first_uses_agree(self):
         inst = self._undrawn()
-        expected = trial_frame_oracle(inst.id, SMALL).canonical_bytes()
+        frame = inst.observational
+        expected = observational_frame_oracle(inst.id, SMALL).canonical_bytes()
         start = threading.Barrier(4)
         drawn = [None] * 4
 
         def draw(slot):
             start.wait(timeout=30)
-            drawn[slot] = inst.experimental.canonical_bytes()
+            drawn[slot] = frame.data, frame.canonical_bytes()
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -583,41 +617,96 @@ class TestTrialFrameOnDemand:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert drawn == [expected] * 4
+        # Every thread returns the one array stored, whichever drew first.
+        assert all(data is frame.data and text == expected for data, text in drawn)
 
     def test_misspecified_instance_keeps_what_redraws_the_frame(self):
         spec = replace(SMALL, latent_fraction_moderate=0.0)
         inst = self._undrawn(spec)
         relabeled = misspecify_instance(inst, 1.0)
         assert relabeled.graph != inst.graph
-        assert relabeled._experimental is None
-        assert relabeled._position == inst._position
+        assert relabeled.observational is inst.observational
+        assert relabeled.experimental is inst.experimental
+        assert _undrawn(relabeled.experimental)
         expected = trial_frame_oracle(inst.id, spec).canonical_bytes()
         assert relabeled.experimental.canonical_bytes() == expected
 
     def test_misspecified_copies_share_one_trial_frame(self):
         # Relabelling every observed confounder latent leaves the graph
         # unidentified, so the gate runs a trial that the build deferred;
-        # each relabelled copy reads the frame drawn on the original.
+        # each relabelled copy holds the original's frame, drawn once.
         spec = replace(SMALL, latent_fraction_moderate=0.0)
         inst = self._undrawn(spec, reversible=True)
         copies = [misspecify_instance(inst, fraction) for fraction in (0.5, 1.0)]
         assert not identify(copies[1].graph).identified
+        assert all(c.experimental is inst.experimental for c in copies)
+        cfg = VerifierConfig()
+        provider = make_provider(CIVEX, build_context(copies), cfg)
+        assert len(run_two_stage(copies[1], provider, cfg).trace) == 2
+        assert inst.experimental.drawn
         expected = trial_frame_oracle(inst.id, spec).canonical_bytes()
-        assert inst._experimental.canonical_bytes() == expected
-        assert all(c._experimental is inst._experimental for c in copies)
+        assert copies[0].experimental.canonical_bytes() == expected
 
-    def test_no_default_method_draws_a_frame_on_first_use(self):
-        # Every default method reads exactly the trial frames drawn at build:
-        # drawing more at build would hold frames that nothing reads, and
-        # drawing fewer would put a first use inside some verdict.
-        instances, _ = build_benchmark(SMALL)
-        at_build = {i.id for i in instances if i._experimental is not None}
-        records = evaluate_instances(instances, DEFAULT_METHODS, VerifierConfig(),
-                                     ScoreWeights())
-        assert len(DEFAULT_METHODS) == 12
+    def test_no_default_method_draws_a_frame_on_first_use(self, monkeypatch):
+        # Every default method reads exactly the trial frames drawn at build,
+        # and a run draws the deferred observational frames before any
+        # verdict: drawing more at build would hold frames that nothing
+        # reads, and drawing fewer would put a first read inside some verdict.
+        import civex.runner
+
+        instances = []
+        building = civex.runner.build_benchmark
+
+        def build(bspec):
+            built = building(bspec)
+            instances.extend(built[0])
+            return built
+
+        inside, draws = [False], []
+        deciding = civex.runner.run_two_stage
+
+        def decide(*args):
+            inside[0] = True
+            try:
+                return deciding(*args)
+            finally:
+                inside[0] = False
+
+        first_read = DeferredFrame.__getattr__
+
+        def spy(frame, name):
+            draws.append(inside[0])
+            return first_read(frame, name)
+
+        monkeypatch.setattr(civex.runner, "build_benchmark", build)
+        monkeypatch.setattr(civex.runner, "run_two_stage", decide)
+        monkeypatch.setattr(DeferredFrame, "__getattr__", spy)
+        result = run_benchmark(RunConfig(bench=SMALL))
+        assert len(DEFAULT_METHODS) == len(result.config.methods) == 12
+        assert draws and not any(draws)
+        at_build = {i.id for i in instances if type(i.experimental) is Frame}
         by_id = {i.id: i for i in instances}
-        read = {r.instance_id for r in records if len(r.result.trace) == 2
+        read = {r.instance_id for r in result.records if len(r.result.trace) == 2
                 and by_id[r.instance_id].safe_experiment_available}
         assert read == at_build
-        assert {i.id for i in instances if i._experimental is not None} == at_build
+        assert all(_undrawn(i.experimental) for i in instances if i.id not in at_build)
+        assert not any(_undrawn(i.observational) for i in instances)
+
+    def test_a_gate_stream_build_draws_what_the_gate_reads(self):
+        # The build of perfbench's gate_stream at seed 0: 14 seeds, 3,780
+        # instances, of which 643 are irreversible actions whose effect the
+        # committed graph leaves unidentified.  A CIVeX pass reads no
+        # deferred frame.
+        instances, _ = build_benchmark(BenchmarkSpec(seeds=tuple(range(42, 56))))
+
+        def drawn():
+            return (sum(not _undrawn(i.observational) for i in instances),
+                    sum(not _undrawn(i.experimental) for i in instances))
+
+        assert len(instances) == 3780
+        assert drawn() == (3137, 1900)
+        cfg = VerifierConfig()
+        provider = make_provider(CIVEX, build_context(instances), cfg)
+        for inst in instances:
+            run_two_stage(inst, provider, cfg)
+        assert drawn() == (3137, 1900)

@@ -38,6 +38,7 @@ from civex.verifier import (
     VerifierConfig,
     certificate_from_json_dict,
     certificate_to_json_dict,
+    certify,
     make_view,
     resolve_for_experiment,
     run_two_stage,
@@ -852,6 +853,25 @@ class TestViews:
         view = InstanceView(id=InstanceId(0, MODERATE, "db_index_operation", 0),
                             frame=worked_frame(), graphs=(), data=worked_data())
         assert make_provider(CAUSAL_NO_EXPERIMENT, ProviderContext(), CFG)(view) == v
+
+    def test_certify_rejects_an_empty_graph_set(self):
+        # It raised ``min() arg is an empty sequence``.
+        v = certify(worked_frame(), [], [], worked_data(), CFG)
+        assert (v.decision, v.rule_fired, v.certificate) == (Decision.REJECT, 1, None)
+        assert v.reason == triage(worked_frame(), (), worked_data(), CFG).reason \
+            == "malformed committed graph set: no graph is committed"
+
+    def test_certify_rejects_a_graph_without_its_proof(self):
+        # ``zip`` dropped the unproved latent graph and certified the other;
+        # triage sends the same set to rule 4.
+        graphs = [worked_graph(), TestRuleFour._latent_graph()]
+        assert triage(worked_frame(), graphs, worked_data(), CFG).decision \
+            is Decision.EXPERIMENT
+        for proofs in ([identify(worked_graph())], [identify(g) for g in graphs] * 2):
+            v = certify(worked_frame(), graphs, proofs, worked_data(), CFG)
+            assert (v.decision, v.rule_fired, v.certificate) == (Decision.REJECT, 1, None)
+            assert v.reason == (f"malformed proof set: {len(proofs)} identification results "
+                                f"for 2 committed graphs")
 
     @pytest.mark.parametrize("graph", [worked_graph(), TestRuleFour._latent_graph()],
                              ids=["identified", "latent"])
