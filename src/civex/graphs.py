@@ -26,6 +26,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
+from .config import REQUIRED, STR, STRS, check_fields, enum, setting
+
 __all__ = [
     "CausalGraph",
     "GraphError",
@@ -39,7 +41,6 @@ __all__ = [
     "graph_to_json_dict",
     "graph_from_json_dict",
     "graph_digest",
-    "string_list",
 ]
 
 _LATENT_PREFIX = "__latent__"
@@ -113,10 +114,13 @@ class IdentificationKind(str, Enum):
 class IdentificationResult:
     """Outcome of an identification query, with a short machine-checkable note."""
 
-    kind: IdentificationKind
-    adjustment_set: tuple[str, ...]
-    mediator_set: tuple[str, ...]
-    proof_note: str
+    kind: IdentificationKind = setting(REQUIRED, enum(IdentificationKind),
+                                       "one of backdoor, frontdoor, not_identified")
+    adjustment_set: tuple[str, ...] = setting(REQUIRED, STRS, "a list of strings")
+    mediator_set: tuple[str, ...] = setting(REQUIRED, STRS, "a list of strings")
+    proof_note: str = setting(REQUIRED, STR, "a string")
+
+    __post_init__ = check_fields
 
     @property
     def identified(self) -> bool:
@@ -391,7 +395,7 @@ def graph_to_json_dict(g: CausalGraph) -> dict:
     }
 
 
-def string_list(value: object, what: str) -> list[str]:
+def _string_list(value: object, what: str) -> list[str]:
     """``value`` if it is a JSON array of strings, else a GraphError naming ``what``."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise GraphError(f"{what} must be a list of strings")
@@ -402,19 +406,20 @@ def _edges(value: object, kind: str) -> list[list[str]]:
     if not isinstance(value, list) or not all(isinstance(e, list) and len(e) == 2
                                               for e in value):
         raise GraphError(f"{kind} edges must be a list of node pairs")
-    return [string_list(e, f"each {kind} edge") for e in value]
+    return [_string_list(e, f"each {kind} edge") for e in value]
 
 
 def graph_from_json_dict(obj: Mapping) -> CausalGraph:
     """Parse the canonical JSON form; a missing or extra key, or a wrongly typed
     field, raises GraphError."""
     if set(obj) != set(_GRAPH_KEYS):
-        raise GraphError(f"graph keys must be {', '.join(_GRAPH_KEYS)}")
+        raise GraphError(f"graph keys must be {', '.join(_GRAPH_KEYS)}, "
+                         f"got {', '.join(sorted(map(str, obj)))}")
     for role in ("treatment", "outcome"):
         if not isinstance(obj[role], str):
             raise GraphError(f"graph {role} must be a string")
     return CausalGraph(
-        nodes=string_list(obj["nodes"], "graph nodes"),
+        nodes=_string_list(obj["nodes"], "graph nodes"),
         directed_edges=_edges(obj["directed"], "directed"),
         bidirected_edges=_edges(obj["bidirected"], "bidirected"),
         treatment=obj["treatment"],

@@ -31,11 +31,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .config import NUMBER, STR_SET, check_fields, setting
+from .config import (BOOL, FLOAT, INT, NUMBER, REQUIRED, STR, STR_SET, STRS, Kind, check_fields,
+                     dump, load, record, setting)
 from .estimation import (
     EffectEstimate,
     EstimationError,
@@ -53,7 +55,6 @@ from .graphs import (
     graph_from_json_dict,
     graph_to_json_dict,
     identify,
-    string_list,
     validate_graph,
 )
 
@@ -114,57 +115,46 @@ class VerifierConfig:
 
 @dataclass(frozen=True, slots=True)
 class ActionFrame:
-    tool: str
-    target_variable: str
-    target_value: float
-    utility_variable: str
-    cost: float
-    reversible: bool
-    interventional: bool = True
+    """The proposed action.  Its check runs again at the gate, for a frame that
+    skipped the constructor (set by hand, or unpickled)."""
 
-    def __post_init__(self) -> None:
-        violation = self.violation()
-        if violation is not None:
-            raise ValueError(f"malformed action frame: {violation}")
+    tool: str = setting(REQUIRED, STR, "a non-empty string", bool)
+    target_variable: str = setting(REQUIRED, STR, "a string")
+    target_value: float = setting(REQUIRED, NUMBER, "1.0, the only treatment level civex "
+                                                    "certifies", lambda x: x == 1.0)
+    utility_variable: str = setting(REQUIRED, STR, "a string")
+    cost: float = setting(REQUIRED, NUMBER, "a finite number >= 0", lambda x: 0 <= x < math.inf)
+    reversible: bool = setting(REQUIRED, BOOL, "a boolean")
+    interventional: bool = setting(True, BOOL, "a boolean")
 
-    def violation(self) -> str | None:
-        """The first field of the wrong type or value, if any.
+    __post_init__ = check_fields
 
-        The check runs again at the gate, for a frame that skipped the
-        constructor (set by hand, or unpickled).
-        """
-        if not isinstance(self.tool, str):
-            return "tool name is not a string"
-        if not self.tool:
-            return "missing tool name"
-        for name in ("cost", "target_value"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"{name.replace('_', ' ')} is not a number"
-        if not self.cost >= 0:
-            return "negative or NaN cost"
-        for name in ("reversible", "interventional"):
-            if not isinstance(getattr(self, name), bool):
-                return f"{name} flag is not a boolean"
-        if self.target_value != 1.0:
-            return (f"target value {self.target_value!r} is not 1.0, "
-                    f"the only treatment level civex certifies")
-        return None
+
+# The committed graph, in the canonical JSON form that ``civex.graphs`` reads and writes.
+_GRAPH = Kind(lambda v: isinstance(v, CausalGraph),
+              lambda v: graph_from_json_dict(v) if isinstance(v, Mapping) else v,
+              graph_to_json_dict)
 
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    graph: CausalGraph
-    graph_sha256: str
-    assumptions: tuple[str, ...]
-    proof: IdentificationResult
-    theta_hat: float
-    std_err: float
-    lcb_alpha: float
-    alpha: float
-    n: int
-    provenance: str
-    risk: float
+    """What an EXECUTE rests on.  Replay compares ``n`` and the floats by value
+    and cannot check ``risk``, so the reader checks their kinds and the risk."""
+
+    graph: CausalGraph = setting(REQUIRED, _GRAPH, "a committed graph (an object)")
+    graph_sha256: str = setting(REQUIRED, STR, "a string")
+    assumptions: tuple[str, ...] = setting(REQUIRED, STRS, "a list of strings")
+    proof: IdentificationResult = setting(REQUIRED, record(IdentificationResult),
+                                          "an identification proof (an object)")
+    theta_hat: float = setting(REQUIRED, FLOAT, "a float")
+    std_err: float = setting(REQUIRED, FLOAT, "a float")
+    lcb_alpha: float = setting(REQUIRED, FLOAT, "a float")
+    alpha: float = setting(REQUIRED, FLOAT, "a float")
+    n: int = setting(REQUIRED, INT, "an integer")
+    provenance: str = setting(REQUIRED, STR, "a string")
+    risk: float = setting(REQUIRED, NUMBER, "a finite number >= 0", lambda x: 0 <= x < math.inf)
+
+    __post_init__ = check_fields
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,17 +235,18 @@ _NO_GRAPH = "malformed committed graph set: no graph is committed"
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
-    The frame must pass its own check, ``ActionFrame.violation``: each field
-    of its declared type, and a target value of 1.0, the treatment level a
+    The frame must pass its own check, ``check_fields``: each field of its
+    declared kind, and a target value of 1.0, the treatment level a
     certificate's estimate compares with 0.
     At least one graph must be committed.  Each must be well formed, and its
     treatment and outcome must be the action's target and utility variables:
     a certificate for another (treatment, outcome) pair says nothing about
     this action.
     """
-    violation = frame.violation()
-    if violation is not None:
-        return f"malformed action frame: {violation}"
+    try:
+        check_fields(frame)
+    except ValueError as exc:
+        return f"malformed action frame: {exc}"
     if not graphs:
         return _NO_GRAPH
     for g in graphs:
@@ -444,41 +435,13 @@ def record_fields(record) -> dict:
 
 def certificate_to_json_dict(cert: Certificate) -> dict:
     """The certificate's and its proof's own fields, in JSON form."""
-    proof = cert.proof
-    return {**record_fields(cert), "graph": graph_to_json_dict(cert.graph),
-            "assumptions": list(cert.assumptions),
-            "proof": {**record_fields(proof), "kind": proof.kind.value,
-                      "adjustment_set": list(proof.adjustment_set),
-                      "mediator_set": list(proof.mediator_set)}}
+    return dump(cert)
 
 
 def certificate_from_json_dict(obj: Mapping) -> Certificate:
-    """The mirror of ``certificate_to_json_dict``: a missing or extra key in the
-    certificate, its proof or its graph raises a KeyError, TypeError or GraphError,
-    and so does a name set that is not a list of strings.  Replay cannot check
-    the declared ``risk``, so one that is not a finite number >= 0 raises a
-    ValueError here, and so does a row count ``n`` that is not an int, or an
-    ``alpha``, ``theta_hat``, ``std_err`` or ``lcb_alpha`` that is not a float:
-    the writer writes no other type, and replay would compare ``400.0`` equal
-    to ``400``."""
-    risk = obj["risk"]
-    if (isinstance(risk, bool) or not isinstance(risk, (int, float))
-            or not 0.0 <= risk < math.inf):
-        raise ValueError(f"risk {risk!r} is not a finite number >= 0")
-    proof = obj["proof"]
-    proof = IdentificationResult(**{
-        **proof, "kind": IdentificationKind(proof["kind"]),
-        "adjustment_set": tuple(string_list(proof["adjustment_set"], "adjustment_set")),
-        "mediator_set": tuple(string_list(proof["mediator_set"], "mediator_set"))})
-    cert = Certificate(**{**obj, "graph": graph_from_json_dict(obj["graph"]),
-                          "assumptions": tuple(string_list(obj["assumptions"], "assumptions")),
-                          "proof": proof})
-    if isinstance(cert.n, bool) or not isinstance(cert.n, int):
-        raise ValueError(f"n {cert.n!r} is not an integer")
-    for name in ("alpha", "theta_hat", "std_err", "lcb_alpha"):
-        if not isinstance(getattr(cert, name), float):
-            raise ValueError(f"{name} {getattr(cert, name)!r} is not a float")
-    return cert
+    """The mirror of ``certificate_to_json_dict``: a missing, extra or wrongly
+    typed key in the certificate, its proof or its graph raises a ValueError."""
+    return load(Certificate, obj)
 
 
 def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:

@@ -426,12 +426,12 @@ def wilcoxon_rankdata_oracle(diffs):
     return min(1.0, 2.0 * min(p_ge, p_le))
 
 
-def unchecked(frame, **fields):
-    """A copy of ``frame`` holding ``fields`` as given, past ``__post_init__``."""
-    frame = copy.copy(frame)
+def unchecked(record, **fields):
+    """A copy of ``record`` holding ``fields`` as given, past ``__post_init__``."""
+    record = copy.copy(record)
     for name, value in fields.items():
-        object.__setattr__(frame, name, value)
-    return frame
+        object.__setattr__(record, name, value)
+    return record
 
 
 def pooled_association_oracle(instances):

@@ -1,5 +1,5 @@
-"""What a civex process loads: no scipy at all, and the gate without the
-benchmark; and what each module exports.
+"""What a civex process loads: no scipy at all, the gate and `civex
+verify-cert` without the benchmark; and what each module exports.
 
 The normal quantile is a port of Cephes ``ndtri`` and the signed-rank test
 ranks with numpy, so scipy is a test oracle, not a runtime dependency.  The
@@ -62,6 +62,19 @@ print(json.dumps({"root": root, "verifier": sorted(sys.modules)}))
 """
 
 
+# `civex verify-cert` alone, on the certificate and data named on the command line.
+VERIFY_SCRIPT = """
+import json, sys
+import civex.cli
+try:
+    civex.cli.main(["verify-cert", *sys.argv[1:]], standalone_mode=False)
+    code = 0
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"verify_exit": code, "modules": sorted(sys.modules)}))
+"""
+
+
 def _fresh(script: str, *args: str) -> dict:
     """The JSON line the script prints last, run in a fresh interpreter."""
     env = dict(os.environ)
@@ -91,6 +104,22 @@ def test_gate_loads_without_the_benchmark():
                  "civex.cli", "click"}
     assert "civex.verifier" in result["verifier"]
     assert benchmark.isdisjoint(result["verifier"])
+
+
+def test_verify_cert_loads_no_benchmark_module(tmp_path):
+    # The certificates of seed 42's first instances, as a default run writes
+    # them: a run's instances do not depend on how many it draws.
+    from civex.runner import RunConfig, run_benchmark, write_run_outputs
+    from civex.scm import BenchmarkSpec
+    bench = BenchmarkSpec(seeds=(42,), moderate_per_family=2, adversarial_per_family=1)
+    write_run_outputs(run_benchmark(RunConfig(bench=bench, methods=("CIVeX",))), tmp_path)
+    cert = sorted(tmp_path.glob("certificates/*/*.cert.json"))[0]
+    data = cert.with_name(cert.name.replace(".cert.json", ".data.txt"))
+    result = _fresh(VERIFY_SCRIPT, str(cert), str(data))
+    assert result["verify_exit"] == 0
+    assert "civex.cli" in result["modules"]
+    benchmark = {"civex.runner", "civex.scm", "civex.baselines", "civex.evaluation"}
+    assert benchmark.isdisjoint(result["modules"])
 
 
 @pytest.mark.parametrize("name", ["civex"] + [

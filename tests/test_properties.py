@@ -5,9 +5,11 @@ linear model over the graph, and action frames, some of them malformed.
 Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
 clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
-mutated certificate and data file in exit 0, exit 1 or a clean error, and
-every mutated config document loads into a config that round-trips or is a
-clean ``invalid configuration`` from ``civex generate``.  The
+mutated certificate and data file in exit 0, exit 1 or a clean error; the
+typed reader gives an action frame or certificate document with one key
+dropped, added or retyped back as the record or as a ``ValueError`` naming
+that key; and every mutated config document loads into a config that
+round-trips or is a clean ``invalid configuration`` from ``civex generate``.  The
 canonical-text encoder and parser and the Cholesky rank test agree with the
 per-value ``repr`` and ``float()`` and the elimination loop they replaced, and
 the OLS kernel fits to the bits, and decides singularity as, the
@@ -19,6 +21,8 @@ import functools
 import hashlib
 import json
 import math
+import operator
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -31,6 +35,7 @@ from hypothesis import strategies as st
 
 from civex import graphs
 from civex.cli import main
+from civex.config import dump, load
 from civex.estimation import _PIVOT_RTOL, EstimationError, _ols_theta, _pivot_rank_ok
 from civex.frames import Frame, FrameError
 from civex.graphs import (
@@ -42,12 +47,14 @@ from civex.graphs import (
     validate_graph,
 )
 from civex.runner import RunConfig
-from civex.scm import BenchmarkSpec, build_benchmark
+from civex.scm import MODERATE, BenchmarkSpec, build_benchmark, sample_instance
 from civex.verifier import (
     ActionFrame,
+    Certificate,
     Decision,
     Verdict,
     VerifierConfig,
+    certificate_from_json_dict,
     certificate_to_json_dict,
     make_view,
     triage,
@@ -355,6 +362,61 @@ def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, r
     else:
         assert ("certificate mismatch:" in result.output
                 or result.output.startswith("Error: cannot parse certificate"))
+
+
+# ------------------------------------------------------------ the typed reader
+
+# Any JSON value, to stand in for a key's own or to fill an added key.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _key_paths(doc: dict, at: tuple = ()) -> list[tuple]:
+    """The path of every key of ``doc``, the keys of nested objects included."""
+    paths = []
+    for key, value in doc.items():
+        paths.append((*at, key))
+        if isinstance(value, dict):
+            paths += _key_paths(value, (*at, key))
+    return paths
+
+
+@functools.lru_cache(maxsize=1)
+def _documents() -> dict:
+    """A seed-42 action frame's and certificate's documents, with their readers."""
+    frame = sample_instance("db_index_operation", MODERATE, 0, seed=42).frame
+    return {"frame": (dump(frame), functools.partial(load, ActionFrame), ActionFrame),
+            "certificate": (_stored_certificate()[0], certificate_from_json_dict, Certificate)}
+
+
+@PROPERTY_SETTINGS
+@given(record=st.sampled_from(("frame", "certificate")), how=st.sampled_from(
+    ("drop", "add", "retype")), data=st.data())
+def test_reader_names_the_key_it_refuses(record, how, data):
+    # One key dropped, added or given a value of any JSON type, at any level:
+    # the reader gives the record, or a ValueError that names the key.  Only a
+    # new value, or a dropped key that has a default, can give the record.
+    document, read, cls = _documents()[record]
+    doc = copy.deepcopy(document)
+    path = data.draw(st.sampled_from(_key_paths(doc)), label="path")
+    parent, key = functools.reduce(operator.getitem, path[:-1], doc), path[-1]
+    if how == "drop":
+        del parent[key]
+    else:
+        if how == "add":
+            key = data.draw(st.text("abxyz_", min_size=1, max_size=4)
+                            .filter(lambda k: k not in parent), label="added key")
+        parent[key] = data.draw(JSON_VALUES, label="value")
+    try:
+        result = read(doc)
+    except ValueError as exc:
+        assert re.search(rf"(^|[\s.]){re.escape(key)}($|[\s,.])", str(exc)), str(exc)
+    else:
+        assert isinstance(result, cls)
+        assert how == "retype" or (record, key) == ("frame", "interventional")
 
 
 # ------------------------------------------------------------ config documents

@@ -23,8 +23,8 @@ import civex
 from civex.baselines import ALWAYS_ABSTAIN, CIVEX, ORACLE_SCM, build_context, make_provider
 from civex.estimation import adjusted_effect
 from civex.frames import Frame
-from civex.runner import REGENERATING_SWEEPS, RunConfig, SweepRow, run_benchmark
-from civex.scm import MODERATE, BenchmarkSpec, sample_instance
+from civex.runner import REGENERATING_SWEEPS, SweepRow
+from civex.scm import MODERATE, sample_instance
 from civex.verifier import (
     Decision,
     VerifierConfig,
@@ -37,7 +37,6 @@ from civex.verifier import (
 from oracles import unchecked
 
 CFG = VerifierConfig()
-SMALL = BenchmarkSpec(seeds=(42,), moderate_per_family=2, adversarial_per_family=2, n_rows=80)
 
 
 def _civex_dataclasses() -> set[type]:
@@ -70,11 +69,6 @@ def _records(*roots) -> dict[type, object]:
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
     return found
-
-
-@pytest.fixture(scope="module")
-def small_run():
-    return run_benchmark(RunConfig(bench=SMALL))
 
 
 class TestLayout:
@@ -150,7 +144,7 @@ class TestCopies:
         assert frame.cost == "x"
         v = triage(frame, [inst.graph], inst.observational, CFG)
         assert (v.decision, v.rule_fired, v.certificate) == (Decision.REJECT, 1, None)
-        assert v.reason == "malformed action frame: cost is not a number"
+        assert v.reason == "malformed action frame: cost must be a finite number >= 0, got 'x'"
 
     @pytest.mark.parametrize("duplicate", [_pickled, copy.copy], ids=["pickle", "copy"])
     def test_certificate_and_its_frame_round_trip(self, small_run, duplicate):

@@ -853,7 +853,7 @@ class TestConfigSurface:
         result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
-        assert f"invalid configuration: unknown config key(s): {key}" in result.output
+        assert f"invalid configuration: unknown key(s): {key}" in result.output
         assert not (tmp_path / "removed").exists()
 
     def test_misspelled_key_is_refused(self, tmp_path):
@@ -861,7 +861,7 @@ class TestConfigSurface:
         result = CliRunner().invoke(main, ["run", "--config", str(cfg)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
-        assert "invalid configuration: unknown config key(s): forbiden_tools" in result.output
+        assert "invalid configuration: unknown key(s): forbiden_tools" in result.output
         assert not (tmp_path / "typo").exists()
         with pytest.raises(ValueError, match="n_row, tau_U"):
             RunConfig.from_json_dict({"n_row": 50, "tau_U": 5, "tau_u": 1.0})

@@ -15,6 +15,7 @@ from civex.baselines import (
     ProviderContext,
     make_provider,
 )
+from civex.config import dump, load
 from civex.estimation import provenance_hash
 from civex.frames import Frame
 from civex.cli import main as cli_main
@@ -469,12 +470,31 @@ class TestCertificates:
         blob[len(blob) // 2] ^= 1
         assert verify_certificate(cert, bytes(blob)) == ["provenance"]
 
-    def test_json_roundtrip_preserves_replay(self):
+    def test_json_roundtrip_preserves_replay(self, small_run):
+        # The worked example's certificate, then every certificate of a run,
+        # each through the JSON text the writer writes.
         cert, data = self._executed()
-        obj = json.loads(json.dumps(certificate_to_json_dict(cert), sort_keys=True))
-        again = certificate_from_json_dict(obj)
-        assert again == cert
-        assert verify_certificate(again, data.canonical_bytes()) == []
+        stored = [(cert, data)]
+        by_id = {inst.id: inst for inst in small_run.instances}
+        for r in small_run.records:
+            if r.result.terminal.certificate is not None:
+                inst = by_id[r.instance_id]
+                stored.append((r.result.terminal.certificate,
+                               inst.experimental if len(r.result.trace) == 2
+                               else inst.observational))
+        assert len(stored) > 10
+        for cert, data in stored:
+            obj = json.loads(json.dumps(certificate_to_json_dict(cert), sort_keys=True))
+            again = certificate_from_json_dict(obj)
+            assert again == cert
+            assert verify_certificate(again, data.canonical_bytes()) == []
+
+    def test_action_frame_roundtrip(self, small_run):
+        # Each distinct frame of a build, through its JSON document.
+        frames = {inst.frame for inst in small_run.instances}
+        assert len(frames) > 1
+        for frame in frames:
+            assert load(ActionFrame, json.loads(json.dumps(dump(frame)))) == frame
 
     def test_graph_built_from_lists_certifies_and_replays(self):
         # Lists, and a latent pair out of name order: the committed graph's
@@ -566,7 +586,7 @@ class TestWholeCertificateReplay:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith(
-            f"Error: cannot parse certificate: risk {risk!r} is not a finite number >= 0")
+            f"Error: cannot parse certificate: risk must be a finite number >= 0, got {risk!r}")
 
     @pytest.mark.parametrize("name, edit", [
         ("n", float), ("n", lambda n: True), ("n", str), ("alpha", lambda a: [a]),
@@ -587,13 +607,14 @@ class TestWholeCertificateReplay:
         assert isinstance(result.exception, SystemExit)
         kind = "an integer" if name == "n" else "a float"
         assert result.output.startswith(
-            f"Error: cannot parse certificate: {name} {obj[name]!r} is not {kind}")
+            f"Error: cannot parse certificate: {name} must be {kind}, got {obj[name]!r}")
 
     @pytest.mark.parametrize("edit, what", [
         (lambda obj: obj["proof"].update(adjustment_set="", mediator_set={}),
-         "adjustment_set"),
-        (lambda obj: obj["proof"].update(mediator_set={}), "mediator_set"),
-        (lambda obj: obj["proof"].update(adjustment_set="query_volume"), "adjustment_set"),
+         "proof.adjustment_set"),
+        (lambda obj: obj["proof"].update(mediator_set={}), "proof.mediator_set"),
+        (lambda obj: obj["proof"].update(adjustment_set="query_volume"),
+         "proof.adjustment_set"),
         (lambda obj: obj.update(assumptions={"A1": 0, "A2": 0, "A3": 0, "A4": 0}),
          "assumptions"),
         (lambda obj: obj.update(assumptions=["A1", "A2", "A3", 4]), "assumptions"),
@@ -698,7 +719,7 @@ class TestFailClosed:
         v = causal_no_experiment(frame, worked_graph(), worked_data())
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert v.reason == "malformed action frame: missing tool name"
+        assert v.reason == "malformed action frame: tool must be a non-empty string, got ''"
         assert v == triage(frame, [worked_graph()], worked_data(), CFG)
 
     def test_causal_no_experiment_ignores_forbidden_tools(self):
@@ -751,14 +772,14 @@ class TestFailClosed:
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
         assert v.certificate is None
-        assert v.reason == "malformed action frame: negative or NaN cost"
+        assert v.reason == "malformed action frame: cost must be a finite number >= 0, got nan"
 
     def test_nan_cost_rejected_by_causal_no_experiment(self):
         v = causal_no_experiment(self._nan_cost_frame(), worked_graph(), worked_data())
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
         assert v.certificate is None
-        assert v.reason == "malformed action frame: negative or NaN cost"
+        assert v.reason == "malformed action frame: cost must be a finite number >= 0, got nan"
 
     @staticmethod
     def _harmful_adversarial_instance():
@@ -766,25 +787,29 @@ class TestFailClosed:
         assert inst.spec.theta < -4
         return inst
 
-    @pytest.mark.parametrize("field, value, reason", [
-        ("interventional", None, "interventional flag is not a boolean"),
-        ("interventional", 0, "interventional flag is not a boolean"),
-        ("reversible", "no", "reversible flag is not a boolean"),
-        ("reversible", 1, "reversible flag is not a boolean"),
-        ("tool", None, "tool name is not a string"),
-        ("tool", ["add_index"], "tool name is not a string"),
-        ("tool", "", "missing tool name"),
-        ("cost", "0.05", "cost is not a number"),
-        ("cost", True, "cost is not a number"),
-        ("cost", None, "cost is not a number"),
-        ("cost", -0.5, "negative or NaN cost"),
-        ("target_value", "1.0", "target value is not a number"),
-        ("target_value", True, "target value is not a number"),
-        ("target_value", np.ones(2), "target value is not a number"),
+    @pytest.mark.parametrize("field, value, requirement", [
+        ("interventional", None, "a boolean"),
+        ("interventional", 0, "a boolean"),
+        ("reversible", "no", "a boolean"),
+        ("reversible", 1, "a boolean"),
+        ("tool", None, "a non-empty string"),
+        ("tool", ["add_index"], "a non-empty string"),
+        ("tool", "", "a non-empty string"),
+        ("target_variable", ["T"], "a string"),
+        ("utility_variable", None, "a string"),
+        ("cost", "0.05", "a finite number >= 0"),
+        ("cost", True, "a finite number >= 0"),
+        ("cost", None, "a finite number >= 0"),
+        ("cost", -0.5, "a finite number >= 0"),
+        ("cost", math.inf, "a finite number >= 0"),
+        ("target_value", "1.0", "1.0, the only treatment level civex certifies"),
+        ("target_value", True, "1.0, the only treatment level civex certifies"),
+        ("target_value", np.ones(2), "1.0, the only treatment level civex certifies"),
     ])
-    def test_wrongly_typed_frame_field_rejected_under_rule_one(self, field, value, reason):
+    def test_wrongly_typed_frame_field_rejected_under_rule_one(self, field, value, requirement):
+        reason = f"{field} must be {requirement}, got {value!r}"
         inst = self._harmful_adversarial_instance()
-        with pytest.raises(ValueError, match=f"malformed action frame: {reason}"):
+        with pytest.raises(ValueError, match=re.escape(reason)):
             replace(inst.frame, **{field: value})
         frame = unchecked(inst.frame, **{field: value})
         verdicts = [triage(frame, [inst.graph], inst.observational, CFG),
@@ -802,21 +827,22 @@ class TestFailClosed:
         assert inst.spec.theta > 2
         assert triage(inst.frame, [inst.graph], inst.observational, CFG).decision \
             is Decision.EXECUTE
-        with pytest.raises(ValueError, match=f"malformed action frame: target value "
-                                             f"{re.escape(repr(value))} is not 1.0"):
+        reason = (f"target_value must be 1.0, the only treatment level civex certifies, "
+                  f"got {value!r}")
+        with pytest.raises(ValueError, match=re.escape(reason)):
             replace(inst.frame, target_value=value)
         frame = unchecked(inst.frame, target_value=value)
         for v in (triage(frame, [inst.graph], inst.observational, CFG),
                   causal_no_experiment(frame, inst.graph, inst.observational)):
             assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
             assert v.certificate is None
-            assert v.reason.startswith(
-                f"malformed action frame: target value {value!r} is not 1.0")
+            assert v.reason == f"malformed action frame: {reason}"
 
     def test_wrongly_typed_alpha_is_a_replay_mismatch(self):
         data = worked_data()
         cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
-        mismatches = verify_certificate(replace(cert, alpha="0.05"), data.canonical_bytes())
+        # The constructor refuses the string, so it is set past the check.
+        mismatches = verify_certificate(unchecked(cert, alpha="0.05"), data.canonical_bytes())
         assert len(mismatches) == 1 and mismatches[0].startswith("estimation")
 
     def test_nan_thresholds_rejected(self):
