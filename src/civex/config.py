@@ -1,4 +1,5 @@
-"""Typed records: config documents, action frames and certificates.
+"""Typed records: config documents, action frames, committed graphs and
+certificates.
 
 Each value a record holds is a dataclass field declared with ``setting``:
 its name is the key, its default (``REQUIRED`` for none) the default, and it
@@ -10,7 +11,7 @@ to its parent's document, which keeps a config document flat; a ``record``
 setting holds a nested object.  ``load`` accepts exactly the fields' keys at
 every level: an unknown key is refused, and so is a missing one that has no
 default.  Every refusal is a ``ValueError`` naming its key, by its path from
-the document's root.
+the document's root, and showing the value as the document held it.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import MISSING, field, fields
 from typing import Any, Callable, NamedTuple
 
 __all__ = ["Kind", "INT", "NUMBER", "FLOAT", "BOOL", "STR", "INTS", "STRS", "STR_SET",
-           "STR_LISTS", "REQUIRED", "enum", "record", "setting", "check_fields", "dump",
-           "load", "distinct"]
+           "STR_PAIR_SET", "STR_LISTS", "REQUIRED", "enum", "record", "setting", "check_fields",
+           "dump", "load", "distinct"]
 
 _SETTING = "civex.setting"
 REQUIRED = MISSING  # the default of a setting whose key a document must give
@@ -39,11 +40,19 @@ class Kind(NamedTuple):
     record: type | None = None
 
 
-def _tuple_of(item: Callable[[Any], bool]) -> Kind:
-    # Only an array converts: a string would be read by its characters and an
-    # object by its keys.
-    return Kind(lambda v: isinstance(v, tuple) and all(map(item, v)),
-                lambda v: tuple(v) if isinstance(v, list) else v, list)
+def _array_of(into: type, item: Callable[[Any], bool], write: Callable[[Any], Any],
+              read_item: Callable[[Any], Any] = lambda x: x) -> Kind:
+    """Items that ``item`` holds, in an ``into`` in Python and an array in JSON.
+    An array converts only when every item holds, so a refusal shows the value
+    the document held; a string or object never converts, since it would be
+    read by its characters or its keys."""
+    def read(v):
+        if isinstance(v, list):
+            items = [read_item(x) for x in v]
+            if all(map(item, items)):
+                return into(items)
+        return v
+    return Kind(lambda v: isinstance(v, into) and all(map(item, v)), read, write)
 
 
 INT = Kind(lambda v: isinstance(v, int) and not isinstance(v, bool))  # JSON true loads as 1
@@ -51,11 +60,18 @@ NUMBER = Kind(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool))
 FLOAT = Kind(lambda v: isinstance(v, float))  # replay compares by value: 400.0 == 400
 BOOL = Kind(lambda v: isinstance(v, bool))
 STR = Kind(lambda v: isinstance(v, str))
-INTS = _tuple_of(INT.holds)
-STRS = _tuple_of(STR.holds)
-STR_SET = Kind(lambda v: isinstance(v, frozenset) and all(map(STR.holds, v)),
-               lambda v: frozenset(v) if isinstance(v, list) and all(map(STR.holds, v)) else v,
-               sorted)
+INTS = _array_of(tuple, INT.holds, list)
+STRS = _array_of(tuple, STR.holds, list)
+STR_SET = _array_of(frozenset, STR.holds, sorted)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and isinstance(v[0], str) and isinstance(v[1], str)
+
+
+# A set of name pairs, such as a graph's edges: each pair a two-string array.
+STR_PAIR_SET = _array_of(frozenset, _is_pair, lambda v: [list(p) for p in sorted(v)],
+                         lambda x: tuple(x) if isinstance(x, list) else x)
 STR_LISTS = Kind(lambda v: (isinstance(v, dict) and all(map(STR.holds, v))
                             and all(map(STRS.holds, v.values()))),
                  lambda v: {k: STRS.read(p) for k, p in v.items()} if isinstance(v, dict) else v,
@@ -107,7 +123,15 @@ def check_fields(obj) -> None:
         if kind is not None:
             value = getattr(obj, f.name)
             if not (kind.holds(value) and check(value)):
-                raise ValueError(f"{f.name} must be {must}, got {value!r}")
+                raise ValueError(f"{f.name} must be {must}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, with a set's items in ``repr`` order, which no string
+    hash changes."""
+    if isinstance(value, (set, frozenset)):
+        return "{" + ", ".join(sorted(map(repr, value))) + "}"
+    return repr(value)
 
 
 def dump(obj) -> dict:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .config import REQUIRED, STR, STRS, check_fields, enum, setting
+from .config import REQUIRED, STR, STR_PAIR_SET, STR_SET, STRS, check_fields, dump, enum, setting
 
 __all__ = [
     "CausalGraph",
@@ -38,8 +38,6 @@ __all__ = [
     "identify",
     "relabel_latent",
     "backdoor_view",
-    "graph_to_json_dict",
-    "graph_from_json_dict",
     "graph_digest",
 ]
 
@@ -54,38 +52,39 @@ class GraphError(ValueError):
 class CausalGraph:
     """Directed acyclic graph with bidirected latent-confounding edges.
 
-    Nodes and edges may be given as any iterables; the constructor freezes
-    them, with each bidirected pair in name order, so every construction of
-    one graph (``create``, ``replace``, ``graph_from_json_dict``) gives one
-    record and one digest.
+    Each field is a ``civex.config`` setting, so ``dump`` writes the canonical
+    JSON (names and edges sorted) and ``load`` reads it.  The constructor
+    checks every field's kind, then puts each bidirected pair in name order, so
+    every construction of one graph (``create``, ``replace``, ``load``) gives
+    one record and one digest.
     """
 
-    nodes: frozenset[str]
-    directed_edges: frozenset[tuple[str, str]]
-    bidirected_edges: frozenset[tuple[str, str]]
-    treatment: str
-    outcome: str
+    nodes: frozenset[str] = setting(REQUIRED, STR_SET, "a list of node names (strings)")
+    directed: frozenset[tuple[str, str]] = setting(REQUIRED, STR_PAIR_SET,
+                                                   "a list of node-name pairs")
+    bidirected: frozenset[tuple[str, str]] = setting(REQUIRED, STR_PAIR_SET,
+                                                     "a list of node-name pairs")
+    treatment: str = setting(REQUIRED, STR, "a string")
+    outcome: str = setting(REQUIRED, STR, "a string")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "directed_edges",
-                           frozenset((a, b) for a, b in self.directed_edges))
-        # Pairs are ordered by ``str``, which leaves a name as it is and still
-        # orders a non-string one; ``validate_graph`` then refuses it.
-        object.__setattr__(self, "bidirected_edges", frozenset(
-            (a, b) if str(a) <= str(b) else (b, a) for a, b in self.bidirected_edges))
+        check_fields(self)
+        object.__setattr__(self, "bidirected", frozenset(
+            (a, b) if a <= b else (b, a) for a, b in self.bidirected))
 
     @classmethod
     def create(cls, nodes: Iterable[str], directed: Iterable[tuple[str, str]] = (),
                bidirected: Iterable[tuple[str, str]] = (), treatment: str = "T",
                outcome: str = "Y") -> "CausalGraph":
-        return cls(nodes, directed, bidirected, treatment, outcome)
+        """A graph from any iterables of names and of name pairs."""
+        return cls(frozenset(nodes), frozenset(map(tuple, directed)),
+                   frozenset(map(tuple, bidirected)), treatment, outcome)
 
     def parents(self, node: str) -> set[str]:
-        return {a for a, b in self.directed_edges if b == node}
+        return {a for a, b in self.directed if b == node}
 
     def children(self, node: str) -> set[str]:
-        return {b for a, b in self.directed_edges if a == node}
+        return {b for a, b in self.directed if a == node}
 
     def descendants(self, node: str) -> set[str]:
         """All nodes reachable from ``node`` by directed edges (exclusive)."""
@@ -100,8 +99,7 @@ class CausalGraph:
 
     def without_directed_out_of(self, nodes: Iterable[str]) -> "CausalGraph":
         drop = set(nodes)
-        return replace(self, directed_edges=[e for e in self.directed_edges
-                                             if e[0] not in drop])
+        return replace(self, directed=frozenset(e for e in self.directed if e[0] not in drop))
 
 
 class IdentificationKind(str, Enum):
@@ -137,17 +135,17 @@ def validate_graph(g: CausalGraph) -> str | None:
 
 
 def _violation(g: CausalGraph) -> str | None:
-    # The canonical JSON sorts node names, so each must be a string.
-    odd = sorted(repr(n) for n in g.nodes if not isinstance(n, str))
-    if odd:
-        return f"node name {odd[0]} is not a string"
-    # In ``repr`` order, which orders any endpoint and no string hash changes.
-    for a, b in sorted(g.directed_edges, key=repr):
+    try:  # for a graph that skipped its constructor
+        check_fields(g)
+    except ValueError as exc:
+        return str(exc)
+    # In name order, which no string hash changes.
+    for a, b in sorted(g.directed):
         if a not in g.nodes or b not in g.nodes:
             return f"directed edge ({a}, {b}) references an unknown node"
         if a == b:
             return f"self-loop on '{a}'"
-    for a, b in sorted(g.bidirected_edges, key=repr):
+    for a, b in sorted(g.bidirected):
         if a not in g.nodes or b not in g.nodes:
             return f"bidirected edge ({a}, {b}) references an unknown node"
         if a == b:
@@ -167,10 +165,10 @@ def _latent_expansion(g: CausalGraph) -> tuple[dict[str, set[str]], dict[str, se
     """Parent/child adjacency after replacing each bidirected edge by a fresh latent parent."""
     parents: dict[str, set[str]] = {n: set() for n in g.nodes}
     children: dict[str, set[str]] = {n: set() for n in g.nodes}
-    for a, b in g.directed_edges:
+    for a, b in g.directed:
         children[a].add(b)
         parents[b].add(a)
-    for i, (a, b) in enumerate(sorted(g.bidirected_edges)):
+    for i, (a, b) in enumerate(sorted(g.bidirected)):
         latent = f"{_LATENT_PREFIX}{i}"
         parents[latent] = set()
         children[latent] = {a, b}
@@ -293,11 +291,13 @@ def identify(g: CausalGraph) -> IdentificationResult:
 
 
 def _analysis(g: CausalGraph) -> tuple[str | None, IdentificationResult | None]:
-    """``_analyse(g)``, after refusing a treatment or outcome that is not a
-    string: such a value may not hash, and the memo hashes the graph."""
-    for role, value in (("treatment", g.treatment), ("outcome", g.outcome)):
-        if not isinstance(value, str):
-            return f"{role} {value!r} is not a string", None
+    """``_analyse(g)``, which the memo keys by the graph's hash.  A graph that
+    skipped its constructor may hold a field that does not hash, which
+    ``_violation`` then refuses."""
+    try:
+        hash(g)
+    except TypeError:
+        return _violation(g), None
     return _analyse(g)
 
 
@@ -371,65 +371,17 @@ def relabel_latent(
     removed = set(rng.choice(listed, size=k, replace=False).tolist())
     return CausalGraph(
         nodes=g.nodes - removed,
-        directed_edges=[e for e in g.directed_edges
-                        if e[0] not in removed and e[1] not in removed],
-        bidirected_edges=[*(p for p in g.bidirected_edges if not set(p) & removed),
-                          (g.treatment, g.outcome)],
+        directed=frozenset(e for e in g.directed if e[0] not in removed and e[1] not in removed),
+        bidirected=frozenset([*(p for p in g.bidirected if not set(p) & removed),
+                              (g.treatment, g.outcome)]),
         treatment=g.treatment,
         outcome=g.outcome,
     )
 
 
-_GRAPH_KEYS = ("nodes", "directed", "bidirected", "treatment", "outcome")
-
-
-def graph_to_json_dict(g: CausalGraph) -> dict:
-    """Canonical JSON form, under the keys ``_GRAPH_KEYS``: node names sorted,
-    edges as sorted 2-element arrays."""
-    return {
-        "nodes": sorted(g.nodes),
-        "directed": sorted([a, b] for a, b in g.directed_edges),
-        "bidirected": sorted([a, b] for a, b in g.bidirected_edges),
-        "treatment": g.treatment,
-        "outcome": g.outcome,
-    }
-
-
-def _string_list(value: object, what: str) -> list[str]:
-    """``value`` if it is a JSON array of strings, else a GraphError naming ``what``."""
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise GraphError(f"{what} must be a list of strings")
-    return value
-
-
-def _edges(value: object, kind: str) -> list[list[str]]:
-    if not isinstance(value, list) or not all(isinstance(e, list) and len(e) == 2
-                                              for e in value):
-        raise GraphError(f"{kind} edges must be a list of node pairs")
-    return [_string_list(e, f"each {kind} edge") for e in value]
-
-
-def graph_from_json_dict(obj: Mapping) -> CausalGraph:
-    """Parse the canonical JSON form; a missing or extra key, or a wrongly typed
-    field, raises GraphError."""
-    if set(obj) != set(_GRAPH_KEYS):
-        raise GraphError(f"graph keys must be {', '.join(_GRAPH_KEYS)}, "
-                         f"got {', '.join(sorted(map(str, obj)))}")
-    for role in ("treatment", "outcome"):
-        if not isinstance(obj[role], str):
-            raise GraphError(f"graph {role} must be a string")
-    return CausalGraph(
-        nodes=_string_list(obj["nodes"], "graph nodes"),
-        directed_edges=_edges(obj["directed"], "directed"),
-        bidirected_edges=_edges(obj["bidirected"], "bidirected"),
-        treatment=obj["treatment"],
-        outcome=obj["outcome"],
-    )
-
-
 @functools.lru_cache(maxsize=_ANALYSIS_CACHE_SIZE)
 def graph_digest(g: CausalGraph) -> str:
-    """SHA-256 of the compact, key-sorted JSON of ``graph_to_json_dict``,
-    lowercase hex (memoized per graph)."""
-    text = json.dumps(graph_to_json_dict(g), separators=(",", ":"), sort_keys=True)
+    """SHA-256 of the compact, key-sorted JSON of ``dump(g)``, lowercase hex
+    (memoized per graph)."""
+    text = json.dumps(dump(g), separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

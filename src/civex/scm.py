@@ -58,9 +58,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .config import INT, INTS, NUMBER, check_fields, distinct, setting
+from .config import INT, INTS, NUMBER, check_fields, distinct, dump, setting
 from .frames import DeferredFrame, Frame
-from .graphs import CausalGraph, graph_to_json_dict, identify
+from .graphs import CausalGraph, identify
 from .verifier import ActionFrame
 
 __all__ = [
@@ -452,8 +452,8 @@ def _committed_graph(observed: tuple[str, ...], latent: bool) -> CausalGraph:
         directed.append((name, TREATMENT_NODE))
         directed.append((name, OUTCOME_NODE))
     bidirected = [(TREATMENT_NODE, OUTCOME_NODE)] if latent else []
-    return CausalGraph([TREATMENT_NODE, OUTCOME_NODE, *observed], directed, bidirected,
-                       TREATMENT_NODE, OUTCOME_NODE)
+    return CausalGraph.create([TREATMENT_NODE, OUTCOME_NODE, *observed], directed, bidirected,
+                              TREATMENT_NODE, OUTCOME_NODE)
 
 
 def _uniform(lo: float, hi: float, u: float) -> float:
@@ -706,12 +706,12 @@ def build_benchmark(
 
 
 def instance_to_json_dict(inst: ScmInstance) -> dict:
-    """The instance file's record: each dataclass's own fields, plus the
-    spec's ``safe`` label."""
+    """The instance file's record: the id's and spec's own fields, the
+    frame's and graph's documents, plus the spec's ``safe`` label."""
     return {
         "id": asdict(inst.id),
-        "frame": asdict(inst.frame),
-        "graph": graph_to_json_dict(inst.graph),
+        "frame": dump(inst.frame),
+        "graph": dump(inst.graph),
         "spec": {**asdict(inst.spec), "safe": inst.spec.safe},
         "observational": inst.observational.to_json_obj(),
         "experimental": inst.experimental.to_json_obj(),

@@ -36,8 +36,8 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .config import (BOOL, FLOAT, INT, NUMBER, REQUIRED, STR, STR_SET, STRS, Kind, check_fields,
-                     dump, load, record, setting)
+from .config import (BOOL, FLOAT, INT, NUMBER, REQUIRED, STR, STR_SET, STRS, check_fields, dump,
+                     load, record, setting)
 from .estimation import (
     EffectEstimate,
     EstimationError,
@@ -52,8 +52,6 @@ from .graphs import (
     IdentificationKind,
     IdentificationResult,
     graph_digest,
-    graph_from_json_dict,
-    graph_to_json_dict,
     identify,
     validate_graph,
 )
@@ -130,18 +128,12 @@ class ActionFrame:
     __post_init__ = check_fields
 
 
-# The committed graph, in the canonical JSON form that ``civex.graphs`` reads and writes.
-_GRAPH = Kind(lambda v: isinstance(v, CausalGraph),
-              lambda v: graph_from_json_dict(v) if isinstance(v, Mapping) else v,
-              graph_to_json_dict)
-
-
 @dataclass(frozen=True, slots=True)
 class Certificate:
     """What an EXECUTE rests on.  Replay compares ``n`` and the floats by value
     and cannot check ``risk``, so the reader checks their kinds and the risk."""
 
-    graph: CausalGraph = setting(REQUIRED, _GRAPH, "a committed graph (an object)")
+    graph: CausalGraph = setting(REQUIRED, record(CausalGraph), "a committed graph (an object)")
     graph_sha256: str = setting(REQUIRED, STR, "a string")
     assumptions: tuple[str, ...] = setting(REQUIRED, STRS, "a list of strings")
     proof: IdentificationResult = setting(REQUIRED, record(IdentificationResult),
@@ -224,8 +216,8 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
     Memoized per graph, so each committed graph object resolves to one
     object, whose ``identify`` result is then found by identity.
     """
-    return replace(g, directed_edges=[e for e in g.directed_edges if e[1] != g.treatment],
-                   bidirected_edges=[p for p in g.bidirected_edges if g.treatment not in p])
+    return replace(g, directed=frozenset(e for e in g.directed if e[1] != g.treatment),
+                   bidirected=frozenset(p for p in g.bidirected if g.treatment not in p))
 
 
 # Rule 1's refusal of an empty graph set, in ``triage`` and ``certify`` alike.

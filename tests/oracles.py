@@ -13,10 +13,11 @@ the OLS kernel as it was when it called ``np.linalg``'s wrappers rather
 than LAPACK's gufuncs.  They exist so the fast implementations have something
 slower and dumber to agree with.  ``wilcoxon_rankdata_oracle`` is the
 signed-rank test as it was when it ranked with ``scipy.stats.rankdata``,
-which the library no longer imports.  ``unchecked`` sets an action frame's
-fields past its constructor's checks, as a frame set by hand or unpickled
-holds them.  ``pooled_association_oracle`` is the observational-association
-pooling as it was when it read the instances themselves.
+which the library no longer imports.  ``unchecked`` sets a record's
+fields (an action frame's, a graph's) past its constructor's checks, as a
+record set by hand or unpickled holds them.  ``pooled_association_oracle``
+is the observational-association pooling as it was when it read the
+instances themselves.
 ``observational_frame_oracle`` and ``trial_frame_oracle`` are an instance's
 two frames as they were drawn before a frame could be deferred: by replaying
 the instance's whole stream, every draw in order, without the build.
@@ -57,10 +58,10 @@ def expanded_adjacency(g: CausalGraph):
     """Directed adjacency with bidirected edges replaced by latent parents."""
     parents = {n: set() for n in g.nodes}
     children = {n: set() for n in g.nodes}
-    for a, b in g.directed_edges:
+    for a, b in g.directed:
         children[a].add(b)
         parents[b].add(a)
-    for i, (a, b) in enumerate(sorted(g.bidirected_edges)):
+    for i, (a, b) in enumerate(sorted(g.bidirected)):
         latent = f"latentvar{i}"
         parents[latent] = set()
         children[latent] = {a, b}

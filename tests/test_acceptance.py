@@ -26,6 +26,7 @@ from civex.baselines import (
     SCHEMA_GATE,
     SEMANTIC_ONTOLOGY_GATE,
 )
+from civex.config import dump
 from civex.estimation import adjusted_effect, provenance_hash
 from civex.evaluation import ScoreWeights, rule_of_three, utility_value, wilcoxon_exact
 from civex.frames import Frame
@@ -33,7 +34,6 @@ from civex.graphs import (
     CausalGraph,
     IdentificationKind,
     d_separated,
-    graph_to_json_dict,
     identify,
 )
 from civex.runner import (
@@ -94,7 +94,7 @@ def digest(instances) -> str:
     h = hashlib.sha256()
     for inst in instances:
         record = {"id": asdict(inst.id), "frame": asdict(inst.frame),
-                  "graph": graph_to_json_dict(inst.graph),
+                  "graph": dump(inst.graph),
                   "spec": {**asdict(inst.spec), "safe": inst.spec.safe},
                   "safe_experiment_available": inst.safe_experiment_available}
         pieces = [json.dumps(record, sort_keys=True).encode()]

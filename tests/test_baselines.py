@@ -208,7 +208,7 @@ class TestCausalBaselines:
 
     def test_causal_no_experiment_abstains_on_latent_edges(self, bench, ctx):
         for inst in bench:
-            if inst.graph.bidirected_edges:
+            if inst.graph.bidirected:
                 assert terminal(CAUSAL_NO_EXPERIMENT, inst, ctx).decision \
                     is Decision.ABSTAIN
 

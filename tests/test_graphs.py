@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from civex.config import dump, load
 from civex.graphs import (
     CausalGraph,
     GraphError,
@@ -18,14 +20,12 @@ from civex.graphs import (
     backdoor_view,
     d_separated,
     graph_digest,
-    graph_from_json_dict,
-    graph_to_json_dict,
     identify,
     relabel_latent,
     validate_graph,
 )
 
-from oracles import brute_force_d_separated, brute_force_identify, random_graph
+from oracles import brute_force_d_separated, brute_force_identify, random_graph, unchecked
 
 
 def worked_graph() -> CausalGraph:
@@ -77,27 +77,48 @@ class TestValidate:
         assert "bidirected self-edge" in validate_graph(g)
 
     def test_non_string_node_name(self):
-        # The canonical JSON sorts node names, which only strings allow.
-        g = CausalGraph.create(nodes=["T", "Y", 1], directed=[("T", "Y")])
-        assert validate_graph(g) == "node name 1 is not a string"
-        with pytest.raises(GraphError, match="node name 1 is not a string"):
+        # The canonical JSON sorts node names, which only strings allow.  The
+        # constructor refuses it, so only a graph that skipped it holds one.
+        with pytest.raises(ValueError, match="^nodes must be a list of node names"):
+            CausalGraph.create(nodes=["T", "Y", 1], directed=[("T", "Y")])
+        g = unchecked(CausalGraph.create(["T", "Y"], [("T", "Y")]),
+                      nodes=frozenset({"T", "Y", 1}))
+        violation = "nodes must be a list of node names (strings), got {'T', 'Y', 1}"
+        assert validate_graph(g) == violation
+        with pytest.raises(GraphError, match=re.escape(violation)):
             identify(g)
 
     @pytest.mark.parametrize("role", ["treatment", "outcome"])
     @pytest.mark.parametrize("value", [["T"], 1])
     def test_role_that_is_not_a_string(self, role, value):
         # A list does not hash; the check must come before the memo hashes the graph.
-        g = CausalGraph(["T", "Y"], [("T", "Y")], [], **{"treatment": "T", "outcome": "Y",
-                                                         role: value})
-        assert validate_graph(g) == f"{role} {value!r} is not a string"
-        with pytest.raises(GraphError, match="is not a string"):
+        with pytest.raises(ValueError, match=f"^{role} must be a string"):
+            CausalGraph.create(["T", "Y"], [("T", "Y")], **{role: value})
+        g = unchecked(CausalGraph.create(["T", "Y"], [("T", "Y")]), **{role: value})
+        assert validate_graph(g) == f"{role} must be a string, got {value!r}"
+        with pytest.raises(GraphError, match="must be a string"):
             identify(g)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nodes", ["T", "Y"]), ("directed", [("T", "Y")]), ("directed", frozenset({("T",)})),
+        ("bidirected", frozenset({("T", "Y", "T")})), ("directed", frozenset({("T", 2)})),
+    ])
+    def test_field_of_the_wrong_kind(self, field, value):
+        # A list is refused before anything hashes it; a graph that skipped
+        # its constructor gets the same text from ``validate_graph``.
+        g = CausalGraph.create(["T", "Y"], [("T", "Y")])
+        with pytest.raises(ValueError, match=f"^{field} must be ") as refused:
+            replace(g, **{field: value})
+        odd = unchecked(g, **{field: value})
+        assert validate_graph(odd) == str(refused.value)
+        with pytest.raises(GraphError):
+            identify(odd)
 
     def test_violation_does_not_depend_on_string_hashing(self):
         # Each malformed graph has several violations; one interpreter per
         # hash seed must name the same one.
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, TESTS, env.get("PYTHONPATH")]))
         seen = set()
         for hash_seed in range(1, 7):
             proc = subprocess.run([sys.executable, "-c", HASH_SCRIPT],
@@ -109,20 +130,25 @@ class TestValidate:
         assert json.loads(seen.pop()) == [
             "directed edge (a, T) references an unknown node",
             "bidirected edge (T, a) references an unknown node",
-            # ``repr`` orders a non-string endpoint too.
-            "directed edge (d, T) references an unknown node",
+            # A set's items are shown in ``repr`` order, which orders a
+            # non-string endpoint too.
+            "directed must be a list of node-name pairs, "
+            "got {('T', 'Y'), ('d', 'T'), (1, 'T')}",
         ]
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TESTS = str(Path(__file__).resolve().parent)
 
 HASH_SCRIPT = """
 import json
 from civex.graphs import CausalGraph, validate_graph
+from oracles import unchecked
 stray = [("a", "T"), ("b", "Y"), ("c", "Y"), ("d", "T")]
-graphs = [CausalGraph(["T", "Y"], [("T", "Y"), *stray], [], "T", "Y"),
-          CausalGraph(["T", "Y"], [("T", "Y")], stray, "T", "Y"),
-          CausalGraph(["T", "Y"], [("T", "Y"), (1, "T"), ("d", "T")], [], "T", "Y")]
+graphs = [CausalGraph.create(["T", "Y"], [("T", "Y"), *stray]),
+          CausalGraph.create(["T", "Y"], [("T", "Y")], stray),
+          unchecked(CausalGraph.create(["T", "Y"], [("T", "Y")]),
+                    directed=frozenset({("T", "Y"), (1, "T"), ("d", "T")}))]
 print(json.dumps([validate_graph(g) for g in graphs]))
 """
 
@@ -130,31 +156,31 @@ print(json.dumps([validate_graph(g) for g in graphs]))
 class TestConstruction:
     """Every way of building a graph gives the one canonical record."""
 
-    def test_constructor_from_lists_equals_create(self):
+    def test_document_from_unsorted_lists_loads_as_create(self):
         g = worked_graph()
-        latent = CausalGraph.create(g.nodes, g.directed_edges,
+        latent = CausalGraph.create(g.nodes, g.directed,
                                     bidirected=[("add_index", "query_volume")],
                                     treatment=g.treatment, outcome=g.outcome)
-        built = CausalGraph(nodes=sorted(g.nodes, reverse=True),
-                            directed_edges=[list(e) for e in sorted(g.directed_edges)],
-                            bidirected_edges=[["query_volume", "add_index"]],
-                            treatment=g.treatment, outcome=g.outcome)
+        built = load(CausalGraph, {"nodes": sorted(g.nodes, reverse=True),
+                                   "directed": [list(e) for e in sorted(g.directed)],
+                                   "bidirected": [["query_volume", "add_index"]],
+                                   "treatment": g.treatment, "outcome": g.outcome})
         assert built == latent
         assert hash(built) == hash(latent)
         # Unmemoized, since equal graphs share the memoized digest.
         assert graph_digest.__wrapped__(built) == graph_digest.__wrapped__(latent)
-        assert built.bidirected_edges == frozenset({("add_index", "query_volume")})
-        assert all(type(e) is tuple for e in built.directed_edges)
+        assert built.bidirected == frozenset({("add_index", "query_volume")})
+        assert all(type(e) is tuple for e in built.directed)
 
     def test_replace_normalizes_its_fields(self):
         g = worked_graph()
-        swapped = replace(g, bidirected_edges={("latency_savings_ms", "add_index")})
-        expected = CausalGraph.create(g.nodes, g.directed_edges,
+        swapped = replace(g, bidirected=frozenset({("latency_savings_ms", "add_index")}))
+        expected = CausalGraph.create(g.nodes, g.directed,
                                       bidirected=[(g.treatment, g.outcome)],
                                       treatment=g.treatment, outcome=g.outcome)
         assert swapped == expected
         assert graph_digest.__wrapped__(swapped) == graph_digest.__wrapped__(expected)
-        assert graph_from_json_dict(graph_to_json_dict(swapped)) == swapped
+        assert load(CausalGraph, dump(swapped)) == swapped
 
 
 class TestDSeparation:
@@ -227,7 +253,7 @@ class TestIdentify:
     def test_latent_edge_defeats_backdoor(self):
         g = worked_graph()
         g = CausalGraph.create(
-            g.nodes, g.directed_edges,
+            g.nodes, g.directed,
             bidirected=[(g.treatment, g.outcome)],
             treatment=g.treatment, outcome=g.outcome)
         assert identify(g).kind is IdentificationKind.NOT_IDENTIFIED
@@ -309,8 +335,8 @@ class TestRelabelLatent:
         g = worked_graph()
         out = relabel_latent(g, ["query_volume", "write_volume"], 1.0, self._rng())
         assert out.nodes == frozenset({"add_index", "latency_savings_ms"})
-        assert out.directed_edges == frozenset({("add_index", "latency_savings_ms")})
-        assert out.bidirected_edges == frozenset({("add_index", "latency_savings_ms")})
+        assert out.directed == frozenset({("add_index", "latency_savings_ms")})
+        assert out.bidirected == frozenset({("add_index", "latency_savings_ms")})
 
     def test_fraction_half_removes_exactly_one(self):
         g = worked_graph()
@@ -320,7 +346,7 @@ class TestRelabelLatent:
                                  np.random.default_rng(seed))
             removed = g.nodes - out.nodes
             assert len(removed) == 1
-            assert out.bidirected_edges == frozenset({("add_index", "latency_savings_ms")})
+            assert out.bidirected == frozenset({("add_index", "latency_savings_ms")})
             seen |= removed
         assert seen == {"query_volume", "write_volume"}
 
@@ -353,15 +379,15 @@ class TestRelabelLatent:
 class TestSerialization:
     def test_canonical_sorting_and_roundtrip(self):
         g = worked_graph()
-        obj = graph_to_json_dict(g)
+        obj = dump(g)
         assert obj["nodes"] == sorted(obj["nodes"])
         assert obj["directed"] == sorted(obj["directed"])
-        assert graph_from_json_dict(obj) == g
+        assert load(CausalGraph, obj) == g
 
     def test_digest_is_stable_and_sensitive(self):
         g = worked_graph()
         assert graph_digest(g) == graph_digest(worked_graph())
-        g2 = CausalGraph.create(g.nodes, g.directed_edges,
+        g2 = CausalGraph.create(g.nodes, g.directed,
                                 bidirected=[(g.treatment, g.outcome)],
                                 treatment=g.treatment, outcome=g.outcome)
         assert graph_digest(g) != graph_digest(g2)
@@ -387,25 +413,25 @@ class TestSerialization:
         ("directed", [["query_volume", 4]]),
         ("bidirected", [None]),
     ])
-    def test_wrongly_typed_field_raises_graph_error(self, key, value):
-        obj = graph_to_json_dict(worked_graph())
+    def test_wrongly_typed_field_is_refused(self, key, value):
+        obj = dump(worked_graph())
         obj[key] = value
-        with pytest.raises(GraphError):
-            graph_from_json_dict(obj)
+        with pytest.raises(ValueError, match=rf"^{key} must be .*, got {re.escape(repr(value))}$"):
+            load(CausalGraph, obj)
 
-    @pytest.mark.parametrize("edit", [
-        lambda obj: obj.update(latent=[["add_index", "latency_savings_ms"]]),
-        lambda obj: obj.pop("bidirected"),
-        lambda obj: obj.pop("treatment"),
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.update(latent=[["add_index", "latency_savings_ms"]]),
+         "unknown key(s): latent"),
+        (lambda obj: obj.pop("bidirected"), "missing key: bidirected"),
+        (lambda obj: obj.pop("treatment"), "missing key: treatment"),
     ], ids=["extra-key", "missing-edges", "missing-role"])
-    def test_missing_or_extra_key_raises_graph_error(self, edit):
+    def test_missing_or_extra_key_is_refused(self, edit, message):
         # An unread key such as "latent" would be a commitment the digest
         # does not cover.
-        obj = graph_to_json_dict(worked_graph())
+        obj = dump(worked_graph())
         edit(obj)
-        with pytest.raises(GraphError, match="graph keys must be nodes, directed, "
-                                             "bidirected, treatment, outcome"):
-            graph_from_json_dict(obj)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load(CausalGraph, obj)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,10 +6,11 @@ Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
 clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
 mutated certificate and data file in exit 0, exit 1 or a clean error; the
-typed reader gives an action frame or certificate document with one key
-dropped, added or retyped back as the record or as a ``ValueError`` naming
-that key; and every mutated config document loads into a config that
-round-trips or is a clean ``invalid configuration`` from ``civex generate``.  The
+typed reader gives an action frame, committed graph or certificate document
+with one key dropped, added or retyped, or one list item replaced, back as the
+record or as a ``ValueError`` naming that key; and every mutated config
+document loads into a config that round-trips or is a clean ``invalid
+configuration`` from ``civex generate``.  The
 canonical-text encoder and parser and the Cholesky rank test agree with the
 per-value ``repr`` and ``float()`` and the elimination loop they replaced, and
 the OLS kernel fits to the bits, and decides singularity as, the
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from civex import graphs
@@ -41,8 +42,6 @@ from civex.frames import Frame, FrameError
 from civex.graphs import (
     CausalGraph,
     GraphError,
-    graph_from_json_dict,
-    graph_to_json_dict,
     identify,
     validate_graph,
 )
@@ -93,7 +92,7 @@ def _topological(g: CausalGraph) -> list[str]:
 def _linear_data(g: CausalGraph, rng: np.random.Generator, n: int, theta: float) -> Frame:
     """Linear-Gaussian draw over the graph: a binary treatment, a planted
     treatment effect on the outcome and a shared noise term per latent edge."""
-    latent = {edge: rng.normal(size=n) for edge in sorted(g.bidirected_edges)}
+    latent = {edge: rng.normal(size=n) for edge in sorted(g.bidirected)}
     values: dict[str, np.ndarray] = {}
     for node in _topological(g):
         v = rng.normal(size=n)
@@ -117,13 +116,13 @@ def _case(seed: int, n: int, theta: float, malformation: str):
     target, utility = g.treatment, g.outcome
     committed = [g]
     if malformation == "cycle":
-        committed = [CausalGraph.create(g.nodes, g.directed_edges | {(g.outcome, g.treatment)},
-                                        g.bidirected_edges, g.treatment, g.outcome)]
+        committed = [CausalGraph.create(g.nodes, g.directed | {(g.outcome, g.treatment)},
+                                        g.bidirected, g.treatment, g.outcome)]
     elif malformation == "self_loop":
-        committed = [CausalGraph.create(g.nodes, g.directed_edges | {(g.outcome, g.outcome)},
-                                        g.bidirected_edges, g.treatment, g.outcome)]
+        committed = [CausalGraph.create(g.nodes, g.directed | {(g.outcome, g.outcome)},
+                                        g.bidirected, g.treatment, g.outcome)]
     elif malformation == "unknown_outcome":
-        committed = [CausalGraph.create(g.nodes, g.directed_edges, g.bidirected_edges,
+        committed = [CausalGraph.create(g.nodes, g.directed, g.bidirected,
                                         g.treatment, "not_a_node")]
     elif malformation == "second_graph":
         committed = [g, random_graph(rng)]
@@ -217,9 +216,9 @@ def test_rule_three_executes_are_certified(seed, n, theta, cost, alpha, tau_u):
 def test_memoized_identification_of_equal_graphs(seed, cyclic):
     g = random_graph(np.random.default_rng(seed))
     if cyclic:
-        g = CausalGraph.create(g.nodes, g.directed_edges | {(g.outcome, g.treatment)},
-                               g.bidirected_edges, g.treatment, g.outcome)
-    twin = graph_from_json_dict(graph_to_json_dict(g))
+        g = CausalGraph.create(g.nodes, g.directed | {(g.outcome, g.treatment)},
+                               g.bidirected, g.treatment, g.outcome)
+    twin = load(CausalGraph, dump(g))
     assert twin == g and twin is not g
     fresh = graphs._analyse.__wrapped__(g)
     assert validate_graph(twin) == validate_graph(g) == fresh[0]
@@ -237,14 +236,14 @@ def test_memoized_identification_of_equal_graphs(seed, cyclic):
 
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1))
-def test_constructor_keeps_the_canonical_graph(seed):
-    # The constructor, from lists with every latent pair reversed, builds the
+def test_reader_keeps_the_canonical_graph(seed):
+    # The reader, from lists with every latent pair reversed, builds the
     # record ``create`` does, with its digest.
     g = random_graph(np.random.default_rng(seed))
-    built = CausalGraph(nodes=list(g.nodes),
-                        directed_edges=[[a, b] for a, b in g.directed_edges],
-                        bidirected_edges=[[b, a] for a, b in g.bidirected_edges],
-                        treatment=g.treatment, outcome=g.outcome)
+    built = load(CausalGraph, {"nodes": list(g.nodes),
+                               "directed": [[a, b] for a, b in g.directed],
+                               "bidirected": [[b, a] for a, b in g.bidirected],
+                               "treatment": g.treatment, "outcome": g.outcome})
     assert built == g and hash(built) == hash(g)
     # Unmemoized, since equal graphs share the memoized digest.
     assert graphs.graph_digest.__wrapped__(built) == graphs.graph_digest.__wrapped__(g)
@@ -384,24 +383,48 @@ def _key_paths(doc: dict, at: tuple = ()) -> list[tuple]:
     return paths
 
 
+def _item_paths(doc, at: tuple = ()) -> list[tuple]:
+    """The path of every list item in ``doc``, items of nested lists and
+    objects included."""
+    paths = []
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for step, value in items:
+        if isinstance(doc, list):
+            paths.append((*at, step))
+        if isinstance(value, (dict, list)):
+            paths += _item_paths(value, (*at, step))
+    return paths
+
+
 @functools.lru_cache(maxsize=1)
 def _documents() -> dict:
-    """A seed-42 action frame's and certificate's documents, with their readers."""
+    """Seed-42 documents of an action frame, a committed graph with a latent
+    edge and a certificate, with their readers."""
     frame = sample_instance("db_index_operation", MODERATE, 0, seed=42).frame
+    spec = BenchmarkSpec(seeds=(42,), moderate_per_family=2, adversarial_per_family=1)
+    graph = next(inst.graph for inst in build_benchmark(spec)[0] if inst.graph.bidirected)
     return {"frame": (dump(frame), functools.partial(load, ActionFrame), ActionFrame),
+            "graph": (dump(graph), functools.partial(load, CausalGraph), CausalGraph),
             "certificate": (_stored_certificate()[0], certificate_from_json_dict, Certificate)}
 
 
 @PROPERTY_SETTINGS
-@given(record=st.sampled_from(("frame", "certificate")), how=st.sampled_from(
-    ("drop", "add", "retype")), data=st.data())
+@given(record=st.sampled_from(("frame", "graph", "certificate")), how=st.sampled_from(
+    ("drop", "add", "retype", "item")), data=st.data())
 def test_reader_names_the_key_it_refuses(record, how, data):
-    # One key dropped, added or given a value of any JSON type, at any level:
-    # the reader gives the record, or a ValueError that names the key.  Only a
-    # new value, or a dropped key that has a default, can give the record.
+    # One key dropped, added or given a value of any JSON type, at any level,
+    # or one item of a list (a node, an edge, an endpoint, a label) given any
+    # JSON value: the reader gives the record, or a ValueError that names the
+    # key.  Only a new value, or a dropped key that has a default, can give
+    # the record.
     document, read, cls = _documents()[record]
     doc = copy.deepcopy(document)
-    path = data.draw(st.sampled_from(_key_paths(doc)), label="path")
+    if how == "item":
+        paths = _item_paths(doc)
+        assume(paths)  # an action frame holds no list
+    else:
+        paths = _key_paths(doc)
+    path = data.draw(st.sampled_from(paths), label="path")
     parent, key = functools.reduce(operator.getitem, path[:-1], doc), path[-1]
     if how == "drop":
         del parent[key]
@@ -410,13 +433,15 @@ def test_reader_names_the_key_it_refuses(record, how, data):
             key = data.draw(st.text("abxyz_", min_size=1, max_size=4)
                             .filter(lambda k: k not in parent), label="added key")
         parent[key] = data.draw(JSON_VALUES, label="value")
+    if how == "item":  # the key that holds the list
+        key = next(step for step in reversed(path) if isinstance(step, str))
     try:
         result = read(doc)
     except ValueError as exc:
         assert re.search(rf"(^|[\s.]){re.escape(key)}($|[\s,.])", str(exc)), str(exc)
     else:
         assert isinstance(result, cls)
-        assert how == "retype" or (record, key) == ("frame", "interventional")
+        assert how in ("retype", "item") or (record, key) == ("frame", "interventional")
 
 
 # ------------------------------------------------------------ config documents

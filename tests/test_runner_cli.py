@@ -915,6 +915,18 @@ class TestConfigSurface:
         assert f"invalid configuration: {message}" in result.output
         assert not (tmp_path / "typed").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("seeds", [42, "x"], "seeds must be a non-empty list of distinct integers, got [42, 'x']"),
+        ("forbidden_tools", ["add_index", 3],
+         "forbidden_tools must be a list of tool names (strings), got ['add_index', 3]"),
+    ])
+    def test_refusal_shows_the_value_the_document_held(self, tmp_path, key, value, message):
+        cfg = write_config(tmp_path, "typed", **{key: value})
+        result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)
+        assert f"invalid configuration: {message}\n" in result.output
+
     @pytest.mark.parametrize("key", [
         "moderate_per_family", "adversarial_per_family", "n_rows", "adversarial_strength",
         "latent_fraction_moderate", "reversible_fraction", "action_cost", "alpha", "tau_u",

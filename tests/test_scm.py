@@ -130,12 +130,12 @@ class TestSampleInstance:
         inst = sample_instance("db_index_operation", MODERATE, 0, seed=42, bspec=bs)
         g = inst.graph
         assert g.nodes == frozenset({"T", "Y", "query_volume", "write_volume"})
-        assert g.directed_edges == frozenset({
+        assert g.directed == frozenset({
             ("query_volume", "T"), ("query_volume", "Y"),
             ("write_volume", "T"), ("write_volume", "Y"),
             ("T", "Y"),
         })
-        assert g.bidirected_edges == frozenset()
+        assert g.bidirected == frozenset()
 
     def test_adversarial_sign_conventions(self):
         bs = BenchmarkSpec()
@@ -165,7 +165,7 @@ class TestSampleInstance:
         insts, _ = build_benchmark(bs)
         for inst in insts:
             has_hidden = bool(inst.spec.hidden_confounders)
-            has_edge = bool(inst.graph.bidirected_edges)
+            has_edge = bool(inst.graph.bidirected)
             assert has_hidden == has_edge
             for c in inst.spec.hidden_confounders:
                 assert c.name not in inst.graph.nodes

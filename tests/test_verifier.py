@@ -243,7 +243,7 @@ class TestRuleFour:
     @staticmethod
     def _latent_graph():
         g = worked_graph()
-        return CausalGraph.create(g.nodes, g.directed_edges,
+        return CausalGraph.create(g.nodes, g.directed,
                                   bidirected=[(g.treatment, g.outcome)],
                                   treatment=g.treatment, outcome=g.outcome)
 
@@ -423,14 +423,14 @@ class TestTwoStage:
             ["T", "Y", "c"], [("c", "T"), ("c", "Y"), ("T", "Y")],
             bidirected=[("T", "Y")])
         resolved = resolve_for_experiment(g)
-        assert resolved.bidirected_edges == frozenset()
-        assert resolved.directed_edges == frozenset({("c", "Y"), ("T", "Y")})
+        assert resolved.bidirected == frozenset()
+        assert resolved.directed == frozenset({("c", "Y"), ("T", "Y")})
         # Randomizing T severs only the edges into T: a latent M<->Y stays.
         g = CausalGraph.create(["T", "M", "Y"], [("T", "M"), ("M", "Y")],
                                bidirected=[("T", "Y"), ("M", "Y")])
         resolved = resolve_for_experiment(g)
-        assert resolved.bidirected_edges == frozenset({("M", "Y")})
-        assert resolved.directed_edges == g.directed_edges
+        assert resolved.bidirected == frozenset({("M", "Y")})
+        assert resolved.directed == g.directed
         result = identify(resolved)
         assert (result.kind, result.adjustment_set) == (IdentificationKind.BACKDOOR, ())
 
@@ -500,10 +500,10 @@ class TestCertificates:
         # Lists, and a latent pair out of name order: the committed graph's
         # digest must survive the certificate's JSON round trip.
         g = worked_graph()
-        built = CausalGraph(nodes=sorted(g.nodes),
-                            directed_edges=[list(e) for e in sorted(g.directed_edges)],
-                            bidirected_edges=[["write_volume", "query_volume"]],
-                            treatment=g.treatment, outcome=g.outcome)
+        built = CausalGraph.create(nodes=sorted(g.nodes),
+                                   directed=[list(e) for e in sorted(g.directed)],
+                                   bidirected=[["write_volume", "query_volume"]],
+                                   treatment=g.treatment, outcome=g.outcome)
         data = worked_data()
         v = triage(worked_frame(), [built], data, CFG)
         assert v.decision is Decision.EXECUTE
@@ -643,13 +643,44 @@ class TestWholeCertificateReplay:
         result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert f"cannot parse certificate: graph {role} must be a string" in result.output
+        assert (f"cannot parse certificate: graph.{role} must be a string, "
+                f"got {obj['graph'][role]!r}") in result.output
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj["assumptions"].__setitem__(-1, 4),
+         "assumptions must be a list of strings, got ['A1', 'A2', 'A3', 4]"),
+        (lambda obj: obj["graph"].update(nodes=7),
+         "graph.nodes must be a list of node names (strings), got 7"),
+        (lambda obj: obj["graph"]["nodes"].append(1),
+         "graph.nodes must be a list of node names (strings), got ['add_index', "
+         "'latency_savings_ms', 'query_volume', 'write_volume', 1]"),
+        (lambda obj: obj["graph"].update(directed=[["add_index", "latency_savings_ms", "T"]]),
+         "graph.directed must be a list of node-name pairs, "
+         "got [['add_index', 'latency_savings_ms', 'T']]"),
+        (lambda obj: obj["graph"].update(bidirected=[[{}, "add_index"]]),
+         "graph.bidirected must be a list of node-name pairs, got [[{}, 'add_index']]"),
+        (lambda obj: obj["graph"].pop("outcome"), "missing key: graph.outcome"),
+        (lambda obj: obj["graph"].update(latent=[]), "unknown key(s): graph.latent"),
+    ], ids=["assumption", "number-nodes", "number-node", "three-name-edge", "object-endpoint",
+            "missing-graph-key", "extra-graph-key"])
+    def test_refusal_shows_the_value_the_document_held(self, tmp_path, edit, message):
+        # A list is read only when every item holds, so the refusal shows the
+        # document's array, not a Python tuple or set the reader made of it.
+        obj, blob = self._stored()
+        edit(obj)
+        cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+        cert_path.write_text(json.dumps(obj), encoding="utf-8")
+        data_path.write_bytes(blob)
+        result = CliRunner().invoke(cli_main, ["verify-cert", str(cert_path), str(data_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: cannot parse certificate: {message}\n"
 
     def test_proof_for_a_malformed_graph_is_a_mismatch(self):
         obj, blob = self._stored()
         cert = certificate_from_json_dict(obj)
         g = worked_graph()
-        cyclic = replace(g, directed_edges=g.directed_edges
+        cyclic = replace(g, directed=g.directed
                          | {("latency_savings_ms", "query_volume")})
         tampered = replace(cert, graph=cyclic, graph_sha256=graph_digest(cyclic))
         mismatches = verify_certificate(tampered, blob)
@@ -683,7 +714,7 @@ class TestFailClosed:
 
     def test_cyclic_graph_rejected_under_rule_one(self):
         g = worked_graph()
-        cyclic = replace(g, directed_edges=g.directed_edges
+        cyclic = replace(g, directed=g.directed
                          | {("latency_savings_ms", "query_volume")})
         v = triage(worked_frame(), [cyclic], worked_data(), CFG)
         assert v.decision is Decision.REJECT
@@ -692,26 +723,28 @@ class TestFailClosed:
         assert causal_no_experiment(worked_frame(), cyclic, worked_data()) == v
 
     def test_non_string_node_rejected_under_rule_one(self):
-        # Identified, but no certificate could write its canonical JSON.
+        # Identified, but no certificate could write its canonical JSON.  The
+        # constructor refuses the name, so the graph skips it.
         g = worked_graph()
-        odd = CausalGraph(nodes=[*g.nodes, 1], directed_edges=g.directed_edges,
-                          bidirected_edges=(), treatment=g.treatment, outcome=g.outcome)
+        odd = unchecked(g, nodes=g.nodes | {1})
         v = triage(worked_frame(), [odd], worked_data(), CFG)
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert v.reason == "malformed committed graph: node name 1 is not a string"
+        assert v.reason == ("malformed committed graph: nodes must be a list of node names "
+                            "(strings), got {'add_index', 'latency_savings_ms', "
+                            "'query_volume', 'write_volume', 1}")
         assert causal_no_experiment(worked_frame(), odd, worked_data()) == v
 
     @pytest.mark.parametrize("role", ["treatment", "outcome"])
     @pytest.mark.parametrize("value", [["add_index"], 1])
     def test_role_that_is_not_a_string_rejected_under_rule_one(self, role, value):
         # A list does not hash, so rule 1 must refuse it before a memo sees the graph.
-        odd = replace(worked_graph(), **{role: value})
+        odd = unchecked(worked_graph(), **{role: value})
         v = triage(worked_frame(), [odd], worked_data(), CFG)
         assert v.decision is Decision.REJECT
         assert v.rule_fired == 1
-        assert v.reason == (f"malformed committed graph: {role} {value!r} "
-                            f"is not a string")
+        assert v.reason == (f"malformed committed graph: {role} must be a string, "
+                            f"got {value!r}")
         assert causal_no_experiment(worked_frame(), odd, worked_data()) == v
 
     def test_tool_less_frame_rejected_by_causal_no_experiment(self):
