@@ -35,7 +35,7 @@ right-hand-side shape, so the same bits, without the wrappers' per-call
 type checks and error-state contexts.  It needs numpy 2.0 or later, whose
 least squares is one gufunc.  A factorization or solve that fails comes
 back as NaN rather than as ``LinAlgError``: the rank test then finds the
-design singular, and a NaN estimate or bound fails ``certify``'s finiteness
+design singular, and a NaN estimate or bound fails rule 3's finiteness
 check, so the gate abstains.
 """
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .config import REQUIRED, STR, STR_PAIR_SET, STR_SET, STRS, check_fields, dump, enum, setting
+from .config import (REQUIRED, STR, STR_PAIR_SET, STR_SET, STRS, check_fields, dump, enum,
+                     load, setting)
 
 __all__ = [
     "CausalGraph",
@@ -76,9 +77,11 @@ class CausalGraph:
     def create(cls, nodes: Iterable[str], directed: Iterable[tuple[str, str]] = (),
                bidirected: Iterable[tuple[str, str]] = (), treatment: str = "T",
                outcome: str = "Y") -> "CausalGraph":
-        """A graph from any iterables of names and of name pairs."""
-        return cls(frozenset(nodes), frozenset(map(tuple, directed)),
-                   frozenset(map(tuple, bidirected)), treatment, outcome)
+        """A graph from any iterables of names and of name pairs, read by
+        ``load`` as a document, so a value of the wrong kind is its refusal."""
+        return load(cls, {"nodes": list(nodes), "directed": list(directed),
+                          "bidirected": list(bidirected), "treatment": treatment,
+                          "outcome": outcome})
 
     def parents(self, node: str) -> set[str]:
         return {a for a, b in self.directed if b == node}

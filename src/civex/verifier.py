@@ -68,7 +68,6 @@ __all__ = [
     "InstanceView",
     "TwoStageResult",
     "triage",
-    "certify",
     "run_two_stage",
     "make_view",
     "resolve_for_experiment",
@@ -220,10 +219,6 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
                    bidirected=frozenset(p for p in g.bidirected if g.treatment not in p))
 
 
-# Rule 1's refusal of an empty graph set, in ``triage`` and ``certify`` alike.
-_NO_GRAPH = "malformed committed graph set: no graph is committed"
-
-
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
@@ -240,7 +235,7 @@ def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str 
     except ValueError as exc:
         return f"malformed action frame: {exc}"
     if not graphs:
-        return _NO_GRAPH
+        return "malformed committed graph set: no graph is committed"
     for g in graphs:
         violation = validate_graph(g)
         if violation is not None:
@@ -289,29 +284,37 @@ def build_execution_certificate(
     )
 
 
-def certify(
+def triage(
     frame: ActionFrame,
-    graphs: Sequence[CausalGraph],
-    proofs: Sequence[IdentificationResult],
+    graphs: Iterable[CausalGraph],
     d: Frame,
     cfg: VerifierConfig,
 ) -> Verdict:
-    """Rule 3: certified execution on the worst-case bound.
+    """The gate's one entry: route one proposed action to EXECUTE, REJECT,
+    EXPERIMENT, or ABSTAIN.  Rule 3 runs only after rules 1, 2 and 4."""
+    graphs = tuple(graphs)
 
-    ``proofs`` holds one identification result per graph; an unidentified one
-    ends in ABSTAIN, and an empty graph set, or a proof count other than the
-    graph count, in rule 1's REJECT.  The effect is estimated under each
-    graph, and the action executes, with a certificate for the graph whose
-    lower bound is smallest (the first on ties), only when every estimate
-    has at least ``MIN_RESIDUAL_DOF`` residual degrees of freedom and is
-    finite, that bound clears ``tau_u`` and the cost stays within ``tau_r``.
-    """
-    if not graphs:
-        return Verdict(Decision.REJECT, _NO_GRAPH, rule_fired=1)
-    if len(proofs) != len(graphs):
-        return Verdict(Decision.REJECT, f"malformed proof set: {len(proofs)} identification "
-                                        f"results for {len(graphs)} committed graphs",
+    # Rule 1: tool gate.
+    reason = _malformed_reason(frame, graphs)
+    if reason is not None:
+        return Verdict(Decision.REJECT, reason, rule_fired=1)
+    if frame.tool in cfg.forbidden_tools:
+        return Verdict(Decision.REJECT, f"tool '{frame.tool}' is in a forbidden risk class",
                        rule_fired=1)
+    if not frame.interventional:
+        return _PASS_THROUGH
+
+    # Rule 2: identification.
+    proofs = [identify(g) for g in graphs]
+
+    # Rule 4: any unidentified graph dominates.
+    if not all(p.identified for p in proofs):
+        if frame.cost <= cfg.tau_r and frame.reversible:
+            return _EXPERIMENT
+        return _NO_SAFE_EXPERIMENT
+
+    # Rule 3: certified execution on the worst-case bound, with a certificate
+    # for the graph whose lower bound is smallest (the first on ties).
     estimates: list[EffectEstimate] = []
     try:
         for g, proof in zip(graphs, proofs):
@@ -342,38 +345,6 @@ def certify(
                        rule_fired=3)
     cert = build_execution_certificate(graphs[worst], proofs[worst], estimates[worst], d, frame)
     return Verdict(Decision.EXECUTE, proofs[worst].proof_note, rule_fired=3, certificate=cert)
-
-
-def triage(
-    frame: ActionFrame,
-    graphs: Iterable[CausalGraph],
-    d: Frame,
-    cfg: VerifierConfig,
-) -> Verdict:
-    """Route one proposed action to EXECUTE, REJECT, EXPERIMENT, or ABSTAIN."""
-    graphs = tuple(graphs)
-
-    # Rule 1: tool gate.
-    reason = _malformed_reason(frame, graphs)
-    if reason is not None:
-        return Verdict(Decision.REJECT, reason, rule_fired=1)
-    if frame.tool in cfg.forbidden_tools:
-        return Verdict(Decision.REJECT, f"tool '{frame.tool}' is in a forbidden risk class",
-                       rule_fired=1)
-    if not frame.interventional:
-        return _PASS_THROUGH
-
-    # Rule 2: identification.
-    proofs = [identify(g) for g in graphs]
-    not_identified = [p for p in proofs if not p.identified]
-
-    # Rule 4: any unidentified graph dominates.
-    if not_identified:
-        if frame.cost <= cfg.tau_r and frame.reversible:
-            return _EXPERIMENT
-        return _NO_SAFE_EXPERIMENT
-
-    return certify(frame, graphs, proofs, d, cfg)
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,7 +414,7 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     digest, the identification proof and the estimate (point value, standard
     error, bound and row count), and checks the assumption labels.  The
     declared risk comes from the action, not the data, so replay cannot
-    reproduce it; ``certify`` checks it against ``tau_r`` when it mints the
+    reproduce it; rule 3 checks it against ``tau_r`` when it mints the
     certificate.  Returns the names of mismatched fields; an empty list
     means the replay reproduced the certificate exactly.
     """

@@ -114,6 +114,17 @@ class TestValidate:
         with pytest.raises(GraphError):
             identify(odd)
 
+    @pytest.mark.parametrize("args, field", [
+        ((["T", {}],), "nodes"),
+        ((["T", "Y"], [5]), "directed"),
+        ((["T", "Y"], [("T", ["Y"])]), "directed"),
+    ])
+    def test_create_refuses_a_field_of_the_wrong_kind(self, args, field):
+        # ``create`` reads its iterables as a document, so a value of the
+        # wrong kind gets ``load``'s refusal, not a TypeError from freezing it.
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            CausalGraph.create(*args)
+
     def test_violation_does_not_depend_on_string_hashing(self):
         # Each malformed graph has several violations; one interpreter per
         # hash seed must name the same one.

@@ -666,7 +666,7 @@ def test_ols_kernel_matches_numpy_linalg(seed, n, p, shape, log_scales, alpha):
             assert str(refused.value) == str(exc)
             return
         except np.linalg.LinAlgError:
-            # A failed solve is NaN, which ``certify`` refuses as non-finite.
+            # A failed solve is NaN, which rule 3 refuses as non-finite.
             got = _ols_theta(*args)
             assert not all(map(math.isfinite, (got.theta_hat, got.std_err, got.lcb)))
             return

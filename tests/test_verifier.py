@@ -39,7 +39,6 @@ from civex.verifier import (
     VerifierConfig,
     certificate_from_json_dict,
     certificate_to_json_dict,
-    certify,
     make_view,
     resolve_for_experiment,
     run_two_stage,
@@ -176,7 +175,7 @@ class TestRuleThree:
 
     def test_nan_from_lapack_abstains(self, monkeypatch):
         # A least-squares solve that fails comes back from LAPACK as NaN,
-        # not as an exception; ``certify`` refuses it as non-finite.
+        # not as an exception; rule 3 refuses it as non-finite.
         lapack = estimation._lapack
 
         def nan_lstsq(*args, **kwargs):
@@ -451,7 +450,7 @@ class TestCertificates:
         assert cert.graph_sha256 == graph_digest(worked_graph())
 
     def test_invariant_violations_detected(self):
-        # ``certify`` is the one place that checks the bound and the risk:
+        # Rule 3 is the one place that checks the bound and the risk:
         # an action that would break either gets no certificate.
         cert, _ = self._executed()
         for cfg in (replace(CFG, tau_u=cert.lcb_alpha + 1.0),
@@ -913,24 +912,23 @@ class TestViews:
                             frame=worked_frame(), graphs=(), data=worked_data())
         assert make_provider(CAUSAL_NO_EXPERIMENT, ProviderContext(), CFG)(view) == v
 
-    def test_certify_rejects_an_empty_graph_set(self):
-        # It raised ``min() arg is an empty sequence``.
-        v = certify(worked_frame(), [], [], worked_data(), CFG)
-        assert (v.decision, v.rule_fired, v.certificate) == (Decision.REJECT, 1, None)
-        assert v.reason == triage(worked_frame(), (), worked_data(), CFG).reason \
-            == "malformed committed graph set: no graph is committed"
-
-    def test_certify_rejects_a_graph_without_its_proof(self):
-        # ``zip`` dropped the unproved latent graph and certified the other;
-        # triage sends the same set to rule 4.
-        graphs = [worked_graph(), TestRuleFour._latent_graph()]
-        assert triage(worked_frame(), graphs, worked_data(), CFG).decision \
-            is Decision.EXPERIMENT
-        for proofs in ([identify(worked_graph())], [identify(g) for g in graphs] * 2):
-            v = certify(worked_frame(), graphs, proofs, worked_data(), CFG)
-            assert (v.decision, v.rule_fired, v.certificate) == (Decision.REJECT, 1, None)
-            assert v.reason == (f"malformed proof set: {len(proofs)} identification results "
-                                f"for 2 committed graphs")
+    def test_triage_is_the_gates_one_entry(self):
+        # Rule 3 alone would certify each probe: a target that is not the
+        # graph's treatment, a forbidden tool, and a latent graph passed with
+        # the backdoor proof of its latent-free twin.  So no public name may
+        # reach it around rules 1 and 2.
+        assert not hasattr(verifier, "certify")
+        frame, data = worked_frame(), worked_data()
+        probes = [
+            (replace(frame, target_variable="query_volume"), worked_graph(), CFG,
+             (Decision.REJECT, 1)),
+            (frame, worked_graph(), replace(CFG, forbidden_tools=frozenset({frame.tool})),
+             (Decision.REJECT, 1)),
+            (frame, TestRuleFour._latent_graph(), CFG, (Decision.EXPERIMENT, 4)),
+        ]
+        for probe_frame, graph, cfg, expected in probes:
+            v = triage(probe_frame, [graph], data, cfg)
+            assert (v.decision, v.rule_fired, v.certificate) == (*expected, None)
 
     @pytest.mark.parametrize("graph", [worked_graph(), TestRuleFour._latent_graph()],
                              ids=["identified", "latent"])
