@@ -148,12 +148,15 @@ def _without_experiments(cfg: VerifierConfig, reason: str) -> Callable[[Instance
 
 def _context_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     """Adjust on every observed covariate column, with no identification
-    reasoning; the latent edge is simply ignored."""
+    reasoning; the latent edge is simply ignored.  The covariates are fitted
+    in name order, the order in which ``identify`` writes a backdoor set, so
+    a frame that a causal method already fitted on the same set reuses that
+    fit (``estimation._fits``)."""
 
     def provider(view: InstanceView) -> Verdict:
         t_col = view.frame.target_variable
         y_col = view.frame.utility_variable
-        covariates = [c for c in view.data.columns if c not in (t_col, y_col)]
+        covariates = sorted(c for c in view.data.columns if c not in (t_col, y_col))
         try:
             est = adjusted_effect(view.data, covariates, cfg.alpha,
                                   treatment_col=t_col, outcome_col=y_col)

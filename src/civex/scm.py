@@ -9,14 +9,14 @@ over standardized confounders u~_i, plants a signed effect theta, and emits
 a committed graph, an observational frame, and a paired frame with randomly
 assigned treatment.  Hidden confounders drive T and Y but are never emitted
 as columns; their presence surfaces only as a bidirected treatment-outcome
-edge in the committed graph.  A build draws only the frames the gate reads,
-and any frame one of them follows on the stream: the observational frame
-when the committed graph identifies the effect (rule 3 certifies on it), and
-both frames when it does not and the action is reversible (rule 4 runs the
-trial, whose frame follows the observational one).  Every other frame, the
-trial frame of an identified effect and both frames of an irreversible
-action whose effect is unidentified (rule 4 abstains on the graph alone), is
-a ``DeferredFrame`` drawn on first read from the same stream.
+edge in the committed graph.  A build draws exactly the frames the gate
+reads: the observational frame when the committed graph identifies the
+effect (rule 3 certifies on it), and the trial frame when it does not and
+the action is reversible (rule 4 runs the trial).  Every other frame is a
+``DeferredFrame`` drawn on first read from the same stream: the trial frame
+of an identified effect, the observational frame of a reversible action
+whose effect is unidentified, and both frames of an irreversible one (rule
+4 abstains on the graph alone).
 
 Two regimes:
 
@@ -35,10 +35,11 @@ cannot change results.  A build re-keys one generator of its own per
 instance, to the state a fresh ``instance_rng`` stream starts in, and draws
 each fixed-length run of uniforms with one call; the numbers and their order
 are those of one scalar call per value.  The two frames are the stream's
-last draws, the paired one last, so a deferred frame keeps the stream's
-position where its draw starts, or where the observational draw starts when
-that frame is deferred too and the draw must pass over it, and resumes
-there, drawing the same bits.
+last draws, the paired one last.  A build keeps the stream's position where
+the observational frame starts, and passes over that frame's draws without
+computing it when it draws only the trial frame; a deferred frame resumes
+there, passing over the observational draws too if it is the trial frame,
+and draws the same bits.
 Instances of one shape share their committed graph, which is immutable, so
 graph-keyed caches hit by identity; each instance builds its own action
 frame.
@@ -207,15 +208,14 @@ class ScmInstance:
     """One benchmark instance: the action, its committed graph, the SCM and
     its data.
 
-    ``observational`` is drawn with the instance unless the action is
-    irreversible and the committed graph does not identify its effect: rule
-    4 then abstains without reading data.  ``experimental``, the paired
-    randomized frame, is drawn with the instance only when the action is
-    reversible and the graph does not identify the effect, the one case in
-    which the gate runs the trial.  Every other frame is a ``DeferredFrame``
-    that resumes the instance's stream on its first read and draws the bits
-    an eager draw would.  Copies such as ``dataclasses.replace`` share the
-    frame objects, and with them each draw.
+    ``observational`` is drawn with the instance only when the committed
+    graph identifies the effect, the one case in which rule 3 reads it.
+    ``experimental``, the paired randomized frame, is drawn with the instance
+    only when the action is reversible and the graph does not identify the
+    effect, the one case in which the gate runs the trial.  Every other frame
+    is a ``DeferredFrame`` that resumes the instance's stream on its first
+    read and draws the bits an eager draw would.  Copies such as
+    ``dataclasses.replace`` share the frame objects, and with them each draw.
     """
 
     id: InstanceId
@@ -422,22 +422,39 @@ def _frame_data(
     return data
 
 
+def _pass_over(spec: ScmSpec, n_rows: int, rng: np.random.Generator) -> None:
+    """Move ``rng`` past the draws of one ``_frame_data`` call, without the frame.
+
+    The generator calls are those of ``_frame_data``, in its order and with
+    its sizes, written into one scratch buffer: one standard normal run per
+    confounder (a normal draw of any mean and sd takes the same bits), one
+    uniform run, and one noise run when the noise sd is positive.  Either
+    value of ``randomize_treatment`` draws the same uniforms.
+    """
+    scratch = np.empty(n_rows)
+    for _ in spec.confounders:
+        rng.standard_normal(out=scratch)
+    rng.random(out=scratch)
+    if spec.noise_sd > 0:
+        rng.standard_normal(out=scratch)
+
+
 class _ResumedDraw(NamedTuple):
-    """A deferred frame's draw: from ``position`` on the instance's stream,
-    the frames with the ``randomize_treatment`` flags ``randomized`` in turn,
-    of which the last is returned."""
+    """A deferred frame's draw from ``position``, where the instance's
+    observational frame starts on its stream: that frame, or, if ``trial``,
+    the paired frame, drawn after passing over the observational one."""
 
     inst_id: InstanceId
     position: bytes
     spec: ScmSpec
     n_rows: int
-    randomized: tuple[bool, ...]
+    trial: bool
 
     def __call__(self) -> np.ndarray:
         rng = _resume(self.inst_id, self.position)
-        for randomize_treatment in self.randomized:
-            data = _frame_data(self.spec, self.n_rows, randomize_treatment, rng)
-        return data
+        if self.trial:
+            _pass_over(self.spec, self.n_rows, rng)
+        return _frame_data(self.spec, self.n_rows, self.trial, rng)
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -591,23 +608,26 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
     graph = _committed_graph(tuple(c.name for c in spec.observed), bool(spec.hidden_confounders))
     columns, n_rows = _frame_columns(spec), bspec.n_rows
 
-    def deferred(position: bytes, randomized: tuple[bool, ...]) -> DeferredFrame:
-        return DeferredFrame(columns, _ResumedDraw(inst_id, position, spec, n_rows, randomized))
+    # Draw what the gate reads: the observational frame when the committed
+    # graph identifies the effect (rule 3 certifies on it), the trial frame
+    # when it does not and the action is reversible (rule 4 runs the trial),
+    # and neither when rule 4 abstains on the graph alone.  Every other frame
+    # resumes the stream where the observational frame starts.
+    position = _stream_position(rng)
 
-    # Draw what the gate reads, and what that follows on the stream.
+    def deferred(trial: bool) -> DeferredFrame:
+        return DeferredFrame(columns, _ResumedDraw(inst_id, position, spec, n_rows, trial))
+
     identified = identify(graph).identified
-    if not identified and not reversible:
-        # Rule 4 abstains on the graph alone, so both frames are deferred;
-        # the trial frame's draw passes over the observational one.
-        position = _stream_position(rng)
-        observational = deferred(position, (False,))
-        experimental = deferred(position, (False, True))
-    else:
+    if identified:
         observational = Frame._adopt(columns, _frame_data(spec, n_rows, False, rng))
-        if identified:  # rule 3 reads the observational frame alone
-            experimental = deferred(_stream_position(rng), (True,))
-        else:  # rule 4 runs the trial
-            experimental = Frame._adopt(columns, _frame_data(spec, n_rows, True, rng))
+        experimental = deferred(True)
+    elif reversible:
+        observational = deferred(False)
+        _pass_over(spec, n_rows, rng)
+        experimental = Frame._adopt(columns, _frame_data(spec, n_rows, True, rng))
+    else:
+        observational, experimental = deferred(False), deferred(True)
     return ScmInstance(
         id=inst_id,
         frame=ActionFrame(tool=FAMILY_TOOLS[family], target_variable=TREATMENT_NODE,

@@ -29,8 +29,10 @@ from civex.baselines import (
 )
 from civex.estimation import unadjusted_difference
 from civex.evaluation import ScoreWeights
+from civex.graphs import identify
 from civex.runner import evaluate_instances
-from civex.scm import ADVERSARIAL, MODERATE, BenchmarkSpec, InstanceId, build_benchmark
+from civex.scm import (ADVERSARIAL, MODERATE, BenchmarkSpec, InstanceId, build_benchmark,
+                        sample_instance)
 from civex.verifier import Decision, VerifierConfig, make_view, run_two_stage
 
 from oracles import pooled_association_oracle
@@ -229,6 +231,23 @@ class TestCausalBaselines:
         for inst in moderate_safe:
             assert terminal(CONTEXT_ONLY_NO_CAUSAL, inst, ctx).decision \
                 is Decision.EXECUTE
+
+    def test_context_only_reuses_the_causal_fit(self):
+        # identify writes a backdoor set in name order; the frame's columns
+        # keep the spec's order, which differs here.
+        bspec = dataclasses.replace(SMALL, latent_fraction_moderate=0.0)
+        inst = next(i for i in (sample_instance("service_restart_operation", MODERATE, index,
+                                                seed=42, bspec=bspec) for index in range(30))
+                    if len(i.spec.observed) >= 3)
+        columns = list(inst.observational.columns[2:])
+        assert columns != sorted(columns)
+        assert identify(inst.graph).adjustment_set == tuple(sorted(columns))
+        ctx = build_context([inst])
+        terminal(CIVEX, inst, ctx)
+        fits = dict(inst.observational._fits)
+        assert fits
+        terminal(CONTEXT_ONLY_NO_CAUSAL, inst, ctx)
+        assert inst.observational._fits == fits
 
 
 class TestInputParity:
