@@ -15,6 +15,7 @@ from pathlib import Path
 
 import click
 
+from .config import load
 from .frames import FrameError
 from .verifier import certificate_from_json_dict, verify_certificate
 
@@ -53,7 +54,7 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
     if config_path:
         try:
             obj = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise click.ClickException(f"cannot read config {config_path}: {exc}")
     flags = {
         "seeds": None if seed_list is None else [_seed(s) for s in _items(seed_list)],
@@ -71,7 +72,7 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
             obj.setdefault("methods", list(SWEEP_METHODS))
         obj.update((key, value) for key, value in flags.items() if value is not None)
     try:
-        return RunConfig.from_json_dict(obj)
+        return load(RunConfig, obj)
     except ValueError as exc:
         raise click.ClickException(f"invalid configuration: {exc}")
 
@@ -184,7 +185,7 @@ def report(run_dir) -> None:
         path = write_report(Path(run_dir))
     except KeyError as exc:
         raise click.ClickException(f"cannot read run directory {run_dir}: no column {exc}")
-    except (OSError, TypeError, ValueError, csv.Error) as exc:
+    except (OSError, TypeError, ValueError, RecursionError, csv.Error) as exc:
         raise click.ClickException(f"cannot read run directory {run_dir}: {exc}")
     click.echo(f"wrote {path}")
 
@@ -204,7 +205,7 @@ def verify_cert(cert_path, data_path) -> None:
     blob, data = _read_bytes(cert_path), _read_bytes(data_path)
     try:
         cert = certificate_from_json_dict(json.loads(blob.decode("utf-8")))
-    except ValueError as exc:  # a JSON or UTF-8 decoding error is one too
+    except (ValueError, RecursionError) as exc:  # a decoding error, or nesting too deep
         raise click.ClickException(f"cannot parse certificate: {exc}")
     mismatches = verify_certificate(cert, data)
     if mismatches:

@@ -41,7 +41,7 @@ from .baselines import (
     replay_tag,
     replayed_result,
 )
-from .config import STR, STR_LISTS, STRS, check_fields, distinct, dump, load, setting
+from .config import STR, STR_LISTS, STRS, check_fields, distinct, dump, setting
 from .evaluation import (
     MethodSummary,
     RegimeDiagnostics,
@@ -116,7 +116,7 @@ def _method_ids(methods: tuple[str, ...]) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
-    """A run's settings; the keys of ``RunConfig().to_json_dict()`` are its
+    """A run's settings; the keys of ``dump(RunConfig())`` are its
     document's keys, in document order."""
 
     bench: BenchmarkSpec = field(default_factory=BenchmarkSpec)
@@ -124,14 +124,12 @@ class RunConfig:
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     methods: tuple[str, ...] = setting(DEFAULT_METHODS, STRS,
                                        "a non-empty list of distinct method ids", _method_ids)
-    output_dir: str = setting("runs/default", STR, "a path (a string)")
+    output_dir: str = setting("runs/default", STR, "a path (a string without a NUL)",
+                              lambda path: "\0" not in path)
     replay: dict[str, tuple[str, ...]] = setting(
         {}, STR_LISTS, "an object mapping each tag to a list of shard paths (strings)")
 
     __post_init__ = check_fields
-
-    to_json_dict = dump
-    from_json_dict = classmethod(load)
 
 
 def _load_replay_tables(config: RunConfig) -> dict[str, Mapping]:
@@ -604,7 +602,7 @@ def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
     civex_false = run.false_executions(CIVEX) if CIVEX in run.config.methods else None
     manifest = {
         "package_version": __version__,
-        "config": run.config.to_json_dict(),
+        "config": dump(run.config),
         "n_instances": len(run.instances),
         "n_certificates": n_certs,
         "civex_false_executions": civex_false,

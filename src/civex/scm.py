@@ -31,15 +31,18 @@ Two regimes:
 
 Determinism contract: every instance consumes its own counter-based stream
 keyed by a 64-bit hash of (seed, regime, family, index), so generation order
-cannot change results.  A build re-keys one generator of its own per
-instance, to the state a fresh ``instance_rng`` stream starts in, and draws
-each fixed-length run of uniforms with one call; the numbers and their order
-are those of one scalar call per value.  The two frames are the stream's
-last draws, the paired one last.  A build keeps the stream's position where
-the observational frame starts, and passes over that frame's draws without
-computing it when it draws only the trial frame; a deferred frame resumes
-there, passing over the observational draws too if it is the trial frame,
-and draws the same bits.
+cannot change results.  A stream's whole state (key, counter, buffer and
+the cached 32-bit half) is one packed record, and ``_stream`` is the one way
+a generator is set to it: ``instance_rng`` sets a new generator to the
+coordinates' fresh state, and a build sets one generator of its own to it
+for each instance.  A build draws each fixed-length run of uniforms with one
+call; the numbers and their order are those of one scalar call per value.
+The two frames are the stream's last draws, the paired one last.  A build
+packs the state where the observational frame starts, and passes over that
+frame's draws without computing it when it draws only the trial frame; a
+deferred frame sets a new generator to that state, passes over the
+observational draws too if it is the trial frame, and draws the same bits
+without hashing the coordinates again.
 Instances of one shape share their committed graph, which is immutable, so
 graph-keyed caches hit by identity; each instance builds its own action
 frame.
@@ -270,60 +273,40 @@ def _instance_key(seed: int, regime: str, family: str, index: int) -> int:
 
 def instance_rng(seed: int, regime: str, family: str, index: int) -> np.random.Generator:
     """Counter-based stream keyed by a 64-bit hash of the instance coordinates."""
-    return np.random.Generator(np.random.Philox(key=_instance_key(seed, regime, family, index)))
+    return _stream(_fresh_state(seed, regime, family, index))
 
 
-# A Philox stream's position without its key, in 88 bytes: the counter and
-# the buffer, then the buffer position and the cached 32-bit half's flag and
+# A Philox stream's whole state in 104 bytes: the key, the counter, the
+# buffer, then the buffer position and the cached 32-bit half's flag and
 # value.  One bytes object is less than half the size of a tuple of them,
 # and a build keeps one per deferred instance.
-_POSITION = struct.Struct("<32s32sqqq")
+_STATE = struct.Struct("<2Q4Q4Qqqq")
 
 
-def _stream_position(rng: np.random.Generator) -> bytes:
+def _fresh_state(seed: int, regime: str, family: str, index: int) -> bytes:
+    """The packed state that ``Philox(key=k)`` starts in for the coordinates'
+    key ``k``: counter zero and the buffer used up."""
+    return _STATE.pack(_instance_key(seed, regime, family, index), 0, *[0] * 8, 4, 0, 0)
+
+
+def _state_of(rng: np.random.Generator) -> bytes:
+    """The packed state of ``rng``'s Philox stream."""
     state = rng.bit_generator.state
-    return _POSITION.pack(state["state"]["counter"].tobytes(), state["buffer"].tobytes(),
-                          state["buffer_pos"], state["has_uint32"], state["uinteger"])
+    return _STATE.pack(*state["state"]["key"].tolist(), *state["state"]["counter"].tolist(),
+                       *state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+                       state["uinteger"])
 
 
-def _resume(inst_id: InstanceId, position: bytes) -> np.random.Generator:
-    """The instance's keyed stream, moved to ``position``."""
-    rng = instance_rng(inst_id.seed, inst_id.regime, inst_id.family, inst_id.index)
-    counter, buffer, buffer_pos, has_uint32, uinteger = _POSITION.unpack(position)
-    state = rng.bit_generator.state
-    state["state"]["counter"] = np.frombuffer(counter, np.uint64)
-    state.update(buffer=np.frombuffer(buffer, np.uint64), buffer_pos=buffer_pos,
-                 has_uint32=has_uint32, uinteger=uinteger)
-    rng.bit_generator.state = state
+def _stream(state: bytes, rng: np.random.Generator | None = None) -> np.random.Generator:
+    """``rng``, or a new generator, set to the packed Philox ``state``."""
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(0))  # its state is replaced below
+    v = _STATE.unpack(state)
+    rng.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"key": v[0:2], "counter": v[2:6]},
+                               "buffer": v[6:10], "buffer_pos": v[10], "has_uint32": v[11],
+                               "uinteger": v[12]}
     return rng
-
-
-class _KeyedStreams:
-    """One generator re-keyed per instance, to the stream ``instance_rng`` gives.
-
-    A new ``Philox`` seeds itself from the OS before its key replaces that
-    seed, which costs several times as much as setting the state a fresh
-    ``Philox(key=k)`` has.  Each build owns one, so builds in other threads
-    never share it.
-    """
-
-    def __init__(self) -> None:
-        self._bitgen = np.random.Philox(0)  # its state is replaced for each instance
-        self._rng = np.random.Generator(self._bitgen)
-        self._key = np.zeros(2, np.uint64)
-        self._fresh = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64), "key": self._key},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def rekey(self, seed: int, regime: str, family: str, index: int) -> np.random.Generator:
-        self._key[0] = _instance_key(seed, regime, family, index)
-        self._bitgen.state = self._fresh
-        return self._rng
 
 
 def _sigm(x: np.ndarray) -> np.ndarray:
@@ -440,18 +423,17 @@ def _pass_over(spec: ScmSpec, n_rows: int, rng: np.random.Generator) -> None:
 
 
 class _ResumedDraw(NamedTuple):
-    """A deferred frame's draw from ``position``, where the instance's
-    observational frame starts on its stream: that frame, or, if ``trial``,
-    the paired frame, drawn after passing over the observational one."""
+    """A deferred frame's draw from the packed stream ``state`` where the
+    instance's observational frame starts: that frame, or, if ``trial``, the
+    paired frame, drawn after passing over the observational one."""
 
-    inst_id: InstanceId
-    position: bytes
+    state: bytes
     spec: ScmSpec
     n_rows: int
     trial: bool
 
     def __call__(self) -> np.ndarray:
-        rng = _resume(self.inst_id, self.position)
+        rng = _stream(self.state)
         if self.trial:
             _pass_over(self.spec, self.n_rows, rng)
         return _frame_data(self.spec, self.n_rows, self.trial, rng)
@@ -613,10 +595,10 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
     # when it does not and the action is reversible (rule 4 runs the trial),
     # and neither when rule 4 abstains on the graph alone.  Every other frame
     # resumes the stream where the observational frame starts.
-    position = _stream_position(rng)
+    state = _state_of(rng)
 
     def deferred(trial: bool) -> DeferredFrame:
-        return DeferredFrame(columns, _ResumedDraw(inst_id, position, spec, n_rows, trial))
+        return DeferredFrame(columns, _ResumedDraw(state, spec, n_rows, trial))
 
     identified = identify(graph).identified
     if identified:
@@ -716,9 +698,9 @@ def build_benchmark(
     output is sorted by (seed, regime, family, index).
     """
     with collection_deferred(bspec.n_instances(regimes)):
-        streams = _KeyedStreams()
+        rng = np.random.Generator(np.random.Philox(0))  # its state is set for each instance
         instances = [_sample(InstanceId(seed, regime, family, idx), bspec,
-                             streams.rekey(seed, regime, family, idx))
+                             _stream(_fresh_state(seed, regime, family, idx), rng))
                      for seed in bspec.seeds for regime in regimes for family in FAMILIES
                      for idx in range(bspec.per_family(regime))]
         instances.sort(key=lambda inst: instance_sort_key(inst.id))

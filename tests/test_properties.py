@@ -448,7 +448,7 @@ def test_reader_names_the_key_it_refuses(record, how, data):
 
 # The default document as a manifest records it, with an example in each list
 # so that element paths exist.
-CONFIG_BASE = {**RunConfig().to_json_dict(), "forbidden_tools": ["add_index"],
+CONFIG_BASE = {**dump(RunConfig()), "forbidden_tools": ["add_index"],
                "methods": ["CIVeX", "Replay(demo)"], "replay": {"demo": ["shards/demo.csv"]}}
 CONFIG_PATHS = (
     *((key,) for key in CONFIG_BASE),
@@ -493,7 +493,7 @@ def test_config_document_loads_or_is_refused_cleanly(mutations):
         doc, keys = _mutate_config(doc, path, kind)
         named |= keys
     try:
-        config = RunConfig.from_json_dict(doc)
+        config = load(RunConfig, doc)
     except ValueError as exc:
         assert any(key in str(exc) for key in named), str(exc)
         runner = CliRunner()
@@ -505,9 +505,9 @@ def test_config_document_loads_or_is_refused_cleanly(mutations):
         assert result.output == f"Error: invalid configuration: {exc}\n"
     else:
         # As a manifest records the config and a rerun reads it back.
-        again = RunConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+        again = load(RunConfig, json.loads(json.dumps(dump(config))))
         assert again == config
-        assert again.to_json_dict() == config.to_json_dict()
+        assert dump(again) == dump(config)
 
 
 # ------------------------------------------------------- canonical-text parser

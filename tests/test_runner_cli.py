@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from civex.baselines import ALL_METHODS
 from civex.evaluation import MethodSummary, ScoreWeights
 from civex.cli import main
+from civex.config import dump, load
 from civex.frames import Frame
 from civex import runner
 from civex.runner import (
@@ -303,7 +304,7 @@ class TestEvaluationLoop:
 
 class TestCertificateWriter:
     def test_each_certified_frame_is_serialized_once(self, tmp_path, monkeypatch):
-        config = RunConfig.from_json_dict(TINY)
+        config = load(RunConfig, TINY)
         run = run_benchmark(config)
         frames = {(r.instance_id, len(r.result.trace)) for r in run.records
                   if r.result.terminal.certificate is not None}
@@ -337,7 +338,7 @@ class TestCertificateWriter:
                 for r in run.records if r.result.terminal.certificate is not None]
 
     def test_each_distinct_certificate_is_encoded_once(self, tmp_path, monkeypatch):
-        run = run_benchmark(RunConfig.from_json_dict(TINY))
+        run = run_benchmark(load(RunConfig, TINY))
         certs = self._certificates(run)
         distinct = {(frame, json.dumps(certificate_to_json_dict(cert), sort_keys=True))
                     for _, frame, cert in certs}
@@ -355,7 +356,7 @@ class TestCertificateWriter:
         assert len(calls) == len(distinct)
 
     def test_negative_zero_certificate_is_encoded_apart(self, tmp_path):
-        run = run_benchmark(RunConfig.from_json_dict(TINY))
+        run = run_benchmark(load(RunConfig, TINY))
         by_frame = {}
         for method, frame, cert in self._certificates(run):
             by_frame.setdefault((frame, cert), []).append(method)
@@ -435,7 +436,7 @@ class TestCertificateWriter:
         assert not (tmp_path / "full" / "manifest.json").exists()
 
     def test_encoding_stays_on_the_calling_thread(self, tmp_path, monkeypatch):
-        run = run_benchmark(RunConfig.from_json_dict(TINY))
+        run = run_benchmark(load(RunConfig, TINY))
         encoders, writers = set(), set()
 
         def on_thread(record, fn):
@@ -635,6 +636,16 @@ class TestReportCommand:
                                  f"no column 'mean_utility'\n")
         assert not (tmp_path / "report.md").exists()
 
+    def test_manifest_nested_too_deep_is_a_clean_error(self, tmp_path):
+        # Nested past the JSON decoder's limit, it ended in a RecursionError traceback.
+        (tmp_path / "manifest.json").write_text("[" * 200_000, encoding="utf-8")
+        result = CliRunner().invoke(main, ["report", str(tmp_path)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"Error: cannot read run directory {tmp_path}: "
+                                        f"maximum recursion depth exceeded")
+        assert not (tmp_path / "report.md").exists()
+
 
 class TestVerifyCertCommand:
     def test_stored_certificates_verify_and_tamper_fails(self, tmp_path):
@@ -666,6 +677,18 @@ class TestVerifyCertCommand:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert "cannot parse certificate" in result.output
+
+    def test_certificate_nested_too_deep_is_a_clean_error(self, tmp_path):
+        # Nested past the JSON decoder's limit, it ended in a RecursionError traceback.
+        cert = tmp_path / "deep.cert.json"
+        cert.write_text("[" * 200_000, encoding="utf-8")
+        data = tmp_path / "data.txt"
+        data.write_text("T,Y\n1.0,2.0", encoding="utf-8")
+        result = CliRunner().invoke(main, ["verify-cert", str(cert), str(data)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: cannot parse certificate: "
+                                        "maximum recursion depth exceeded")
 
     @pytest.mark.parametrize("unreadable", ["cert", "data"])
     def test_unreadable_file_is_a_clean_error(self, tmp_path, monkeypatch, unreadable):
@@ -840,7 +863,7 @@ class TestConfigSurface:
         )
         write_run_outputs(run_benchmark(config))
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))
-        assert RunConfig.from_json_dict(manifest["config"]) == config
+        assert load(RunConfig, manifest["config"]) == config
 
     @pytest.mark.parametrize("key, value", [
         ("parallelism", 4), ("cert_only", True), ("cert_only", False),
@@ -864,17 +887,17 @@ class TestConfigSurface:
         assert "invalid configuration: unknown key(s): forbiden_tools" in result.output
         assert not (tmp_path / "typo").exists()
         with pytest.raises(ValueError, match="n_row, tau_U"):
-            RunConfig.from_json_dict({"n_row": 50, "tau_U": 5, "tau_u": 1.0})
+            load(RunConfig, {"n_row": 50, "tau_U": 5, "tau_u": 1.0})
 
     def test_every_emitted_key_loads(self):
         config = RunConfig(bench=BenchmarkSpec(seeds=(7,), n_rows=50),
                            verifier=VerifierConfig(tau_u=0.5,
                                                    forbidden_tools=frozenset({"add_index"})),
                            methods=("CIVeX",), output_dir="runs/x")
-        document = config.to_json_dict()
-        assert RunConfig.from_json_dict(document) == config
+        document = dump(config)
+        assert load(RunConfig, document) == config
         for key, value in document.items():
-            RunConfig.from_json_dict({key: value})
+            load(RunConfig, {key: value})
 
     @pytest.mark.parametrize("key, value", [
         ("forbidden_tools", "add_index"),
@@ -893,7 +916,7 @@ class TestConfigSurface:
     ])
     def test_bare_string_for_a_list_is_refused(self, tmp_path, key, value):
         with pytest.raises(ValueError, match=key):
-            RunConfig.from_json_dict({key: value})
+            load(RunConfig, {key: value})
         cfg = write_config(tmp_path, "bare", **{key: value})
         result = CliRunner().invoke(main, ["generate", "--config", str(cfg)])
         assert result.exit_code != 0
@@ -964,12 +987,12 @@ class TestConfigSurface:
         section = readme[readme.index("A config document is one flat JSON object"):]
         start = section.index("```json") + len("```json")
         block = json.loads(section[start:section.index("```", start)])
-        defaults = RunConfig().to_json_dict()
+        defaults = dump(RunConfig())
         assert list(block) == list(defaults)
         for key, default in defaults.items():
             if key not in ("methods", "replay"):  # the two examples
                 assert block[key] == default, key
-        RunConfig.from_json_dict(block)
+        load(RunConfig, block)
 
     @pytest.mark.parametrize("key, value, name", [
         ("adversarial_strength", float("nan"), "adversarial_strength"),
@@ -980,6 +1003,8 @@ class TestConfigSurface:
         ("w_miss", float("nan"), "w_miss"),
         ("c_exp", float("inf"), "c_exp"),
         ("forbidden_tools", [1, 2], "forbidden_tools"),
+        # A NUL ended in a ValueError traceback from the output directory's mkdir.
+        ("output_dir", "x\u0000y", "output_dir"),
     ])
     def test_value_out_of_range_is_refused(self, tmp_path, key, value, name):
         # json writes NaN and Infinity, and reads them back.
@@ -1020,14 +1045,21 @@ class TestConfigSurface:
         result = CliRunner().invoke(main, [*command, "--config", str(cfg)])
         assert result.exit_code == 0, result.output
 
-    @pytest.mark.parametrize("document", [[], "run", 3])
-    def test_config_that_is_not_an_object_is_refused(self, tmp_path, document):
+    # A document nested past the JSON decoder's limit, which json.dumps cannot
+    # write, ended in a RecursionError traceback.
+    @pytest.mark.parametrize("text, error", [
+        (json.dumps([]), "invalid configuration"),
+        (json.dumps("run"), "invalid configuration"),
+        (json.dumps(3), "invalid configuration"),
+        ("[" * 200_000, "cannot read config"),
+    ], ids=["document0", "run", "3", "nested"])
+    def test_config_that_is_not_an_object_is_refused(self, tmp_path, text, error):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(document), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         result = CliRunner().invoke(main, ["generate", "--config", str(path)])
         assert result.exit_code != 0
         assert isinstance(result.exception, SystemExit)
-        assert "invalid configuration" in result.output
+        assert error in result.output
 
     @pytest.mark.parametrize("extra, name", [
         ({"methods": [1]}, "methods"),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from civex import scm
 from civex.estimation import adjusted_effect, unadjusted_difference
 from civex.baselines import CIVEX, build_context, make_provider
 from civex.frames import DeferredFrame, Frame, FrameError
@@ -35,7 +36,10 @@ from civex.scm import (
     ScmInstance,
     ScmSpec,
     _frame_data,
+    _instance_key,
     _pass_over,
+    _state_of,
+    _stream,
     build_benchmark,
     collection_deferred,
     generate_frame,
@@ -154,6 +158,63 @@ class TestPassOver:
         assert got["buffer"].tolist() == want["buffer"].tolist()
         for key in ("buffer_pos", "has_uint32", "uinteger"):
             assert got[key] == want[key]
+
+
+def _philox_state(bit_generator) -> tuple:
+    """A Philox generator's whole state, as plain values."""
+    state = bit_generator.state
+    return (state["state"]["key"].tolist(), state["state"]["counter"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"],
+            state["uinteger"])
+
+
+class TestPackedState:
+    # Derandomized, so that the tier-1 run is reproducible.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(regime=st.sampled_from(REGIMES), family=st.sampled_from(FAMILIES),
+           index=st.integers(0, 30), uniforms=st.integers(0, 5), halves=st.integers(0, 3),
+           reuse=st.booleans(), n=st.integers(1, 9))
+    @example(regime=MODERATE, family=FAMILIES[0], index=0, uniforms=0, halves=0,
+             reuse=False, n=1)
+    @example(regime=ADVERSARIAL, family=FAMILIES[1], index=0, uniforms=1, halves=1,
+             reuse=True, n=9)
+    def test_a_packed_state_continues_the_stream(self, regime, family, index, uniforms,
+                                                  halves, reuse, n):
+        # The stream stops mid-buffer, with or without a cached 32-bit half.
+        rng = instance_rng(42, regime, family, index)
+        rng.random(uniforms)
+        rng.integers(0, 2**32, size=halves, dtype=np.uint32)
+        other = instance_rng(43, regime, family, index) if reuse else None
+        resumed = _stream(_state_of(rng), other)
+        if reuse:
+            assert resumed is other
+        assert _philox_state(resumed.bit_generator) == _philox_state(rng.bit_generator)
+        for draw in (lambda g: g.integers(0, 2**32, size=n, dtype=np.uint32),
+                     lambda g: g.random(n), lambda g: g.standard_normal(n)):
+            assert draw(resumed).tolist() == draw(rng).tolist()
+
+    def test_instance_rng_starts_where_a_keyed_philox_does(self):
+        for s, r, f, i in ((42, MODERATE, FAMILIES[0], 0), (43, ADVERSARIAL, FAMILIES[5], 19),
+                           (2**40, MODERATE, FAMILIES[2], 1000)):
+            assert (_philox_state(instance_rng(s, r, f, i).bit_generator)
+                    == _philox_state(np.random.Philox(key=_instance_key(s, r, f, i))))
+
+    def test_a_deferred_draw_derives_no_key(self, monkeypatch):
+        # A deferred frame holds its stream's packed state, key included, so
+        # its first read hashes no coordinates.
+        instances, _ = build_benchmark(replace(SMALL, seeds=(42,)))
+        deferred = [(frame, oracle(inst.id, SMALL).canonical_bytes()) for inst in instances
+                    for frame, oracle in ((inst.observational, observational_frame_oracle),
+                                          (inst.experimental, trial_frame_oracle))
+                    if _undrawn(frame)]
+        assert deferred
+
+        def refuse(*coordinates):
+            raise AssertionError(f"a key derived for {coordinates}")
+
+        monkeypatch.setattr(scm, "_instance_key", refuse)
+        for frame, expected in deferred:
+            assert frame.canonical_bytes() == expected
 
 
 class TestSampleInstance:
