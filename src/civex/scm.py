@@ -37,12 +37,13 @@ a generator is set to it: ``instance_rng`` sets a new generator to the
 coordinates' fresh state, and a build sets one generator of its own to it
 for each instance.  A build draws each fixed-length run of uniforms with one
 call; the numbers and their order are those of one scalar call per value.
-The two frames are the stream's last draws, the paired one last.  A build
-packs the state where the observational frame starts, and passes over that
-frame's draws without computing it when it draws only the trial frame; a
-deferred frame sets a new generator to that state, passes over the
-observational draws too if it is the trial frame, and draws the same bits
-without hashing the coordinates again.
+The two frames are the stream's last draws, the paired one last, and one
+schedule, ``_runs``, makes a frame's generator calls: ``_frame_data``
+computes the frame from its runs, and ``_pass_over`` runs it out unread.  A
+build packs the state where the observational frame starts, and passes over
+that frame when it draws only the trial frame; a deferred frame sets a new
+generator to that state, passes over the observational frame too if it is
+the trial frame, and draws the same bits without hashing the coordinates.
 Instances of one shape share their committed graph, which is immutable, so
 graph-keyed caches hit by identity; each instance builds its own action
 frame.
@@ -366,6 +367,15 @@ def _frame_columns(spec: ScmSpec) -> tuple[str, ...]:
     return (TREATMENT_NODE, OUTCOME_NODE, *(c.name for c in spec.observed))
 
 
+def _runs(spec: ScmSpec, n_rows: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """A frame's generator calls, in stream order: a normal run per confounder,
+    a uniform run, and a noise run (zeros, drawing nothing, if its sd is 0)."""
+    for c in spec.confounders:
+        yield rng.normal(c.mean, c.sd, size=n_rows)
+    yield rng.random(n_rows)
+    yield rng.normal(0.0, spec.noise_sd, size=n_rows) if spec.noise_sd > 0 else np.zeros(n_rows)
+
+
 # A coefficient near the float maximum overflows the logit and the outcome
 # sums (and inf - inf gives NaN); the frame then refuses the data.
 @np.errstate(over="ignore", invalid="ignore")
@@ -375,30 +385,29 @@ def _frame_data(
     randomize_treatment: bool,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """The array of ``generate_frame``, in ``_frame_columns`` order."""
+    """The array of ``generate_frame``, in ``_frame_columns`` order, from ``_runs``."""
     if n_rows < 2:
         raise ValueError("n_rows must be >= 2")
-    observed = spec.observed
+    runs = _runs(spec, n_rows, rng)
     # Columns T, Y, then the observed confounders' raw draws.
-    data = np.empty((n_rows, 2 + len(observed)))
+    data = np.empty((n_rows, 2 + len(spec.observed)))
     column = 2
     standardized = []
     for c in spec.confounders:
-        u = rng.normal(c.mean, c.sd, size=n_rows)
+        u = next(runs)
         if not c.hidden:
             data[:, column] = u
             column += 1
         standardized.append((u - c.mean) / c.sd)
     t = data[:, 0]
     if randomize_treatment:
-        t[:] = rng.random(n_rows) < 0.5
+        t[:] = next(runs) < 0.5
     else:
         logit = np.zeros(n_rows)
         for c, z in zip(spec.confounders, standardized):
             logit += c.treat_coef * z
-        t[:] = rng.random(n_rows) < _sigm(logit)
-    eps = rng.normal(0.0, spec.noise_sd, size=n_rows) if spec.noise_sd > 0 else np.zeros(n_rows)
-    y = spec.intercept + spec.theta * t + eps
+        t[:] = next(runs) < _sigm(logit)
+    y = spec.intercept + spec.theta * t + next(runs)
     for c, z in zip(spec.confounders, standardized):
         y += c.outcome_coef * z
     data[:, 1] = y
@@ -406,26 +415,22 @@ def _frame_data(
 
 
 def _pass_over(spec: ScmSpec, n_rows: int, rng: np.random.Generator) -> None:
-    """Move ``rng`` past the draws of one ``_frame_data`` call, without the frame.
+    """Move ``rng`` past one ``_frame_data`` call's draws by running ``_runs``
+    out unread; either value of ``randomize_treatment`` draws the same runs."""
+    for _ in _runs(spec, n_rows, rng):
+        pass
 
-    The generator calls are those of ``_frame_data``, in its order and with
-    its sizes, written into one scratch buffer: one standard normal run per
-    confounder (a normal draw of any mean and sd takes the same bits), one
-    uniform run, and one noise run when the noise sd is positive.  Either
-    value of ``randomize_treatment`` draws the same uniforms.
-    """
-    scratch = np.empty(n_rows)
-    for _ in spec.confounders:
-        rng.standard_normal(out=scratch)
-    rng.random(out=scratch)
-    if spec.noise_sd > 0:
-        rng.standard_normal(out=scratch)
+
+def _trial_data(spec: ScmSpec, n_rows: int, rng: np.random.Generator) -> np.ndarray:
+    """The trial frame's array, passing over the observational frame at ``rng``."""
+    _pass_over(spec, n_rows, rng)
+    return _frame_data(spec, n_rows, True, rng)
 
 
 class _ResumedDraw(NamedTuple):
     """A deferred frame's draw from the packed stream ``state`` where the
     instance's observational frame starts: that frame, or, if ``trial``, the
-    paired frame, drawn after passing over the observational one."""
+    paired frame, through ``_trial_data``: the build's own schedule, ``_runs``."""
 
     state: bytes
     spec: ScmSpec
@@ -434,9 +439,8 @@ class _ResumedDraw(NamedTuple):
 
     def __call__(self) -> np.ndarray:
         rng = _stream(self.state)
-        if self.trial:
-            _pass_over(self.spec, self.n_rows, rng)
-        return _frame_data(self.spec, self.n_rows, self.trial, rng)
+        return (_trial_data(self.spec, self.n_rows, rng) if self.trial
+                else _frame_data(self.spec, self.n_rows, False, rng))
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -606,8 +610,7 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
         experimental = deferred(True)
     elif reversible:
         observational = deferred(False)
-        _pass_over(spec, n_rows, rng)
-        experimental = Frame._adopt(columns, _frame_data(spec, n_rows, True, rng))
+        experimental = Frame._adopt(columns, _trial_data(spec, n_rows, rng))
     else:
         observational, experimental = deferred(False), deferred(True)
     return ScmInstance(

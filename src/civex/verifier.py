@@ -219,17 +219,25 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
                    bidirected=frozenset(p for p in g.bidirected if g.treatment not in p))
 
 
-def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph]) -> str | None:
+def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph], d: Frame) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
-    The frame must pass its own check, ``check_fields``: each field of its
-    declared kind, and a target value of 1.0, the treatment level a
-    certificate's estimate compares with 0.
+    Each input must be of its kind: an ``ActionFrame``, ``CausalGraph``s and
+    a ``Frame``.  The frame must pass its own check, ``check_fields``: each
+    field of its declared kind, and a target value of 1.0, the treatment
+    level a certificate's estimate compares with 0.
     At least one graph must be committed.  Each must be well formed, and its
     treatment and outcome must be the action's target and utility variables:
     a certificate for another (treatment, outcome) pair says nothing about
     this action.
     """
+    if not isinstance(frame, ActionFrame):
+        return f"malformed action frame: a {type(frame).__name__} is not an ActionFrame"
+    for g in graphs:
+        if not isinstance(g, CausalGraph):
+            return f"malformed committed graph: a {type(g).__name__} is not a CausalGraph"
+    if not isinstance(d, Frame):
+        return f"malformed data: a {type(d).__name__} is not a Frame"
     try:
         check_fields(frame)
     except ValueError as exc:
@@ -295,7 +303,7 @@ def triage(
     graphs = tuple(graphs)
 
     # Rule 1: tool gate.
-    reason = _malformed_reason(frame, graphs)
+    reason = _malformed_reason(frame, graphs, d)
     if reason is not None:
         return Verdict(Decision.REJECT, reason, rule_fired=1)
     if frame.tool in cfg.forbidden_tools:
@@ -371,7 +379,9 @@ def run_two_stage(
     provider is re-invoked on the resolved graph (latent edge dropped,
     treatment randomized) with the experimental frame; the terminal verdict
     is the second answer.  Without an available experiment the terminal
-    verdict is a conservative ABSTAIN.
+    verdict is a conservative ABSTAIN.  ``cfg`` is unused; it stays because
+    the benchmark harness (``perfbench/workloads.py``) wraps and calls this
+    function with three arguments.
     """
     view1 = make_view(inst)
     v1 = decide(view1)

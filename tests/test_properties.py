@@ -1,8 +1,8 @@
 """Property tests of the fail-closed triage contract.
 
 Random committed graphs (``oracles.random_graph``), data frames drawn from a
-linear model over the graph, and action frames, some of them malformed.
-Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
+linear model over the graph, and action frames, some of them malformed or
+not of their kind.  Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
 clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
 mutated certificate and data file in exit 0, exit 1 or a clean error; the
@@ -75,7 +75,11 @@ from oracles import (
 PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 MALFORMATIONS = ("none", "cycle", "self_loop", "unknown_outcome", "second_graph",
-                 "wrong_target", "missing_column", "constant_treatment", "huge_values")
+                 "wrong_target", "missing_column", "constant_treatment", "huge_values",
+                 "not_an_action", "not_a_graph", "not_a_frame")
+# What rule 1's reason says of an input that is not of its kind.
+NOT_OF_ITS_KIND = {"not_an_action": "is not an ActionFrame",
+                   "not_a_graph": "is not a CausalGraph", "not_a_frame": "is not a Frame"}
 
 
 def _topological(g: CausalGraph) -> list[str]:
@@ -137,6 +141,10 @@ def _case(seed: int, n: int, theta: float, malformation: str):
         data = Frame(columns=data.columns, data=arr)
     elif malformation == "huge_values":
         data = Frame(columns=data.columns, data=data.data * 1e200)
+    elif malformation == "not_a_graph":  # the graph's document, not the record
+        committed = [g, dump(g)]
+    elif malformation == "not_a_frame":  # the frame's array, without its columns
+        data = data.data
     return committed, data, target, utility
 
 
@@ -188,9 +196,14 @@ def test_triage_never_raises(seed, n, theta, malformation, tool, target_value, c
                                    utility_variable=utility, cost=0.0, reversible=True),
                        tool=tool, target_value=target_value, cost=cost,
                        reversible=reversible, interventional=interventional)
+    if malformation == "not_an_action":
+        action = (None, "change")[seed % 2]
     cfg = VerifierConfig(alpha=alpha, tau_u=tau_u, tau_r=tau_r,
                          forbidden_tools=frozenset({"banned"}))
-    _triage_and_check(committed, data, action, cfg)
+    v = _triage_and_check(committed, data, action, cfg)
+    if malformation in NOT_OF_ITS_KIND:
+        assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
+        assert NOT_OF_ITS_KIND[malformation] in v.reason
 
 
 @PROPERTY_SETTINGS

@@ -160,6 +160,50 @@ class TestPassOver:
             assert got[key] == want[key]
 
 
+class _Recording:
+    """A generator that records each method call made on it, then makes it."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+        return call
+
+
+class TestOneSchedule:
+    # Derandomized, so that the tier-1 run is reproducible.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(regime=st.sampled_from(REGIMES), family=st.sampled_from(FAMILIES),
+           index=st.integers(0, 30), latent=st.booleans(), noiseless=st.booleans(),
+           n_rows=st.integers(2, 400), randomize_treatment=st.booleans())
+    @example(regime=MODERATE, family=FAMILIES[0], index=0, latent=False, noiseless=True,
+             n_rows=2, randomize_treatment=False)
+    @example(regime=ADVERSARIAL, family=FAMILIES[1], index=0, latent=True, noiseless=False,
+             n_rows=400, randomize_treatment=True)
+    def test_the_pass_over_makes_the_frame_draws_calls(self, regime, family, index, latent,
+                                                       noiseless, n_rows,
+                                                       randomize_treatment):
+        spec = sample_instance(family, regime, index, seed=42,
+                               bspec=replace(SMALL, latent_fraction_moderate=1.0)).spec
+        if not latent:
+            spec = replace(spec, confounders=spec.observed)
+        if noiseless:
+            spec = replace(spec, noise_sd=0.0)
+        drawn = _Recording(instance_rng(42, regime, family, index))
+        passed = _Recording(instance_rng(42, regime, family, index))
+        _frame_data(spec, n_rows, randomize_treatment, drawn)
+        _pass_over(spec, n_rows, passed)
+        assert passed.calls == drawn.calls
+        # A normal run per confounder, a uniform run, and a noise run unless noiseless.
+        assert [call[0] for call in drawn.calls] == (
+            ["normal"] * len(spec.confounders) + ["random"] + ["normal"] * (not noiseless))
+
+
 def _philox_state(bit_generator) -> tuple:
     """A Philox generator's whole state, as plain values."""
     state = bit_generator.state
