@@ -31,22 +31,22 @@ Two regimes:
 
 Determinism contract: every instance consumes its own counter-based stream
 keyed by a 64-bit hash of (seed, regime, family, index), so generation order
-cannot change results.  A stream's whole state (key, counter, buffer and
-the cached 32-bit half) is one packed record, and ``_stream`` is the one way
-a generator is set to it: ``instance_rng`` sets a new generator to the
-coordinates' fresh state, and a build sets one generator of its own to it
-for each instance.  A build draws each fixed-length run of uniforms with one
-call; the numbers and their order are those of one scalar call per value.
-The two frames are the stream's last draws, the paired one last, and one
-schedule, ``_runs``, makes a frame's generator calls: ``_frame_data``
-computes the frame from its runs, and ``_pass_over`` runs it out unread.  A
-build packs the state where the observational frame starts, and passes over
-that frame when it draws only the trial frame; a deferred frame sets a new
-generator to that state, passes over the observational frame too if it is
-the trial frame, and draws the same bits without hashing the coordinates.
-Instances of one shape share their committed graph, which is immutable, so
-graph-keyed caches hit by identity; each instance builds its own action
-frame.
+cannot change results.  A stream's whole state (key, counter, buffer and the
+cached 32-bit half) is one packed record, and ``_stream`` sets a generator
+to it: by default the thread's one scratch generator, which each use sets
+and draws to completion.  A build sets it to each instance's fresh state;
+``instance_rng`` is a new keyed generator, for a caller that keeps it.  A
+build draws each fixed-length run of uniforms with one call; the numbers and
+their order are those of one scalar call per value.  The two frames are the
+stream's last draws, the paired one last, and one schedule, ``_runs``, makes
+a frame's generator calls: ``_frame_data`` computes the frame from its runs,
+and ``_pass_over`` runs it out unread.  A build packs the state where the
+observational frame starts, and passes over that frame when it draws only
+the trial frame; a deferred frame sets the scratch generator to that state,
+passes over the observational frame too if it is the trial frame, and draws
+the same bits without hashing the coordinates.  Instances of one shape share
+their committed graph, which is immutable, so graph-keyed caches hit by
+identity; each instance builds its own action frame.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ import hashlib
 import json
 import math
 import struct
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -273,8 +274,8 @@ def _instance_key(seed: int, regime: str, family: str, index: int) -> int:
 
 
 def instance_rng(seed: int, regime: str, family: str, index: int) -> np.random.Generator:
-    """Counter-based stream keyed by a 64-bit hash of the instance coordinates."""
-    return _stream(_fresh_state(seed, regime, family, index))
+    """A new counter-based stream keyed by a 64-bit hash of the instance coordinates."""
+    return np.random.Generator(np.random.Philox(key=_instance_key(seed, regime, family, index)))
 
 
 # A Philox stream's whole state in 104 bytes: the key, the counter, the
@@ -298,10 +299,21 @@ def _state_of(rng: np.random.Generator) -> bytes:
                        state["uinteger"])
 
 
+class _Scratch(threading.local):
+    """Each thread's one generator for the streams that no caller keeps, made
+    on the thread's first use; each use sets it and draws to completion."""
+
+    def __init__(self) -> None:
+        self.rng = np.random.Generator(np.random.Philox(0))  # its state is set at each use
+
+
+_SCRATCH = _Scratch()
+
+
 def _stream(state: bytes, rng: np.random.Generator | None = None) -> np.random.Generator:
-    """``rng``, or a new generator, set to the packed Philox ``state``."""
+    """``rng``, or the thread's scratch generator, set to the packed Philox ``state``."""
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))  # its state is replaced below
+        rng = _SCRATCH.rng
     v = _STATE.unpack(state)
     rng.bit_generator.state = {"bit_generator": "Philox",
                                "state": {"key": v[0:2], "counter": v[2:6]},
@@ -577,7 +589,7 @@ def sample_instance(
     if regime not in REGIMES:
         raise ValueError(f"unknown regime '{regime}'")
     return _sample(InstanceId(seed=seed, regime=regime, family=family, index=idx),
-                   bspec or BenchmarkSpec(), instance_rng(seed, regime, family, idx))
+                   bspec or BenchmarkSpec(), _stream(_fresh_state(seed, regime, family, idx)))
 
 
 def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator) -> ScmInstance:
@@ -701,9 +713,8 @@ def build_benchmark(
     output is sorted by (seed, regime, family, index).
     """
     with collection_deferred(bspec.n_instances(regimes)):
-        rng = np.random.Generator(np.random.Philox(0))  # its state is set for each instance
         instances = [_sample(InstanceId(seed, regime, family, idx), bspec,
-                             _stream(_fresh_state(seed, regime, family, idx), rng))
+                             _stream(_fresh_state(seed, regime, family, idx)))
                      for seed in bspec.seeds for regime in regimes for family in FAMILIES
                      for idx in range(bspec.per_family(regime))]
         instances.sort(key=lambda inst: instance_sort_key(inst.id))

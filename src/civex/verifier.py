@@ -222,10 +222,11 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
 def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph], d: Frame) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
-    Each input must be of its kind: an ``ActionFrame``, ``CausalGraph``s and
-    a ``Frame``.  The frame must pass its own check, ``check_fields``: each
-    field of its declared kind, and a target value of 1.0, the treatment
-    level a certificate's estimate compares with 0.
+    Each input must be of its kind: an ``ActionFrame``, a tuple of
+    ``CausalGraph``s (``triage`` makes one of any iterable) and a ``Frame``.
+    The frame must pass its own check, ``check_fields``: each field of its
+    declared kind, and a target value of 1.0, the treatment level a
+    certificate's estimate compares with 0.
     At least one graph must be committed.  Each must be well formed, and its
     treatment and outcome must be the action's target and utility variables:
     a certificate for another (treatment, outcome) pair says nothing about
@@ -233,6 +234,8 @@ def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph], d: Fram
     """
     if not isinstance(frame, ActionFrame):
         return f"malformed action frame: a {type(frame).__name__} is not an ActionFrame"
+    if not isinstance(graphs, tuple):
+        return f"malformed committed graph set: a {type(graphs).__name__} is not a list of graphs"
     for g in graphs:
         if not isinstance(g, CausalGraph):
             return f"malformed committed graph: a {type(g).__name__} is not a CausalGraph"
@@ -300,7 +303,10 @@ def triage(
 ) -> Verdict:
     """The gate's one entry: route one proposed action to EXECUTE, REJECT,
     EXPERIMENT, or ABSTAIN.  Rule 3 runs only after rules 1, 2 and 4."""
-    graphs = tuple(graphs)
+    try:
+        graphs = tuple(graphs)
+    except TypeError:  # not iterable: rule 1 refuses the set
+        pass
 
     # Rule 1: tool gate.
     reason = _malformed_reason(frame, graphs, d)

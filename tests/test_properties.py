@@ -76,10 +76,14 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 MALFORMATIONS = ("none", "cycle", "self_loop", "unknown_outcome", "second_graph",
                  "wrong_target", "missing_column", "constant_treatment", "huge_values",
-                 "not_an_action", "not_a_graph", "not_a_frame")
+                 "not_an_action", "not_a_graph", "not_a_frame", "one_graph", "no_graph_set",
+                 "number_graph_set")
 # What rule 1's reason says of an input that is not of its kind.
 NOT_OF_ITS_KIND = {"not_an_action": "is not an ActionFrame",
-                   "not_a_graph": "is not a CausalGraph", "not_a_frame": "is not a Frame"}
+                   "not_a_graph": "is not a CausalGraph", "not_a_frame": "is not a Frame",
+                   "one_graph": "a CausalGraph is not a list of graphs",
+                   "no_graph_set": "a NoneType is not a list of graphs",
+                   "number_graph_set": "a int is not a list of graphs"}
 
 
 def _topological(g: CausalGraph) -> list[str]:
@@ -145,6 +149,12 @@ def _case(seed: int, n: int, theta: float, malformation: str):
         committed = [g, dump(g)]
     elif malformation == "not_a_frame":  # the frame's array, without its columns
         data = data.data
+    elif malformation == "one_graph":  # the graph itself in place of the set
+        committed = g
+    elif malformation == "no_graph_set":
+        committed = None
+    elif malformation == "number_graph_set":
+        committed = 3
     return committed, data, target, utility
 
 

@@ -638,6 +638,62 @@ class TestConcurrentBuilds:
                                            seed=inst.id.seed, bspec=spec)
 
 
+class TestScratchGenerator:
+    """A stream that no caller keeps, a build's or a deferred frame's, is set
+    on its thread's one scratch generator."""
+
+    @staticmethod
+    def _deferred():
+        """The undrawn frames of a build of ``SMALL`` at seed 42."""
+        instances, _ = build_benchmark(replace(SMALL, seeds=(42,)))
+        return [frame for inst in instances for frame in (inst.observational, inst.experimental)
+                if _undrawn(frame)]
+
+    def test_deferred_reads_construct_no_generator(self, monkeypatch):
+        frames = self._deferred()
+        assert len(frames) > 21
+        expected = [frame.canonical_bytes() for frame in self._deferred()[1:21]]
+        frames[0].data  # the thread's first deferred read
+        made = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        read = [frame.canonical_bytes() for frame in frames[1:21]]
+        assert made == []
+        assert read == expected
+
+    def test_threads_reading_at_once_match_a_sequential_read(self):
+        # Each thread sets its own scratch generator: one shared between
+        # threads would interleave their draws.  One thread reads the frames
+        # in order and the other in reverse, so both draw until they meet.
+        frames = self._deferred()
+        expected = [frame.canonical_bytes() for frame in self._deferred()]
+        start = threading.Barrier(2)
+        read = [None, None]
+
+        def draw(slot):
+            start.wait(timeout=30)
+            order = frames if slot == 0 else frames[::-1]
+            read[slot] = [frame.canonical_bytes() for frame in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(slot,)) for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert read[0] == read[1][::-1] == expected
+
+
 def _undrawn(frame) -> bool:
     return isinstance(frame, DeferredFrame) and not frame.drawn
 
