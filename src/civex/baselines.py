@@ -9,12 +9,13 @@ ground truth by construction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .estimation import EstimationError, adjusted_effect, unadjusted_difference
+from .estimation import EstimationError, adjusted_effect_bound, unadjusted_difference
 from .frames import Frame, FrameError
 from .scm import FAMILIES, REGIMES, InstanceId, ScmInstance
 from .verifier import Decision, InstanceView, TwoStageResult, Verdict, VerifierConfig, triage
@@ -150,19 +151,24 @@ def _context_only(cfg: VerifierConfig) -> Callable[[InstanceView], Verdict]:
     """Adjust on every observed covariate column, with no identification
     reasoning; the latent edge is simply ignored.  The covariates are fitted
     in name order, the order in which ``identify`` writes a backdoor set, so
-    a frame that a causal method already fitted on the same set reuses that
-    fit (``estimation._fits``)."""
+    a frame that a causal method already fitted, or bounded, on the same set
+    reuses that fit or bound (``estimation._fits``).  The decision is
+    ``lcb >= tau_u``, taken from the certified bound where it settles it."""
 
     def provider(view: InstanceView) -> Verdict:
         t_col = view.frame.target_variable
         y_col = view.frame.utility_variable
         covariates = sorted(c for c in view.data.columns if c not in (t_col, y_col))
         try:
-            est = adjusted_effect(view.data, covariates, cfg.alpha,
-                                  treatment_col=t_col, outcome_col=y_col)
+            bound, fit = adjusted_effect_bound(view.data, covariates, cfg.alpha,
+                                               treatment_col=t_col, outcome_col=y_col)
         except (EstimationError, FrameError) as exc:
             return Verdict(Decision.REJECT, f"estimation failure: {exc}")
-        return _ADJUSTED_EXECUTE if est.lcb >= cfg.tau_u else _ADJUSTED_REJECT
+        if bound.hi < cfg.tau_u:
+            return _ADJUSTED_REJECT
+        if bound.lo >= cfg.tau_u and math.isfinite(bound.lo):
+            return _ADJUSTED_EXECUTE
+        return _ADJUSTED_EXECUTE if fit().lcb >= cfg.tau_u else _ADJUSTED_REJECT
 
     return provider
 

@@ -24,6 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__
 from .baselines import (
     ALL_METHODS,
@@ -582,6 +584,14 @@ def _pairwise_rows(run: RunResult) -> list[dict]:
     return rows
 
 
+def _numeric_stack() -> dict:
+    """numpy's version and the BLAS it was built with.  Certificate bytes hold
+    for one numpy build on one BLAS kernel (ROADMAP threat check 13), so a
+    run that differs elsewhere names its likely cause here."""
+    return {"numpy": np.__version__,
+            "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]}
+
+
 def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
     """Write summary/record/counterbalance CSVs, certificates, and the manifest.
 
@@ -602,6 +612,7 @@ def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:
     civex_false = run.false_executions(CIVEX) if CIVEX in run.config.methods else None
     manifest = {
         "package_version": __version__,
+        "numeric_stack": _numeric_stack(),
         "config": dump(run.config),
         "n_instances": len(run.instances),
         "n_certificates": n_certs,

@@ -2,10 +2,12 @@
 
 Rules, in order:
 
-1. Tool gate - malformed frames (a wrongly typed field, or a target value
-   other than 1.0), malformed graphs, actions whose target or utility
-   variable is not the graph's treatment or outcome, and forbidden tools are
-   rejected; non-interventional actions then pass straight through.
+1. Tool gate - a malformed verifier config (a field of the wrong kind or
+   out of range, such as a NaN ``tau_u``), malformed frames (a wrongly typed
+   field, or a target value other than 1.0), malformed graphs, actions whose
+   target or utility variable is not the graph's treatment or outcome, and
+   forbidden tools are rejected; non-interventional actions then pass
+   straight through.
 2. Identification - every candidate graph is checked for a backdoor or
    frontdoor argument and the set is partitioned into identified /
    not-identified.
@@ -14,6 +16,9 @@ Rules, in order:
    and execute only if every estimate is finite and rests on enough residual
    degrees of freedom, the bound clears the utility threshold and the action
    cost stays inside the risk budget.  Execution carries a certificate.
+   A refusal on the bound is taken from certified normal-equation bounds on
+   each lcb (``estimation.adjusted_effect_bound``) where they settle it and
+   its text; otherwise, and for every execution, the exact fit decides.
 4. Bounded-risk experimentation - any not-identified graph routes to
    EXPERIMENT when the action is reversible and affordable, else ABSTAIN.
 
@@ -41,7 +46,9 @@ from .config import (BOOL, FLOAT, INT, NUMBER, REQUIRED, STR, STR_SET, STRS, che
 from .estimation import (
     EffectEstimate,
     EstimationError,
+    LcbBound,
     adjusted_effect,
+    adjusted_effect_bound,
     frontdoor_effect,
     provenance_hash,
 )
@@ -219,19 +226,27 @@ def resolve_for_experiment(g: CausalGraph) -> CausalGraph:
                    bidirected=frozenset(p for p in g.bidirected if g.treatment not in p))
 
 
-def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph], d: Frame) -> str | None:
+def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph], d: Frame,
+                      cfg: VerifierConfig) -> str | None:
     """Why rule 1 refuses the action as malformed, if it does.
 
-    Each input must be of its kind: an ``ActionFrame``, a tuple of
-    ``CausalGraph``s (``triage`` makes one of any iterable) and a ``Frame``.
-    The frame must pass its own check, ``check_fields``: each field of its
-    declared kind, and a target value of 1.0, the treatment level a
-    certificate's estimate compares with 0.
+    Each input must be of its kind: a ``VerifierConfig``, an ``ActionFrame``,
+    a tuple of ``CausalGraph``s (``triage`` makes one of any iterable) and a
+    ``Frame``.  The config and the frame must pass their own check,
+    ``check_fields``: each field of its declared kind and range (a NaN
+    ``tau_u`` would let every bound clear it), and a target value of 1.0,
+    the treatment level a certificate's estimate compares with 0.
     At least one graph must be committed.  Each must be well formed, and its
     treatment and outcome must be the action's target and utility variables:
     a certificate for another (treatment, outcome) pair says nothing about
     this action.
     """
+    if not isinstance(cfg, VerifierConfig):
+        return f"malformed verifier config: a {type(cfg).__name__} is not a VerifierConfig"
+    try:
+        check_fields(cfg)
+    except ValueError as exc:
+        return f"malformed verifier config: {exc}"
     if not isinstance(frame, ActionFrame):
         return f"malformed action frame: a {type(frame).__name__} is not an ActionFrame"
     if not isinstance(graphs, tuple):
@@ -273,6 +288,24 @@ def _estimate_for(
     raise EstimationError("cannot estimate an unidentified effect")
 
 
+def _bound_for(
+    proof: IdentificationResult, d: Frame, alpha: float,
+    treatment: str, outcome: str,
+) -> tuple[LcbBound, Callable[[], EffectEstimate]]:
+    """A certified bound on the lcb ``_estimate_for`` gives, and a function
+    that gives that estimate; a frontdoor fit's bound is its own lcb."""
+    if proof.kind is IdentificationKind.BACKDOOR:
+        return adjusted_effect_bound(d, proof.adjustment_set, alpha=alpha,
+                                     treatment_col=treatment, outcome_col=outcome)
+    est = _estimate_for(proof, d, alpha, treatment, outcome)
+    return LcbBound.of(est), lambda: est
+
+
+def _below_threshold(lcb: float, tau_u: float) -> Verdict:
+    return Verdict(Decision.REJECT, f"worst-case lower confidence bound {lcb:.6g} "
+                                    f"is below the utility threshold {tau_u:.6g}", rule_fired=3)
+
+
 def build_execution_certificate(
     graph: CausalGraph,
     proof: IdentificationResult,
@@ -309,7 +342,7 @@ def triage(
         pass
 
     # Rule 1: tool gate.
-    reason = _malformed_reason(frame, graphs, d)
+    reason = _malformed_reason(frame, graphs, d, cfg)
     if reason is not None:
         return Verdict(Decision.REJECT, reason, rule_fired=1)
     if frame.tool in cfg.forbidden_tools:
@@ -329,30 +362,39 @@ def triage(
 
     # Rule 3: certified execution on the worst-case bound, with a certificate
     # for the graph whose lower bound is smallest (the first on ties).
-    estimates: list[EffectEstimate] = []
+    bounds: list[LcbBound] = []
+    fits: list[Callable[[], EffectEstimate]] = []
     try:
         for g, proof in zip(graphs, proofs):
-            estimates.append(_estimate_for(proof, d, cfg.alpha,
-                                           g.treatment, g.outcome))
+            bound, fit = _bound_for(proof, d, cfg.alpha, g.treatment, g.outcome)
+            bounds.append(bound)
+            fits.append(fit)
     except (EstimationError, FrameError) as exc:
         return Verdict(Decision.ABSTAIN, f"estimation failure: {exc}", rule_fired=3)
     # Rows less the intercept, the treatment and the adjustment columns (the
     # mediator, for a frontdoor fit's outcome stage).
-    dof = min(e.n - 2 - len(e.adjustment_set) for e in estimates)
+    dof = min(b.n - 2 - len(b.adjustment_set) for b in bounds)
     if dof < MIN_RESIDUAL_DOF:
         return Verdict(Decision.ABSTAIN, f"too few residual degrees of freedom: {dof} is below "
                                          f"{MIN_RESIDUAL_DOF}, the least a normal-quantile "
                                          f"bound is trusted at", rule_fired=3)
+    # The smallest exact lcb lies between the smallest lo and the smallest hi.
+    # When both print alike and hi is below tau_u, the exact path would refuse
+    # with that text, so the refusal needs no exact fit.  A graph without a
+    # finite bound has lo = -inf, which prints unlike any finite hi.
+    lo = min(b.lo for b in bounds)
+    hi = min(b.hi for b in bounds)
+    if hi < cfg.tau_u and f"{lo:.6g}" == f"{hi:.6g}":
+        return _below_threshold(hi, cfg.tau_u)
+    estimates = [fit() for fit in fits]
     if not all(math.isfinite(x) for e in estimates
                for x in (e.theta_hat, e.std_err, e.lcb)):
         return Verdict(Decision.ABSTAIN, "estimation failure: non-finite estimate or bound",
                        rule_fired=3)
     worst = min(range(len(estimates)), key=lambda i: estimates[i].lcb)
     min_lcb = estimates[worst].lcb
-    if min_lcb < cfg.tau_u:
-        return Verdict(Decision.REJECT, f"worst-case lower confidence bound {min_lcb:.6g} "
-                                        f"is below the utility threshold {cfg.tau_u:.6g}",
-                       rule_fired=3)
+    if not min_lcb >= cfg.tau_u:
+        return _below_threshold(min_lcb, cfg.tau_u)
     if not frame.cost <= cfg.tau_r:  # a NaN cost overruns too
         return Verdict(Decision.REJECT,
                        f"cost {frame.cost:.6g} overruns the risk threshold {cfg.tau_r:.6g}",

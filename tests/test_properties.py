@@ -17,6 +17,7 @@ the OLS kernel fits to the bits, and decides singularity as, the
 ``np.linalg`` calls it replaced (``oracles``).
 """
 
+import contextlib
 import copy
 import functools
 import hashlib
@@ -34,10 +35,17 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from civex import graphs
+from civex import estimation, graphs
 from civex.cli import main
 from civex.config import dump, load
-from civex.estimation import _PIVOT_RTOL, EstimationError, _ols_theta, _pivot_rank_ok
+from civex.estimation import (
+    _PIVOT_RTOL,
+    EstimationError,
+    _ols_theta,
+    _pivot_rank_ok,
+    adjusted_effect,
+    adjusted_effect_bound,
+)
 from civex.frames import Frame, FrameError
 from civex.graphs import (
     CausalGraph,
@@ -77,13 +85,20 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 MALFORMATIONS = ("none", "cycle", "self_loop", "unknown_outcome", "second_graph",
                  "wrong_target", "missing_column", "constant_treatment", "huge_values",
                  "not_an_action", "not_a_graph", "not_a_frame", "one_graph", "no_graph_set",
-                 "number_graph_set")
+                 "number_graph_set", "nan_tau_u", "no_config", "no_forbidden_tools")
 # What rule 1's reason says of an input that is not of its kind.
 NOT_OF_ITS_KIND = {"not_an_action": "is not an ActionFrame",
                    "not_a_graph": "is not a CausalGraph", "not_a_frame": "is not a Frame",
                    "one_graph": "a CausalGraph is not a list of graphs",
                    "no_graph_set": "a NoneType is not a list of graphs",
                    "number_graph_set": "a int is not a list of graphs"}
+# Rule 1's whole reason for a config set past its checks, or of another kind.
+MALFORMED_CONFIG = {
+    "nan_tau_u": "malformed verifier config: tau_u must be a non-NaN number, got nan",
+    "no_config": "malformed verifier config: a NoneType is not a VerifierConfig",
+    "no_forbidden_tools": "malformed verifier config: forbidden_tools must be a list of tool "
+                          "names (strings), got None",
+}
 
 
 def _topological(g: CausalGraph) -> list[str]:
@@ -210,7 +225,16 @@ def test_triage_never_raises(seed, n, theta, malformation, tool, target_value, c
         action = (None, "change")[seed % 2]
     cfg = VerifierConfig(alpha=alpha, tau_u=tau_u, tau_r=tau_r,
                          forbidden_tools=frozenset({"banned"}))
+    if malformation == "nan_tau_u":
+        cfg = unchecked(cfg, tau_u=math.nan)
+    elif malformation == "no_config":
+        cfg = None
+    elif malformation == "no_forbidden_tools":
+        cfg = unchecked(cfg, forbidden_tools=None)
     v = _triage_and_check(committed, data, action, cfg)
+    if malformation in MALFORMED_CONFIG:
+        assert (v.decision, v.rule_fired, v.reason) \
+            == (Decision.REJECT, 1, MALFORMED_CONFIG[malformation])
     if malformation in NOT_OF_ITS_KIND:
         assert (v.decision, v.rule_fired) == (Decision.REJECT, 1)
         assert NOT_OF_ITS_KIND[malformation] in v.reason
@@ -695,3 +719,78 @@ def test_ols_kernel_matches_numpy_linalg(seed, n, p, shape, log_scales, alpha):
             return
         got = _ols_theta(*args)
     assert _estimate_bits(got) == _estimate_bits(expected)
+
+
+# ---------------------------------------------------------- refusal bound
+
+
+@contextlib.contextmanager
+def _exact_path_only():
+    """Every bound the whole line, so rule 3 fits exactly, as it did before
+    the bound."""
+    bound = estimation._lcb_bound
+    estimation._lcb_bound = (lambda y, design, xtx, xtx_inv, alpha, n, used:
+                             estimation.LcbBound(-math.inf, math.inf, n, used))
+    try:
+        yield
+    finally:
+        estimation._lcb_bound = bound
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(34, 400), p=st.integers(2, 8),
+       near_collinear=st.booleans(), log_collinear_noise=st.floats(-6.0, -2.0),
+       log_scales=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+       log_sd=st.floats(-12.0, 0.0), alpha=st.sampled_from((0.05, 0.01, 0.5)),
+       offset=st.sampled_from((-1e-3, -1e-9, 0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0)))
+@example(seed=1, n=400, p=5, near_collinear=True, log_collinear_noise=-5.0,
+         log_scales=[0.0] * 6, log_sd=0.0, alpha=0.05, offset=1.0)
+@example(seed=2, n=34, p=2, near_collinear=False, log_collinear_noise=-2.0,
+         log_scales=[0.0] * 6, log_sd=-12.0, alpha=0.05, offset=1e-6)
+def test_refusal_bound_holds_the_exact_lcb(seed, n, p, near_collinear, log_collinear_noise,
+                                           log_scales, log_sd, alpha, offset):
+    # A binary treatment with both arms and p - 2 covariates scaled by 1e-6
+    # to 1e6; the last covariate may be a combination of the others and the
+    # treatment up to noise 1e-6 to 1e-2 of its scale, either side of the
+    # rank test's tolerance; the outcome's residual sd runs down to 1e-12.
+    rng = np.random.default_rng(seed)
+    k = p - 2
+    t = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+    t[:2] = (1.0, 0.0)
+    x = rng.normal(size=(n, k))
+    if near_collinear and k:
+        x[:, -1] = (x[:, :-1] @ rng.normal(size=k - 1) + t * rng.normal()
+                    + rng.normal(size=n) * 10.0 ** log_collinear_noise)
+    x *= 10.0 ** np.array(log_scales[:k])
+    y = 0.5 * t + x @ rng.normal(size=k) + 10.0 * rng.normal() + rng.normal(size=n) * 10.0 ** log_sd
+    names = tuple(f"x{i}" for i in range(k))
+    columns = [("T", t), ("Y", y)] + [(name, x[:, i]) for i, name in enumerate(names)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            exact = adjusted_effect(Frame.from_columns(columns), names, alpha)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError, match=re.escape(str(exc))):
+                adjusted_effect_bound(Frame.from_columns(columns), names, alpha)
+            return
+        bound, fit = adjusted_effect_bound(Frame.from_columns(columns), names, alpha)
+        assert _estimate_bits(fit()) == _estimate_bits(exact)
+    assert (bound.n, bound.adjustment_set) == (exact.n, exact.adjustment_set)
+    if math.isfinite(bound.lo):
+        assert bound.lo <= exact.lcb <= bound.hi
+    else:
+        assert (bound.lo, bound.hi) == (-math.inf, math.inf)
+    if not math.isfinite(exact.lcb):
+        return
+    # Rule 3, on a graph whose backdoor set is every covariate, gives the
+    # exact path's verdict, whether or not the bound settled it.
+    graph = CausalGraph.create(["T", "Y", *names],
+                               {(c, "T") for c in names} | {(c, "Y") for c in names}
+                               | {("T", "Y")}, set(), "T", "Y")
+    action = ActionFrame(tool="change", target_variable="T", target_value=1.0,
+                         utility_variable="Y", cost=0.0, reversible=False)
+    cfg = VerifierConfig(alpha=alpha, tau_u=exact.lcb + offset * max(abs(exact.lcb), 1.0),
+                         tau_r=0.5)
+    v = triage(action, [graph], Frame.from_columns(columns), cfg)
+    with _exact_path_only():
+        assert triage(action, [graph], Frame.from_columns(columns), cfg) == v

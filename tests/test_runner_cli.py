@@ -6,6 +6,7 @@ import threading
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -68,8 +69,8 @@ SWEEP_SHA256 = {
 
 # The SHA-256 of each file of a ``seeds=(42,)`` run with every other setting
 # at its default.  The manifest is hashed as written, after dropping
-# ``config.output_dir``.  "certificates/" hashes each certificate and data
-# file's path and digest, in path order.
+# ``config.output_dir`` and the machine's ``numeric_stack``.  "certificates/"
+# hashes each certificate and data file's path and digest, in path order.
 RUN_SHA256 = {
     "counterbalance.csv": "f648e8295c26e545606cf90f4ba0df1ddc29aaa58032f5f6bbae5907e996c8b8",
     "manifest.json": "5c75297e96e30f10f6d1c1a296d3db3b406e70d01161c3afc88510113cf91688",
@@ -100,7 +101,7 @@ def run_digests(out: Path) -> dict[str, str]:
         name, data = path.relative_to(out).as_posix(), path.read_bytes()
         if name == "manifest.json":
             manifest = json.loads(data)
-            del manifest["config"]["output_dir"]
+            del manifest["config"]["output_dir"], manifest["numeric_stack"]
             data = json.dumps(manifest, sort_keys=True, indent=1).encode("utf-8")
         if name.startswith("certificates/"):
             certificates.update(name.encode("utf-8") + b"\0" + hashlib.sha256(data).digest())
@@ -177,6 +178,15 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["civex_false_executions"] == 0
         assert manifest["n_instances"] == 60
+
+    def test_manifest_records_the_numeric_stack(self, tmp_path):
+        cfg = write_config(tmp_path, "stack")
+        assert CliRunner().invoke(main, ["run", "--config", str(cfg)]).exit_code == 0
+        manifest = json.loads((tmp_path / "stack" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["numeric_stack"] == {
+            "numpy": np.__version__,
+            "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+        }
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, "runa")

@@ -30,6 +30,7 @@ from civex.scm import (
     MODERATE,
     BenchmarkSpec,
     InstanceId,
+    build_benchmark,
     sample_instance,
 )
 from civex.verifier import (
@@ -236,6 +237,120 @@ class TestRuleThree:
         frame = ActionFrame(tool="x", target_variable="T", target_value=1.0,
                             utility_variable="Y", cost=0.05, reversible=True)
         self._assert_needs_least_dof(triage(frame, [g], data, CFG), spare)
+
+
+def _fresh(d: Frame) -> Frame:
+    """The same data in a frame that has no fit kept yet."""
+    return Frame(columns=d.columns, data=d.data)
+
+
+def _count_lstsq(monkeypatch) -> list:
+    """Route the fit's LAPACK least squares through a counter: one item a call."""
+    calls = []
+    lapack = estimation._lapack
+
+    def lstsq(*args, **kwargs):
+        calls.append(1)
+        return lapack.lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_lapack", SimpleNamespace(
+        cholesky_lo=lapack.cholesky_lo, inv=lapack.inv, lstsq=lstsq))
+    return calls
+
+
+def _no_bound(y, design, xtx, xtx_inv, alpha, n, adjustment_set):
+    return estimation.LcbBound(-math.inf, math.inf, n, adjustment_set)
+
+
+class TestRefusalBound:
+    """Rule 3 refuses from the certified normal-equation bound where it
+    settles the refusal, and fits LAPACK's least squares everywhere else."""
+
+    @staticmethod
+    def _seed42_traces(monkeypatch):
+        """Each seed-42 instance's trace, on frames with no fit kept, and the
+        least-squares calls each took."""
+        calls = _count_lstsq(monkeypatch)
+        out = []
+        for inst in build_benchmark(BenchmarkSpec(seeds=(42,)))[0]:
+            before = len(calls)
+            result = run_two_stage(inst, lambda view: triage(view.frame, view.graphs,
+                                                             _fresh(view.data), CFG), CFG)
+            out.append((result.trace, len(calls) - before))
+        return out
+
+    def test_lstsq_calls_fall_by_the_bound_decided_refusals(self, monkeypatch):
+        bounded = self._seed42_traces(monkeypatch)
+        monkeypatch.setattr(estimation, "_lcb_bound", _no_bound)
+        exact = self._seed42_traces(monkeypatch)
+        # Every verdict, reason and certificate is the exact path's.
+        assert [trace for trace, _ in bounded] == [trace for trace, _ in exact]
+        by_bound = sum(1 for trace, calls in bounded
+                       if calls == 0 and trace[-1].rule_fired == 3)
+        rule3_rejects = sum(1 for trace, _ in bounded if trace[-1].rule_fired == 3
+                            and trace[-1].decision is Decision.REJECT)
+        assert by_bound > rule3_rejects // 2
+        assert sum(c for _, c in exact) - sum(c for _, c in bounded) == by_bound
+        for trace, calls in bounded:
+            if trace[-1].rule_fired == 3 and calls == 0:
+                assert trace[-1].decision is Decision.REJECT
+            if trace[-1].certificate is not None:  # minted from a least-squares fit
+                assert calls >= 1
+
+    def test_replay_never_computes_the_bound(self, monkeypatch):
+        minted = []
+        for inst in build_benchmark(BenchmarkSpec(seeds=(42,)))[0]:
+            result = run_two_stage(inst, lambda view: triage(view.frame, view.graphs,
+                                                             view.data, CFG), CFG)
+            if result.terminal.certificate is not None:
+                data = inst.experimental if len(result.trace) == 2 else inst.observational
+                minted.append((result.terminal.certificate, data.canonical_bytes()))
+        assert minted
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replay computed the bound")
+
+        monkeypatch.setattr(estimation, "_lcb_bound", refuse)
+        monkeypatch.setattr(estimation, "adjusted_effect_bound", refuse)
+        monkeypatch.setattr(verifier, "adjusted_effect_bound", refuse)
+        assert all(verify_certificate(cert, data) == [] for cert, data in minted)
+
+    def test_a_straddled_threshold_fits_exactly(self, monkeypatch):
+        # tau_u a hair above the exact lcb: the bound cannot say which side
+        # of it the lcb lies, so rule 3 fits, and refuses with its digits.
+        data = worked_data()
+        est = estimation.adjusted_effect(_fresh(data), ["query_volume", "write_volume"],
+                                         treatment_col="add_index",
+                                         outcome_col="latency_savings_ms")
+        calls = _count_lstsq(monkeypatch)
+        v = triage(worked_frame(), [worked_graph()], data,
+                   VerifierConfig(tau_u=np.nextafter(est.lcb, np.inf)))
+        assert (v.decision, v.rule_fired, len(calls)) == (Decision.REJECT, 3, 1)
+        assert v.reason.startswith(f"worst-case lower confidence bound {est.lcb:.6g} ")
+
+    def test_a_bound_whose_ends_print_apart_fits_exactly(self, monkeypatch):
+        # A valid bound, far below tau_u but wide enough that its ends print
+        # different digits: only the exact fit can say which the reason shows.
+        data = worked_data(theta=-3.0)
+        est = estimation.adjusted_effect(_fresh(data), ["query_volume", "write_volume"],
+                                         treatment_col="add_index",
+                                         outcome_col="latency_savings_ms")
+        bound = estimation._lcb_bound
+        monkeypatch.setattr(estimation, "_lcb_bound", lambda *args: bound(*args)._replace(
+            lo=est.lcb - 0.01, hi=est.lcb + 0.01))
+        calls = _count_lstsq(monkeypatch)
+        v = triage(worked_frame(), [worked_graph()], data, CFG)
+        assert (v.decision, v.rule_fired, len(calls)) == (Decision.REJECT, 3, 1)
+        assert v.reason.startswith(f"worst-case lower confidence bound {est.lcb:.6g} ")
+
+    def test_a_clear_refusal_fits_nothing(self, monkeypatch):
+        data = worked_data(theta=-3.0)
+        calls = _count_lstsq(monkeypatch)
+        v = triage(worked_frame(), [worked_graph()], data, CFG)
+        assert (v.decision, v.rule_fired, calls) == (Decision.REJECT, 3, [])
+        monkeypatch.setattr(estimation, "_lcb_bound", _no_bound)
+        assert triage(worked_frame(), [worked_graph()], _fresh(data), CFG) == v
+        assert len(calls) == 1
 
 
 class TestRuleFour:
@@ -780,10 +895,15 @@ class TestFailClosed:
 
     def test_non_finite_bound_fails_certificate_validation(self, monkeypatch):
         # A finite estimate whose bound alone is not finite gets no certificate.
-        fit = verifier.adjusted_effect
+        # Rule 3 takes a backdoor fit from ``adjusted_effect_bound``; an exact
+        # fit's bound is its own lcb.
+        bound_for = verifier.adjusted_effect_bound
         for lcb in (float("nan"), float("inf")):
-            monkeypatch.setattr(verifier, "adjusted_effect",
-                                lambda *a, **k: replace(fit(*a, **k), lcb=lcb))
+            def bounded(*a, lcb=lcb, **k):
+                est = replace(bound_for(*a, **k)[1](), lcb=lcb)
+                return estimation.LcbBound.of(est), lambda: est
+
+            monkeypatch.setattr(verifier, "adjusted_effect_bound", bounded)
             v = triage(worked_frame(), [worked_graph()], worked_data(), CFG)
             assert v.decision is Decision.ABSTAIN and v.rule_fired == 3
             assert v.certificate is None
