@@ -32,11 +32,12 @@ rank test, ``lstsq`` and ``inv`` from ``numpy.linalg._umath_linalg``) with
 the arguments that ``np.linalg.cholesky``, ``np.linalg.lstsq(rcond=None)``
 and ``np.linalg.inv`` pass them: the same signatures, ``rcond`` and
 right-hand-side shape, so the same bits, without the wrappers' per-call
-type checks and error-state contexts.  It needs numpy 2.0 or later, whose
-least squares is one gufunc.  A factorization or solve that fails comes
-back as NaN rather than as ``LinAlgError``: the rank test then finds the
-design singular, and a NaN estimate or bound fails rule 3's finiteness
-check, so the gate abstains.
+type checks and error-state contexts: a fit enters one, ``_QUIET``, and the
+rank test runs under it.  It needs numpy 2.0 or later, whose least squares
+is one gufunc.  A factorization or solve that fails comes back as NaN
+rather than as ``LinAlgError``: the rank test then finds the design
+singular, and a NaN estimate or bound fails rule 3's finiteness check, so
+the gate abstains.
 
 Rule 3 needs the exact lcb only to back an EXECUTE: a refusal needs only the
 sign of lcb - tau_u and the six digits its reason prints.  So the backdoor
@@ -74,6 +75,8 @@ certificate and its text is proved to be the exact path's: an error in the
 bound could cost an EXECUTE, never cause one.  An EXECUTE rests on LAPACK's
 least squares alone, whose floats its certificate holds and replay
 recomputes, so certificates and ``verify_certificate`` never use the bound.
+A query keeps one entry on the frame: its bound, until the exact estimate
+overwrites it.
 """
 
 from __future__ import annotations
@@ -221,9 +224,8 @@ def _pivot_rank_ok(xtx: np.ndarray) -> bool:
     # normal matrix are the squared diagonal of its Cholesky factor; a
     # failed factorization is all NaN, so no pivot clears the tolerance.
     # The diagonals are compared as Python floats: ``p * p`` is the
-    # ``p ** 2`` numpy computes.
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        chol = _lapack.cholesky_lo(xtx, signature="d->d")
+    # ``p ** 2`` numpy computes.  It runs under its caller's ``_QUIET``.
+    chol = _lapack.cholesky_lo(xtx, signature="d->d")
     return all(p * p > _PIVOT_RTOL * d
                for p, d in zip(chol.diagonal().tolist(), xtx.diagonal().tolist()))
 
@@ -246,7 +248,8 @@ def _fits(d: Frame) -> dict:
     Kept in the frame's declared ``_fits`` field, made on the first fit, like
     its digest, because the frame is immutable.  Only a fit that raised
     nothing and dropped no column is kept, so an error is raised, and a
-    dropped column warned about, on every call.
+    dropped column warned about, on every call.  A backdoor query's one
+    entry holds its bound until the exact estimate overwrites it.
     """
     fits = d._fits
     if fits is None:
@@ -385,12 +388,13 @@ def adjusted_effect(d: Frame, adjustment_set, alpha: float = 0.05, *,
 
     Zero-variance adjustment columns are dropped with a warning rather than
     failing; constant covariates can arise at small row counts.  A fit that
-    dropped nothing is kept on the frame and returned again (``_fits``).
+    dropped nothing is kept on the frame and returned again (``_fits``); a
+    bound kept under the same key is not an answer, and the fit overwrites it.
     """
     requested = tuple(adjustment_set)
     key = ("backdoor", requested, alpha, treatment_col, outcome_col)
     known = _fits(d).get(key)
-    if known is not None:
+    if isinstance(known, EffectEstimate):
         return known
     y, design, used = _backdoor_design(d, requested, treatment_col, outcome_col)
     est = _ols_theta(y, design, coef_index=1, alpha=alpha, n=d.n_rows, adjustment_set=used)
@@ -406,20 +410,18 @@ def adjusted_effect_bound(d: Frame, adjustment_set, alpha: float = 0.05, *,
     returns ``adjusted_effect``'s estimate itself.
 
     Both share the fit's front: the same reads, checks, drops and warnings,
-    and so the same errors.  The function finishes the fit from the front's
-    design and inverse, without forming them again.  A bound that dropped
-    no column is kept on the frame, and an exact fit already kept answers as
-    its zero-width bound; once the exact fit is kept, the bound goes.
+    and so the same errors.  The query's one entry on the frame, under
+    ``adjusted_effect``'s key, holds a bound that dropped no column until
+    the exact estimate overwrites it; a kept estimate answers as its
+    zero-width bound.  On a kept entry the function is ``adjusted_effect``;
+    otherwise it finishes the fit from the front's design and inverse.
     """
     requested = tuple(adjustment_set)
+    key = ("backdoor", requested, alpha, treatment_col, outcome_col)
     fits = _fits(d)
-    exact_key = ("backdoor", requested, alpha, treatment_col, outcome_col)
-    known = fits.get(exact_key)
+    known = fits.get(key)
     if known is not None:
-        return LcbBound.of(known), lambda: known
-    key = ("backdoor bound", requested, alpha, treatment_col, outcome_col)
-    bound = fits.get(key)
-    if bound is not None:
+        bound = LcbBound.of(known) if isinstance(known, EffectEstimate) else known
         return bound, functools.partial(adjusted_effect, d, requested, alpha,
                                         treatment_col=treatment_col, outcome_col=outcome_col)
     y, design, used = _backdoor_design(d, requested, treatment_col, outcome_col)
@@ -427,16 +429,12 @@ def adjusted_effect_bound(d: Frame, adjustment_set, alpha: float = 0.05, *,
     with np.errstate(**_QUIET):
         xtx, xtx_inv = _normal_equations(design)
         bound = _lcb_bound(y, design, xtx, xtx_inv, alpha, n, used)
-    complete = len(used) == len(requested)
-    if complete:
-        fits[key] = bound
+    kept = fits if len(used) == len(requested) else {}
+    kept[key] = bound
 
     def exact() -> EffectEstimate:
         with np.errstate(**_QUIET):
-            est = _exact_fit(y, design, xtx_inv, 1, alpha, n, used)
-        if complete:
-            fits[exact_key] = est
-            fits.pop(key, None)
+            kept[key] = est = _exact_fit(y, design, xtx_inv, 1, alpha, n, used)
         return est
 
     return bound, exact
@@ -465,7 +463,7 @@ def unadjusted_difference(d: Frame, alpha: float = 0.05, *,
         raise EstimationError("need at least 3 rows for a pooled-variance difference")
     mean1, mean0 = y1.mean(), y0.mean()
     delta = float(mean1 - mean0)
-    with np.errstate(invalid="ignore", over="ignore"):  # as in ``_ols_theta``
+    with np.errstate(**_QUIET):
         rss = float(((y1 - mean1) ** 2).sum() + ((y0 - mean0) ** 2).sum())
     sigma2 = max(rss, 0.0) / (n1 + n0 - 2)
     se = float(np.sqrt(sigma2 * (1.0 / n1 + 1.0 / n0)))

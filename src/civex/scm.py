@@ -32,9 +32,9 @@ Two regimes:
 Determinism contract: every instance consumes its own counter-based stream
 keyed by a 64-bit hash of (seed, regime, family, index), so generation order
 cannot change results.  A stream's whole state (key, counter, buffer and the
-cached 32-bit half) is one packed record, and ``_stream`` sets a generator
-to it: by default the thread's one scratch generator, which each use sets
-and draws to completion.  A build sets it to each instance's fresh state;
+cached 32-bit half) is one packed record, and ``_stream`` sets the
+thread's one scratch generator to it; each use sets it and draws to
+completion.  A build sets it to each instance's fresh state;
 ``instance_rng`` is a new keyed generator, for a caller that keeps it.  A
 build draws each fixed-length run of uniforms with one call; the numbers and
 their order are those of one scalar call per value.  The two frames are the
@@ -310,10 +310,9 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def _stream(state: bytes, rng: np.random.Generator | None = None) -> np.random.Generator:
-    """``rng``, or the thread's scratch generator, set to the packed Philox ``state``."""
-    if rng is None:
-        rng = _SCRATCH.rng
+def _stream(state: bytes) -> np.random.Generator:
+    """The thread's scratch generator, set to the packed Philox ``state``."""
+    rng = _SCRATCH.rng
     v = _STATE.unpack(state)
     rng.bit_generator.state = {"bit_generator": "Philox",
                                "state": {"key": v[0:2], "counter": v[2:6]},

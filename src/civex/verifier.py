@@ -362,13 +362,9 @@ def triage(
 
     # Rule 3: certified execution on the worst-case bound, with a certificate
     # for the graph whose lower bound is smallest (the first on ties).
-    bounds: list[LcbBound] = []
-    fits: list[Callable[[], EffectEstimate]] = []
     try:
-        for g, proof in zip(graphs, proofs):
-            bound, fit = _bound_for(proof, d, cfg.alpha, g.treatment, g.outcome)
-            bounds.append(bound)
-            fits.append(fit)
+        bounds, fits = zip(*(_bound_for(proof, d, cfg.alpha, g.treatment, g.outcome)
+                             for g, proof in zip(graphs, proofs)))
     except (EstimationError, FrameError) as exc:
         return Verdict(Decision.ABSTAIN, f"estimation failure: {exc}", rule_fired=3)
     # Rows less the intercept, the treatment and the adjustment columns (the

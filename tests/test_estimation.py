@@ -6,12 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from civex.estimation import (
+    _QUIET,
     DegenerateRegressorWarning,
     EstimationError,
     _ndtri,
     _pivot_rank_ok,
     _zero_variance,
     adjusted_effect,
+    adjusted_effect_bound,
     frontdoor_effect,
     one_sided_z,
     provenance_hash,
@@ -245,10 +247,36 @@ class TestAgainstReferenceFit:
                          ids=["zero", "rank_one", "indefinite"])
 def test_rank_check_on_a_singular_matrix_is_silent(xtx):
     # The failed factorization is NaN with the invalid flag raised, which
-    # numpy would report as a RuntimeWarning.
+    # numpy would report as a RuntimeWarning; the rank test runs under its
+    # caller's ``_QUIET``, as every fit calls it.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert not _pivot_rank_ok(xtx)
+        with np.errstate(**_QUIET):
+            assert not _pivot_rank_ok(xtx)
+
+
+@pytest.mark.parametrize("fit", [adjusted_effect, adjusted_effect_bound, frontdoor_effect],
+                         ids=["adjusted_effect", "adjusted_effect_bound", "frontdoor_effect"])
+def test_singular_design_is_refused_silently(fit):
+    # ``x2`` is affine in ``x1`` and ``M`` in ``T``, and rounding leaves the
+    # last Cholesky pivot of each design negative, so the factorization
+    # fails with the invalid flag raised: each fit's own error-state context
+    # must cover its rank test.
+    rng = np.random.default_rng(1)
+    t = (rng.random(30) < 0.5).astype(float)
+    x = rng.normal(size=30)
+    m = 0.3 + 0.7 * t
+    frame = make_frame(t, rng.normal(size=30), [("x1", x), ("x2", 0.1 + 0.3 * x), ("M", m)])
+    if fit is frontdoor_effect:
+        columns, design = ["M"], np.column_stack([np.ones(30), m, t])
+    else:
+        columns, design = ["x1", "x2"], np.column_stack([np.ones(30), t, x, 0.1 + 0.3 * x])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(design.T @ design)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(EstimationError, match="singular design matrix"):
+            fit(frame, columns)
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -425,6 +453,28 @@ class TestEstimateMemo:
         # An equal frame is another object and fits again, to the same bits.
         twin = adjusted_effect(fixture_frame(), ["x1", "x2"])
         assert twin is not first and twin == first
+        # After an exact fit the bound is its zero-width bound, and the bound's
+        # finisher returns the kept estimate itself.
+        bound, finish = adjusted_effect_bound(frame, ["x1", "x2"])
+        assert (bound.lo, bound.hi) == (first.lcb, first.lcb)
+        assert finish() is first
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["memo_hit", "from_the_front"])
+    def test_a_bound_and_its_estimate_share_one_entry(self, kept):
+        # A bound is kept under the estimate's key until the estimate
+        # overwrites it; finished through the memo (a second bound call) or
+        # from the front, the estimate has a fresh fit's bits on a twin frame.
+        frame = fixture_frame()
+        bound, finish = adjusted_effect_bound(frame, ["x1", "x2"])
+        if kept:
+            again, finish = adjusted_effect_bound(frame, ("x1", "x2"))
+            assert again is bound
+        assert [v for k, v in frame._fits.items() if k[0] == "backdoor"] == [bound]
+        assert bound.lo <= FIXTURE_LCB <= bound.hi
+        est = finish()
+        assert repr(est) == repr(adjusted_effect(fixture_frame(), ["x1", "x2"]))
+        assert [v for k, v in frame._fits.items() if k[0] == "backdoor"] == [est]
+        assert adjusted_effect(frame, ["x1", "x2"]) is est
 
     def test_frontdoor_repeat_call_returns_the_identical_estimate(self):
         frame = TestFrontdoorEffect()._frontdoor_frame(n=100)
@@ -442,9 +492,10 @@ class TestEstimateMemo:
 
     def test_positivity_failure_raises_on_every_call(self):
         frame = make_frame(np.ones(20), np.random.default_rng(0).normal(size=20))
-        for _ in range(2):
-            with pytest.raises(EstimationError, match="one treatment arm"):
-                adjusted_effect(frame, [])
+        for fit in (adjusted_effect, adjusted_effect_bound):
+            for _ in range(2):
+                with pytest.raises(EstimationError, match="one treatment arm"):
+                    fit(frame, [])
         for _ in range(2):
             with pytest.raises(EstimationError, match="one treatment arm"):
                 unadjusted_difference(frame)
@@ -459,6 +510,13 @@ class TestEstimateMemo:
             with pytest.warns(DegenerateRegressorWarning, match="flat"):
                 estimates.append(adjusted_effect(frame, ["flat", "x"]))
         assert estimates[0] == estimates[1]
+        # The bound drops the column too, and neither it nor its estimate is kept.
+        for _ in range(2):
+            with pytest.warns(DegenerateRegressorWarning, match="flat"):
+                bound, finish = adjusted_effect_bound(frame, ["flat", "x"])
+            assert bound.adjustment_set == ("x",)
+            assert finish() == estimates[0]
+        assert not any(k[0] == "backdoor" for k in frame._fits)
 
 
 class TestProvenanceHash:

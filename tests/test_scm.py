@@ -228,10 +228,12 @@ class TestPackedState:
         rng = instance_rng(42, regime, family, index)
         rng.random(uniforms)
         rng.integers(0, 2**32, size=halves, dtype=np.uint32)
-        other = instance_rng(43, regime, family, index) if reuse else None
-        resumed = _stream(_state_of(rng), other)
-        if reuse:
-            assert resumed is other
+        if reuse:  # the scratch generator holds another stream, mid-buffer with a cached half
+            other = instance_rng(43, regime, family, index)
+            other.random(3)
+            other.integers(0, 2**32, size=1, dtype=np.uint32)
+            _stream(_state_of(other))
+        resumed = _stream(_state_of(rng))
         assert _philox_state(resumed.bit_generator) == _philox_state(rng.bit_generator)
         for draw in (lambda g: g.integers(0, 2**32, size=n, dtype=np.uint32),
                      lambda g: g.random(n), lambda g: g.standard_normal(n)):
