@@ -559,8 +559,6 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
 
 def _pairwise_rows(run: RunResult) -> list[dict]:
     rows = []
-    if not any(m == CIVEX for m, _ in run.summaries):
-        return rows
     for regime in REGIMES:
         base = run.summaries.get((CIVEX, regime))
         if base is None:
@@ -585,11 +583,14 @@ def _pairwise_rows(run: RunResult) -> list[dict]:
 
 
 def _numeric_stack() -> dict:
-    """numpy's version and the BLAS it was built with.  Certificate bytes hold
-    for one numpy build on one BLAS kernel (ROADMAP threat check 13), so a
-    run that differs elsewhere names its likely cause here."""
-    return {"numpy": np.__version__,
-            "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"]}
+    """numpy's version, the BLAS it was built with and the CPU's SIMD
+    extensions that numpy found, which pick the BLAS kernel (``None`` where
+    the build does not list them).  Certificate bytes hold for one numpy
+    build on one BLAS kernel (ROADMAP threat check 13), so a run that differs
+    elsewhere names its likely cause here."""
+    config = np.show_config(mode="dicts")
+    return {"numpy": np.__version__, "blas": config["Build Dependencies"]["blas"],
+            "simd": config.get("SIMD Extensions", {}).get("found")}
 
 
 def write_run_outputs(run: RunResult, out_dir: Path | None = None) -> dict:

@@ -9,14 +9,15 @@ over standardized confounders u~_i, plants a signed effect theta, and emits
 a committed graph, an observational frame, and a paired frame with randomly
 assigned treatment.  Hidden confounders drive T and Y but are never emitted
 as columns; their presence surfaces only as a bidirected treatment-outcome
-edge in the committed graph.  A build draws exactly the frames the gate
-reads: the observational frame when the committed graph identifies the
-effect (rule 3 certifies on it), and the trial frame when it does not and
-the action is reversible (rule 4 runs the trial).  Every other frame is a
-``DeferredFrame`` drawn on first read from the same stream: the trial frame
-of an identified effect, the observational frame of a reversible action
-whose effect is unidentified, and both frames of an irreversible one (rule
-4 abstains on the graph alone).
+edge in the committed graph.  Every frame has one draw, ``_ResumedDraw``,
+from the stream state where the observational frame starts.  A build runs
+it for exactly the frames the gate reads: the observational frame when the
+committed graph identifies the effect (rule 3 certifies on it), and the
+trial frame when it does not and the action is reversible (rule 4 runs the
+trial).  Every other frame is a ``DeferredFrame`` that runs it on first
+read: the trial frame of an identified effect, the observational frame of a
+reversible action whose effect is unidentified, and both frames of an
+irreversible one (rule 4 abstains on the graph alone).
 
 Two regimes:
 
@@ -41,10 +42,11 @@ their order are those of one scalar call per value.  The two frames are the
 stream's last draws, the paired one last, and one schedule, ``_runs``, makes
 a frame's generator calls: ``_frame_data`` computes the frame from its runs,
 and ``_pass_over`` runs it out unread.  A build packs the state where the
-observational frame starts, and passes over that frame when it draws only
-the trial frame; a deferred frame sets the scratch generator to that state,
-passes over the observational frame too if it is the trial frame, and draws
-the same bits without hashing the coordinates.  Instances of one shape share
+observational frame starts; each frame's draw, at build or deferred, sets
+the scratch generator to that state, passes over the observational frame if
+it is the trial frame, and draws the bits without hashing the coordinates.
+Counter-based streams make those bits depend on the packed state alone, so
+a frame is the same whenever it is drawn.  Instances of one shape share
 their committed graph, which is immutable, so graph-keyed caches hit by
 identity; each instance builds its own action frame.
 """
@@ -213,14 +215,16 @@ class ScmInstance:
     """One benchmark instance: the action, its committed graph, the SCM and
     its data.
 
+    Both frames come from one ``_ResumedDraw`` each, which resumes the
+    instance's stream where the observational frame starts.
     ``observational`` is drawn with the instance only when the committed
     graph identifies the effect, the one case in which rule 3 reads it.
     ``experimental``, the paired randomized frame, is drawn with the instance
     only when the action is reversible and the graph does not identify the
     effect, the one case in which the gate runs the trial.  Every other frame
-    is a ``DeferredFrame`` that resumes the instance's stream on its first
-    read and draws the bits an eager draw would.  Copies such as
-    ``dataclasses.replace`` share the frame objects, and with them each draw.
+    is a ``DeferredFrame`` that runs its draw on its first read.  Copies such
+    as ``dataclasses.replace`` share the frame objects, and with them each
+    draw.
     """
 
     id: InstanceId
@@ -432,16 +436,11 @@ def _pass_over(spec: ScmSpec, n_rows: int, rng: np.random.Generator) -> None:
         pass
 
 
-def _trial_data(spec: ScmSpec, n_rows: int, rng: np.random.Generator) -> np.ndarray:
-    """The trial frame's array, passing over the observational frame at ``rng``."""
-    _pass_over(spec, n_rows, rng)
-    return _frame_data(spec, n_rows, True, rng)
-
-
 class _ResumedDraw(NamedTuple):
-    """A deferred frame's draw from the packed stream ``state`` where the
-    instance's observational frame starts: that frame, or, if ``trial``, the
-    paired frame, through ``_trial_data``: the build's own schedule, ``_runs``."""
+    """The one draw of an instance's frame, at build or on a deferred frame's
+    first read, from the packed stream ``state`` where the instance's
+    observational frame starts: that frame, or, if ``trial``, the paired
+    frame, after passing over the observational one."""
 
     state: bytes
     spec: ScmSpec
@@ -450,8 +449,9 @@ class _ResumedDraw(NamedTuple):
 
     def __call__(self) -> np.ndarray:
         rng = _stream(self.state)
-        return (_trial_data(self.spec, self.n_rows, rng) if self.trial
-                else _frame_data(self.spec, self.n_rows, False, rng))
+        if self.trial:
+            _pass_over(self.spec, self.n_rows, rng)
+        return _frame_data(self.spec, self.n_rows, self.trial, rng)
 
 
 @functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
@@ -588,11 +588,13 @@ def sample_instance(
     if regime not in REGIMES:
         raise ValueError(f"unknown regime '{regime}'")
     return _sample(InstanceId(seed=seed, regime=regime, family=family, index=idx),
-                   bspec or BenchmarkSpec(), _stream(_fresh_state(seed, regime, family, idx)))
+                   bspec or BenchmarkSpec())
 
 
-def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator) -> ScmInstance:
+def _sample(inst_id: InstanceId, bspec: BenchmarkSpec) -> ScmInstance:
+    """Draw the instance at ``inst_id`` from its own fresh stream."""
     family, regime = inst_id.family, inst_id.regime
+    rng = _stream(_fresh_state(inst_id.seed, regime, family, inst_id.index))
     theta, intercept = _draw_effect(regime, rng)
     if regime == MODERATE:
         spec = _draw_moderate_spec(family, theta, intercept, rng,
@@ -605,25 +607,17 @@ def _sample(inst_id: InstanceId, bspec: BenchmarkSpec, rng: np.random.Generator)
     graph = _committed_graph(tuple(c.name for c in spec.observed), bool(spec.hidden_confounders))
     columns, n_rows = _frame_columns(spec), bspec.n_rows
 
-    # Draw what the gate reads: the observational frame when the committed
-    # graph identifies the effect (rule 3 certifies on it), the trial frame
-    # when it does not and the action is reversible (rule 4 runs the trial),
-    # and neither when rule 4 abstains on the graph alone.  Every other frame
-    # resumes the stream where the observational frame starts.
+    # Both frames are drawn from the state where the observational frame
+    # starts.  Draw now what the gate reads: the observational frame when the
+    # committed graph identifies the effect (rule 3 certifies on it), the
+    # trial frame when it does not and the action is reversible (rule 4 runs
+    # the trial), and neither when rule 4 abstains on the graph alone.  Every
+    # other frame draws on its first read.
     state = _state_of(rng)
-
-    def deferred(trial: bool) -> DeferredFrame:
-        return DeferredFrame(columns, _ResumedDraw(state, spec, n_rows, trial))
-
-    identified = identify(graph).identified
-    if identified:
-        observational = Frame._adopt(columns, _frame_data(spec, n_rows, False, rng))
-        experimental = deferred(True)
-    elif reversible:
-        observational = deferred(False)
-        experimental = Frame._adopt(columns, _trial_data(spec, n_rows, rng))
-    else:
-        observational, experimental = deferred(False), deferred(True)
+    read = (False,) if identify(graph).identified else (True,) if reversible else ()
+    draws = [_ResumedDraw(state, spec, n_rows, trial) for trial in (False, True)]
+    observational, experimental = [Frame._adopt(columns, draw()) if draw.trial in read
+                                   else DeferredFrame(columns, draw) for draw in draws]
     return ScmInstance(
         id=inst_id,
         frame=ActionFrame(tool=FAMILY_TOOLS[family], target_variable=TREATMENT_NODE,
@@ -712,8 +706,7 @@ def build_benchmark(
     output is sorted by (seed, regime, family, index).
     """
     with collection_deferred(bspec.n_instances(regimes)):
-        instances = [_sample(InstanceId(seed, regime, family, idx), bspec,
-                             _stream(_fresh_state(seed, regime, family, idx)))
+        instances = [_sample(InstanceId(seed, regime, family, idx), bspec)
                      for seed in bspec.seeds for regime in regimes for family in FAMILIES
                      for idx in range(bspec.per_family(regime))]
         instances.sort(key=lambda inst: instance_sort_key(inst.id))

@@ -470,11 +470,26 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
     declared risk comes from the action, not the data, so replay cannot
     reproduce it; rule 3 checks it against ``tau_r`` when it mints the
     certificate.  Returns the names of mismatched fields; an empty list
-    means the replay reproduced the certificate exactly.
+    means the replay reproduced the certificate exactly.  A certificate that
+    skipped its constructor may hold a graph or proof that replay cannot
+    read: one of another type, or a graph with a field that does not hash.
+    Each is named with its defect, and nothing else is replayed.
     """
     mismatches: list[str] = []
     if hashlib.sha256(data_bytes).hexdigest() != cert.provenance:
         mismatches.append("provenance")
+        return mismatches
+    for name, cls, kind in (("graph", CausalGraph, "a CausalGraph"),
+                            ("proof", IdentificationResult, "an IdentificationResult")):
+        value = getattr(cert, name)
+        if not isinstance(value, cls):
+            mismatches.append(f"{name} (a {type(value).__name__} is not {kind})")
+    if not mismatches:
+        try:
+            hash(cert.graph)  # graph_digest's memo keys by it
+        except TypeError:  # a field of the wrong kind, which the validator names
+            mismatches.append(f"graph ({validate_graph(cert.graph)})")
+    if mismatches:
         return mismatches
     if graph_digest(cert.graph) != cert.graph_sha256:
         mismatches.append("graph_sha256")

@@ -183,10 +183,21 @@ class TestRunCommand:
         cfg = write_config(tmp_path, "stack")
         assert CliRunner().invoke(main, ["run", "--config", str(cfg)]).exit_code == 0
         manifest = json.loads((tmp_path / "stack" / "manifest.json").read_text(encoding="utf-8"))
+        config = np.show_config(mode="dicts")
         assert manifest["numeric_stack"] == {
             "numpy": np.__version__,
-            "blas": np.show_config(mode="dicts")["Build Dependencies"]["blas"],
+            "blas": config["Build Dependencies"]["blas"],
+            "simd": config["SIMD Extensions"]["found"],
         }
+        assert all(isinstance(name, str) for name in manifest["numeric_stack"]["simd"])
+
+    def test_numeric_stack_without_simd_entry_records_null(self, monkeypatch):
+        # A numpy build whose config lists no SIMD extensions: the manifest,
+        # written after every other output, records null instead of failing.
+        config = {"Build Dependencies": {"blas": {"name": "openblas"}}}
+        monkeypatch.setattr(np, "show_config", lambda mode=None: config)
+        assert runner._numeric_stack() == {"numpy": np.__version__,
+                                           "blas": {"name": "openblas"}, "simd": None}
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg_a = write_config(tmp_path, "runa")

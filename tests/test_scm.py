@@ -696,6 +696,45 @@ class TestScratchGenerator:
         assert read[0] == read[1][::-1] == expected
 
 
+class TestOneDrawPath:
+    """Every frame an instance holds is drawn by ``_ResumedDraw``, at build or
+    on first read, and ``_frame_data`` is reached only through it."""
+
+    def test_every_frame_is_drawn_through_the_resumed_draw(self, monkeypatch):
+        calls, outside, depth = [], [], [0]
+        call, frame_data = scm._ResumedDraw.__call__, scm._frame_data
+
+        def spy_call(draw):
+            calls.append(draw.trial)
+            depth[0] += 1
+            try:
+                return call(draw)
+            finally:
+                depth[0] -= 1
+
+        def spy_frame_data(*args):
+            if not depth[0]:
+                outside.append(args)
+            return frame_data(*args)
+
+        monkeypatch.setattr(scm._ResumedDraw, "__call__", spy_call)
+        monkeypatch.setattr(scm, "_frame_data", spy_frame_data)
+        instances, _ = build_benchmark(replace(SMALL, seeds=(42,)))
+        frames = [(frame, trial) for inst in instances
+                  for frame, trial in ((inst.observational, False), (inst.experimental, True))]
+        drawn = [trial for frame, trial in frames if not _undrawn(frame)]
+        assert sorted(calls) == sorted(drawn)
+        assert False in drawn and True in drawn
+        assert outside == []
+        # The deferred frames, on first read, go the same way.
+        deferred = [(frame, trial) for frame, trial in frames if _undrawn(frame)]
+        for frame, _ in deferred:
+            frame.data
+        assert len(calls) == len(frames) == len(drawn) + len(deferred)
+        assert sorted(calls) == sorted(trial for _, trial in frames)
+        assert outside == []
+
+
 def _undrawn(frame) -> bool:
     return isinstance(frame, DeferredFrame) and not frame.drawn
 

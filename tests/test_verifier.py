@@ -997,6 +997,26 @@ class TestFailClosed:
         mismatches = verify_certificate(unchecked(cert, alpha="0.05"), data.canonical_bytes())
         assert len(mismatches) == 1 and mismatches[0].startswith("estimation")
 
+    @pytest.mark.parametrize("edit, expected", [
+        (lambda c: unchecked(c, graph=None), ["graph (a NoneType is not a CausalGraph)"]),
+        (lambda c: unchecked(c, graph="g"), ["graph (a str is not a CausalGraph)"]),
+        (lambda c: unchecked(c, graph=unchecked(c.graph, nodes=sorted(c.graph.nodes))),
+         ["graph (nodes must be a list of node names (strings), got ['add_index', "
+          "'latency_savings_ms', 'query_volume', 'write_volume'])"]),
+        (lambda c: unchecked(c, proof=None), ["proof (a NoneType is not an IdentificationResult)"]),
+        (lambda c: unchecked(c, proof=dump(c.proof)),
+         ["proof (a dict is not an IdentificationResult)"]),
+        (lambda c: unchecked(c, graph=None, proof=None),
+         ["graph (a NoneType is not a CausalGraph)",
+          "proof (a NoneType is not an IdentificationResult)"]),
+    ], ids=["graph-none", "graph-str", "graph-list-nodes", "proof-none", "proof-dict", "both"])
+    def test_record_past_the_constructor_is_a_replay_mismatch(self, edit, expected):
+        # A certificate whose graph or proof skipped its constructor is named,
+        # not replayed: replay promises a list of mismatches, never an exception.
+        data = worked_data()
+        cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
+        assert verify_certificate(edit(cert), data.canonical_bytes()) == expected
+
     def test_nan_thresholds_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             VerifierConfig(tau_u=float("nan"))
