@@ -17,7 +17,7 @@ import click
 
 from .config import load
 from .frames import FrameError
-from .verifier import certificate_from_json_dict, verify_certificate
+from .verifier import VerifierConfig, certificate_from_json_dict, verify_certificate
 
 # The benchmark modules (civex.runner, civex.scm, civex.baselines) are imported
 # by the commands that use them, so `verify-cert` loads only the gate.
@@ -40,6 +40,16 @@ def _fixed_grid(kind: str, what: str) -> str:
             f"so it takes no {what}")
 
 
+def _read_document(config_path: str | None):
+    """The JSON document at ``config_path``, or an empty one without a path."""
+    if not config_path:
+        return {}
+    try:
+        return json.loads(Path(config_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise click.ClickException(f"cannot read config {config_path}: {exc}")
+
+
 def _load_config(config_path: str | None = None, seed_list: str | None = None,
                  methods: str | None = None, n_rows: int | None = None,
                  strength: float | None = None, out: str | None = None,
@@ -50,12 +60,7 @@ def _load_config(config_path: str | None = None, seed_list: str | None = None,
     from .runner import REGENERATING_SWEEPS, SWEEP_METHODS, RunConfig
     if fixed_sweep is not None and (seed_list is not None or strength is not None):
         raise click.UsageError(_fixed_grid(fixed_sweep, "--seed-list or --strength"))
-    obj = {}
-    if config_path:
-        try:
-            obj = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise click.ClickException(f"cannot read config {config_path}: {exc}")
+    obj = _read_document(config_path)
     flags = {
         "seeds": None if seed_list is None else [_seed(s) for s in _items(seed_list)],
         "methods": None if methods is None else _items(methods),
@@ -200,18 +205,23 @@ def _read_bytes(path: str) -> bytes:
 @main.command("verify-cert")
 @click.argument("cert_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("data_path", type=click.Path(exists=True, dir_okay=False))
-def verify_cert(cert_path, data_path) -> None:
-    """Replay a stored certificate against stored data; exit 0 on exact match."""
+@click.option("--config", "config_path", type=click.Path(), help="JSON policy document.")
+def verify_cert(cert_path, data_path, config_path) -> None:
+    """Replay a stored certificate against stored data under the policy; exit 0 on exact match."""
+    try:
+        cfg = load(VerifierConfig, _read_document(config_path))
+    except ValueError as exc:
+        raise click.ClickException(f"invalid configuration: {exc}")
     blob, data = _read_bytes(cert_path), _read_bytes(data_path)
     try:
         cert = certificate_from_json_dict(json.loads(blob.decode("utf-8")))
     except (ValueError, RecursionError) as exc:  # a decoding error, or nesting too deep
         raise click.ClickException(f"cannot parse certificate: {exc}")
-    mismatches = verify_certificate(cert, data)
+    mismatches = verify_certificate(cert, data, cfg)
     if mismatches:
         click.echo(f"certificate mismatch: {', '.join(mismatches)}")
         sys.exit(1)
-    click.echo("certificate verified: digests and estimate reproduce exactly")
+    click.echo("certificate verified: digests and estimate reproduce exactly; the policy held")
 
 
 if __name__ == "__main__":

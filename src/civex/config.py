@@ -95,8 +95,8 @@ def distinct(values) -> bool:  # non-empty and without repeats
     return 0 < len(values) == len(set(values))
 
 
-def setting(default, kind: Kind, must: str, check: Callable[[Any], bool] = lambda v: True):
-    """A record field with its default, kind, requirement and check."""
+def setting(default, kind: Kind, must: str, check: Callable[[Any], bool] | None = None):
+    """A record field with its default, kind, requirement and check, if any."""
     metadata = {_SETTING: (kind, check, must)}
     if isinstance(default, dict):  # a mutable default needs a factory
         return field(default_factory=lambda: dict(default), metadata=metadata)
@@ -122,7 +122,7 @@ def check_fields(obj) -> None:
     for f, kind, check, must in _table(type(obj)):
         if kind is not None:
             value = getattr(obj, f.name)
-            if not (kind.holds(value) and check(value)):
+            if not kind.holds(value) or check is not None and not check(value):
                 raise ValueError(f"{f.name} must be {must}, got {_shown(value)}")
 
 

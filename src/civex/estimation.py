@@ -73,8 +73,8 @@ the bound settles every refusal whose six printed digits it does not
 straddle.  A refusal may rest on the bound because it carries no
 certificate and its text is proved to be the exact path's: an error in the
 bound could cost an EXECUTE, never cause one.  An EXECUTE rests on LAPACK's
-least squares alone, whose floats its certificate holds and replay
-recomputes, so certificates and ``verify_certificate`` never use the bound.
+least squares alone: its certificate holds those floats, and replay, which
+runs rule 3 again, compares them; no certificate holds a number of the bound.
 A query keeps one entry on the frame: its bound, until the exact estimate
 overwrites it.
 """

@@ -100,16 +100,16 @@ class Frame:
 
     @classmethod
     def _adopt(cls, columns: tuple[str, ...], data: np.ndarray, *,
-               finite: bool = False) -> "Frame":
+               finite: bool = False, sha256: str | None = None) -> "Frame":
         """A frame that takes ``data``, a C-ordered float64 array no one else
-        holds, without copying it.
+        holds, without copying it, and keeps ``sha256`` as its digest.
 
         The constructor's checks all run, but the finiteness scan is skipped
         when ``finite`` says that the caller has shown every value finite.
         """
         frame = object.__new__(cls)
         object.__setattr__(frame, "columns", columns)
-        object.__setattr__(frame, "_sha256", None)
+        object.__setattr__(frame, "_sha256", sha256)
         object.__setattr__(frame, "_fits", None)
         frame._own(data, finite=finite)
         return frame
@@ -212,13 +212,14 @@ class Frame:
         return digest
 
     @classmethod
-    def from_canonical_bytes(cls, blob: bytes) -> "Frame":
+    def from_canonical_bytes(cls, blob: bytes, *, sha256: str | None = None) -> "Frame":
         """Parse the canonical bytes; anything malformed raises ``FrameError``.
 
         All values are converted in one call, which accepts and rounds
         exactly as Python ``float()`` does (see the module docstring).  Every
         row must hold one value per column: a blank line, an empty field or a
-        trailing newline is refused.
+        trailing newline is refused.  A caller that has hashed ``blob`` passes
+        the digest as ``sha256``, kept as the frame's: bytes bound as given.
         """
         if not blob.isascii():
             try:
@@ -246,7 +247,8 @@ class Frame:
                 # as fast as ``np.fromiter``, and the bits are the same.
                 # orjson refuses infinities (and has no NaN), so no rescan.
                 data = np.frombuffer(struct.pack(f"{n_rows * k}d", *values), np.float64)
-                return cls._adopt(columns, data.reshape(n_rows, k), finite=True)
+                return cls._adopt(columns, data.reshape(n_rows, k), finite=True,
+                                  sha256=sha256)
         # Any other text: name the first ragged row, then cast the values.
         lines = body.split(b"\n") if newline else []
         for i, line in enumerate(lines):
@@ -255,7 +257,7 @@ class Frame:
                                  f"for {k} columns")
         values = _str_cast(body.decode("utf-8").replace("\n", ",").split(",")
                            if newline else [])
-        return cls._adopt(columns, values.reshape(len(lines), k))
+        return cls._adopt(columns, values.reshape(len(lines), k), sha256=sha256)
 
     def to_json_obj(self) -> dict:
         return {"columns": list(self.columns), "rows": self.data.tolist()}

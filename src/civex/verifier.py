@@ -25,6 +25,8 @@ Rules, in order:
 Every EXECUTE issued by rule 3 carries a certificate binding the committed
 graph, the assumption labels, the identification proof, the estimate with
 its one-sided bound, the provenance hash of the data, and the declared risk.
+Replay (``verify_certificate``) mints the certificate again through ``triage``
+under a given policy and compares, so rule 3's thresholds exist once.
 
 The gate's input, ``ActionFrame``, is defined here.  The benchmark
 (``civex.scm``) is a client of this module, which imports the benchmark for
@@ -47,7 +49,6 @@ from .estimation import (
     EffectEstimate,
     EstimationError,
     LcbBound,
-    adjusted_effect,
     adjusted_effect_bound,
     frontdoor_effect,
     provenance_hash,
@@ -55,7 +56,6 @@ from .estimation import (
 from .frames import Frame, FrameError
 from .graphs import (
     CausalGraph,
-    GraphError,
     IdentificationKind,
     IdentificationResult,
     graph_digest,
@@ -136,8 +136,9 @@ class ActionFrame:
 
 @dataclass(frozen=True, slots=True)
 class Certificate:
-    """What an EXECUTE rests on.  Replay compares ``n`` and the floats by value
-    and cannot check ``risk``, so the reader checks their kinds and the risk."""
+    """What an EXECUTE rests on.  Replay mints it again and compares every
+    field by value, so the reader checks each field's kind: ``400.0`` would
+    pass for a row count of 400."""
 
     graph: CausalGraph = setting(REQUIRED, record(CausalGraph), "a committed graph (an object)")
     graph_sha256: str = setting(REQUIRED, STR, "a string")
@@ -275,29 +276,17 @@ def _malformed_reason(frame: ActionFrame, graphs: Sequence[CausalGraph], d: Fram
     return None
 
 
-def _estimate_for(
-    proof: IdentificationResult, d: Frame, alpha: float,
-    treatment: str, outcome: str,
-) -> EffectEstimate:
-    if proof.kind is IdentificationKind.BACKDOOR:
-        return adjusted_effect(d, proof.adjustment_set, alpha=alpha,
-                               treatment_col=treatment, outcome_col=outcome)
-    if proof.kind is IdentificationKind.FRONTDOOR:
-        return frontdoor_effect(d, proof.mediator_set, alpha=alpha,
-                                treatment_col=treatment, outcome_col=outcome)
-    raise EstimationError("cannot estimate an unidentified effect")
-
-
 def _bound_for(
     proof: IdentificationResult, d: Frame, alpha: float,
     treatment: str, outcome: str,
 ) -> tuple[LcbBound, Callable[[], EffectEstimate]]:
-    """A certified bound on the lcb ``_estimate_for`` gives, and a function
-    that gives that estimate; a frontdoor fit's bound is its own lcb."""
+    """A certified bound on the lcb of an identifying ``proof``'s estimate, and
+    a function that gives that estimate; a frontdoor fit's bound is its lcb."""
     if proof.kind is IdentificationKind.BACKDOOR:
         return adjusted_effect_bound(d, proof.adjustment_set, alpha=alpha,
                                      treatment_col=treatment, outcome_col=outcome)
-    est = _estimate_for(proof, d, alpha, treatment, outcome)
+    est = frontdoor_effect(d, proof.mediator_set, alpha=alpha,
+                           treatment_col=treatment, outcome_col=outcome)
     return LcbBound.of(est), lambda: est
 
 
@@ -461,24 +450,27 @@ def certificate_from_json_dict(obj: Mapping) -> Certificate:
     return load(Certificate, obj)
 
 
-def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
-    """Replay a stored certificate against stored data.
+def verify_certificate(cert: Certificate, data_bytes: bytes,
+                       cfg: VerifierConfig = VerifierConfig()) -> list[str]:
+    """Replay a stored certificate against stored data under the policy ``cfg``.
 
-    Recomputes from scratch the provenance digest, the graph commitment
-    digest, the identification proof and the estimate (point value, standard
-    error, bound and row count), and checks the assumption labels.  The
-    declared risk comes from the action, not the data, so replay cannot
-    reproduce it; rule 3 checks it against ``tau_r`` when it mints the
-    certificate.  Returns the names of mismatched fields; an empty list
-    means the replay reproduced the certificate exactly.  A certificate that
-    skipped its constructor may hold a graph or proof that replay cannot
-    read: one of another type, or a graph with a field that does not hash.
-    Each is named with its defect, and nothing else is replayed.
+    Data whose SHA-256 is not ``provenance`` give ``provenance``; a graph or
+    proof that skipped its constructor and that replay cannot read (one of
+    another type, or a graph with a field that does not hash) is named with
+    its defect; data that do not parse give ``estimation (…)``.  Otherwise
+    replay mints the certificate again: ``triage`` runs under ``cfg`` with the
+    certificate's graph as the committed set and the action it stands for
+    (the graph's treatment and outcome, target value 1.0, ``risk`` as the
+    cost).  A verdict other than EXECUTE is the one mismatch ``policy (<its
+    reason>)``; an EXECUTE gives the fields that differ from the re-minted
+    certificate, in declaration order, ``alpha`` among them.  The certificate
+    names no action, so ``cfg.forbidden_tools`` cannot apply, and the parsed
+    frame keeps the checked digest, so the bytes are bound as given.
     """
+    digest = hashlib.sha256(data_bytes).hexdigest()
+    if digest != cert.provenance:
+        return ["provenance"]
     mismatches: list[str] = []
-    if hashlib.sha256(data_bytes).hexdigest() != cert.provenance:
-        mismatches.append("provenance")
-        return mismatches
     for name, cls, kind in (("graph", CausalGraph, "a CausalGraph"),
                             ("proof", IdentificationResult, "an IdentificationResult")):
         value = getattr(cert, name)
@@ -486,29 +478,25 @@ def verify_certificate(cert: Certificate, data_bytes: bytes) -> list[str]:
             mismatches.append(f"{name} (a {type(value).__name__} is not {kind})")
     if not mismatches:
         try:
-            hash(cert.graph)  # graph_digest's memo keys by it
+            hash(cert.graph)  # identify's memo keys by it
         except TypeError:  # a field of the wrong kind, which the validator names
             mismatches.append(f"graph ({validate_graph(cert.graph)})")
     if mismatches:
         return mismatches
-    if graph_digest(cert.graph) != cert.graph_sha256:
-        mismatches.append("graph_sha256")
-    if cert.assumptions != ASSUMPTION_LABELS:
-        mismatches.append("assumptions")
     try:
-        if identify(cert.graph) != cert.proof:
-            mismatches.append("proof")
-    except GraphError as exc:
-        mismatches.append(f"proof ({exc})")
+        frame = Frame.from_canonical_bytes(data_bytes, sha256=digest)
+    except ValueError as exc:
+        return [f"estimation ({exc})"]
+    # A certificate names no tool, so the action's tool names no real one.
     try:
-        frame = Frame.from_canonical_bytes(data_bytes)
-        estimate = _estimate_for(cert.proof, frame, cert.alpha,
-                                 cert.graph.treatment, cert.graph.outcome)
-    except (EstimationError, FrameError, TypeError, ValueError) as exc:
-        mismatches.append(f"estimation ({exc})")
-        return mismatches
-    for name, value in (("theta_hat", estimate.theta_hat), ("std_err", estimate.std_err),
-                        ("lcb_alpha", estimate.lcb), ("n", estimate.n)):
-        if value != getattr(cert, name):
-            mismatches.append(name)
-    return mismatches
+        action = ActionFrame("(certificate replay)", cert.graph.treatment, 1.0,
+                             cert.graph.outcome, cert.risk, reversible=False)
+    except ValueError as exc:  # a risk or graph role that skipped its constructor
+        return [f"policy (malformed action frame: {exc})"]
+    v = triage(action, [cert.graph], frame, cfg)
+    if v.decision is not Decision.EXECUTE:
+        return [f"policy ({v.reason})"]
+    if v.certificate == cert:  # one comparison settles the usual case
+        return []
+    return [f.name for f in fields(Certificate)
+            if getattr(v.certificate, f.name) != getattr(cert, f.name)]

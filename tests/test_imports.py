@@ -115,11 +115,17 @@ def test_verify_cert_loads_no_benchmark_module(tmp_path):
     write_run_outputs(run_benchmark(RunConfig(bench=bench, methods=("CIVeX",))), tmp_path)
     cert = sorted(tmp_path.glob("certificates/*/*.cert.json"))[0]
     data = cert.with_name(cert.name.replace(".cert.json", ".data.txt"))
-    result = _fresh(VERIFY_SCRIPT, str(cert), str(data))
-    assert result["verify_exit"] == 0
-    assert "civex.cli" in result["modules"]
+    # The policy document is read by the gate's own config reader, so
+    # `--config` loads no benchmark module either.
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({"tau_u": 0.0, "forbidden_tools": ["drop_table"]}),
+                      encoding="utf-8")
     benchmark = {"civex.runner", "civex.scm", "civex.baselines", "civex.evaluation"}
-    assert benchmark.isdisjoint(result["modules"])
+    for args in ((), ("--config", str(policy))):
+        result = _fresh(VERIFY_SCRIPT, str(cert), str(data), *args)
+        assert result["verify_exit"] == 0
+        assert "civex.cli" in result["modules"]
+        assert benchmark.isdisjoint(result["modules"])
 
 
 @pytest.mark.parametrize("name", ["civex"] + [

@@ -4,8 +4,10 @@ Random committed graphs (``oracles.random_graph``), data frames drawn from a
 linear model over the graph, and action frames, some of them malformed or
 not of their kind.  Whatever the input, ``triage`` returns a verdict; an EXECUTE from rule 3
 carries a certificate for the action's exact query whose bound is finite,
-clears ``tau_u`` and replays to nothing.  ``civex verify-cert`` ends every
-mutated certificate and data file in exit 0, exit 1 or a clean error; the
+clears ``tau_u`` and replays to nothing under the policy it was minted
+under.  ``civex verify-cert`` ends every mutated certificate and data file,
+under no policy document, a valid one or a malformed one, in exit 0, exit 1
+or a clean error; the
 typed reader gives an action frame, committed graph or certificate document
 with one key dropped, added or retyped, or one list item replaced, back as the
 record or as a ``ValueError`` naming that key; and every mutated config
@@ -195,7 +197,7 @@ def _triage_and_check(committed, data, action: ActionFrame, cfg: VerifierConfig)
     assert action.cost <= cfg.tau_r and cert.risk == action.cost
     assert ((cert.graph.treatment, cert.graph.outcome)
             == (action.target_variable, action.utility_variable))
-    assert verify_certificate(cert, data.canonical_bytes()) == []
+    assert verify_certificate(cert, data.canonical_bytes(), cfg) == []
     return v
 
 
@@ -318,6 +320,11 @@ SWAPPED_VALUES = {
 MUTATIONS = st.tuples(st.sampled_from(CERT_PATHS),
                       st.sampled_from(("drop", *sorted(SWAPPED_VALUES))))
 DATA_MUTATIONS = ("none", "truncate", "flip", "non_utf8", "empty")
+# The text of verify-cert's --config document: None for no flag, then valid
+# policies, then malformed documents.
+POLICY_TEXTS = (None, "{}", '{"tau_u": 100}', '{"alpha": 0.999, "tau_u": -3.0}',
+                '{"tau_r": 0}', '{"forbidden_tools": ["add_index"]}',
+                '{"tau_x": 1}', '{"alpha": "0.05"}', '{"tau_u": NaN}', "[]", "{")
 TEXT_MUTATIONS = ("none", "truncate", "non_utf8")
 
 
@@ -380,11 +387,13 @@ def _corrupt(blob: bytes, how: str, at: float) -> bytes:
     text_mutation=st.sampled_from(TEXT_MUTATIONS),
     at=st.floats(0.0, 1.0),
     resign=st.booleans(),
+    policy=st.sampled_from(POLICY_TEXTS),
 )
 # A list-valued treatment crashed the proof replay in the identify cache.
 @example(mutations=[(("graph", "treatment"), "str_list")], data_mutation="none",
-         text_mutation="none", at=0.0, resign=False)
-def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, resign):
+         text_mutation="none", at=0.0, resign=False, policy=None)
+def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, resign,
+                                  policy):
     doc, blob = _stored_certificate()
     doc = copy.deepcopy(doc)
     data = _corrupt(blob, data_mutation, at)
@@ -398,9 +407,13 @@ def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, r
         cert_path, data_path = Path(tmp) / "c.cert.json", Path(tmp) / "c.data.txt"
         cert_path.write_bytes(text)
         data_path.write_bytes(data)
+        args = ["verify-cert", str(cert_path), str(data_path)]
+        if policy is not None:
+            (Path(tmp) / "policy.json").write_text(policy, encoding="utf-8")
+            args += ["--config", str(Path(tmp) / "policy.json")]
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore")
-            result = CliRunner().invoke(main, ["verify-cert", str(cert_path), str(data_path)])
+            result = CliRunner().invoke(main, args)
     assert result.exception is None or isinstance(result.exception, SystemExit), \
         repr(result.exception)
     assert result.exit_code in (0, 1)
@@ -408,7 +421,9 @@ def test_verify_cert_ends_cleanly(mutations, data_mutation, text_mutation, at, r
         assert "certificate verified" in result.output
     else:
         assert ("certificate mismatch:" in result.output
-                or result.output.startswith("Error: cannot parse certificate"))
+                or result.output.startswith(("Error: cannot parse certificate",
+                                             "Error: invalid configuration",
+                                             "Error: cannot read config")))
 
 
 # ------------------------------------------------------------ the typed reader

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -297,7 +298,10 @@ class TestRefusalBound:
             if trace[-1].certificate is not None:  # minted from a least-squares fit
                 assert calls >= 1
 
-    def test_replay_never_computes_the_bound(self, monkeypatch):
+    def test_replay_rests_on_the_exact_fit_alone(self, monkeypatch):
+        # Replay is triage again, so it computes the bound; with the bound
+        # forced to the whole line it still reproduces every certificate,
+        # so the numbers it compares come from the exact fit.
         minted = []
         for inst in build_benchmark(BenchmarkSpec(seeds=(42,)))[0]:
             result = run_two_stage(inst, lambda view: triage(view.frame, view.graphs,
@@ -306,13 +310,7 @@ class TestRefusalBound:
                 data = inst.experimental if len(result.trace) == 2 else inst.observational
                 minted.append((result.terminal.certificate, data.canonical_bytes()))
         assert minted
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("replay computed the bound")
-
-        monkeypatch.setattr(estimation, "_lcb_bound", refuse)
-        monkeypatch.setattr(estimation, "adjusted_effect_bound", refuse)
-        monkeypatch.setattr(verifier, "adjusted_effect_bound", refuse)
+        monkeypatch.setattr(estimation, "_lcb_bound", _no_bound)
         assert all(verify_certificate(cert, data) == [] for cert, data in minted)
 
     def test_a_straddled_threshold_fits_exactly(self, monkeypatch):
@@ -798,7 +796,110 @@ class TestWholeCertificateReplay:
                          | {("latency_savings_ms", "query_volume")})
         tampered = replace(cert, graph=cyclic, graph_sha256=graph_digest(cyclic))
         mismatches = verify_certificate(tampered, blob)
-        assert mismatches == ["proof (directed cycle)"]
+        assert mismatches == ["policy (malformed committed graph: directed cycle)"]
+
+    def test_replay_binds_the_bytes_as_given(self, monkeypatch):
+        # The parsed frame keeps the digest replay checked, so replay does not
+        # serialize the data again: bytes in a form other than canonical (a
+        # trailing zero on one value, the same float) replay under their own
+        # digest, as the certificate names them.
+        data = worked_data()
+        cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
+        header, _, body = data.canonical_bytes().partition(b"\n")
+        first, _, rest = body.partition(b",")
+        assert b"." in first and b"e" not in first
+        blob = header + b"\n" + first + b"0," + rest
+        assert Frame.from_canonical_bytes(blob) == data
+        digest = hashlib.sha256(blob).hexdigest()
+        monkeypatch.setattr(Frame, "canonical_bytes", None)  # replay never calls it
+        assert Frame.from_canonical_bytes(blob, sha256=digest).sha256() == digest
+        assert verify_certificate(replace(cert, provenance=digest), blob) == []
+
+
+def _write_replay_inputs(tmp_path, cert, blob, policy=None) -> list[str]:
+    """The verify-cert arguments for ``cert``, ``blob`` and a ``policy`` document."""
+    cert_path, data_path = tmp_path / "c.cert.json", tmp_path / "c.data.txt"
+    cert_path.write_text(json.dumps(certificate_to_json_dict(cert)), encoding="utf-8")
+    data_path.write_bytes(blob)
+    args = ["verify-cert", str(cert_path), str(data_path)]
+    if policy is not None:
+        (tmp_path / "policy.json").write_text(json.dumps(policy), encoding="utf-8")
+        args += ["--config", str(tmp_path / "policy.json")]
+    return args
+
+
+class TestReplayPolicy:
+    """Replay mints the certificate again under a policy, so a certificate
+    that the policy would refuse does not verify."""
+
+    LOOSE = {"alpha": 0.999, "tau_u": -3.0}
+
+    def _loose_certificate(self):
+        # Planted theta -2.72: refused at alpha 0.05 (lcb -2.99) and at alpha
+        # 0.999 under tau_u 0 (lcb -2.34), but executed under the loose policy.
+        inst = sample_instance("db_index_operation", MODERATE, 3, seed=42)
+        assert str(inst.id) == "s42-moderate-db_index_operation-0003"
+        assert inst.spec.theta < -2.7
+        v = triage(inst.frame, [inst.graph], inst.observational, VerifierConfig(**self.LOOSE))
+        assert v.decision is Decision.EXECUTE
+        return v.certificate, inst.observational.canonical_bytes()
+
+    def test_loose_alpha_certificate_fails_the_default_policy(self, tmp_path):
+        cert, blob = self._loose_certificate()
+        expected = ("policy (worst-case lower confidence bound -2.99171 is below the "
+                    "utility threshold 0)")
+        assert verify_certificate(cert, blob) == [expected]
+        result = CliRunner().invoke(cli_main, _write_replay_inputs(tmp_path, cert, blob))
+        assert result.exit_code == 1
+        assert result.output == f"certificate mismatch: {expected}\n"
+
+    def test_loose_alpha_certificate_verifies_under_its_own_policy(self, tmp_path):
+        cert, blob = self._loose_certificate()
+        assert verify_certificate(cert, blob, VerifierConfig(**self.LOOSE)) == []
+        result = CliRunner().invoke(cli_main,
+                                    _write_replay_inputs(tmp_path, cert, blob, self.LOOSE))
+        assert result.exit_code == 0
+        assert "the policy held" in result.output
+
+    def test_other_alpha_is_named(self):
+        # Under a policy whose tau_u the bound clears at either alpha, replay
+        # names the alpha the certificate was minted at, and the bound, which
+        # depends on alpha where the fit does not.
+        cert, blob = self._loose_certificate()
+        assert verify_certificate(cert, blob, VerifierConfig(tau_u=-4.0)) \
+            == ["lcb_alpha", "alpha"]
+
+    @pytest.mark.parametrize("policy, reason", [
+        (lambda cert: {"tau_u": cert.lcb_alpha + 1.0}, "worst-case lower confidence bound"),
+        (lambda cert: {"tau_r": cert.risk / 2}, "cost 0.05 overruns the risk threshold 0.025"),
+    ], ids=["tau_u-above-lcb", "tau_r-below-risk"])
+    def test_honest_certificate_under_a_stricter_policy(self, tmp_path, policy, reason):
+        data = worked_data()
+        cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
+        blob = data.canonical_bytes()
+        strict = policy(cert)
+        mismatches = verify_certificate(cert, blob, VerifierConfig(**strict))
+        assert len(mismatches) == 1 and mismatches[0].startswith(f"policy ({reason}")
+        result = CliRunner().invoke(cli_main, _write_replay_inputs(tmp_path, cert, blob, strict))
+        assert result.exit_code == 1
+        assert result.output == f"certificate mismatch: {mismatches[0]}\n"
+
+    @pytest.mark.parametrize("policy, message", [
+        ({"tau_x": 1.0}, "invalid configuration: unknown key(s): tau_x"),
+        ({"alpha": "0.05"}, "invalid configuration: alpha must be a number in (0, 1), "
+                            "got '0.05'"),
+        ({"forbidden_tools": "rm"}, "invalid configuration: forbidden_tools must be a list "
+                                    "of tool names (strings), got 'rm'"),
+        ([], "invalid configuration: the document must be a JSON object"),
+    ], ids=["unknown-key", "string-alpha", "string-tools", "array"])
+    def test_malformed_policy_is_a_clean_error(self, tmp_path, policy, message):
+        data = worked_data()
+        cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
+        args = _write_replay_inputs(tmp_path, cert, data.canonical_bytes(), policy)
+        result = CliRunner().invoke(cli_main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"Error: {message}\n"
 
 
 def provider_verdict(method, frame, graph, data, cfg=CFG):
@@ -995,7 +1096,7 @@ class TestFailClosed:
         cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
         # The constructor refuses the string, so it is set past the check.
         mismatches = verify_certificate(unchecked(cert, alpha="0.05"), data.canonical_bytes())
-        assert len(mismatches) == 1 and mismatches[0].startswith("estimation")
+        assert mismatches == ["alpha"]
 
     @pytest.mark.parametrize("edit, expected", [
         (lambda c: unchecked(c, graph=None), ["graph (a NoneType is not a CausalGraph)"]),
@@ -1009,10 +1110,14 @@ class TestFailClosed:
         (lambda c: unchecked(c, graph=None, proof=None),
          ["graph (a NoneType is not a CausalGraph)",
           "proof (a NoneType is not an IdentificationResult)"]),
-    ], ids=["graph-none", "graph-str", "graph-list-nodes", "proof-none", "proof-dict", "both"])
+        *((lambda c, risk=risk: unchecked(c, risk=risk),
+           [f"policy (malformed action frame: cost must be a finite number >= 0, got {risk!r})"])
+          for risk in (None, math.nan, "lots", -1.0)),
+    ], ids=["graph-none", "graph-str", "graph-list-nodes", "proof-none", "proof-dict", "both",
+            "risk-none", "risk-nan", "risk-str", "risk-negative"])
     def test_record_past_the_constructor_is_a_replay_mismatch(self, edit, expected):
-        # A certificate whose graph or proof skipped its constructor is named,
-        # not replayed: replay promises a list of mismatches, never an exception.
+        # A certificate whose graph, proof or risk skipped its constructor is
+        # named: replay promises a list of mismatches, never an exception.
         data = worked_data()
         cert = triage(worked_frame(), [worked_graph()], data, CFG).certificate
         assert verify_certificate(edit(cert), data.canonical_bytes()) == expected
