@@ -56,7 +56,7 @@ from .evaluation import (
     utility_value,
     wilcoxon_exact,
 )
-from .graphs import graph_digest, relabel_latent
+from .graphs import relabel_latent
 from .scm import (
     ADVERSARIAL,
     MODERATE,
@@ -76,7 +76,6 @@ from .verifier import (
     TwoStageResult,
     VerifierConfig,
     certificate_to_json_dict,
-    record_fields,
     run_two_stage,
 )
 
@@ -515,10 +514,9 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
     rewrite.
 
     Methods that certify the same (instance, stage) share one data frame, so
-    each frame is serialized once and its bytes go to every method's copy;
-    their certificates are often equal too, and each distinct one is encoded
-    once.  Serializing and encoding stay on this thread; ``_file_writer``
-    creates the files on another, one batch per frame.
+    each frame is serialized once and its bytes go to every method's copy.
+    Serializing and encoding stay on this thread; ``_file_writer`` creates
+    the files on another, one batch per frame.
     """
     by_id = {inst.id: inst for inst in run.instances}
     by_frame: dict[tuple[object, int], list[tuple[str, Certificate]]] = {}
@@ -540,17 +538,10 @@ def _write_certificates(out_dir: Path, run: RunResult) -> int:
             inst = by_id[inst_id]
             data = (inst.experimental if stage == 2 else inst.observational).canonical_bytes()
             stem = str(inst_id)
-            # Keyed by the graph's memoized digest and the ``repr`` of the other
-            # fields, which tells -0.0 from 0.0 where ``==`` does not.
-            encoded: dict[str, bytes] = {}
             files = []
             for method, cert in certs:
-                key = repr({**record_fields(cert), "graph": graph_digest(cert.graph)})
-                text = encoded.get(key)
-                if text is None:
-                    text = json.dumps(certificate_to_json_dict(cert), sort_keys=True,
-                                      indent=1).encode("utf-8")
-                    encoded[key] = text
+                text = json.dumps(certificate_to_json_dict(cert), sort_keys=True,
+                                  indent=1).encode("utf-8")
                 files += ((method_dirs[method] / f"{stem}.cert.json", text),
                           (method_dirs[method] / f"{stem}.data.txt", data))
             put(files)

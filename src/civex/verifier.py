@@ -82,7 +82,6 @@ __all__ = [
     "certificate_to_json_dict",
     "certificate_from_json_dict",
     "verify_certificate",
-    "record_fields",
 ]
 
 ASSUMPTION_LABELS = ("A1", "A2", "A3", "A4")
@@ -432,11 +431,6 @@ def run_two_stage(
     if v2.decision is Decision.EXPERIMENT:
         v2 = _EXPERIMENT_LOOP
     return TwoStageResult((v1, v2))
-
-
-def record_fields(record) -> dict:
-    """A dataclass record's fields by name, in declaration order."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 def certificate_to_json_dict(cert: Certificate) -> dict:

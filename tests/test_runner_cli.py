@@ -24,7 +24,7 @@ from civex.runner import (
     write_run_outputs,
 )
 from civex.scm import BenchmarkSpec, build_benchmark, write_instances_jsonl
-from civex.verifier import VerifierConfig, certificate_to_json_dict
+from civex.verifier import VerifierConfig, certificate_from_json_dict, certificate_to_json_dict
 
 TINY = {
     "seeds": [42, 43],
@@ -358,24 +358,6 @@ class TestCertificateWriter:
         return [(r.method, (r.instance_id, len(r.result.trace)), r.result.terminal.certificate)
                 for r in run.records if r.result.terminal.certificate is not None]
 
-    def test_each_distinct_certificate_is_encoded_once(self, tmp_path, monkeypatch):
-        run = run_benchmark(load(RunConfig, TINY))
-        certs = self._certificates(run)
-        distinct = {(frame, json.dumps(certificate_to_json_dict(cert), sort_keys=True))
-                    for _, frame, cert in certs}
-        # Several methods issue equal certificates for the same frame.
-        assert len(certs) > len(distinct) > 0
-        calls = []
-        original = runner.certificate_to_json_dict
-
-        def counting(cert):
-            calls.append(cert)
-            return original(cert)
-
-        monkeypatch.setattr(runner, "certificate_to_json_dict", counting)
-        write_run_outputs(run, tmp_path / "run")
-        assert len(calls) == len(distinct)
-
     def test_negative_zero_certificate_is_encoded_apart(self, tmp_path):
         run = run_benchmark(load(RunConfig, TINY))
         by_frame = {}
@@ -396,6 +378,30 @@ class TestCertificateWriter:
         for method, risk in zip(methods[:2], (0.0, -0.0)):
             path = tmp_path / "run" / "certificates" / method / f"{inst_id}.cert.json"
             assert repr(json.loads(path.read_text(encoding="utf-8"))["risk"]) == repr(risk)
+
+    def test_each_certificate_file_holds_its_own_certificate(self, tmp_path):
+        run = run_benchmark(load(RunConfig, TINY))
+        # Give every certificate a risk no other one has, so that a file
+        # written from another method's or another frame's certificate shows.
+        written = {}
+        for k, r in enumerate(run.records):
+            result = r.result
+            if result.terminal.certificate is None:
+                continue
+            cert = replace(result.terminal.certificate,
+                           risk=result.terminal.certificate.risk + k / 1024)
+            run.records[k] = replace(r, result=replace(
+                result, trace=(*result.trace[:-1], replace(result.terminal, certificate=cert))))
+            written[(r.method, r.instance_id)] = cert
+        write_run_outputs(run, tmp_path / "run")
+        files = sorted((tmp_path / "run" / "certificates").glob("*/*.cert.json"))
+        assert len(files) == len(written) > len({i for _, i in written})
+        for (method, inst_id), cert in written.items():
+            path = tmp_path / "run" / "certificates" / method / f"{inst_id}.cert.json"
+            text = path.read_bytes()
+            assert text == json.dumps(certificate_to_json_dict(cert), sort_keys=True,
+                                      indent=1).encode("utf-8")
+            assert certificate_from_json_dict(json.loads(text)) == cert
 
     def test_rerun_replaces_the_previous_certificates(self, tmp_path):
         out = tmp_path / "reuse"
